@@ -27,7 +27,6 @@ from .graph_core import (
 )
 from .spectral_rkd import (
     OptimizerConfig,
-    StudentModel,
     exact_population_minimizer,
     population_rkd_loss,
     random_rotation,
@@ -40,6 +39,7 @@ from .ssl_harness import (
     build_augmentation_fixture,
     build_graph_fixture,
     build_kernel_fixture,
+    build_student,
     acquire_labels,
     run_experiment,
     run_sweep,
@@ -83,15 +83,7 @@ def _cmd_rkd(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     g, points = build_graph_fixture(cfg)
     kernel = build_kernel_fixture(cfg, g, points)
-    arch = cfg.student.get("arch", "table")
-    if arch == "table":
-        widths, features = (g.size, g.num_classes), None
-    elif arch == "linear":
-        widths, features = (points.shape[1], g.num_classes), points
-    else:
-        widths, features = (points.shape[1], int(cfg.student.get("hidden", 8)), g.num_classes), points
-    model = StudentModel.initialize(arch, widths, seed=args.seed,
-                                    scale=float(cfg.student.get("init_scale", 0.1)))
+    model, features = build_student(cfg, g, points, args.seed)
     opt = OptimizerConfig(
         step_size=float(cfg.optimizer.get("step_size", 0.3)),
         iterations=int(cfg.optimizer.get("iterations", 1000)),
@@ -282,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--sweep", default=None, help="comma-separated seeds to fan out")
+    p.add_argument("--sweep", default=None, help="comma-separated seeds, run one after another")
     p.set_defaults(func=_cmd_ssl)
 
     p = sub.add_parser("report", help="aggregate run results under a directory")

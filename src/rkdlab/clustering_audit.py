@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DomainError, NumericError, SizeLimitError
-from .graph_core import PopulationGraph, laplacian, spectral_decompose
+from .graph_core import PopulationGraph, inter_class_fraction, laplacian, spectral_decompose
 from .spectral_rkd import Prediction
 
 VERDICT_SLACK = 1e-9
@@ -205,12 +204,6 @@ def margin_prefactor(beta: float, gamma: float) -> float:
     return max(beta**2 / gamma**2, 1.0)
 
 
-def inter_class_fraction(g: PopulationGraph) -> float:
-    from .graph_core import inter_class_fraction as _alpha
-
-    return _alpha(g)
-
-
 def theorem1_check(f_family, g: PopulationGraph) -> AuditReport:
     """Audit mu(family) <= 2 max(beta^2/gamma^2, 1) alpha / lambda_{K+1}.
 
@@ -331,6 +324,8 @@ def _lp_data(lambdas, K: int, Delta: float):
 
 def lp_primal_simplex(lambdas, K: int, Delta: float) -> float:
     """Library simplex solve of max sum_{i<=K} xi_i under the leakage constraints."""
+    from scipy.optimize import linprog
+
     costs, budget, n = _lp_data(lambdas, K, Delta)
     c = np.zeros(n)
     c[:K] = -1.0

@@ -146,7 +146,7 @@ def spectral_decompose(g: PopulationGraph) -> SpectralDecomposition:
         nz = np.nonzero(np.abs(col) > 1e-10)[0]
         if len(nz) and col[nz[0]] < 0:
             vecs[:, i] = -col
-    recon = vecs @ np.diag(lam) @ vecs.T
+    recon = (vecs * lam) @ vecs.T
     err = float(np.linalg.norm(recon - lap))
     if err > RECONSTRUCTION_TOL:
         raise NumericError(f"eigen reconstruction error {err:.3e} exceeds 1e-8")

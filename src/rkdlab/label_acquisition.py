@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,10 +30,17 @@ class LabeledSet:
     seed: int
 
     def vertices(self) -> np.ndarray:
-        return np.array([v for v, _ in self.pairs], dtype=int)
+        return self._columns[0]
 
     def classes(self) -> np.ndarray:
-        return np.array([c for _, c in self.pairs], dtype=int)
+        return self._columns[1]
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """(vertices, classes) as read-only arrays, built once per set."""
+        table = np.array(self.pairs, dtype=int).reshape(-1, 2)
+        table.flags.writeable = False
+        return table[:, 0], table[:, 1]
 
 
 def make_labeled(g: PopulationGraph, vertices, strategy: str, seed: int) -> LabeledSet:

@@ -137,6 +137,23 @@ class StudentModel:
         a1, a2 = self._unpack()
         return np.tanh(x @ a1.T) @ a2.T
 
+    def backward(self, features: np.ndarray | None, gscores: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the flat parameters, given the gradient
+        `gscores` of a loss with respect to the scores `forward(features)`."""
+        if self.architecture == "table":
+            return gscores.ravel()
+        if features is None:
+            raise DomainError(f"{self.architecture} model needs input features")
+        x = np.asarray(features, dtype=float)
+        if self.architecture == "linear":
+            return (gscores.T @ x).ravel()
+        a1, a2 = self._unpack()
+        hidden = np.tanh(x @ a1.T)
+        ga2 = gscores.T @ hidden
+        gpre = (gscores @ a2) * (1.0 - hidden**2)
+        ga1 = gpre.T @ x
+        return np.concatenate([ga1.ravel(), ga2.ravel()])
+
     def prediction(self, features: np.ndarray | None = None) -> Prediction:
         return Prediction(scores=self.forward(features))
 
@@ -274,17 +291,7 @@ def _loss_and_grad(model: StudentModel, features, a, b, u, kvals):
     gscores = np.zeros_like(scores)
     np.add.at(gscores, a, coef * fb)
     np.add.at(gscores, b, coef * fa)
-    if model.architecture == "table":
-        return loss, gscores.ravel()
-    x = np.asarray(features, dtype=float)
-    if model.architecture == "linear":
-        return loss, (gscores.T @ x).ravel()
-    a1, a2 = model._unpack()
-    hidden = np.tanh(x @ a1.T)
-    ga2 = gscores.T @ hidden
-    gpre = (gscores @ a2) * (1.0 - hidden**2)
-    ga1 = gpre.T @ x
-    return loss, np.concatenate([ga1.ravel(), ga2.ravel()])
+    return loss, model.backward(features, gscores)
 
 
 def _exhaustive_batch(g: PopulationGraph, kmat: np.ndarray):

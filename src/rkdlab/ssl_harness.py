@@ -12,7 +12,6 @@ import csv
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -268,6 +267,7 @@ class CombinedLossReport:
     dac: float
     rkd: float
     confident_count: int
+    grad: np.ndarray = field(repr=False, compare=False)
 
 
 def combined_loss(
@@ -284,16 +284,27 @@ def combined_loss(
     weak_strong_pairs: (x_weak, x_strong) vertex pairs for the unlabeled set.
     Low-confidence weak views (below tau_dac at temperature T) are discarded;
     an empty confident set makes the consistency term 0.
+
+    One forward pass yields both the loss terms and `grad`, the analytic
+    gradient of `total` with respect to the model parameters; pseudo-labels
+    are treated as constants.
     """
     scores = model.forward(features)
+    gscores = np.zeros_like(scores)
     lam_dac = float(loss_cfg.get("lambda_dac", 1.0))
     lam_rkd = float(loss_cfg.get("lambda_rkd", 0.0))
     tau = float(loss_cfg.get("tau_dac", 0.95))
     temp = float(loss_cfg.get("temperature", 1.0))
 
+    # each softmax block minus its one-hot targets is the score gradient of its CE
+    ce = 0.0
     verts = labeled.vertices()
-    probs = _softmax(scores[verts])
-    ce = float(-np.log(np.maximum(probs[np.arange(len(verts)), labeled.classes()], 1e-300)).mean()) if len(verts) else 0.0
+    if len(verts):
+        probs = _softmax(scores[verts])
+        rows, classes = np.arange(len(verts)), labeled.classes()
+        ce = float(-np.log(np.maximum(probs[rows, classes], 1e-300)).mean())
+        probs[rows, classes] -= 1.0
+        np.add.at(gscores, verts, probs / len(verts))
 
     dac = 0.0
     kept = 0
@@ -304,76 +315,79 @@ def combined_loss(
         kept = int(confident.sum())
         if kept:
             pseudo = np.argmax(scores[ws[confident, 0]], axis=1)
-            strong_probs = _softmax(scores[ws[confident, 1]])
-            dac = float(-np.log(np.maximum(strong_probs[np.arange(kept), pseudo], 1e-300)).mean())
+            strong = ws[confident, 1]
+            strong_probs = _softmax(scores[strong])
+            rows = np.arange(kept)
+            dac = float(-np.log(np.maximum(strong_probs[rows, pseudo], 1e-300)).mean())
+            strong_probs[rows, pseudo] -= 1.0
+            np.add.at(gscores, strong, lam_dac * strong_probs / kept)
 
     rkd = 0.0
     if rkd_pairs is not None and len(rkd_pairs) and lam_rkd > 0:
         pr = np.asarray(rkd_pairs, dtype=int)
-        inner = np.sum(scores[pr[:, 0]] * scores[pr[:, 1]], axis=1)
-        rkd = float(np.mean((inner - kmat[pr[:, 0], pr[:, 1]]) ** 2))
-
-    total = ce + lam_dac * dac + lam_rkd * rkd
-    return CombinedLossReport(total=total, cross_entropy=ce, dac=dac, rkd=rkd, confident_count=kept)
-
-
-def _combined_grad(model, features, labeled, weak_strong, rkd_pairs, kmat, loss_cfg):
-    """Analytic gradient of the combined objective in score space, then through
-    the model parameters; pseudo-labels are treated as constants."""
-    scores = model.forward(features)
-    gscores = np.zeros_like(scores)
-    lam_dac = float(loss_cfg.get("lambda_dac", 1.0))
-    lam_rkd = float(loss_cfg.get("lambda_rkd", 0.0))
-    tau = float(loss_cfg.get("tau_dac", 0.95))
-    temp = float(loss_cfg.get("temperature", 1.0))
-
-    verts = labeled.vertices()
-    if len(verts):
-        probs = _softmax(scores[verts])
-        onehot = np.eye(scores.shape[1])[labeled.classes()]
-        np.add.at(gscores, verts, (probs - onehot) / len(verts))
-
-    if weak_strong is not None and len(weak_strong) and lam_dac > 0:
-        ws = np.asarray(weak_strong, dtype=int)
-        weak_probs = _softmax(scores[ws[:, 0]] / temp)
-        confident = weak_probs.max(axis=1) >= tau
-        kept = int(confident.sum())
-        if kept:
-            pseudo = np.argmax(scores[ws[confident, 0]], axis=1)
-            strong = ws[confident, 1]
-            sprobs = _softmax(scores[strong])
-            sonehot = np.eye(scores.shape[1])[pseudo]
-            np.add.at(gscores, strong, lam_dac * (sprobs - sonehot) / kept)
-
-    if rkd_pairs is not None and len(rkd_pairs) and lam_rkd > 0:
-        pr = np.asarray(rkd_pairs, dtype=int)
         a, b = pr[:, 0], pr[:, 1]
-        inner = np.sum(scores[a] * scores[b], axis=1)
-        coef = (2.0 * lam_rkd / len(pr)) * (inner - kmat[a, b])
+        resid = np.sum(scores[a] * scores[b], axis=1) - kmat[a, b]
+        rkd = float(np.mean(resid**2))
+        coef = (2.0 * lam_rkd / len(pr)) * resid
         np.add.at(gscores, a, coef[:, None] * scores[b])
         np.add.at(gscores, b, coef[:, None] * scores[a])
 
-    if model.architecture == "table":
-        return gscores.ravel()
-    x = np.asarray(features, dtype=float)
-    if model.architecture == "linear":
-        return (gscores.T @ x).ravel()
-    a1, a2 = model._unpack()
-    hidden = np.tanh(x @ a1.T)
-    ga2 = gscores.T @ hidden
-    gpre = (gscores @ a2) * (1.0 - hidden**2)
-    ga1 = gpre.T @ x
-    return np.concatenate([ga1.ravel(), ga2.ravel()])
+    total = ce + lam_dac * dac + lam_rkd * rkd
+    return CombinedLossReport(total=total, cross_entropy=ce, dac=dac, rkd=rkd, confident_count=kept,
+                              grad=model.backward(features, gscores))
 
 
-def _strong_views(aug: AugmentationMap, unlabeled: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Weak view = the vertex itself; strong view = a uniformly drawn other member."""
-    pairs = np.empty((len(unlabeled), 2), dtype=int)
-    for i, x in enumerate(unlabeled):
-        others = sorted(aug.sets[int(x)] - {int(x)})
-        pairs[i, 0] = x
-        pairs[i, 1] = others[rng.integers(len(others))] if others else x
-    return pairs
+@dataclass(frozen=True)
+class _ViewTable:
+    """Strong-view candidates of a vertex pool, built once per run.
+
+    For the pool vertices that have partners (`has`), the sorted other members
+    of their augmentation sets are concatenated in `flat`; `starts` and
+    `counts` locate each vertex's run in it.
+    """
+
+    pool: np.ndarray
+    has: np.ndarray
+    flat: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def build(cls, aug: AugmentationMap, pool: np.ndarray) -> "_ViewTable":
+        others = [sorted(aug.sets[int(x)] - {int(x)}) for x in pool]
+        counts = np.array([len(o) for o in others], dtype=int)
+        has = counts > 0
+        starts = np.cumsum(counts) - counts
+        flat = np.array([v for o in others for v in o], dtype=int)
+        return cls(pool=np.asarray(pool, dtype=int), has=has, flat=flat,
+                   starts=starts[has], counts=counts[has])
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """(weak, strong) pairs: the weak view is the vertex itself, the strong
+        view a uniformly drawn other member, or the vertex itself if it has none.
+        One draw per vertex with partners, in pool order."""
+        pairs = np.stack([self.pool, self.pool], axis=1)
+        if len(self.counts):
+            pairs[self.has, 1] = self.flat[self.starts + rng.integers(self.counts)]
+        return pairs
+
+
+def build_student(cfg: ExperimentConfig, g: PopulationGraph, points, seed: int):
+    """Returns (model, features): the config's student initialized from `seed`,
+    and the per-vertex inputs it reads (None for the table student)."""
+    arch = cfg.student.get("arch", "table")
+    if arch == "table":
+        widths, features = (g.size, g.num_classes), None
+    elif arch in ("linear", "mlp"):
+        if points is None:
+            raise InvalidConfigError(f"{arch} student needs point coordinates from the graph fixture")
+        features = points
+        widths = ((points.shape[1], g.num_classes) if arch == "linear"
+                  else (points.shape[1], int(cfg.student.get("hidden", 8)), g.num_classes))
+    else:
+        raise InvalidConfigError(f"unknown architecture {arch!r}")
+    model = StudentModel.initialize(arch, widths, seed=seed, scale=float(cfg.student.get("init_scale", 0.1)))
+    return model, features
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
@@ -386,25 +400,14 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
     kmat = kernel_matrix(kernel, g)
     labeled = acquire_labels(cfg, g, kernel, seed)
 
-    opt = dict(cfg.optimizer)
-    arch = cfg.student.get("arch", "table")
-    if arch == "table":
-        widths = (g.size, g.num_classes)
-        features = None
-    elif arch == "linear":
-        features = points
-        widths = (features.shape[1], g.num_classes)
-    else:
-        features = points
-        widths = (features.shape[1], int(cfg.student.get("hidden", 8)), g.num_classes)
-    if arch != "table" and features is None:
-        raise InvalidConfigError(f"{arch} student needs point coordinates from the graph fixture")
-    model = StudentModel.initialize(arch, widths, seed=seed, scale=float(cfg.student.get("init_scale", 0.1)))
+    model, features = build_student(cfg, g, points, seed)
 
+    opt = dict(cfg.optimizer)
     rng = np.random.default_rng((seed, 1))
     unlabeled = np.setdiff1d(np.arange(g.size), labeled.vertices())
     recycle = bool(opt.get("recycle_labeled", True))
     pool = np.arange(g.size) if recycle else unlabeled
+    views = _ViewTable.build(aug, pool)
     pool_weights = g.degrees()[pool] / g.degrees()[pool].sum()
     num_pairs = int(opt.get("rkd_pairs", max(2, g.size)))
     step_size = float(opt.get("step_size", 0.5))
@@ -414,7 +417,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
     losses = []
     velocity = np.zeros_like(model.parameters)
     for step in range(iterations):
-        ws = _strong_views(aug, pool, rng)
+        ws = views.draw(rng)
         pr = pool[rng.choice(len(pool), size=2 * num_pairs, p=pool_weights)].reshape(num_pairs, 2)
         report = combined_loss(model, features, labeled, ws, pr, kmat, cfg.loss)
         if not math.isfinite(report.total) or report.total > 1e6:
@@ -424,8 +427,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
             "total": report.total, "cross_entropy": report.cross_entropy,
             "dac": report.dac, "rkd": report.rkd, "confident": report.confident_count,
         })
-        grad = _combined_grad(model, features, labeled, ws, pr, kmat, cfg.loss)
-        velocity = momentum * velocity - step_size * grad
+        velocity = momentum * velocity - step_size * report.grad
         model.parameters = model.parameters + velocity
 
     pred = model.prediction(features)
@@ -487,13 +489,13 @@ def persist_run(cfg: ExperimentConfig, result: RunResult, seed: int) -> None:
             ])
 
 
-def run_sweep(cfg: ExperimentConfig, seeds, max_workers: int = 4) -> list:
-    """Fan out independent (config, seed) runs; results ordered by seed position."""
-    def one(seed):
+def run_sweep(cfg: ExperimentConfig, seeds) -> list:
+    """Independent (config, seed) runs, one after another in the calling
+    process; results in seed order."""
+    results = []
+    for seed in seeds:
         sub = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": int(seed), "out_dir": (
             str(Path(cfg.out_dir) / f"seed_{seed}") if cfg.out_dir else None
         )})
-        return run_experiment(sub)
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one, seeds))
+        results.append(run_experiment(sub))
+    return results

@@ -153,3 +153,15 @@ def test_report_on_empty_directory_exits_1(tmp_path, capsys):
     code = main(["report", "--out", str(tmp_path)])
     assert code == 1
     assert "no run_result" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rkd", "ssl"])
+@pytest.mark.parametrize("arch", ["linear", "mlp"])
+def test_parametric_student_without_points_exits_1(tmp_path, audit_config, capsys, command, arch):
+    cfg = json.loads(audit_config.read_text())
+    cfg["student"] = {"arch": arch, "init_scale": 0.05}
+    path = tmp_path / "no_points.json"
+    dump_canonical(cfg, path)
+    code = main([command, "--config", str(path), "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{arch} student needs point coordinates" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
 
+from rkdlab.dac_expansion import make_augmentation
 from rkdlab.errors import InvalidConfigError
 from rkdlab.graph_core import build_two_blobs
 from rkdlab.jsonio import dumps_canonical
@@ -10,7 +12,7 @@ from rkdlab.label_acquisition import make_labeled, uniform_per_class_sample
 from rkdlab.spectral_rkd import StudentModel
 from rkdlab.ssl_harness import (
     ExperimentConfig,
-    _combined_grad,
+    _ViewTable,
     combined_loss,
     run_experiment,
     run_sweep,
@@ -126,7 +128,7 @@ class TestCombinedLoss:
               for i in range(g.size)]
         pairs = [(0, 1), (2, 5), (3, 3), (6, 7)]
         cfg = {"lambda_dac": 1.0, "lambda_rkd": 0.3, "tau_dac": 0.2, "temperature": 1.0}
-        grad = _combined_grad(model, feats, labeled, ws, pairs, kmat, cfg)
+        grad = combined_loss(model, feats, labeled, ws, pairs, kmat, cfg).grad
         h = 1e-6
         idx = rng.choice(model.parameters.size, size=min(10, model.parameters.size), replace=False)
         for i in idx:
@@ -176,11 +178,85 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert set(result.labeled.classes().tolist()) == {0, 1}
 
+    def test_run_makes_one_forward_pass_per_step(self, monkeypatch):
+        calls = []
+        forward = StudentModel.forward
+
+        def counting(self, features):
+            calls.append(1)
+            return forward(self, features)
+
+        monkeypatch.setattr(StudentModel, "forward", counting)
+        iterations = 25
+        run_experiment(blob_config(optimizer={"step_size": 0.5, "iterations": iterations,
+                                              "momentum": 0.9, "rkd_pairs": 16}))
+        # one per training step, plus the final prediction
+        assert len(calls) == iterations + 1
+
     def test_sweep_matches_individual_runs(self, tmp_path):
-        cfg = blob_config(optimizer={"step_size": 0.5, "iterations": 30, "momentum": 0.9})
+        cfg = blob_config(optimizer={"step_size": 0.5, "iterations": 30, "momentum": 0.9},
+                          out_dir=str(tmp_path))
+
+        def persisted():
+            return {p.relative_to(tmp_path): p.read_bytes()
+                    for p in sorted(tmp_path.glob("seed_*/*")) if p.name != "timing.json"}
+
         swept = run_sweep(cfg, [3, 4])
-        singles = [run_experiment(blob_config(optimizer=cfg.optimizer, seed=s)) for s in (3, 4)]
+        swept_files = persisted()
+        for s in (3, 4):
+            shutil.rmtree(tmp_path / f"seed_{s}")
+        # each single run writes into the directory the sweep gave its seed, so
+        # the config (and its hash in the report) is the same down to out_dir
+        singles = [run_experiment(blob_config(optimizer=cfg.optimizer, seed=s,
+                                              out_dir=str(tmp_path / f"seed_{s}")))
+                   for s in (3, 4)]
         assert [r.accuracy for r in swept] == [r.accuracy for r in singles]
+        assert len(swept_files) == 2 * 5
+        assert persisted() == swept_files
+
+
+def _strong_views_oracle(aug, pool, rng):
+    """Per-vertex reference draw: the sorted other members of A(x), one draw each."""
+    pairs = np.empty((len(pool), 2), dtype=int)
+    for i, x in enumerate(pool):
+        others = sorted(aug.sets[int(x)] - {int(x)})
+        pairs[i, 0] = x
+        pairs[i, 1] = others[rng.integers(len(others))] if others else x
+    return pairs
+
+
+class TestViewSampling:
+    def test_table_draw_matches_per_vertex_loop(self):
+        from conftest import hand_graph
+
+        maker = np.random.default_rng(0)
+        for trial in range(60):
+            n = int(maker.integers(2, 30))
+            labels = np.zeros(n, dtype=int)
+            g = hand_graph(np.ones((n, n)) - np.eye(n), labels, 1)
+            sets = []
+            for x in range(n):
+                members = {x} | set(maker.integers(0, n, size=int(maker.integers(0, 5))).tolist())
+                sets.append({x} if maker.random() < 0.25 else members)
+            aug = make_augmentation(sets, g, strict=False)
+            pool = (np.arange(n) if trial % 2 else
+                    np.sort(maker.choice(n, size=max(1, n // 2), replace=False)))
+            table = _ViewTable.build(aug, pool)
+            fast, slow = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(20):
+                np.testing.assert_array_equal(table.draw(fast), _strong_views_oracle(aug, pool, slow))
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_all_singletons_draw_nothing(self):
+        from conftest import hand_graph
+
+        g = hand_graph(np.ones((3, 3)) - np.eye(3), [0, 0, 0], 1)
+        aug = make_augmentation([{0}, {1}, {2}], g, strict=False)
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        pairs = _ViewTable.build(aug, np.arange(3)).draw(rng)
+        np.testing.assert_array_equal(pairs, [[0, 0], [1, 1], [2, 2]])
+        assert rng.bit_generator.state == before
 
 
 class TestCanonicalJson:
