@@ -23,7 +23,6 @@ from .spectral_rkd import Prediction
 VERDICT_SLACK = 1e-9
 LP_AGREEMENT_TOL = 1e-9
 RANK_TOL = 1e-10
-LP_SIZE_CAP = 40
 LP_ENUMERATION_CAP = 12
 
 
@@ -309,8 +308,6 @@ def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float, K0: int)
 def _lp_data(lambdas, K: int, Delta: float):
     lam = np.asarray(lambdas, dtype=float)
     n = len(lam)
-    if n > LP_SIZE_CAP:
-        raise SizeLimitError(f"{n} eigenvalues exceed the LP cap {LP_SIZE_CAP}")
     if not 1 <= K < n:
         raise DomainError(f"need 1 <= K < {n}")
     if np.any(np.diff(lam) < -1e-12):

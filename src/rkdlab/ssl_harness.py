@@ -20,7 +20,6 @@ import numpy as np
 from . import jsonio
 from .clustering_audit import theorem1_check, theorem4_check
 from .dac_expansion import (
-    EXHAUSTIVE_SUBSET_CAP,
     AugmentationMap,
     chain_augmentation,
     load_augmentation,
@@ -463,11 +462,8 @@ def _audit_bundle(pred: Prediction, g: PopulationGraph, aug: AugmentationMap) ->
             "delta": float(delta), "lp_primal": thm4.lp_primal, "lp_dual": thm4.lp_dual,
         },
     }
-    if g.size <= EXHAUSTIVE_SUBSET_CAP:
-        mu5, bound5, verdict5 = theorem5_check([pred], aug, g)
-        bundle["thm5"] = {"verdict": verdict5, "mu": mu5, "bound": bound5}
-    else:
-        bundle["thm5"] = {"verdict": "not-applicable: graph above the exhaustive cap"}
+    mu5, bound5, verdict5 = theorem5_check([pred], aug, g)
+    bundle["thm5"] = {"verdict": verdict5, "mu": mu5, "bound": bound5}
     return bundle
 
 

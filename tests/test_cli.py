@@ -103,6 +103,62 @@ def test_dac_subcommand(tmp_path, audit_config):
     assert report["c_hat"] > 1.0
 
 
+def sbm_chain_config(tmp_path, sizes, graph_seed=0):
+    """A chain-augmented lazy two-block SBM config (p_in 0.9, p_out 0.05)."""
+    cfg = {
+        "graph": {"kind": "sbm", "num_classes": 2, "sizes": list(sizes), "p_in": 0.9,
+                  "p_out": 0.05, "seed": graph_seed, "lazy": True},
+        "augmentation": {"kind": "chain"},
+        "kernel": {"kind": "graph_revealing"},
+        "student": {"arch": "table", "init_scale": 0.05},
+        "loss": {"lambda_dac": 1.0, "lambda_rkd": 0.001, "tau_dac": 0.95, "temperature": 1.0},
+        "labels": {"strategy": "uniform_per_class", "n_per_class": 2},
+        "optimizer": {"step_size": 0.4, "iterations": 200, "momentum": 0.9,
+                      "sampler": "exhaustive"},
+        "seed": 0,
+        "tolerances": {"audit_rotations": 20},
+        "out_dir": None,
+    }
+    path = tmp_path / f"sbm_{'_'.join(map(str, sizes))}_g{graph_seed}.json"
+    dump_canonical(cfg, path)
+    return path
+
+
+def test_dac_records_verdict_above_component_cap(tmp_path, capsys):
+    path = sbm_chain_config(tmp_path, [21, 21])
+    code = main(["dac", "--config", str(path), "--out", str(tmp_path / "dac")])
+    assert code == 1
+    report = json.loads((tmp_path / "dac" / "dac_report.json").read_text())
+    assert report["c_hat"] is None
+    assert report["checked_subsets"] == 0
+    assert report["thm5"]["verdict"] == "not-applicable: component above the exhaustive cap"
+    assert report["expansion_implication"] == {}
+    assert "c_hat=n/a" in capsys.readouterr().out
+
+
+def test_dac_above_whole_graph_cap_skips_probes(tmp_path):
+    # 20 vertices: c-expansion enumerates each 10-vertex chain, while the
+    # whole-graph constant-expansion probes are above their cap
+    path = sbm_chain_config(tmp_path, [10, 10])
+    code = main(["dac", "--config", str(path), "--out", str(tmp_path / "dac")])
+    assert code == 0
+    report = json.loads((tmp_path / "dac" / "dac_report.json").read_text())
+    assert report["exhaustive"] is True
+    assert report["c_hat"] > 1.0
+    assert report["thm5"]["verdict"] == "pass"
+    assert report["expansion_implication"] == {}
+
+
+@pytest.mark.parametrize("graph_seed", [0, 4])
+def test_audit_on_48_vertices_writes_report(tmp_path, graph_seed):
+    path = sbm_chain_config(tmp_path, [24, 24], graph_seed)
+    code = main(["audit", "--config", str(path), "--seed", "7", "--out", str(tmp_path / "a48")])
+    assert code == 0
+    report = json.loads((tmp_path / "a48" / "audit_report.json").read_text())
+    assert report["thm1"]["verdicts"]["thm1"] == "pass"
+    assert report["thm4"]["verdicts"]["thm4"] == "pass"
+
+
 def test_labels_subcommand(tmp_path, audit_config):
     code = main(["labels", "--config", str(audit_config), "--seed", "2",
                  "--out", str(tmp_path / "lab")])

@@ -183,6 +183,12 @@ class TestLpOracle:
         assert abs(s - g) < 1e-9
         assert abs(s - e) < 1e-9
 
+    def test_simplex_and_greedy_agree_on_48_eigenvalues(self):
+        lam = spectral_decompose(lazy_graph(build_sbm(2, [24, 24], 0.9, 0.05, seed=4))).eigenvalues
+        assert len(lam) == 48
+        for K, delta in ((2, 0.01), (2, 0.2), (5, 0.05)):
+            assert abs(lp_primal_simplex(lam, K, delta) - lp_primal_greedy(lam, K, delta)) < 1e-9
+
     def test_vanishing_delta_forces_zero_leakage(self):
         lam = [0.0, 0.1, 0.5, 0.8, 0.9]
         primal, dual = lp_bound_oracle(lam, 2, K0=1, Delta=1e-12)

@@ -5,6 +5,8 @@ import pytest
 
 from rkdlab.dac_expansion import (
     C_HAT_CAP,
+    COMPONENT_SUBSET_CAP,
+    MASS_TOL,
     PerturbationSolverConfig,
     all_layer_margin,
     chain_augmentation,
@@ -23,7 +25,7 @@ from rkdlab.dac_expansion import (
     theorem5_check,
     _mlp_perturbed_forward,
 )
-from rkdlab.errors import DomainError, InvalidAugmentationError
+from rkdlab.errors import DomainError, InvalidAugmentationError, SizeLimitError
 from rkdlab.graph_core import PopulationGraph, build_sbm, lazy_graph
 from rkdlab.spectral_rkd import Prediction, StudentModel
 
@@ -135,10 +137,103 @@ class TestCExpansion:
         big_c = estimate_c_expansion(bigger, g).c_hat
         assert big_c >= small_c
 
-    def test_sampled_mode_flags_non_exhaustive(self):
-        g = lazy_graph(build_sbm(2, [10, 10], 0.9, 0.1, seed=0))
-        report = estimate_c_expansion(chain_augmentation(g), g, sample_subsets=200, seed=1)
-        assert not report.exhaustive
+    def test_component_above_cap_raises(self):
+        g = lazy_graph(build_sbm(2, [21, 4], 0.9, 0.1, seed=0))
+        cap = f"21 vertices exceeds the exhaustive cap {COMPONENT_SUBSET_CAP}"
+        with pytest.raises(SizeLimitError, match=cap):
+            estimate_c_expansion(chain_augmentation(g), g)
+
+    def test_component_at_cap_is_enumerated(self):
+        g = lazy_graph(build_sbm(2, [COMPONENT_SUBSET_CAP, 4], 0.9, 0.1, seed=0))
+        report = estimate_c_expansion(chain_augmentation(g), g)
+        assert report.exhaustive
+        assert 1.0 < report.c_hat < C_HAT_CAP
+
+    def test_graph_above_whole_graph_cap_with_small_components(self):
+        # 40 vertices in ten augmentation-isolated chains of four
+        g = uniform_graph([0] * 20 + [1] * 20)
+        sets = [{x, 4 * (x // 4) + (x + 1) % 4} for x in range(g.size)]
+        report = estimate_c_expansion(make_augmentation(sets, g), g)
+        assert report.c_hat == 1.0
+        assert report.checked_subsets == 10 * 15  # every nonempty subset of each chain
+
+
+def nb_components(aug):
+    """Connected components of the NB relation by search over neighborhoods()."""
+    nb = neighborhoods(aug)
+    seen, comps = set(), []
+    for start in range(aug.size):
+        if start in seen:
+            continue
+        comp, stack = set(), [start]
+        while stack:
+            x = stack.pop()
+            if x not in comp:
+                comp.add(x)
+                stack.extend(nb.members[x] - comp)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def brute_force_c_hat(aug, g):
+    """The c-expansion definition over every subset of the whole graph."""
+    n, K = g.size, g.num_classes
+    nb = neighborhoods(aug)
+    adj = np.array([[x2 in nb.members[x] for x2 in range(n)] for x in range(n)], dtype=float)
+    codes = np.arange(1, 1 << n)
+    bits = ((codes[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
+    class_deg = (g.degrees() * (g.labels[None, :] == np.arange(K)[:, None])).T
+    s_mass = bits @ class_deg
+    nb_mass = ((bits @ adj) > 0).astype(float) @ class_deg
+    totals = g.class_masses()
+    qualifying = np.all(s_mass <= totals / 2 + MASS_TOL, axis=1)
+    c_hat = C_HAT_CAP
+    for k in range(K):
+        sel = qualifying & (s_mass[:, k] > MASS_TOL) & (nb_mass[:, k] < totals[k] - MASS_TOL)
+        if sel.any():
+            c_hat = min(c_hat, float((nb_mass[sel, k] / s_mass[sel, k]).min()))
+    return c_hat
+
+
+def random_class_invariant_map(rng):
+    """A random weighted graph on <= 12 vertices with a class-invariant map.
+
+    Half the maps cut every class into three random groups, so a class often
+    splits into several NB components.  Sets are cyclic chains inside a group
+    plus random extra peers; one in ten is a bare singleton.
+    """
+    n = int(rng.integers(4, 13))
+    K = int(rng.integers(2, 4))
+    labels = rng.permutation(np.arange(n) % K)
+    w = rng.random((n, n))
+    g = hand_graph(w + w.T, labels, K)
+    group = rng.integers(0, 3, size=n) if rng.random() < 0.5 else np.zeros(n, dtype=int)
+    sets = [None] * n
+    for k in range(K):
+        for grp in range(3):
+            peers = [int(v) for v in np.nonzero((labels == k) & (group == grp))[0]]
+            for i, x in enumerate(peers):
+                if rng.random() < 0.1:
+                    sets[x] = {x}
+                else:
+                    sets[x] = {x, peers[(i + 1) % len(peers)]} | {v for v in peers if rng.random() < 0.2}
+    return g, make_augmentation(sets, g, strict=False)
+
+
+class TestCExpansionOracle:
+    def test_matches_whole_graph_brute_force(self):
+        rng = np.random.default_rng(7)
+        split = finite = 0
+        for _ in range(120):
+            g, aug = random_class_invariant_map(rng)
+            if len(nb_components(aug)) > g.num_classes:
+                split += 1  # some class holds more than one component
+            want = brute_force_c_hat(aug, g)
+            finite += 1.0 < want < C_HAT_CAP
+            got = estimate_c_expansion(aug, g).c_hat
+            assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+        assert split >= 40 and finite >= 25
 
 
 class TestDacError:
@@ -189,6 +284,13 @@ class TestTheorem5:
             fam.append(Prediction(scores=scores))
         mu, bound, verdict = theorem5_check(fam, aug, g)
         assert verdict in ("pass", "not-applicable: every member skipped")
+
+    def test_component_above_cap_is_marker(self):
+        g = uniform_graph([0] * 21 + [1] * 3)
+        f = Prediction(scores=np.eye(2)[g.labels].astype(float))
+        mu, bound, verdict = theorem5_check([f], chain_augmentation(g), g)
+        assert verdict == "not-applicable: component above the exhaustive cap"
+        assert math.isnan(mu) and math.isnan(bound)
 
     def test_failed_expansion_is_marker(self):
         g = uniform_graph([0, 0, 0, 0, 1, 1])

@@ -161,6 +161,19 @@ class TestRunExperiment:
         for payload in result.audits.values():
             assert "verdict" in payload
 
+    def test_ab_fixture_records_exact_thm5_verdict(self):
+        # the 32-vertex A/B config: split_chain cuts each class into four
+        # augmentation-isolated parts, so c_hat is exactly 1
+        cfg = blob_config(
+            graph={"kind": "two_blobs", "n_per_class": 16, "separation": 4.0, "noise": 0.6,
+                   "bandwidth": 1.2, "seed": 5},
+            augmentation={"kind": "split_chain", "parts": 4},
+            optimizer={"step_size": 0.5, "iterations": 400, "momentum": 0.9, "rkd_pairs": 64},
+            seed=1,
+        )
+        result = run_experiment(cfg)
+        assert result.audits["thm5"]["verdict"] == "bound-undefined: c_hat=1.0 <= 1"
+
     def test_artifacts_written_and_reproducible(self, tmp_path):
         files = ["run_result.json", "audit_report.json", "losses.csv", "labels.csv", "config.json"]
         cfg = blob_config(out_dir=str(tmp_path / "run"))
