@@ -9,6 +9,7 @@ the violated invariant named, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -145,13 +146,15 @@ def _cmd_dac(args) -> int:
     aug = build_augmentation_fixture(cfg, g, points)
     try:
         report = estimate_c_expansion(aug, g)
-        probes = expansion_implication_check(aug, g)["probes"]
+        implication = expansion_implication_check(aug, g)
         expansion = {"c_hat": report.c_hat, "checked_subsets": report.checked_subsets,
                      "exhaustive": report.exhaustive,
-                     "expansion_implication": {str(k): v for k, v in probes.items()}}
-    except SizeLimitError:  # theorem5_check records the cap as its verdict
+                     "expansion_implication": {str(k): v for k, v in implication["probes"].items()}}
+        if not implication["applicable"]:
+            expansion["expansion_implication_skipped"] = implication["reason"]
+    except SizeLimitError as exc:  # theorem5_check records the cap as its verdict
         expansion = {"c_hat": None, "checked_subsets": 0, "exhaustive": False,
-                     "expansion_implication": {}}
+                     "expansion_implication": {}, "expansion_implication_skipped": str(exc)}
     # audit a family of lightly corrupted one-hot predictors (seeded flips)
     rng = np.random.default_rng(args.seed)
     family = [Prediction(scores=np.eye(g.num_classes)[g.labels].astype(float))]
@@ -240,7 +243,9 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="rkdlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -276,9 +276,9 @@ def theorem5_check(f_family, aug: AugmentationMap, g: PopulationGraph):
     return mu, bound, verdict
 
 
-def constant_expansion_check(aug: AugmentationMap, g: PopulationGraph, q: float, xi: float) -> bool:
-    """(q, xi)-constant expansion: every qualifying subset with mass >= q grows
-    by more than min(P(S), xi)."""
+def _constant_expansion_masses(aug: AugmentationMap, g: PopulationGraph):
+    """(P(S), P(NB(S))) of every nonempty subset S holding at most half of
+    each class's mass, from one whole-graph enumeration."""
     n = g.size
     if n > EXHAUSTIVE_SUBSET_CAP:
         raise DomainError(f"|X|={n} exceeds the exhaustive cap {EXHAUSTIVE_SUBSET_CAP}")
@@ -290,32 +290,49 @@ def constant_expansion_check(aug: AugmentationMap, g: PopulationGraph, q: float,
     total_mass = class_mass.sum(axis=0)
     qualifying = np.all(class_mass <= totals[:, None] / 2 + MASS_TOL, axis=0)
     qualifying[0] = False
-    qualifying &= total_mass >= q - MASS_TOL
     idx = np.nonzero(qualifying)[0]
-    s_mass = total_mass[idx]
-    nb_mass = total_mass[nb_of[idx]]
-    return bool(np.all(nb_mass > np.minimum(s_mass, xi) + s_mass))
+    return total_mass[idx], total_mass[nb_of[idx]]
+
+
+def _expands(s_mass: np.ndarray, nb_mass: np.ndarray, q: float, xi: float) -> bool:
+    """Whether every listed subset of mass >= q grows by more than min(P(S), xi)."""
+    keep = s_mass >= q - MASS_TOL
+    s_mass = s_mass[keep]
+    return bool(np.all(nb_mass[keep] > np.minimum(s_mass, xi) + s_mass))
+
+
+def constant_expansion_check(aug: AugmentationMap, g: PopulationGraph, q: float, xi: float) -> bool:
+    """(q, xi)-constant expansion: every qualifying subset with mass >= q grows
+    by more than min(P(S), xi)."""
+    return _expands(*_constant_expansion_masses(aug, g), q, xi)
 
 
 def expansion_implication_check(aug: AugmentationMap, g: PopulationGraph, xis=(0.05, 0.1, 0.2)) -> dict:
     """Probe that c-expansion at the measured c_hat implies
     (xi / (c_hat - 1), xi)-constant expansion for each probed xi.
 
-    Not applicable (no probes) when c_hat <= 1 or when the graph is above
-    the whole-graph cap of the constant-expansion check.
+    Not applicable (no probes, and a "reason") when c_hat <= 1 or when the
+    graph is above the whole-graph cap of the constant-expansion check.  The
+    probes share one enumeration of the graph's subsets.
     """
     report = estimate_c_expansion(aug, g)
     out = {"c_hat": report.c_hat, "probes": {}}
-    if report.c_hat <= 1.0 or g.size > EXHAUSTIVE_SUBSET_CAP:
+    if report.c_hat <= 1.0:
         out["applicable"] = False
+        out["reason"] = f"c_hat={report.c_hat!r} <= 1"
+        return out
+    if g.size > EXHAUSTIVE_SUBSET_CAP:
+        out["applicable"] = False
+        out["reason"] = f"|X|={g.size} above the whole-graph cap {EXHAUSTIVE_SUBSET_CAP}"
         return out
     out["applicable"] = True
+    masses = _constant_expansion_masses(aug, g)
     # probe marginally inside the feasible region so that attained-infimum
     # equalities in c_hat do not flip a strict comparison
     c_eff = report.c_hat * (1.0 - 1e-9) if math.isfinite(report.c_hat) else C_HAT_CAP
     for xi in xis:
         q = xi / (c_eff - 1.0)
-        out["probes"][xi] = constant_expansion_check(aug, g, q=q, xi=xi)
+        out["probes"][xi] = _expands(*masses, q=q, xi=xi)
     return out
 
 

@@ -30,7 +30,14 @@ PARTITION_ENUMERATION_CAP = 14
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """Read-only contiguous array that no other array can write through.
+
+    A view is copied, because its base may stay writeable; an array that owns
+    its data (every builder's output) is frozen in place.
+    """
     a = np.ascontiguousarray(a)
+    if not a.flags.owndata:
+        a = a.copy()
     a.flags.writeable = False
     return a
 
@@ -41,7 +48,9 @@ class PopulationGraph:
 
     Invariants (checked at construction): the weight matrix is symmetric and
     nonnegative, its total mass is 1 within 1e-12, every vertex has positive
-    degree, and every class label in [0, num_classes) is present.
+    degree, and every class label in [0, num_classes) is present.  Weights
+    and labels are read-only after construction, which lets
+    spectral_decompose cache the graph's spectrum on it.
     """
 
     vertices: tuple
@@ -133,8 +142,13 @@ def spectral_decompose(g: PopulationGraph) -> SpectralDecomposition:
     """Eigendecomposition of the normalized Laplacian, ascending eigenvalues.
 
     Sign convention: in each eigenvector the first entry of magnitude above
-    1e-10 is made positive, so repeated runs agree bit-for-bit.
+    1e-10 is made positive, so repeated runs agree bit-for-bit.  Computed
+    once per graph: the checked decomposition is stored on the graph, and
+    every later call returns that same read-only object.
     """
+    cached = g.__dict__.get("_spectrum")
+    if cached is not None:
+        return cached
     lap = laplacian(g)
     try:
         lam, vecs = np.linalg.eigh(lap)
@@ -154,7 +168,9 @@ def spectral_decompose(g: PopulationGraph) -> SpectralDecomposition:
         raise NumericError(f"smallest Laplacian eigenvalue {lam[0]!r} not ~0")
     if lam[-1] > 2.0 + EIGENVALUE_TOL:
         raise NumericError(f"largest Laplacian eigenvalue {lam[-1]!r} exceeds 2")
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=vecs)
+    dec = SpectralDecomposition(eigenvalues=lam, eigenvectors=vecs)
+    object.__setattr__(g, "_spectrum", dec)
+    return dec
 
 
 def inter_class_fraction(g: PopulationGraph) -> float:

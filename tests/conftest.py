@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,18 @@ def path3():
     w[0, 1] = w[1, 0] = 1.0
     w[1, 2] = w[2, 1] = 1.0
     return hand_graph(w, [0, 0, 0], 1)
+
+
+@pytest.fixture
+def graph_core_eighs(monkeypatch):
+    """Records the shape of every numpy.linalg.eigh call made from graph_core."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "rkdlab.graph_core":
+            calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls

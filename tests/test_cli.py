@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from rkdlab.cli import main
+from rkdlab.cli import build_parser, main
 from rkdlab.graph_core import load_graph
 from rkdlab.jsonio import dump_canonical
 
@@ -39,6 +40,21 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_parser_is_built_once_and_parses_independently(tmp_path):
+    parser = build_parser()
+    assert build_parser() is parser
+    sweep = parser.parse_args(["ssl", "--config", "c.json", "--out", "o", "--sweep", "1,2"])
+    dac = parser.parse_args(["dac", "--config", "c.json", "--out", "o"])
+    assert (sweep.command, sweep.seed, sweep.sweep) == ("ssl", None, "1,2")
+    assert (dac.command, dac.seed) == ("dac", 0) and not hasattr(dac, "sweep")
+    lazy, plain = tmp_path / "lazy.json", tmp_path / "plain.json"
+    assert main(["graph", "--gen", "sbm", "--lazy", "--seed", "0", "--out", str(lazy)]) == 0
+    assert main(["spectra", "--graph", str(lazy), "--out", str(tmp_path / "spectra")]) == 0
+    assert main(["graph", "--gen", "sbm", "--seed", "0", "--out", str(plain)]) == 0
+    assert np.all(np.diag(load_graph(lazy).weights) > 0)
+    assert np.all(np.diag(load_graph(plain).weights) == 0)
 
 
 def test_graph_generation_writes_disconnected_fixture(tmp_path, capsys):
@@ -101,6 +117,32 @@ def test_dac_subcommand(tmp_path, audit_config):
     report = json.loads((tmp_path / "dac" / "dac_report.json").read_text())
     assert report["exhaustive"] is True
     assert report["c_hat"] > 1.0
+    assert sorted(report["expansion_implication"]) == ["0.05", "0.1", "0.2"]
+    assert "expansion_implication_skipped" not in report
+
+
+def test_dac_on_ab_fixture_records_why_probes_are_skipped(tmp_path):
+    # the 32-vertex A/B fixture: split_chain isolates parts of each class, so c_hat is 1
+    cfg = {
+        "graph": {"kind": "two_blobs", "n_per_class": 16, "separation": 4.0, "noise": 0.6,
+                  "bandwidth": 1.2, "seed": 5},
+        "augmentation": {"kind": "split_chain", "parts": 4},
+        "kernel": {"kind": "graph_revealing"},
+        "student": {"arch": "table", "init_scale": 0.05},
+        "loss": {"lambda_dac": 1.0, "lambda_rkd": 0.001, "tau_dac": 0.95, "temperature": 1.0},
+        "labels": {"strategy": "uniform_per_class", "n_per_class": 4},
+        "optimizer": {"step_size": 0.5, "iterations": 400, "momentum": 0.9, "rkd_pairs": 64},
+        "seed": 1,
+        "out_dir": None,
+    }
+    path = tmp_path / "ab.json"
+    dump_canonical(cfg, path)
+    code = main(["dac", "--config", str(path), "--out", str(tmp_path / "dac")])
+    assert code == 1
+    report = json.loads((tmp_path / "dac" / "dac_report.json").read_text())
+    assert report["c_hat"] == 1.0
+    assert report["expansion_implication"] == {}
+    assert report["expansion_implication_skipped"] == "c_hat=1.0 <= 1"
 
 
 def sbm_chain_config(tmp_path, sizes, graph_seed=0):
@@ -133,6 +175,8 @@ def test_dac_records_verdict_above_component_cap(tmp_path, capsys):
     assert report["checked_subsets"] == 0
     assert report["thm5"]["verdict"] == "not-applicable: component above the exhaustive cap"
     assert report["expansion_implication"] == {}
+    assert report["expansion_implication_skipped"] == (
+        "NB component of 21 vertices exceeds the exhaustive cap 20")
     assert "c_hat=n/a" in capsys.readouterr().out
 
 
@@ -147,6 +191,14 @@ def test_dac_above_whole_graph_cap_skips_probes(tmp_path):
     assert report["c_hat"] > 1.0
     assert report["thm5"]["verdict"] == "pass"
     assert report["expansion_implication"] == {}
+    assert report["expansion_implication_skipped"] == "|X|=20 above the whole-graph cap 18"
+
+
+def test_audit_decomposes_its_graph_once(tmp_path, graph_core_eighs):
+    path = sbm_chain_config(tmp_path, [10, 10])  # 20 rotations
+    code = main(["audit", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "a")])
+    assert code == 0
+    assert graph_core_eighs == [(20, 20)]
 
 
 @pytest.mark.parametrize("graph_seed", [0, 4])

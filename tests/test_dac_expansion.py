@@ -314,6 +314,24 @@ class TestConstantExpansion:
         aug = make_augmentation(sets, g)
         assert not constant_expansion_check(aug, g, q=0.1, xi=0.05)
 
+    def test_shared_table_probes_match_per_probe_checks(self):
+        rng = np.random.default_rng(3)
+        fixtures = [random_class_invariant_map(rng) for _ in range(40)]
+        for sizes, seed in (([6, 6], 0), ([9, 9], 3)):
+            g = lazy_graph(build_sbm(2, sizes, 0.9, 0.05, seed=seed))
+            fixtures.append((g, chain_augmentation(g)))
+        probed = set()
+        for g, aug in fixtures:
+            result = expansion_implication_check(aug, g, xis=(0.01, 0.05, 0.1, 0.2, 0.4))
+            if not result["applicable"]:
+                continue
+            c_hat = result["c_hat"]
+            c_eff = c_hat * (1.0 - 1e-9) if math.isfinite(c_hat) else C_HAT_CAP
+            for xi, got in result["probes"].items():
+                assert got == constant_expansion_check(aug, g, q=xi / (c_eff - 1.0), xi=xi)
+            probed.add(g.size)
+        assert 18 in probed and len(probed) >= 5
+
     def test_implication_probes_pass_on_expanding_fixture(self):
         g = uniform_graph([0] * 6 + [1] * 6)
         result = expansion_implication_check(chain_augmentation(g), g)

@@ -54,6 +54,25 @@ class TestPopulationGraphInvariants:
         with pytest.raises(ValueError):
             disconnected_blocks.weights[0, 0] = 1.0
 
+    def test_mutating_a_source_view_changes_nothing(self, sbm_pair):
+        w = np.array(sbm_pair.weights)
+        labels = np.array(sbm_pair.labels)
+        buf = np.stack([w, w])  # writeable memory the graph arrays are views of
+        lab_buf = np.stack([labels, labels])
+        g = PopulationGraph(vertices=sbm_pair.vertices, weights=buf[0], labels=lab_buf[0],
+                            num_classes=2)
+        dec = spectral_decompose(g)
+        buf[0] = np.eye(len(w)) / len(w)
+        lab_buf[0] = 0
+        assert np.array_equal(g.weights, w)
+        assert np.array_equal(g.labels, labels)
+        again = spectral_decompose(g)
+        fresh = spectral_decompose(
+            PopulationGraph(vertices=g.vertices, weights=w, labels=labels, num_classes=2))
+        assert again is dec
+        assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(again.eigenvectors, fresh.eigenvectors)
+
     def test_degrees_sum_to_one(self, sbm_pair):
         assert math.isclose(sbm_pair.degrees().sum(), 1.0, abs_tol=1e-12)
 
@@ -157,6 +176,19 @@ class TestNormalizedAdjacency:
 
 
 class TestSpectralDecompose:
+    def test_computed_once_per_graph(self, graph_core_eighs):
+        g = lazy_graph(build_sbm(2, [6, 6], p_in=0.9, p_out=0.1, seed=3))
+        dec = spectral_decompose(g)
+        assert spectral_decompose(g) is dec
+        assert len(graph_core_eighs) == 1
+        rebuilt = lazy_graph(build_sbm(2, [6, 6], p_in=0.9, p_out=0.1, seed=3))
+        fresh = spectral_decompose(rebuilt)
+        assert fresh is not dec and len(graph_core_eighs) == 2
+        assert np.array_equal(fresh.eigenvalues, dec.eigenvalues)
+        assert np.array_equal(fresh.eigenvectors, dec.eigenvectors)
+        with pytest.raises(ValueError):
+            dec.eigenvectors[0, 0] = 0.0
+
     def test_disconnected_zero_eigenvectors_span_indicators(self, disconnected_blocks):
         dec = spectral_decompose(disconnected_blocks)
         assert abs(dec.eigenvalues[0]) < 1e-10 and abs(dec.eigenvalues[1]) < 1e-10

@@ -161,7 +161,7 @@ class TestRunExperiment:
         for payload in result.audits.values():
             assert "verdict" in payload
 
-    def test_ab_fixture_records_exact_thm5_verdict(self):
+    def test_ab_fixture_records_exact_thm5_verdict(self, graph_core_eighs):
         # the 32-vertex A/B config: split_chain cuts each class into four
         # augmentation-isolated parts, so c_hat is exactly 1
         cfg = blob_config(
@@ -173,6 +173,7 @@ class TestRunExperiment:
         )
         result = run_experiment(cfg)
         assert result.audits["thm5"]["verdict"] == "bound-undefined: c_hat=1.0 <= 1"
+        assert graph_core_eighs == [(32, 32)]  # one eigensolve for the whole run
 
     def test_artifacts_written_and_reproducible(self, tmp_path):
         files = ["run_result.json", "audit_report.json", "losses.csv", "labels.csv", "config.json"]
