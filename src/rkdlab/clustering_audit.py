@@ -24,6 +24,8 @@ VERDICT_SLACK = 1e-9
 LP_AGREEMENT_TOL = 1e-9
 RANK_TOL = 1e-10
 LP_ENUMERATION_CAP = 12
+# relative to each row's magnitude
+LP_FEASIBILITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -320,7 +322,13 @@ def _lp_data(lambdas, K: int, Delta: float):
 
 
 def lp_primal_simplex(lambdas, K: int, Delta: float) -> float:
-    """Library simplex solve of max sum_{i<=K} xi_i under the leakage constraints."""
+    """Library simplex solve of max sum_{i<=K} xi_i under the leakage constraints.
+
+    The objective is read from the exact vertex of HiGHS's basis when that
+    vertex is feasible (see _polish_vertex), and from HiGHS otherwise: on
+    spectra whose costs span many decades HiGHS's own point can break the
+    budget row by ~1e-9, and that much error reaches its objective.
+    """
     from scipy.optimize import linprog
 
     costs, budget, n = _lp_data(lambdas, K, Delta)
@@ -334,10 +342,47 @@ def lp_primal_simplex(lambdas, K: int, Delta: float) -> float:
         b_eq=[float(n - K)],
         bounds=[(0.0, 1.0)] * n,
         method="highs",
+        # at the default 1e-7 HiGHS accepts bases whose head coordinates break
+        # a bound by up to that much when the head mass sits near an integer
+        options={"primal_feasibility_tolerance": 1e-10},
     )
     if not res.success:
         raise NumericError(f"internal error: primal LP reported infeasible ({res.message})")
-    return float(-res.fun)
+    vertex = _polish_vertex(res.x, costs, budget, float(n - K))
+    return float(-res.fun) if vertex is None else float(vertex[:K].sum())
+
+
+def _polish_vertex(x: np.ndarray, costs: np.ndarray, budget: float, mass: float):
+    """The vertex of the simplex basis behind a solver's point, solved exactly.
+
+    HiGHS leaves every nonbasic coordinate exactly at 0 or 1 and solves the
+    at most two basic ones in floating point; on spectra whose costs span many
+    decades that solve can break the budget row by ~1e-9.  The coordinates
+    off their bounds are re-solved here: one from the sum row
+    (sum xi = mass), two from the sum row and the budget row, which binds
+    when two coordinates are basic.  Returns None when that is not a vertex
+    (more than two coordinates off their bounds, or two of equal cost) or
+    when the exact point is not feasible to LP_FEASIBILITY_TOL relative to
+    each row, as when HiGHS accepted a basis that breaks a bound within its
+    own tolerance.
+    """
+    free = np.flatnonzero((x != 0.0) & (x != 1.0))
+    if len(free) > 2 or (len(free) == 2 and costs[free[0]] == costs[free[1]]):
+        return None
+    v = x.copy()
+    v[free] = 0.0
+    rest = mass - float(v.sum())
+    if len(free) == 1:
+        v[free] = rest
+    elif len(free) == 2:
+        i, j = free
+        spare = budget - float(costs @ v)
+        v[j] = (spare - costs[i] * rest) / (costs[j] - costs[i])
+        v[i] = rest - v[j]
+    feasible = (v.min() >= -LP_FEASIBILITY_TOL and v.max() <= 1.0 + LP_FEASIBILITY_TOL
+                and abs(float(v.sum()) - mass) <= LP_FEASIBILITY_TOL * max(1.0, mass)
+                and float(costs @ v) <= budget + LP_FEASIBILITY_TOL * max(1.0, budget))
+    return v if feasible else None
 
 
 def lp_primal_greedy(lambdas, K: int, Delta: float) -> float:

@@ -254,9 +254,10 @@ def spectral_clustering_prediction(g: PopulationGraph, seed: int) -> Prediction:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 @dataclass(frozen=True)
@@ -295,41 +296,46 @@ def combined_loss(
     tau = float(loss_cfg.get("tau_dac", 0.95))
     temp = float(loss_cfg.get("temperature", 1.0))
 
-    # each softmax block minus its one-hot targets is the score gradient of its CE
+    # each softmax block minus its one-hot targets is the score gradient of its
+    # CE; a mean is written as sum / count, the same reduction and divide
     ce = 0.0
     verts = labeled.vertices()
     if len(verts):
         probs = _softmax(scores[verts])
         rows, classes = np.arange(len(verts)), labeled.classes()
-        ce = float(-np.log(np.maximum(probs[rows, classes], 1e-300)).mean())
+        ce = float(-np.log(np.maximum(probs[rows, classes], 1e-300)).sum() / len(verts))
         probs[rows, classes] -= 1.0
-        np.add.at(gscores, verts, probs / len(verts))
+        probs /= len(verts)
+        np.add.at(gscores, verts, probs)
 
     dac = 0.0
     kept = 0
     if weak_strong_pairs is not None and len(weak_strong_pairs) and lam_dac > 0:
         ws = np.asarray(weak_strong_pairs, dtype=int)
-        weak_probs = _softmax(scores[ws[:, 0]] / temp)
-        confident = weak_probs.max(axis=1) >= tau
-        kept = int(confident.sum())
+        weak = scores[ws[:, 0]]
+        confident = _softmax(weak / temp).max(axis=1) >= tau
+        kept = int(np.count_nonzero(confident))
         if kept:
-            pseudo = np.argmax(scores[ws[confident, 0]], axis=1)
+            pseudo = weak[confident].argmax(axis=1)
             strong = ws[confident, 1]
             strong_probs = _softmax(scores[strong])
             rows = np.arange(kept)
-            dac = float(-np.log(np.maximum(strong_probs[rows, pseudo], 1e-300)).mean())
+            dac = float(-np.log(np.maximum(strong_probs[rows, pseudo], 1e-300)).sum() / kept)
             strong_probs[rows, pseudo] -= 1.0
-            np.add.at(gscores, strong, lam_dac * strong_probs / kept)
+            strong_probs *= lam_dac
+            strong_probs /= kept
+            np.add.at(gscores, strong, strong_probs)
 
     rkd = 0.0
     if rkd_pairs is not None and len(rkd_pairs) and lam_rkd > 0:
         pr = np.asarray(rkd_pairs, dtype=int)
         a, b = pr[:, 0], pr[:, 1]
-        resid = np.sum(scores[a] * scores[b], axis=1) - kmat[a, b]
-        rkd = float(np.mean(resid**2))
-        coef = (2.0 * lam_rkd / len(pr)) * resid
-        np.add.at(gscores, a, coef[:, None] * scores[b])
-        np.add.at(gscores, b, coef[:, None] * scores[a])
+        sa, sb = scores[a], scores[b]
+        resid = (sa * sb).sum(axis=1) - kmat[a, b]
+        rkd = float((resid**2).sum() / len(pr))
+        coef = ((2.0 * lam_rkd / len(pr)) * resid)[:, None]
+        np.add.at(gscores, a, coef * sb)
+        np.add.at(gscores, b, coef * sa)
 
     total = ce + lam_dac * dac + lam_rkd * rkd
     return CombinedLossReport(total=total, cross_entropy=ce, dac=dac, rkd=rkd, confident_count=kept,
@@ -340,13 +346,16 @@ def combined_loss(
 class _ViewTable:
     """Strong-view candidates of a vertex pool, built once per run.
 
-    For the pool vertices that have partners (`has`), the sorted other members
-    of their augmentation sets are concatenated in `flat`; `starts` and
-    `counts` locate each vertex's run in it.
+    `fixed` holds the (weak, strong) pair of every pool vertex whose strong
+    view needs no draw: the vertex itself when it has no partner, its only
+    partner when it has one.  For the vertices with two or more partners
+    (`rows`, their positions in the pool), the sorted other members of their
+    augmentation sets are concatenated in `flat`; `starts` and `counts`
+    locate each vertex's run in it.
     """
 
-    pool: np.ndarray
-    has: np.ndarray
+    fixed: np.ndarray
+    rows: np.ndarray
     flat: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
@@ -355,20 +364,55 @@ class _ViewTable:
     def build(cls, aug: AugmentationMap, pool: np.ndarray) -> "_ViewTable":
         others = [sorted(aug.sets[int(x)] - {int(x)}) for x in pool]
         counts = np.array([len(o) for o in others], dtype=int)
-        has = counts > 0
         starts = np.cumsum(counts) - counts
         flat = np.array([v for o in others for v in o], dtype=int)
-        return cls(pool=np.asarray(pool, dtype=int), has=has, flat=flat,
-                   starts=starts[has], counts=counts[has])
+        pool = np.asarray(pool, dtype=int)
+        fixed = np.stack([pool, pool], axis=1)
+        single = counts == 1
+        fixed[single, 1] = flat[starts[single]]
+        fixed.flags.writeable = False
+        rows = np.flatnonzero(counts > 1)
+        return cls(fixed=fixed, rows=rows, flat=flat, starts=starts[rows], counts=counts[rows])
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """(weak, strong) pairs: the weak view is the vertex itself, the strong
         view a uniformly drawn other member, or the vertex itself if it has none.
-        One draw per vertex with partners, in pool order."""
-        pairs = np.stack([self.pool, self.pool], axis=1)
-        if len(self.counts):
-            pairs[self.has, 1] = self.flat[self.starts + rng.integers(self.counts)]
+
+        One draw per vertex with two or more partners, in pool order.  A draw
+        from a single value consumes no randomness, so skipping the vertices
+        with one partner leaves the generator where drawing them would; with
+        none left to draw, `fixed` itself (read-only) is returned.
+        """
+        if not len(self.counts):
+            return self.fixed
+        pairs = self.fixed.copy()
+        pairs[self.rows, 1] = self.flat[self.starts + rng.integers(self.counts)]
         return pairs
+
+
+@dataclass(frozen=True)
+class _PairTable:
+    """Relational-pair endpoints drawn from a vertex pool with fixed
+    probabilities, built once per run.
+
+    `cdf` is the normalised cumulative table that
+    `Generator.choice(len(pool), p=weights)` builds on every call; searching it
+    with the same uniforms gives the same indices and leaves the generator in
+    the same state, without choice's per-call validation of `p`.
+    """
+
+    pool: np.ndarray
+    cdf: np.ndarray
+
+    @classmethod
+    def build(cls, pool: np.ndarray, weights: np.ndarray) -> "_PairTable":
+        cdf = np.asarray(weights, dtype=float).cumsum()
+        cdf /= cdf[-1]
+        return cls(pool=pool, cdf=cdf)
+
+    def draw(self, rng: np.random.Generator, num_pairs: int) -> np.ndarray:
+        """num_pairs (a, b) pairs, 2 * num_pairs endpoints drawn in row order."""
+        return self.pool[self.cdf.searchsorted(rng.random(2 * num_pairs), side="right")].reshape(num_pairs, 2)
 
 
 def build_student(cfg: ExperimentConfig, g: PopulationGraph, points, seed: int):
@@ -406,8 +450,11 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
     unlabeled = np.setdiff1d(np.arange(g.size), labeled.vertices())
     recycle = bool(opt.get("recycle_labeled", True))
     pool = np.arange(g.size) if recycle else unlabeled
+    if not len(pool):
+        raise InvalidConfigError("optimizer.recycle_labeled is false and every vertex is labeled: "
+                                 "the unlabeled training pool is empty")
     views = _ViewTable.build(aug, pool)
-    pool_weights = g.degrees()[pool] / g.degrees()[pool].sum()
+    pairs = _PairTable.build(pool, g.degrees()[pool] / g.degrees()[pool].sum())
     num_pairs = int(opt.get("rkd_pairs", max(2, g.size)))
     step_size = float(opt.get("step_size", 0.5))
     momentum = float(opt.get("momentum", 0.9))
@@ -417,8 +464,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
     velocity = np.zeros_like(model.parameters)
     for step in range(iterations):
         ws = views.draw(rng)
-        pr = pool[rng.choice(len(pool), size=2 * num_pairs, p=pool_weights)].reshape(num_pairs, 2)
-        report = combined_loss(model, features, labeled, ws, pr, kmat, cfg.loss)
+        report = combined_loss(model, features, labeled, ws, pairs.draw(rng, num_pairs), kmat, cfg.loss)
         if not math.isfinite(report.total) or report.total > 1e6:
             raise TrainingDivergedError(f"combined loss {report.total!r} at step {step}",
                                         trace=[r["total"] for r in losses])
@@ -426,8 +472,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
             "total": report.total, "cross_entropy": report.cross_entropy,
             "dac": report.dac, "rkd": report.rkd, "confident": report.confident_count,
         })
-        velocity = momentum * velocity - step_size * report.grad
-        model.parameters = model.parameters + velocity
+        velocity *= momentum
+        velocity -= step_size * report.grad
+        model.parameters += velocity
 
     pred = model.prediction(features)
     correct = pred.hard_labels()[unlabeled] == g.labels[unlabeled]

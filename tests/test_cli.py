@@ -121,11 +121,12 @@ def test_dac_subcommand(tmp_path, audit_config):
     assert "expansion_implication_skipped" not in report
 
 
-def test_dac_on_ab_fixture_records_why_probes_are_skipped(tmp_path):
-    # the 32-vertex A/B fixture: split_chain isolates parts of each class, so c_hat is 1
+def ab_config(tmp_path, **sections):
+    """The 32-vertex A/B config (two blobs, split_chain parts 4, table student,
+    400 steps) with sections replaced key by key."""
     cfg = {
         "graph": {"kind": "two_blobs", "n_per_class": 16, "separation": 4.0, "noise": 0.6,
-                  "bandwidth": 1.2, "seed": 5},
+                  "bandwidth": 1.2, "seed": 6},
         "augmentation": {"kind": "split_chain", "parts": 4},
         "kernel": {"kind": "graph_revealing"},
         "student": {"arch": "table", "init_scale": 0.05},
@@ -133,10 +134,19 @@ def test_dac_on_ab_fixture_records_why_probes_are_skipped(tmp_path):
         "labels": {"strategy": "uniform_per_class", "n_per_class": 4},
         "optimizer": {"step_size": 0.5, "iterations": 400, "momentum": 0.9, "rkd_pairs": 64},
         "seed": 1,
+        "tolerances": {},
         "out_dir": None,
     }
+    for name, updates in sections.items():
+        cfg[name] = {**cfg[name], **updates}
     path = tmp_path / "ab.json"
     dump_canonical(cfg, path)
+    return path
+
+
+def test_dac_on_ab_fixture_records_why_probes_are_skipped(tmp_path):
+    # split_chain isolates parts of each class, so c_hat is 1
+    path = ab_config(tmp_path, graph={"seed": 5})
     code = main(["dac", "--config", str(path), "--out", str(tmp_path / "dac")])
     assert code == 1
     report = json.loads((tmp_path / "dac" / "dac_report.json").read_text())
@@ -273,3 +283,23 @@ def test_parametric_student_without_points_exits_1(tmp_path, audit_config, capsy
     code = main([command, "--config", str(path), "--seed", "1", "--out", str(tmp_path / "out")])
     assert code == 1
     assert f"{arch} student needs point coordinates" in capsys.readouterr().err
+
+
+def test_ssl_lp_oracle_agrees_on_wide_cost_spectrum(tmp_path):
+    # the trained student's Delta leaves LP costs from 1.0 down to 1.6e-15;
+    # the unpolished simplex point missed the greedy optimum by 1.6e-9
+    path = ab_config(tmp_path, loss={"lambda_rkd": 0.5, "temperature": 0.5, "tau_dac": 0.6})
+    code = main(["ssl", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == 0
+    thm4 = json.loads((tmp_path / "out" / "audit_report.json").read_text())["thm4"]
+    assert thm4["verdict"] == "pass"
+    assert abs(thm4["lp_primal"] - 0.11600982867893615) < 1e-15
+
+
+def test_ssl_with_empty_training_pool_exits_1(tmp_path, capsys):
+    # every vertex labeled and labeled vertices not recycled: nothing to train on
+    path = ab_config(tmp_path, labels={"n_per_class": 16}, optimizer={"recycle_labeled": False})
+    code = main(["ssl", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "recycle_labeled" in err and "unlabeled training pool is empty" in err

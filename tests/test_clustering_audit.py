@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rkdlab.clustering_audit import (
+    _polish_vertex,
     example_c1_margin_check,
     label_boundary_mass,
     lemma_c1_check,
@@ -188,6 +189,72 @@ class TestLpOracle:
         assert len(lam) == 48
         for K, delta in ((2, 0.01), (2, 0.2), (5, 0.05)):
             assert abs(lp_primal_simplex(lam, K, delta) - lp_primal_greedy(lam, K, delta)) < 1e-9
+
+    def test_polish_keeps_fractional_coordinates_near_a_bound(self):
+        # the head coordinate sits 8.9e-8 above 0: a binding budget row with
+        # two free coordinates, not an integral vertex
+        lam, delta = [0.0, 0.1, 0.5, 0.8, 0.9], 5e-8
+        simplex, greedy = lp_primal_simplex(lam, 2, delta), lp_primal_greedy(lam, 2, delta)
+        assert greedy > 8e-8
+        assert abs(simplex - greedy) < 1e-9
+        costs = (1.0 - np.array(lam)) ** 2
+        budget = float(costs[2:].sum()) + delta
+        t = delta / (costs[1] - costs[2])
+        x = _polish_vertex(np.array([0.0, t, 1.0 - t, 1.0, 1.0]), costs, budget, 3.0)
+        assert abs(x[1] - greedy) < 1e-15 and x[0] == 0.0 and x[3] == x[4] == 1.0
+        # head mass s, 1 - s and 1 + s for s from 1e-10 to 1e-6
+        for step in 10.0 ** np.arange(-10, -5):
+            for delta in (step * (costs[1] - costs[2]), (1 - step) * (costs[1] - costs[2]),
+                          costs[1] - costs[2] + step * (costs[0] - costs[2])):
+                primal, _ = lp_bound_oracle(lam, 2, K0=1, Delta=delta)
+                assert abs(primal - lp_primal_greedy(lam, 2, delta)) < 1e-9
+
+    # Spectrum of the 32-vertex A/B fixture (graph seed 6) with the Delta of a
+    # student trained there at lambda_rkd 0.5, temperature 0.5, tau_dac 0.6,
+    # seed 1.  The LP costs span 1.0 down to 1.6e-15, and the raw HiGHS point
+    # breaks the budget row by ~1.4e-9.
+    WIDE_COST_SPECTRUM = [
+        5.637849477274663e-17, 0.023702295304179482, 0.6760265784056648, 0.7972464729900206,
+        0.8700638640621378, 0.8881665686262397, 0.9304021117403891, 0.9645836968708109,
+        0.9665563852587705, 0.9754162211196953, 0.9892233360685619, 0.9901814588124876,
+        0.993584963981443, 0.9979191265378579, 0.9988025360380163, 0.9990534503671619,
+        0.9993864196656772, 0.99968690120804, 0.9997913981088089, 0.9998917468115218,
+        0.9999587457573558, 0.9999723635525382, 0.9999814594928451, 0.9999854688748364,
+        0.9999920541205439, 0.9999974728377854, 0.9999992564496715, 0.9999992977871818,
+        0.999999454062628, 0.9999997982063971, 0.9999998861265808, 0.9999999600391103,
+    ]
+
+    def test_simplex_vertex_is_polished_on_wide_cost_range(self):
+        lam, delta = self.WIDE_COST_SPECTRUM, 0.09839935458424082
+        simplex, greedy = lp_primal_simplex(lam, 2, delta), lp_primal_greedy(lam, 2, delta)
+        assert abs(simplex - greedy) < 1e-15
+        primal, dual = lp_bound_oracle(lam, 2, K0=2, Delta=delta)
+        assert primal == simplex and primal <= dual
+
+    def test_polish_declines_what_is_not_a_feasible_vertex(self):
+        costs = np.array([1.0, 0.5, 0.25, 0.0])
+        # three coordinates off their bounds, two of equal cost, and mass 2 on
+        # the two dearest coordinates, which costs 1.5 > 1
+        assert _polish_vertex(np.array([0.5, 0.5, 0.5, 0.5]), costs, 1.0, 2.0) is None
+        assert _polish_vertex(np.array([1.0, 0.5, 0.5, 0.0]), np.array([1.0, 0.5, 0.5, 0.0]), 1.5, 2.0) is None
+        assert _polish_vertex(np.array([1.0, 1.0, 0.0, 0.0]), costs, 1.0, 2.0) is None
+        # the point HiGHS returns at its default 1e-7 feasibility tolerance for
+        # three equal head costs and head mass 1 + 7e-9: its basis puts all of
+        # that mass on one coordinate, which breaks its bound
+        lam, delta = [0.0, 0.2, 0.2, 0.2, 0.9, 0.99, 0.99, 0.99], 4.422952297017875e-09
+        costs = (1.0 - np.array(lam)) ** 2
+        budget = float(costs[3:].sum()) + delta
+        s = 7.0205595e-09
+        x = np.array([0.0, 0.0, 1.0 + s, 0.0, 1.0 - s, 1.0, 1.0, 1.0])
+        assert _polish_vertex(x, costs, budget, 5.0) is None
+        primal, _ = lp_bound_oracle(lam, 3, K0=1, Delta=delta)
+        assert abs(primal - lp_primal_greedy(lam, 3, delta)) < 1e-9
+
+    def test_zero_optimum_is_positive_zero(self):
+        # HiGHS reports fun = 0.0 for an all-zero head, and -fun was -0.0
+        lam = [0.0, 0.1, 0.5, 0.8, 0.9]
+        value = lp_primal_simplex(lam, 2, 0.0)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_vanishing_delta_forces_zero_leakage(self):
         lam = [0.0, 0.1, 0.5, 0.8, 0.9]

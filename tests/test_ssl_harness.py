@@ -8,10 +8,12 @@ from rkdlab.dac_expansion import make_augmentation
 from rkdlab.errors import InvalidConfigError
 from rkdlab.graph_core import build_two_blobs
 from rkdlab.jsonio import dumps_canonical
-from rkdlab.label_acquisition import make_labeled, uniform_per_class_sample
+from rkdlab.label_acquisition import LabeledSet, make_labeled, uniform_per_class_sample
 from rkdlab.spectral_rkd import StudentModel
 from rkdlab.ssl_harness import (
+    CombinedLossReport,
     ExperimentConfig,
+    _PairTable,
     _ViewTable,
     combined_loss,
     run_experiment,
@@ -139,6 +141,96 @@ class TestCombinedLoss:
             down = combined_loss(probe, feats, labeled, ws, pairs, kmat, cfg).total
             numeric = (up - down) / (2 * h)
             assert abs(numeric - grad[i]) <= 1e-4 * max(1.0, abs(numeric), abs(grad[i]))
+
+
+def _softmax_reference(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _combined_loss_reference(model, features, labeled, weak_strong_pairs, rkd_pairs, kmat, loss_cfg):
+    """The combined objective as first fused into one pass, kept verbatim as a
+    bit-for-bit oracle: later rewrites must return the same floats."""
+    scores = model.forward(features)
+    gscores = np.zeros_like(scores)
+    lam_dac = float(loss_cfg.get("lambda_dac", 1.0))
+    lam_rkd = float(loss_cfg.get("lambda_rkd", 0.0))
+    tau = float(loss_cfg.get("tau_dac", 0.95))
+    temp = float(loss_cfg.get("temperature", 1.0))
+
+    ce = 0.0
+    verts = labeled.vertices()
+    if len(verts):
+        probs = _softmax_reference(scores[verts])
+        rows, classes = np.arange(len(verts)), labeled.classes()
+        ce = float(-np.log(np.maximum(probs[rows, classes], 1e-300)).mean())
+        probs[rows, classes] -= 1.0
+        np.add.at(gscores, verts, probs / len(verts))
+
+    dac = 0.0
+    kept = 0
+    if weak_strong_pairs is not None and len(weak_strong_pairs) and lam_dac > 0:
+        ws = np.asarray(weak_strong_pairs, dtype=int)
+        weak_probs = _softmax_reference(scores[ws[:, 0]] / temp)
+        confident = weak_probs.max(axis=1) >= tau
+        kept = int(confident.sum())
+        if kept:
+            pseudo = np.argmax(scores[ws[confident, 0]], axis=1)
+            strong = ws[confident, 1]
+            strong_probs = _softmax_reference(scores[strong])
+            rows = np.arange(kept)
+            dac = float(-np.log(np.maximum(strong_probs[rows, pseudo], 1e-300)).mean())
+            strong_probs[rows, pseudo] -= 1.0
+            np.add.at(gscores, strong, lam_dac * strong_probs / kept)
+
+    rkd = 0.0
+    if rkd_pairs is not None and len(rkd_pairs) and lam_rkd > 0:
+        pr = np.asarray(rkd_pairs, dtype=int)
+        a, b = pr[:, 0], pr[:, 1]
+        resid = np.sum(scores[a] * scores[b], axis=1) - kmat[a, b]
+        rkd = float(np.mean(resid**2))
+        coef = (2.0 * lam_rkd / len(pr)) * resid
+        np.add.at(gscores, a, coef[:, None] * scores[b])
+        np.add.at(gscores, b, coef[:, None] * scores[a])
+
+    total = ce + lam_dac * dac + lam_rkd * rkd
+    return CombinedLossReport(total=total, cross_entropy=ce, dac=dac, rkd=rkd, confident_count=kept,
+                              grad=model.backward(features, gscores))
+
+
+class TestCombinedLossOracle:
+    @pytest.mark.parametrize("arch", ["table", "linear", "mlp"])
+    def test_same_bits_as_reference(self, arch):
+        g, points = build_two_blobs(6, separation=3.0, noise=0.8, bandwidth=1.0, seed=2)
+        kmat = kernel_matrix(KernelSpec.graph_revealing(), g)
+        n = g.size
+        maker = np.random.default_rng({"table": 0, "linear": 1, "mlp": 2}[arch])
+        widths = {"table": (n, 3), "linear": (2, 3), "mlp": (2, 5, 3)}[arch]
+        features = None if arch == "table" else points
+        labeled_sets = [uniform_per_class_sample(g, 2, seed=4),
+                        LabeledSet(pairs=(), strategy="manual", seed=0)]
+        seen = set()
+        for trial in range(48):
+            # tau 0.34 keeps every weak view of a 3-class student, tau 1.0 none
+            temp, tau = [(1.0, 0.34), (0.5, 0.9), (1.0, 1.0), (2.0, 0.6)][trial % 4]
+            lam_rkd = (0.0, 0.3)[trial // 4 % 2]
+            labeled = labeled_sets[trial // 8 % 2]
+            model = StudentModel.initialize(arch, widths, seed=trial, scale=float(maker.uniform(0.1, 3.0)))
+            # repeated weak and strong views and repeated (even diagonal) pairs
+            ws = np.stack([maker.integers(0, n, size=n + 4), maker.integers(0, n // 2, size=n + 4)], axis=1)
+            pairs = maker.integers(0, n // 2, size=(2 * n, 2))
+            cfg = {"lambda_dac": float(maker.uniform(0.5, 2.0)), "lambda_rkd": lam_rkd,
+                   "tau_dac": tau, "temperature": temp}
+            got = combined_loss(model, features, labeled, ws, pairs, kmat, cfg)
+            want = _combined_loss_reference(model, features, labeled, ws, pairs, kmat, cfg)
+            for name in ("total", "cross_entropy", "dac", "rkd", "confident_count"):
+                assert getattr(got, name) == getattr(want, name), (trial, name)
+            np.testing.assert_array_equal(got.grad, want.grad)
+            kept = "none" if got.confident_count == 0 else "all" if got.confident_count == len(ws) else "some"
+            seen.add((kept, len(labeled.pairs) == 0, lam_rkd == 0.0))
+        # none / some / all weak views kept, with and without labels and RKD term
+        assert seen == {(k, e, z) for k in ("none", "some", "all") for e in (False, True) for z in (False, True)}
 
 
 class TestRunExperiment:
@@ -271,6 +363,39 @@ class TestViewSampling:
         pairs = _ViewTable.build(aug, np.arange(3)).draw(rng)
         np.testing.assert_array_equal(pairs, [[0, 0], [1, 1], [2, 2]])
         assert rng.bit_generator.state == before
+
+
+    def test_single_partners_are_fixed_at_build(self):
+        from conftest import hand_graph
+
+        g = hand_graph(np.ones((4, 4)) - np.eye(4), [0, 0, 0, 0], 1)
+        aug = make_augmentation([{0, 1}, {1, 2}, {2, 3}, {3, 0}], g, strict=False)
+        table = _ViewTable.build(aug, np.arange(4))
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        first, second = table.draw(rng), table.draw(rng)
+        np.testing.assert_array_equal(first, [[0, 1], [1, 2], [2, 3], [3, 0]])
+        assert second is first and not first.flags.writeable  # no copy, no rng call
+        assert rng.bit_generator.state == before
+        np.testing.assert_array_equal(first, _strong_views_oracle(aug, np.arange(4), rng))
+
+
+class TestPairDraws:
+    def test_cdf_draw_matches_generator_choice(self):
+        maker = np.random.default_rng(11)
+        for trial in range(60):
+            n = int(maker.integers(1, 40))
+            # uneven degrees, spanning up to six decades
+            degrees = maker.uniform(0.0, 1.0, size=n) * 10.0 ** maker.integers(0, 7, size=n) + 1e-3
+            pool = (np.arange(n) if trial % 2 else  # recycle_labeled true / false
+                    np.sort(maker.choice(n, size=int(maker.integers(1, n + 1)), replace=False)))
+            weights = degrees[pool] / degrees[pool].sum()
+            table = _PairTable.build(pool, weights)
+            fast, slow = np.random.default_rng(trial), np.random.default_rng(trial)
+            for num_pairs in (1, 7, int(maker.integers(1, 80))):
+                expected = pool[slow.choice(len(pool), size=2 * num_pairs, p=weights)].reshape(num_pairs, 2)
+                np.testing.assert_array_equal(table.draw(fast, num_pairs), expected)
+            assert fast.bit_generator.state == slow.bit_generator.state
 
 
 class TestCanonicalJson:
