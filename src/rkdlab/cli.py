@@ -42,6 +42,7 @@ from .ssl_harness import (
     build_kernel_fixture,
     build_student,
     acquire_labels,
+    persist_failure,
     run_experiment,
     run_sweep,
 )
@@ -206,19 +207,17 @@ def _cmd_ssl(args) -> int:
     if args.sweep:
         seeds = [int(s) for s in args.sweep.split(",")]
         results = run_sweep(cfg, seeds)
-        accs = [r.accuracy for r in results]
-        print(f"ssl sweep seeds={seeds} accuracies={[round(a, 4) for a in accs]} -> {args.out}")
-        return 0
+        diverged = [s for s, r in zip(seeds, results) if isinstance(r, TrainingDivergedError)]
+        for s in diverged:
+            print(f"error: training diverged for seed {s}, record at "
+                  f"{Path(args.out) / f'seed_{s}' / 'failed_run.json'}", file=sys.stderr)
+        accs = [None if isinstance(r, TrainingDivergedError) else round(r.accuracy, 4) for r in results]
+        print(f"ssl sweep seeds={seeds} accuracies={accs} -> {args.out}")
+        return 1 if diverged else 0
     try:
         result = run_experiment(cfg, seed=args.seed)
     except TrainingDivergedError as exc:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        jsonio.dump_canonical(
-            {"status": "diverged", "message": str(exc), "loss_trace": exc.trace},
-            out / "failed_run.json",
-        )
-        print(f"error: training diverged, record at {out / 'failed_run.json'}", file=sys.stderr)
+        print(f"error: training diverged, record at {persist_failure(args.out, exc)}", file=sys.stderr)
         return 1
     print(f"ssl accuracy={result.accuracy:.4f} verdicts="
           f"{[v.get('verdict') for v in result.audits.values()]} -> {args.out}")

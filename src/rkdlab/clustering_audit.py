@@ -10,9 +10,11 @@ supporting identities and counter-example formulas.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,8 +26,6 @@ VERDICT_SLACK = 1e-9
 LP_AGREEMENT_TOL = 1e-9
 RANK_TOL = 1e-10
 LP_ENUMERATION_CAP = 12
-# relative to each row's magnitude
-LP_FEASIBILITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -308,6 +308,11 @@ def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float, K0: int)
 
 
 def _lp_data(lambdas, K: int, Delta: float):
+    """Float costs (1 - lambda_i)^2, the exact budget and n.
+
+    Floats are dyadic rationals, so Fraction(c) is each cost exactly and the
+    budget, the tail costs plus Delta, is summed without rounding.
+    """
     lam = np.asarray(lambdas, dtype=float)
     n = len(lam)
     if not 1 <= K < n:
@@ -315,157 +320,110 @@ def _lp_data(lambdas, K: int, Delta: float):
     if np.any(np.diff(lam) < -1e-12):
         raise DomainError("eigenvalues must be ascending")
     costs = (1.0 - lam) ** 2
-    budget = float(costs[K:].sum()) + Delta
-    if not Delta < costs[K - 1]:
-        raise DomainError(f"Delta={Delta!r} must be below (1 - lambda_K)^2 = {costs[K-1]!r}")
-    return costs, budget, n
+    if not 0 <= Delta < costs[K - 1]:
+        raise DomainError(f"Delta={Delta!r} must be in [0, (1 - lambda_K)^2 = {costs[K-1]!r})")
+    return costs, _exact_sum([*costs[K:].tolist(), Delta]), n
 
 
-def lp_primal_simplex(lambdas, K: int, Delta: float) -> float:
-    """Library simplex solve of max sum_{i<=K} xi_i under the leakage constraints.
-
-    The objective is read from the exact vertex of HiGHS's basis when that
-    vertex is feasible (see _polish_vertex), and from HiGHS otherwise: on
-    spectra whose costs span many decades HiGHS's own point can break the
-    budget row by ~1e-9, and that much error reaches its objective.
-    """
-    from scipy.optimize import linprog
-
-    costs, budget, n = _lp_data(lambdas, K, Delta)
-    c = np.zeros(n)
-    c[:K] = -1.0
-    res = linprog(
-        c,
-        A_ub=costs[None, :],
-        b_ub=[budget],
-        A_eq=np.ones((1, n)),
-        b_eq=[float(n - K)],
-        bounds=[(0.0, 1.0)] * n,
-        method="highs",
-        # at the default 1e-7 HiGHS accepts bases whose head coordinates break
-        # a bound by up to that much when the head mass sits near an integer
-        options={"primal_feasibility_tolerance": 1e-10},
-    )
-    if not res.success:
-        raise NumericError(f"internal error: primal LP reported infeasible ({res.message})")
-    vertex = _polish_vertex(res.x, costs, budget, float(n - K))
-    return float(-res.fun) if vertex is None else float(vertex[:K].sum())
+def _exact_sum(values) -> Fraction:
+    """The sum of floats without rounding: each is an integer over a power of two."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return Fraction(sum(p * (den // d) for p, d in ratios), den)
 
 
-def _polish_vertex(x: np.ndarray, costs: np.ndarray, budget: float, mass: float):
-    """The vertex of the simplex basis behind a solver's point, solved exactly.
-
-    HiGHS leaves every nonbasic coordinate exactly at 0 or 1 and solves the
-    at most two basic ones in floating point; on spectra whose costs span many
-    decades that solve can break the budget row by ~1e-9.  The coordinates
-    off their bounds are re-solved here: one from the sum row
-    (sum xi = mass), two from the sum row and the budget row, which binds
-    when two coordinates are basic.  Returns None when that is not a vertex
-    (more than two coordinates off their bounds, or two of equal cost) or
-    when the exact point is not feasible to LP_FEASIBILITY_TOL relative to
-    each row, as when HiGHS accepted a basis that breaks a bound within its
-    own tolerance.
-    """
-    free = np.flatnonzero((x != 0.0) & (x != 1.0))
-    if len(free) > 2 or (len(free) == 2 and costs[free[0]] == costs[free[1]]):
-        return None
-    v = x.copy()
-    v[free] = 0.0
-    rest = mass - float(v.sum())
-    if len(free) == 1:
-        v[free] = rest
-    elif len(free) == 2:
-        i, j = free
-        spare = budget - float(costs @ v)
-        v[j] = (spare - costs[i] * rest) / (costs[j] - costs[i])
-        v[i] = rest - v[j]
-    feasible = (v.min() >= -LP_FEASIBILITY_TOL and v.max() <= 1.0 + LP_FEASIBILITY_TOL
-                and abs(float(v.sum()) - mass) <= LP_FEASIBILITY_TOL * max(1.0, mass)
-                and float(costs @ v) <= budget + LP_FEASIBILITY_TOL * max(1.0, budget))
-    return v if feasible else None
+def _dearest(costs: np.ndarray, count: int) -> list:
+    """The `count` largest costs as Fractions, dearest first (sorted as
+    floats, whose order is exact)."""
+    return [Fraction(c) for c in np.sort(costs)[::-1][:count].tolist()]
 
 
-def lp_primal_greedy(lambdas, K: int, Delta: float) -> float:
-    """Independent exact solve via the convex piecewise-linear cost profile.
+def lp_primal_greedy(lambdas, K: int, Delta: float) -> Fraction:
+    """Exact optimum of max sum_{i<K} xi_i via the cost profile of the head mass.
 
-    For head mass t, the cheapest way to satisfy both sum constraints fills the
-    cheapest head coordinates with t and the cheapest tail coordinates with
-    n - K - t; the optimum is the largest t whose minimal cost fits the budget.
+    For head mass t, the cheapest way to meet the sum row fills the cheapest
+    head coordinates with t and the cheapest tail coordinates with n - K - t.
+    That least cost g(t) is convex and linear between integers, and
+    g(0) = budget - Delta, so the optimum is the largest t with g(t) <= budget.
     """
     costs, budget, n = _lp_data(lambdas, K, Delta)
-    head = np.sort(costs[:K])
-    tail = np.sort(costs[K:])
-    t_max = float(min(K, n - K))
-
-    def fill_cost(sorted_costs: np.ndarray, amount: float) -> float:
-        whole = int(math.floor(amount + 1e-15))
-        whole = min(whole, len(sorted_costs))
-        value = float(sorted_costs[:whole].sum())
-        frac = amount - whole
-        if frac > 1e-15 and whole < len(sorted_costs):
-            value += frac * float(sorted_costs[whole])
-        return value
-
-    def g(t: float) -> float:
-        return fill_cost(head, t) + fill_cost(tail, float(n - K) - t)
-
-    if g(0.0) > budget + 1e-12:
-        raise NumericError("internal error: primal LP infeasible at t = 0")
-    if g(t_max) <= budget + 1e-15:
-        return t_max
-    lo = 0.0
-    for t in range(1, int(t_max) + 1):
-        if g(float(t)) <= budget + 1e-15:
-            lo = float(t)
-        else:
-            g_lo, g_hi = g(lo), g(float(t))
-            if g_hi <= g_lo + 1e-18:  # flat segment cannot cross the budget
-                return lo
-            return lo + (budget - g_lo) / (g_hi - g_lo) * (float(t) - lo)
-    return lo
+    t_max = min(K, n - K)
+    head = _dearest(costs[:K], K)[::-1]
+    tail = _dearest(costs[K:], t_max)  # the order the tail gives up mass
+    spent = budget - Fraction(Delta)  # g(0), the whole tail at 1
+    for t in range(t_max):
+        slope = head[t] - tail[t]  # g(t + 1) - g(t)
+        if spent + slope > budget:
+            return t + (budget - spent) / slope
+        spent += slope
+    return Fraction(t_max)
 
 
-def lp_primal_enumerate(lambdas, K: int, Delta: float) -> float:
-    """Brute basic-feasible-solution enumeration (test oracle, |lambdas| <= 12)."""
+def lp_lagrangian_dual(lambdas, K: int, Delta: float) -> Fraction:
+    """Exact minimum of the Lagrangian dual of the budget row (second solver).
+
+    With multiplier mu >= 0 on the budget row, the inner maximum over the sum
+    row and the box keeps the n - K largest weights [i < K] - mu c_i:
+        L(mu) = mu B + K - mu sum(c) - (sum of the K smallest of
+                1 - mu c_head and -mu c_tail),
+    which is convex and piecewise linear, and by LP duality its minimum is
+    the primal optimum.  The K smallest terms come from the K dearest head and
+    the K dearest tail costs, and their order changes only where
+    1 - mu c_h = -mu c_t, so the minimum is at mu = 0 or at one of those
+    breakpoints mu = 1 / (c_h - c_t).
+    """
+    costs, budget, _ = _lp_data(lambdas, K, Delta)
+    head = _dearest(costs[:K], K)
+    tail = _dearest(costs[K:], K)
+    slack = budget - _exact_sum(costs.tolist())
+
+    def value(mu: Fraction) -> Fraction:
+        # both term lists ascend, so their merge yields the K smallest first
+        terms = heapq.merge([1 - mu * c for c in head], [-mu * c for c in tail])
+        return mu * slack + K - sum(itertools.islice(terms, K))
+
+    breakpoints = {h - t for h in head for t in tail if h > t}
+    return min(value(mu) for mu in [Fraction(0), *(1 / d for d in breakpoints)])
+
+
+def lp_primal_enumerate(lambdas, K: int, Delta: float) -> Fraction:
+    """Exact brute vertex enumeration (test oracle, |lambdas| <= LP_ENUMERATION_CAP).
+
+    A vertex has at most two coordinates strictly inside (0, 1).  The sum row
+    n - K is an integer, so either none is (n - K coordinates at 1 within the
+    budget), or exactly two are, sharing one unit of mass on the binding
+    budget row.
+    """
     costs, budget, n = _lp_data(lambdas, K, Delta)
     if n > LP_ENUMERATION_CAP:
         raise SizeLimitError(f"{n} variables exceed the enumeration cap {LP_ENUMERATION_CAP}")
-    target = float(n - K)
-    best = -math.inf
-    tol = 1e-12
-
-    def objective(xi):
-        return float(np.sum(xi[:K]))
-
-    for pattern in itertools.product((0.0, 1.0, None), repeat=n):
-        free = [i for i, v in enumerate(pattern) if v is None]
-        fixed_sum = sum(v for v in pattern if v is not None)
-        fixed_cost = sum(costs[i] * v for i, v in enumerate(pattern) if v is not None)
-        xi = np.array([0.0 if v is None else v for v in pattern])
-        if len(free) == 0:
-            if abs(fixed_sum - target) < tol and fixed_cost <= budget + tol:
-                best = max(best, objective(xi))
-        elif len(free) == 1:
-            r = target - fixed_sum
-            if tol < r < 1 - tol:
-                xi[free[0]] = r
-                if float(costs @ xi) <= budget + tol:
-                    best = max(best, objective(xi))
-        elif len(free) == 2:
-            i, j = free
-            r = target - fixed_sum
-            det = costs[j] - costs[i]
-            if abs(det) < tol:
+    exact = [Fraction(x) for x in costs.tolist()]
+    # one power of two turns every cost and the budget into an integer
+    scale = max(x.denominator for x in [*exact, budget])
+    c = [int(x * scale) for x in exact]
+    cap = int(budget * scale)
+    best = None
+    for free in itertools.chain([()], itertools.combinations(range(n), 2)):
+        if free and c[free[0]] == c[free[1]]:
+            continue  # two free coordinates of equal cost make no vertex
+        rest = [i for i in range(n) if i not in free]
+        for ones in itertools.combinations(rest, n - K - len(free) // 2):
+            spare = cap - sum(c[i] for i in ones)
+            value = sum(1 for i in ones if i < K)
+            if free:
+                i, j = free
+                # xi_i + xi_j = 1 and c_i xi_i + c_j xi_j = spare
+                xj = Fraction(spare - c[i], c[j] - c[i])
+                if not 0 < xj < 1:
+                    continue
+                value += (i < K) * (1 - xj) + (j < K) * xj
+            elif spare < 0:
                 continue
-            # cost constraint binding: xi_i + xi_j = r, c_i xi_i + c_j xi_j = budget - fixed_cost
-            xj = (budget - fixed_cost - costs[i] * r) / det
-            xi_i = r - xj
-            if tol < xj < 1 - tol and tol < xi_i < 1 - tol:
-                xi[i], xi[j] = xi_i, xj
-                best = max(best, objective(xi))
-    if best == -math.inf:
+            if best is None or value > best:
+                best = value
+    if best is None:
         raise NumericError("internal error: enumeration found no feasible vertex")
-    return best
+    return Fraction(best)
 
 
 def lp_dual_value(lambdas, K: int, K0: int, Delta: float) -> float:
@@ -479,18 +437,21 @@ def lp_dual_value(lambdas, K: int, K0: int, Delta: float) -> float:
 
 
 def lp_bound_oracle(lambdas, K: int, K0: int, Delta: float):
-    """Exact primal optimum (two agreeing solvers) and the closed-form dual.
+    """The LP optimum from two exact solvers, rounded once, and the closed-form dual.
 
-    Raises if the solvers disagree beyond 1e-9 or weak duality fails.
+    Raises if the greedy primal and the Lagrangian dual differ at all, or if
+    weak duality against the float closed form fails by more than
+    LP_AGREEMENT_TOL.
     """
-    simplex = lp_primal_simplex(lambdas, K, Delta)
     greedy = lp_primal_greedy(lambdas, K, Delta)
-    if abs(simplex - greedy) > LP_AGREEMENT_TOL:
-        raise NumericError(f"LP solvers disagree: simplex={simplex!r}, greedy={greedy!r}")
+    lagrangian = lp_lagrangian_dual(lambdas, K, Delta)
+    if greedy != lagrangian:
+        raise NumericError(f"LP solvers disagree: greedy={greedy}, lagrangian={lagrangian}")
+    primal = float(greedy)
     dual = lp_dual_value(lambdas, K, K0, Delta)
-    if simplex > dual + LP_AGREEMENT_TOL:
-        raise NumericError(f"weak duality violated: primal={simplex!r} > dual={dual!r}")
-    return simplex, dual
+    if primal > dual + LP_AGREEMENT_TOL:
+        raise NumericError(f"weak duality violated: primal={primal!r} > dual={dual!r}")
+    return primal, dual
 
 
 # ---------------------------------------------------------------------------

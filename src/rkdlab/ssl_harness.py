@@ -532,13 +532,28 @@ def persist_run(cfg: ExperimentConfig, result: RunResult, seed: int) -> None:
             ])
 
 
+def persist_failure(out_dir, exc: TrainingDivergedError) -> Path:
+    """Write the record of a diverged run to out_dir/failed_run.json."""
+    path = Path(out_dir) / "failed_run.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    jsonio.dump_canonical({"status": "diverged", "message": str(exc), "loss_trace": exc.trace}, path)
+    return path
+
+
 def run_sweep(cfg: ExperimentConfig, seeds) -> list:
     """Independent (config, seed) runs, one after another in the calling
-    process; results in seed order."""
+    process; results in seed order.  A seed whose training diverges gives
+    its TrainingDivergedError in place of a result (recorded by
+    persist_failure), and the remaining seeds still run."""
     results = []
     for seed in seeds:
         sub = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": int(seed), "out_dir": (
             str(Path(cfg.out_dir) / f"seed_{seed}") if cfg.out_dir else None
         )})
-        results.append(run_experiment(sub))
+        try:
+            results.append(run_experiment(sub))
+        except TrainingDivergedError as exc:
+            if sub.out_dir:
+                persist_failure(sub.out_dir, exc)
+            results.append(exc)
     return results

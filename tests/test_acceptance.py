@@ -13,8 +13,8 @@ from rkdlab.clustering_audit import (
     example_c1_margin_check,
     label_boundary_mass,
     lp_dual_value,
+    lp_lagrangian_dual,
     lp_primal_greedy,
-    lp_primal_simplex,
     majority_label,
     theorem1_check,
     theorem4_check,
@@ -188,11 +188,11 @@ def test_criterion_05_empirical_bound_lp_and_trained_students():
         if not lam[K0 - 1] < lam[K] - 1e-9:
             continue
         delta = float(rng.uniform(0.0, 0.9) * (1.0 - lam[K - 1]) ** 2)
-        simplex = lp_primal_simplex(lam, K, delta)
+        lagrangian = lp_lagrangian_dual(lam, K, delta)
         greedy = lp_primal_greedy(lam, K, delta)
         dual = lp_dual_value(lam, K, K0, delta)
-        worst_disagreement = max(worst_disagreement, abs(simplex - greedy))
-        worst_duality = max(worst_duality, simplex - dual)
+        worst_disagreement = max(worst_disagreement, abs(float(lagrangian - greedy)))
+        worst_duality = max(worst_duality, float(greedy) - dual)
         checked += 1
 
     audited = 0

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rkdlab
 from rkdlab.cli import build_parser, main
 from rkdlab.graph_core import load_graph
 from rkdlab.jsonio import dump_canonical
@@ -109,6 +114,33 @@ def test_ssl_divergence_writes_failed_run_record(tmp_path, audit_config, capsys)
     record = json.loads((tmp_path / "boom" / "failed_run.json").read_text())
     assert record["status"] == "diverged"
     assert len(record["loss_trace"]) > 0
+
+
+def test_ssl_sweep_records_each_diverged_seed_and_exits_1(tmp_path, audit_config, capsys):
+    cfg = json.loads(audit_config.read_text())
+    cfg["optimizer"] = dict(cfg["optimizer"], step_size=500.0)
+    bad = tmp_path / "diverge.json"
+    dump_canonical(cfg, bad)
+    code = main(["ssl", "--config", str(bad), "--sweep", "7,8", "--out", str(tmp_path / "boom")])
+    assert code == 1
+    for seed in (7, 8):
+        record = json.loads((tmp_path / "boom" / f"seed_{seed}" / "failed_run.json").read_text())
+        assert record["status"] == "diverged"
+        assert len(record["loss_trace"]) > 0
+    err = capsys.readouterr().err
+    assert "diverged for seed 7" in err and "diverged for seed 8" in err
+
+
+def test_audit_reaches_the_lp_without_loading_scipy_optimize(tmp_path, audit_config):
+    out = tmp_path / "audit"
+    argv = ["audit", "--config", str(audit_config), "--seed", "7", "--out", str(out)]
+    script = f"import sys; from rkdlab.cli import main; print(main({argv!r}), 'scipy.optimize' in sys.modules)"
+    src = str(Path(rkdlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.split()[-2:] == ["0", "False"]
+    thm4 = json.loads((out / "audit_report.json").read_text())["thm4"]
+    assert thm4["verdicts"]["thm4"] == "pass" and thm4["lp_primal"] is not None
 
 
 def test_dac_subcommand(tmp_path, audit_config):

@@ -1,18 +1,22 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rkdlab.clustering_audit import (
-    _polish_vertex,
+    LP_AGREEMENT_TOL,
+    LP_ENUMERATION_CAP,
     example_c1_margin_check,
     label_boundary_mass,
     lemma_c1_check,
     lp_bound_oracle,
     lp_dual_value,
+    lp_lagrangian_dual,
     lp_primal_enumerate,
     lp_primal_greedy,
-    lp_primal_simplex,
     majority_label,
     margin_prefactor,
     skeleton_and_margin,
@@ -175,44 +179,47 @@ class TestTheorem4:
         assert report.bound_thm4 is None
 
 
+def exact_solutions(lam, K, delta):
+    """The exact greedy primal and the exact Lagrangian dual, which must agree
+    exactly, and the exact enumeration too where it runs (n <= 12)."""
+    greedy, lagrangian = lp_primal_greedy(lam, K, delta), lp_lagrangian_dual(lam, K, delta)
+    assert isinstance(greedy, Fraction) and greedy == lagrangian
+    if len(lam) <= LP_ENUMERATION_CAP:
+        assert lp_primal_enumerate(lam, K, delta) == greedy
+    return greedy
+
+
 class TestLpOracle:
     def test_three_solvers_agree_on_reference_spectrum(self):
-        lam = [0.0, 0.0, 0.5, 0.9]
-        s = lp_primal_simplex(lam, 2, 0.01)
-        g = lp_primal_greedy(lam, 2, 0.01)
-        e = lp_primal_enumerate(lam, 2, 0.01)
-        assert abs(s - g) < 1e-9
-        assert abs(s - e) < 1e-9
+        # costs 1, 1, 0.25, (0.1)^2: the first unit of head mass costs 1 - 0.25
+        # more than the tail's, and only Delta is left to pay for it
+        value = exact_solutions([0.0, 0.0, 0.5, 0.9], 2, 0.01)
+        assert value == Fraction(0.01) / Fraction(3, 4)
 
-    def test_simplex_and_greedy_agree_on_48_eigenvalues(self):
+    def test_exact_solvers_agree_on_48_eigenvalues(self):
         lam = spectral_decompose(lazy_graph(build_sbm(2, [24, 24], 0.9, 0.05, seed=4))).eigenvalues
         assert len(lam) == 48
         for K, delta in ((2, 0.01), (2, 0.2), (5, 0.05)):
-            assert abs(lp_primal_simplex(lam, K, delta) - lp_primal_greedy(lam, K, delta)) < 1e-9
+            primal, _ = lp_bound_oracle(lam, K, K0=1, Delta=delta)
+            assert primal == float(exact_solutions(lam, K, delta))
 
-    def test_polish_keeps_fractional_coordinates_near_a_bound(self):
-        # the head coordinate sits 8.9e-8 above 0: a binding budget row with
-        # two free coordinates, not an integral vertex
+    def test_fractional_head_mass_near_a_bound(self):
+        # the optimum puts head mass 8.9e-8 on the cheaper head coordinate:
+        # a binding budget row with two free coordinates, not an integral vertex
         lam, delta = [0.0, 0.1, 0.5, 0.8, 0.9], 5e-8
-        simplex, greedy = lp_primal_simplex(lam, 2, delta), lp_primal_greedy(lam, 2, delta)
-        assert greedy > 8e-8
-        assert abs(simplex - greedy) < 1e-9
         costs = (1.0 - np.array(lam)) ** 2
-        budget = float(costs[2:].sum()) + delta
-        t = delta / (costs[1] - costs[2])
-        x = _polish_vertex(np.array([0.0, t, 1.0 - t, 1.0, 1.0]), costs, budget, 3.0)
-        assert abs(x[1] - greedy) < 1e-15 and x[0] == 0.0 and x[3] == x[4] == 1.0
+        t = exact_solutions(lam, 2, delta)
+        assert t == Fraction(delta) / (Fraction(costs[1]) - Fraction(costs[2])) and t > 8e-8
         # head mass s, 1 - s and 1 + s for s from 1e-10 to 1e-6
         for step in 10.0 ** np.arange(-10, -5):
             for delta in (step * (costs[1] - costs[2]), (1 - step) * (costs[1] - costs[2]),
                           costs[1] - costs[2] + step * (costs[0] - costs[2])):
                 primal, _ = lp_bound_oracle(lam, 2, K0=1, Delta=delta)
-                assert abs(primal - lp_primal_greedy(lam, 2, delta)) < 1e-9
+                assert primal == float(exact_solutions(lam, 2, delta))
 
     # Spectrum of the 32-vertex A/B fixture (graph seed 6) with the Delta of a
     # student trained there at lambda_rkd 0.5, temperature 0.5, tau_dac 0.6,
-    # seed 1.  The LP costs span 1.0 down to 1.6e-15, and the raw HiGHS point
-    # breaks the budget row by ~1.4e-9.
+    # seed 1.  The LP costs span 1.0 down to 1.6e-15.
     WIDE_COST_SPECTRUM = [
         5.637849477274663e-17, 0.023702295304179482, 0.6760265784056648, 0.7972464729900206,
         0.8700638640621378, 0.8881665686262397, 0.9304021117403891, 0.9645836968708109,
@@ -224,37 +231,61 @@ class TestLpOracle:
         0.999999454062628, 0.9999997982063971, 0.9999998861265808, 0.9999999600391103,
     ]
 
-    def test_simplex_vertex_is_polished_on_wide_cost_range(self):
+    def test_exact_solvers_agree_on_wide_cost_range(self):
         lam, delta = self.WIDE_COST_SPECTRUM, 0.09839935458424082
-        simplex, greedy = lp_primal_simplex(lam, 2, delta), lp_primal_greedy(lam, 2, delta)
-        assert abs(simplex - greedy) < 1e-15
+        value = exact_solutions(lam, 2, delta)
         primal, dual = lp_bound_oracle(lam, 2, K0=2, Delta=delta)
-        assert primal == simplex and primal <= dual
+        assert primal == float(value) and primal <= dual
+        assert abs(primal - 0.11600982867893615) < 1e-15
 
-    def test_polish_declines_what_is_not_a_feasible_vertex(self):
-        costs = np.array([1.0, 0.5, 0.25, 0.0])
-        # three coordinates off their bounds, two of equal cost, and mass 2 on
-        # the two dearest coordinates, which costs 1.5 > 1
-        assert _polish_vertex(np.array([0.5, 0.5, 0.5, 0.5]), costs, 1.0, 2.0) is None
-        assert _polish_vertex(np.array([1.0, 0.5, 0.5, 0.0]), np.array([1.0, 0.5, 0.5, 0.0]), 1.5, 2.0) is None
-        assert _polish_vertex(np.array([1.0, 1.0, 0.0, 0.0]), costs, 1.0, 2.0) is None
-        # the point HiGHS returns at its default 1e-7 feasibility tolerance for
-        # three equal head costs and head mass 1 + 7e-9: its basis puts all of
-        # that mass on one coordinate, which breaks its bound
+    def test_equal_head_costs_with_head_mass_just_above_one(self):
+        # three equal head costs and head mass 1 + 7e-9: a float simplex at its default
+        # feasibility tolerance put all of that mass on one coordinate
         lam, delta = [0.0, 0.2, 0.2, 0.2, 0.9, 0.99, 0.99, 0.99], 4.422952297017875e-09
-        costs = (1.0 - np.array(lam)) ** 2
-        budget = float(costs[3:].sum()) + delta
-        s = 7.0205595e-09
-        x = np.array([0.0, 0.0, 1.0 + s, 0.0, 1.0 - s, 1.0, 1.0, 1.0])
-        assert _polish_vertex(x, costs, budget, 5.0) is None
+        value = exact_solutions(lam, 3, delta)
         primal, _ = lp_bound_oracle(lam, 3, K0=1, Delta=delta)
-        assert abs(primal - lp_primal_greedy(lam, 3, delta)) < 1e-9
+        assert primal == float(value) and abs(primal - (1.0 + 7.0205595e-09)) < 1e-15
 
     def test_zero_optimum_is_positive_zero(self):
-        # HiGHS reports fun = 0.0 for an all-zero head, and -fun was -0.0
         lam = [0.0, 0.1, 0.5, 0.8, 0.9]
-        value = lp_primal_simplex(lam, 2, 0.0)
+        assert exact_solutions(lam, 2, 0.0) == 0
+        value, _ = lp_bound_oracle(lam, 2, K0=1, Delta=0.0)
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_tiny_budget_spectra_match_enumeration(self):
+        # n = 12, K = 9 and tail eigenvalues within 3e-4 of 1 leave an LP budget
+        # below about 1e-7; float solvers aborted on 4 of these 60 as disagreeing
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            lam = np.sort(np.concatenate([[0.0], 1.0 - rng.uniform(0.0, 3e-4, size=11)]))
+            delta = float(rng.uniform(0.0, 0.9) * (1.0 - lam[8]) ** 2)
+            primal, _ = lp_bound_oracle(lam, 9, K0=9, Delta=delta)
+            assert primal == float(lp_primal_enumerate(lam, 9, delta))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_exact_solvers_on_random_spectra(self, data):
+        n = data.draw(st.integers(2, 16), label="n")
+        K = data.draw(st.integers(1, n - 1), label="K")
+        # few distinct values, some within 1e-12..1e-3 of 1, so values repeat
+        value = st.one_of(st.floats(0.0, 1.0), st.floats(-12.0, -3.0).map(lambda e: 1.0 - 10.0**e))
+        values = data.draw(st.lists(value, min_size=1, max_size=n), label="values")
+        lam = sorted(data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n), label="lam"))
+        gap = (1.0 - lam[K - 1]) ** 2
+        assume(gap > 0.0)
+        share = data.draw(st.one_of(st.just(0.0), st.floats(-14.0, 0.0, exclude_max=True).map(
+            lambda e: 10.0**e)), label="share")
+        delta = share * gap
+        assume(delta < gap)
+        greedy = lp_primal_greedy(lam, K, delta)
+        assert greedy == lp_lagrangian_dual(lam, K, delta)
+        if n <= 8:
+            assert greedy == lp_primal_enumerate(lam, K, delta)
+        costs = (1.0 - np.array(lam)) ** 2
+        for K0 in range(1, K + 1):
+            if costs[K0 - 1] > costs[K]:  # the closed form's denominator is positive
+                assert float(greedy) <= lp_dual_value(lam, K, K0, delta) + LP_AGREEMENT_TOL
+                assert lp_bound_oracle(lam, K, K0, delta)[0] == float(greedy)
 
     def test_vanishing_delta_forces_zero_leakage(self):
         lam = [0.0, 0.1, 0.5, 0.8, 0.9]
