@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from .graph_core import (
     spectral_decompose,
 )
 from .spectral_rkd import (
-    OptimizerConfig,
     exact_population_minimizer,
     population_rkd_loss,
     random_rotation,
@@ -85,17 +85,10 @@ def _cmd_rkd(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     g, points = build_graph_fixture(cfg)
     kernel = build_kernel_fixture(cfg, g, points)
-    model, features = build_student(cfg, g, points, args.seed)
-    opt = OptimizerConfig(
-        step_size=float(cfg.optimizer.get("step_size", 0.3)),
-        iterations=int(cfg.optimizer.get("iterations", 1000)),
-        momentum=float(cfg.optimizer.get("momentum", 0.9)),
-        seed=args.seed,
-        b_f=cfg.optimizer.get("b_f"),
-    )
-    sampler = cfg.optimizer.get("sampler", "exhaustive")
+    model, features = build_student(g, points, args.seed, **cfg.student)
     trace = []
-    trained, report = train_student(model, g, kernel, sampler, opt, features=features, trace_out=trace)
+    trained, report = train_student(model, g, kernel, replace(cfg.opt, seed=args.seed), features=features,
+                                    trace_out=trace)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(trained, args.seed, out / "checkpoint.json")
@@ -203,7 +196,7 @@ def _cmd_labels(args) -> int:
 def _cmd_ssl(args) -> int:
     from .errors import TrainingDivergedError
 
-    cfg = ExperimentConfig.from_dict({**ExperimentConfig.from_file(args.config).to_dict(), "out_dir": args.out})
+    cfg = replace(ExperimentConfig.from_file(args.config), out_dir=args.out)
     if args.sweep:
         seeds = [int(s) for s in args.sweep.split(",")]
         results = run_sweep(cfg, seeds)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -37,10 +37,6 @@ class MajorityLabeling:
     minority_mass: float
     predicted: np.ndarray
     ties: tuple
-
-    def cluster_of(self, k: int) -> np.ndarray:
-        """Vertices whose majority label is k (the k-th majority cluster)."""
-        return np.nonzero(self.label == k)[0]
 
 
 @dataclass(frozen=True)
@@ -71,19 +67,7 @@ class AuditReport:
     skipped: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "alpha": self.alpha,
-            "lambdas": list(self.lambdas),
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "bound_thm1": self.bound_thm1,
-            "bound_thm4": self.bound_thm4,
-            "lp_primal": self.lp_primal,
-            "lp_dual": self.lp_dual,
-            "verdicts": dict(self.verdicts),
-            "skipped": list(self.skipped),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def majority_label(f: Prediction, g: PopulationGraph, predicted: np.ndarray | None = None) -> MajorityLabeling:
@@ -251,17 +235,6 @@ def theorem1_check(f_family, g: PopulationGraph) -> AuditReport:
     )
 
 
-def _second_term(lambdas, K: int, K0: int, Delta: float) -> float:
-    """(1 + (K - K0) C_{K0}) Delta / ((1-l_{K0})^2 - (1-l_{K+1})^2), computed in
-    the product form that stays finite as Delta -> 0."""
-    l_k0 = lambdas[K0 - 1]
-    l_k = lambdas[K - 1]
-    l_next = lambdas[K]
-    denom = (1.0 - l_k0) ** 2 - (1.0 - l_next) ** 2
-    numer = Delta + (K - K0) * ((1.0 - l_k0) ** 2 - (1.0 - l_k) ** 2)
-    return numer / denom
-
-
 def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float, K0: int) -> AuditReport:
     """Audit the empirical-minimizer clustering bound at a measured loss gap Delta."""
     dec = spectral_decompose(g)
@@ -285,18 +258,18 @@ def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float, K0: int)
         verdicts["thm4"] = "bound-undefined: negative Delta"
     elif not Delta < (1.0 - lam[K - 1]) ** 2:
         verdicts["thm4"] = f"bound-undefined: Delta={Delta!r} >= (1 - lambda_K)^2"
-    elif not lam[K0 - 1] < lam[K]:
-        verdicts["thm4"] = f"bound-undefined: lambda_K0={lam[K0-1]!r} >= lambda_K+1={lam[K]!r}"
     elif lam[K] <= 1e-12:
         verdicts["thm4"] = "bound-undefined: lambda_{K+1} ~ 0"
     elif not skel.applicable:
         verdicts["thm4"] = f"not-applicable: {skel.reason}"
     else:
-        lp_primal, lp_dual = lp_bound_oracle(lam, K, K0, Delta)
-        bound = 2.0 * margin_prefactor(skel.beta, skel.gamma) * (
-            alpha / lam[K] + _second_term(lam, K, K0, Delta)
-        )
-        verdicts["thm4"] = "pass" if maj.minority_mass <= bound + VERDICT_SLACK else "fail"
+        try:
+            lp_primal, lp_dual = lp_bound_oracle(lam, K, K0, Delta)
+        except DomainError as exc:  # the closed-form dual's denominator
+            verdicts["thm4"] = f"bound-undefined: {exc}"
+        else:
+            bound = 2.0 * margin_prefactor(skel.beta, skel.gamma) * (alpha / lam[K] + lp_dual)
+            verdicts["thm4"] = "pass" if maj.minority_mass <= bound + VERDICT_SLACK else "fail"
     return AuditReport(
         bound_thm4=bound, lp_primal=lp_primal, lp_dual=lp_dual,
         verdicts=verdicts, skipped=(), **base,
@@ -427,13 +400,17 @@ def lp_primal_enumerate(lambdas, K: int, Delta: float) -> Fraction:
 
 
 def lp_dual_value(lambdas, K: int, K0: int, Delta: float) -> float:
-    """Closed-form feasible dual value (1 + (K - K0) C_{K0}) Delta / gap."""
+    """Closed-form feasible dual value (1 + (K - K0) C_{K0}) Delta / gap, with
+    gap = (1 - l_{K0})^2 - (1 - l_{K+1})^2, computed in the product form
+    (Delta + (K - K0) ((1 - l_{K0})^2 - (1 - l_K)^2)) / gap that stays finite
+    as Delta -> 0.  A gap that is not positive as a float is a DomainError."""
     lam = np.asarray(lambdas, dtype=float)
     if not 1 <= K0 <= K:
         raise DomainError(f"need 1 <= K0 <= K, got K0={K0}")
-    if not lam[K0 - 1] < lam[K]:
-        raise DomainError("need lambda_{K0} < lambda_{K+1}")
-    return _second_term(lam, K, K0, Delta)
+    head, tail = float((1.0 - lam[K0 - 1]) ** 2), float((1.0 - lam[K]) ** 2)
+    if not head - tail > 0:
+        raise DomainError(f"(1 - lambda_K0)^2={head!r} - (1 - lambda_K+1)^2={tail!r} is not positive")
+    return (Delta + (K - K0) * (head - (1.0 - lam[K - 1]) ** 2)) / (head - tail)
 
 
 def lp_bound_oracle(lambdas, K: int, K0: int, Delta: float):

@@ -81,10 +81,10 @@ def chain_augmentation(g: PopulationGraph) -> AugmentationMap:
     return AugmentationMap(sets=tuple(sets))
 
 
-def load_augmentation(path, g: PopulationGraph, strict: bool = True) -> AugmentationMap:
+def load_augmentation(path, g: PopulationGraph) -> AugmentationMap:
     """Load {"sets": [[...vertex ids...], ...]} aligned to graph vertex order."""
     data = json.loads(Path(path).read_text())
-    return make_augmentation(data["sets"], g, strict=strict)
+    return make_augmentation(data["sets"], g)
 
 
 def save_augmentation(aug: AugmentationMap, path) -> None:
@@ -342,12 +342,10 @@ def expansion_implication_check(aug: AugmentationMap, g: PopulationGraph, xis=(0
 
 @dataclass(frozen=True)
 class PerturbationSolverConfig:
+    """Random restarts of the margin descent: each runs 4 penalty rounds of
+    200 steps of size 0.05, with penalty weights 1, 10, 100 and 1000."""
+
     restarts: int = 8
-    steps: int = 200
-    step_size: float = 0.05
-    penalty_rounds: int = 4
-    penalty_init: float = 1.0
-    penalty_growth: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
@@ -467,9 +465,8 @@ def _mlp_margin_descent(model: StudentModel, x, y: int, solver: PerturbationSolv
         d1 = scale * rng.standard_normal(h)
         d2 = scale * rng.standard_normal(h)
         d3 = scale * rng.standard_normal(K)
-        rho = solver.penalty_init
-        for _ in range(solver.penalty_rounds):
-            for _ in range(solver.steps):
+        for rho in (1.0, 10.0, 100.0, 1000.0):
+            for _ in range(200):
                 u1, u2, u3, n0, n1, n2 = _mlp_perturbed_forward(model, x, d1, d2, d3)
                 others = np.delete(u3, y)
                 k_hat = int(np.argmax(others))
@@ -492,10 +489,9 @@ def _mlp_margin_descent(model: StudentModel, x, y: int, solver: PerturbationSolv
                     g3 += n2 * gu3
                     g2 += n1 * gu2
                     g1 += n0 * gu1
-                d1 -= solver.step_size * g1
-                d2 -= solver.step_size * g2
-                d3 -= solver.step_size * g3
-            rho *= solver.penalty_growth
+                d1 -= 0.05 * g1
+                d2 -= 0.05 * g2
+                d3 -= 0.05 * g3
         certify((d1, d2, d3))
 
     if best_delta is None:

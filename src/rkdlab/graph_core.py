@@ -49,8 +49,8 @@ class PopulationGraph:
     Invariants (checked at construction): the weight matrix is symmetric and
     nonnegative, its total mass is 1 within 1e-12, every vertex has positive
     degree, and every class label in [0, num_classes) is present.  Weights
-    and labels are read-only after construction, which lets
-    spectral_decompose cache the graph's spectrum on it.
+    and labels are read-only after construction, which lets the graph keep
+    its degrees and spectral_decompose cache the graph's spectrum on it.
     """
 
     vertices: tuple
@@ -90,14 +90,15 @@ class PopulationGraph:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "labels", _freeze(labels))
+        object.__setattr__(self, "_degrees", _freeze(self.weights.sum(axis=1)))
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
     def degrees(self) -> np.ndarray:
-        """Per-vertex degree w_x; equals the sampling probability P(x)."""
-        return self.weights.sum(axis=1)
+        """Per-vertex degree w_x (read-only); equals the sampling probability P(x)."""
+        return self._degrees
 
     def class_masses(self) -> np.ndarray:
         """Probability mass of each ground-truth class."""
@@ -128,7 +129,7 @@ class SpectralDecomposition:
 def normalized_adjacency(g: PopulationGraph) -> np.ndarray:
     """D^{-1/2} W D^{-1/2}; symmetric with entries w_xx' / sqrt(w_x w_x')."""
     deg = g.degrees()
-    if np.any(deg <= 0):
+    if (deg <= 0).any():
         raise DegenerateGraphError("zero-degree vertex")
     inv_sqrt = 1.0 / np.sqrt(deg)
     return g.weights * np.outer(inv_sqrt, inv_sqrt)
@@ -171,6 +172,19 @@ def spectral_decompose(g: PopulationGraph) -> SpectralDecomposition:
     dec = SpectralDecomposition(eigenvalues=lam, eigenvectors=vecs)
     object.__setattr__(g, "_spectrum", dec)
     return dec
+
+
+def scaled_eigenvectors(g: PopulationGraph, K: int, rotation: np.ndarray | None = None) -> np.ndarray:
+    """D^{-1/2} V_K diag(sqrt(1 - lambda_i)) Q, one row per vertex.
+
+    The leading K eigenvectors scaled by sqrt(1 - lambda_i) (clipped at 0),
+    rotated by Q when one is given, then unscaled by D^{1/2}.
+    """
+    dec = spectral_decompose(g)
+    rows = dec.eigenvectors[:, :K] * np.sqrt(np.clip(1.0 - dec.eigenvalues[:K], 0.0, None))[None, :]
+    if rotation is not None:
+        rows = rows @ rotation
+    return rows / np.sqrt(g.degrees())[:, None]
 
 
 def inter_class_fraction(g: PopulationGraph) -> float:
@@ -274,13 +288,12 @@ def build_sbm(
     p_in: float,
     p_out: float,
     seed: int,
-    max_attempts: int = 100,
 ) -> PopulationGraph:
     """Stochastic block model with equal-weight Bernoulli edges, normalized to mass 1.
 
     Resamples with an incremented sub-seed until every vertex has positive
     degree and every class-induced subgraph is connected (the latter only when
-    p_in > 0), failing after max_attempts.
+    p_in > 0), failing after 100 attempts.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) != num_classes:
@@ -291,7 +304,7 @@ def build_sbm(
         raise InvalidConfigError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
     n = sum(sizes)
     labels = np.repeat(np.arange(num_classes), sizes)
-    for attempt in range(max_attempts):
+    for attempt in range(100):
         rng = np.random.default_rng((seed, attempt))
         same = labels[:, None] == labels[None, :]
         probs = np.where(same, p_in, p_out)
@@ -310,7 +323,7 @@ def build_sbm(
             vertices=tuple(range(n)), weights=weights, labels=labels, num_classes=num_classes
         )
     raise DegenerateGraphError(
-        f"could not sample a graph with positive degrees in {max_attempts} attempts"
+        "could not sample a graph with positive degrees in 100 attempts"
     )
 
 

@@ -21,9 +21,9 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _encode(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _encode(obj, level: int) -> str:
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -37,7 +37,7 @@ def _encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        items = [_encode(v, indent, level + 1) for v in obj]
+        items = [_encode(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if len(obj) == 0:
@@ -46,18 +46,18 @@ def _encode(obj, indent: int, level: int) -> str:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {type(key)!r}")
-            parts.append(pad_in + json.dumps(key) + ": " + _encode(obj[key], indent, level + 1))
+            parts.append(pad_in + json.dumps(key) + ": " + _encode(obj[key], level + 1))
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     # numpy scalars and arrays come through here
     if hasattr(obj, "tolist"):
-        return _encode(obj.tolist(), indent, level)
+        return _encode(obj.tolist(), level)
     if hasattr(obj, "item"):
-        return _encode(obj.item(), indent, level)
+        return _encode(obj.item(), level)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dumps_canonical(obj, indent: int = 2) -> str:
-    return _encode(obj, indent, 0) + "\n"
+def dumps_canonical(obj) -> str:
+    return _encode(obj, 0) + "\n"
 
 
 def dump_canonical(obj, path) -> None:

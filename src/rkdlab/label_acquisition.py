@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -56,9 +56,10 @@ def save_labeled(labeled: LabeledSet, path) -> None:
             writer.writerow([v, c, labeled.strategy, labeled.seed])
 
 
-def iid_sample(g: PopulationGraph, n: int, seed: int, require_coverage: bool = False, max_redraws: int = 100000):
+def iid_sample(g: PopulationGraph, n: int, seed: int, require_coverage: bool = False):
     """n i.i.d. degree-weighted labeled draws; optionally redraw until every
-    class is covered, counting rejections.  Returns (LabeledSet, rejections)."""
+    class is covered (at most 100000 redraws), counting rejections.  Returns
+    (LabeledSet, rejections)."""
     if n < 1:
         raise InvalidConfigError("label budget must be positive")
     rng = np.random.default_rng(seed)
@@ -69,8 +70,8 @@ def iid_sample(g: PopulationGraph, n: int, seed: int, require_coverage: bool = F
         if not require_coverage or len(np.unique(g.labels[draws])) == g.num_classes:
             return make_labeled(g, draws, "iid", seed), rejections
         rejections += 1
-        if rejections > max_redraws:
-            raise DomainError(f"no class-covering draw of size {n} in {max_redraws} attempts")
+        if rejections > 100000:
+            raise DomainError(f"no class-covering draw of size {n} in 100000 attempts")
 
 
 def uniform_per_class_sample(g: PopulationGraph, n_per_class: int, seed: int) -> LabeledSet:
@@ -172,8 +173,9 @@ def coverage_rate(f: Prediction, g: PopulationGraph, delta: float, trials: int, 
     return float(seen.all(axis=1).mean())
 
 
-def mean_draws_to_cover(g: PopulationGraph, trials: int, seed: int, cap: int = 100000) -> float:
-    """Mean number of i.i.d. degree-weighted draws until every class appears."""
+def mean_draws_to_cover(g: PopulationGraph, trials: int, seed: int) -> float:
+    """Mean number of i.i.d. degree-weighted draws until every class appears
+    (at most 100000 per trial)."""
     rng = np.random.default_rng(seed)
     deg = g.degrees()
     K = g.num_classes
@@ -183,8 +185,8 @@ def mean_draws_to_cover(g: PopulationGraph, trials: int, seed: int, cap: int = 1
     step = 0
     block = 16
     while not done.all():
-        if step >= cap:
-            raise DomainError(f"class coverage not reached within {cap} draws")
+        if step >= 100000:
+            raise DomainError("class coverage not reached within 100000 draws")
         draws = rng.choice(g.size, size=(trials, block), p=deg)
         labels = g.labels[draws]
         for j in range(block):
@@ -318,12 +320,7 @@ class Theorem3Report:
     max_excess: float
 
     def to_dict(self) -> dict:
-        return {
-            "bound": self.bound, "mu": self.mu, "trials": self.trials,
-            "failures": self.failures, "failure_rate": self.failure_rate,
-            "rejections": self.rejections, "vacuous": self.vacuous,
-            "max_excess": self.max_excess,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def theorem3_bound(K: int, n: int, mu: float, delta: float) -> float:

@@ -18,11 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InvalidConfigError, NotPsdError, NumericError, TrainingDivergedError
-from .graph_core import PopulationGraph, normalized_adjacency, spectral_decompose
-from .teacher_kernel import kernel_matrix
+from .graph_core import PopulationGraph, normalized_adjacency, scaled_eigenvectors, spectral_decompose
+from .teacher_kernel import KernelSpec, kernel_matrix
 
 LOSS_AGREEMENT_TOL = 1e-9
 GRAD_CHECK_REL_TOL = 1e-4
+GRAD_CHECK_COORDS = 10
 DIVERGENCE_CAP = 1e6
 
 
@@ -31,7 +32,6 @@ class Prediction:
     """K-dimensional scores on every vertex; row x is f(x)."""
 
     scores: np.ndarray
-    b_f: float | None = None
 
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=float)
@@ -39,10 +39,6 @@ class Prediction:
             raise InvalidConfigError(f"scores must be 2-D, got shape {s.shape}")
         if not np.all(np.isfinite(s)):
             raise InvalidConfigError("non-finite prediction score")
-        if self.b_f is not None:
-            worst = float(np.max(np.sum(s**2, axis=1)))
-            if worst > self.b_f + 1e-9:
-                raise InvalidConfigError(f"row squared norm {worst} exceeds declared bound {self.b_f}")
         s = np.ascontiguousarray(s)
         s.flags.writeable = False
         object.__setattr__(self, "scores", s)
@@ -55,11 +51,11 @@ class Prediction:
         """Deterministic argmax labels (first maximal index)."""
         return np.argmax(self.scores, axis=1)
 
-    def hard_labels_stochastic(self, rng: np.random.Generator, tol: float = 1e-9) -> np.ndarray:
-        """Argmax with uniform tie-breaking among entries within tol of the row max."""
+    def hard_labels_stochastic(self, rng: np.random.Generator) -> np.ndarray:
+        """Argmax with uniform tie-breaking among entries within 1e-9 of the row max."""
         out = np.empty(self.scores.shape[0], dtype=int)
         for i, row in enumerate(self.scores):
-            ties = np.nonzero(row >= row.max() - tol)[0]
+            ties = np.nonzero(row >= row.max() - 1e-9)[0]
             out[i] = ties[0] if len(ties) == 1 else rng.choice(ties)
         return out
 
@@ -99,11 +95,6 @@ class StudentModel:
             return d * k
         h = widths[1]
         return widths[0] * h + h * widths[2]
-
-    @property
-    def depth(self) -> int:
-        """Number of weight layers p."""
-        return 2 if self.architecture == "mlp" else 1
 
     @property
     def num_classes(self) -> int:
@@ -176,20 +167,28 @@ class RkdLossReport:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    step_size: float
-    iterations: int
+    """Momentum descent: the optimizer section shared by `rkdlab rkd` (which
+    reads `sampler` and the row-norm cap `b_f`) and `rkdlab ssl` (`rkd_pairs`,
+    None meaning max(2, |X|), and `recycle_labeled`), with the run's seed."""
+
     seed: int
-    momentum: float = 0.0
+    step_size: float = 0.5
+    iterations: int = 500
+    momentum: float = 0.9
     b_f: float | None = None
-    pairs_per_step: int = 0  # 0 means exhaustive weighted pairing
-    init_scale: float = 0.1
-    grad_check_coords: int = 10
+    sampler: str | int = "exhaustive"
+    rkd_pairs: int | None = None
+    recycle_labeled: bool = True
 
     def __post_init__(self):
         if self.step_size <= 0:
-            raise InvalidConfigError("step size must be positive")
+            raise InvalidConfigError(f"optimizer.step_size={self.step_size!r} must be positive")
         if self.iterations < 0:
-            raise InvalidConfigError("iteration cap must be nonnegative")
+            raise InvalidConfigError(f"optimizer.iterations={self.iterations!r} must be nonnegative")
+        if self.rkd_pairs is not None and self.rkd_pairs < 1:
+            raise InvalidConfigError(f"optimizer.rkd_pairs={self.rkd_pairs!r} must be at least 1")
+        if self.sampler != "exhaustive" and not (isinstance(self.sampler, int) and self.sampler >= 1):
+            raise InvalidConfigError(f"optimizer.sampler={self.sampler!r} is not 'exhaustive' or a count > 0")
 
 
 def population_rkd_loss(f: Prediction, g: PopulationGraph) -> float:
@@ -203,10 +202,7 @@ def population_rkd_loss(f: Prediction, g: PopulationGraph) -> float:
     wbar = normalized_adjacency(g)
     gram = (scores * sd[:, None]) @ (scores * sd[:, None]).T
     matrix_form = float(np.linalg.norm(wbar - gram) ** 2)
-    kmat = g.weights / np.outer(deg, deg)
-    expectation_form = float(
-        np.sum(np.outer(deg, deg) * (kmat - scores @ scores.T) ** 2)
-    )
+    expectation_form = exact_pair_expectation(f, KernelSpec.graph_revealing(), g)
     if abs(matrix_form - expectation_form) > LOSS_AGREEMENT_TOL * max(1.0, matrix_form):
         raise NumericError(
             f"population loss forms disagree: {matrix_form!r} vs {expectation_form!r}"
@@ -236,15 +232,39 @@ def exact_pair_expectation(f: Prediction, kernel, g: PopulationGraph) -> float:
     """
     kmat = kernel if isinstance(kernel, np.ndarray) else kernel_matrix(kernel, g)
     deg = g.degrees()
-    return float(np.sum(np.outer(deg, deg) * (f.scores @ f.scores.T - kmat) ** 2))
+    return float((np.outer(deg, deg) * (f.scores @ f.scores.T - kmat) ** 2).sum())
+
+
+@dataclass(frozen=True)
+class _PairTable:
+    """Relational-pair endpoints drawn from a vertex pool with fixed
+    probabilities, built once per run.
+
+    `cdf` is the normalised cumulative table that
+    `Generator.choice(len(pool), p=weights)` builds on every call; searching it
+    with the same uniforms gives the same indices and leaves the generator in
+    the same state, without choice's per-call validation of `p`.
+    """
+
+    pool: np.ndarray
+    cdf: np.ndarray
+
+    @classmethod
+    def build(cls, pool: np.ndarray, weights: np.ndarray) -> "_PairTable":
+        cdf = np.asarray(weights, dtype=float).cumsum()
+        cdf /= cdf[-1]
+        return cls(pool=pool, cdf=cdf)
+
+    def draw(self, rng: np.random.Generator, num_pairs: int) -> np.ndarray:
+        """num_pairs (a, b) pairs, 2 * num_pairs endpoints drawn in row order."""
+        return self.pool[self.cdf.searchsorted(rng.random(2 * num_pairs), side="right")].reshape(num_pairs, 2)
 
 
 def draw_pairs(g: PopulationGraph, num_pairs: int, rng: np.random.Generator) -> np.ndarray:
     """Consecutive disjoint pairs from an i.i.d. degree-weighted vertex draw."""
     if num_pairs < 1:
         raise DomainError("need at least one pair")
-    draws = rng.choice(g.size, size=2 * num_pairs, p=g.degrees())
-    return draws.reshape(num_pairs, 2)
+    return _PairTable.build(np.arange(g.size), g.degrees()).draw(rng, num_pairs)
 
 
 def exact_population_minimizer(g: PopulationGraph, K: int, rotation: np.ndarray | None = None) -> Prediction:
@@ -260,15 +280,12 @@ def exact_population_minimizer(g: PopulationGraph, K: int, rotation: np.ndarray 
     q = np.asarray(rotation, dtype=float)
     if q.shape != (K, K) or np.linalg.norm(q.T @ q - np.eye(K)) > 1e-10:
         raise DomainError("rotation must be a K x K orthogonal matrix")
-    dec = spectral_decompose(g)
-    head = dec.eigenvalues[:K]
+    head = spectral_decompose(g).eigenvalues[:K]
     if np.any(1.0 - head < -1e-10):
         raise NotPsdError(
             f"1 - lambda_{int(np.argmax(head)) + 1} < 0: normalized adjacency is not PSD on the top-K block"
         )
-    scale = np.sqrt(np.clip(1.0 - head, 0.0, None))
-    scores = (dec.eigenvectors[:, :K] * scale[None, :]) @ q / np.sqrt(g.degrees())[:, None]
-    return Prediction(scores=scores)
+    return Prediction(scores=scaled_eigenvectors(g, K, q))
 
 
 def random_rotation(K: int, rng: np.random.Generator) -> np.ndarray:
@@ -339,14 +356,13 @@ def train_student(
     model: StudentModel,
     g: PopulationGraph,
     kernel,
-    sampler,
     opt: OptimizerConfig,
     features: np.ndarray | None = None,
     trace_out: list | None = None,
 ):
     """Gradient descent on the empirical RKD loss; returns (model, RkdLossReport).
 
-    sampler: "exhaustive" trains on all ordered pairs weighted by w_x w_x'
+    opt.sampler: "exhaustive" trains on all ordered pairs weighted by w_x w_x'
     (the population objective); an integer m resamples m i.i.d. pairs per step.
     The analytic gradient is checked against central differences at
     initialization and must agree to 1e-4 relative error.  Pass a list as
@@ -356,27 +372,20 @@ def train_student(
     model = model.copy()
     rng = np.random.default_rng(opt.seed)
 
-    if sampler == "exhaustive" or (isinstance(sampler, int) and sampler == 0):
+    if opt.sampler == "exhaustive":
         batch_fn = None
         a0, b0, u0, k0 = _exhaustive_batch(g, kmat)
-    elif isinstance(sampler, int):
-        def batch_fn():
-            pairs = draw_pairs(g, sampler, rng)
-            a, b = pairs[:, 0], pairs[:, 1]
-            return a, b, np.full(len(a), 1.0 / len(a)), kmat[a, b]
-
-        a0, b0, u0, k0 = batch_fn()
-    elif callable(sampler):
-        def batch_fn():
-            pairs = np.asarray(sampler(g, rng), dtype=int).reshape(-1, 2)
-            a, b = pairs[:, 0], pairs[:, 1]
-            return a, b, np.full(len(a), 1.0 / len(a)), kmat[a, b]
-
-        a0, b0, u0, k0 = batch_fn()
     else:
-        raise InvalidConfigError(f"unsupported sampler {sampler!r}")
+        table = _PairTable.build(np.arange(g.size), g.degrees())
 
-    worst = check_gradient(model, features, a0, b0, u0, k0, opt.grad_check_coords, opt.seed)
+        def batch_fn():
+            pairs = table.draw(rng, opt.sampler)
+            a, b = pairs[:, 0], pairs[:, 1]
+            return a, b, np.full(len(a), 1.0 / len(a)), kmat[a, b]
+
+        a0, b0, u0, k0 = batch_fn()
+
+    worst = check_gradient(model, features, a0, b0, u0, k0, GRAD_CHECK_COORDS, opt.seed)
     if worst >= GRAD_CHECK_REL_TOL:
         raise NumericError(f"gradient check failed: relative error {worst:.3e} >= 1e-4")
 

@@ -9,10 +9,12 @@ vertices, and embeds the clustering-error audits in the result.  Identical
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import inspect
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from .graph_core import (
     build_two_blobs,
     lazy_graph,
     load_graph,
+    scaled_eigenvectors,
 )
 from .label_acquisition import (
     LabeledSet,
@@ -44,16 +47,67 @@ from .label_acquisition import (
     uniform_per_class_sample,
 )
 from .spectral_rkd import (
+    DIVERGENCE_CAP,
+    OptimizerConfig,
     Prediction,
     StudentModel,
+    _PairTable,
     population_rkd_loss,
     spectral_decompose,
 )
 from .teacher_kernel import KernelSpec, kernel_matrix, spectral_teacher_embedding
 
 
+@functools.cache
+def _parameters(reader) -> tuple:
+    """(the names reader takes, the ones without a default), from its signature."""
+    params = inspect.signature(reader).parameters.values()
+    return frozenset(p.name for p in params), tuple(p.name for p in params if p.default is p.empty)
+
+
+def _check_section(prefix: str, section: dict, reader, own=(), supplied=()) -> dict:
+    """`section`, once its keys are the parameters of `reader`, the class or
+    builder that consumes it, apart from the `own` keys its caller reads (a
+    `kind`) and those the run supplies (a seed).  An unknown or a missing key
+    is an InvalidConfigError naming prefix + key."""
+    taken, required = _parameters(reader)
+    for key in section:
+        if key not in own and (key not in taken or key in supplied):
+            raise InvalidConfigError(f"unknown key {prefix}{key}")
+    for key in required:
+        if key not in section and key not in supplied:
+            raise InvalidConfigError(f"missing key {prefix}{key}")
+    return section
+
+
+@dataclass(frozen=True)
+class LossWeights:
+    """The loss section of a config: the weights of the consistency and the
+    relational term, and the confidence threshold and softmax temperature
+    that select the weak views kept by the consistency term."""
+
+    lambda_dac: float = 1.0
+    lambda_rkd: float = 0.0
+    tau_dac: float = 0.95
+    temperature: float = 1.0
+
+    def __post_init__(self):
+        if self.lambda_dac < 0 or self.lambda_rkd < 0:
+            raise InvalidConfigError("loss weights lambda_dac and lambda_rkd must be nonnegative")
+        if not 0 < self.tau_dac <= 1:
+            raise InvalidConfigError(f"loss.tau_dac={self.tau_dac} outside (0, 1]")
+        if self.temperature <= 0:
+            raise InvalidConfigError(f"loss.temperature={self.temperature} must be positive")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's config, with its sections kept as written for `to_dict` and the
+    hash.  The parameters of the class or builder that consumes a section are
+    its schema, checked here: `loss` (read into `loss_weights`), `optimizer`
+    (into `opt`, with this seed), `student` (build_student) and `graph` (its
+    kind's builder).  The other sections are read where they are used."""
+
     graph: dict
     kernel: dict
     student: dict
@@ -66,51 +120,39 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        loss = self.loss
-        if loss.get("lambda_dac", 0.0) < 0 or loss.get("lambda_rkd", 0.0) < 0:
-            raise InvalidConfigError("loss weights must be nonnegative")
-        tau = loss.get("tau_dac", 0.95)
-        if not 0 < tau <= 1:
-            raise InvalidConfigError(f"tau_dac={tau} outside (0, 1]")
-        if loss.get("temperature", 1.0) <= 0:
-            raise InvalidConfigError("temperature must be positive")
+        object.__setattr__(self, "seed", int(self.seed))
+        loss = _check_section("loss.", self.loss, LossWeights)
+        optimizer = _check_section("optimizer.", self.optimizer, OptimizerConfig, supplied=("seed",))
+        object.__setattr__(self, "loss_weights", LossWeights(**loss))
+        object.__setattr__(self, "opt", OptimizerConfig(**optimizer, seed=self.seed))
+        _check_section("student.", self.student, build_student, supplied=("g", "points", "seed"))
+        kind = self.graph.get("kind")
+        builder = {"sbm": build_sbm, "two_blobs": build_two_blobs, "file": load_graph}.get(kind)
+        if builder is None:
+            raise InvalidConfigError(f"unknown graph kind {kind!r}")
+        _check_section("graph.", self.graph, builder, own=("kind", "lazy") if kind == "sbm" else ("kind",))
         for section in (self.graph, self.augmentation):
             path = section.get("path")
             if path is not None and not Path(path).exists():
                 raise InvalidConfigError(f"referenced file does not exist: {path}")
 
     def to_dict(self) -> dict:
-        return {
-            "graph": self.graph,
-            "augmentation": self.augmentation,
-            "kernel": self.kernel,
-            "student": self.student,
-            "loss": self.loss,
-            "labels": self.labels,
-            "optimizer": self.optimizer,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "out_dir": self.out_dir,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return cls(
-            graph=data["graph"],
-            kernel=data["kernel"],
-            student=data["student"],
-            loss=data["loss"],
-            labels=data["labels"],
-            optimizer=data["optimizer"],
-            seed=int(data["seed"]),
-            augmentation=data.get("augmentation", {"kind": "chain"}),
-            tolerances=data.get("tolerances", {}),
-            out_dir=data.get("out_dir"),
-        )
+        if not isinstance(data, dict):
+            raise InvalidConfigError("the top level is not a JSON object")
+        return cls(**_check_section("", data, cls))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(jsonio.load(path))
+        """The config in a JSON file; a file that cannot be read or parsed, or
+        an invalid config, is an InvalidConfigError naming the path."""
+        try:
+            return cls.from_dict(jsonio.load(path))
+        except (OSError, ValueError, InvalidConfigError) as exc:
+            raise InvalidConfigError(f"config {path}: {exc}") from exc
 
     def save(self, path) -> None:
         jsonio.dump_canonical(self.to_dict(), path)
@@ -156,9 +198,7 @@ def build_graph_fixture(cfg: ExperimentConfig):
         return (lazy_graph(g) if lazy else g), None
     if kind == "two_blobs":
         return build_two_blobs(**spec)
-    if kind == "file":
-        return load_graph(spec["path"]), None
-    raise InvalidConfigError(f"unknown graph kind {kind!r}")
+    return load_graph(**spec), None
 
 
 def build_augmentation_fixture(cfg: ExperimentConfig, g: PopulationGraph, points) -> AugmentationMap:
@@ -170,6 +210,8 @@ def build_augmentation_fixture(cfg: ExperimentConfig, g: PopulationGraph, points
         # disjoint sub-chains per class: weak augmentations whose neighborhoods
         # never connect the parts, so expansion fails across them
         parts = int(spec.get("parts", 2))
+        if parts < 1:
+            raise InvalidConfigError(f"augmentation.parts={parts} must be at least 1")
         sets = [None] * g.size
         for k in range(g.num_classes):
             members = [int(v) for v in g.class_members(k)]
@@ -242,10 +284,7 @@ def spectral_clustering_prediction(g: PopulationGraph, seed: int) -> Prediction:
     from scipy.cluster.vq import kmeans2
 
     K = g.num_classes
-    dec = spectral_decompose(g)
-    scale = np.sqrt(np.clip(1.0 - dec.eigenvalues[:K], 0.0, None))
-    rows = dec.eigenvectors[:, :K] * scale[None, :] / np.sqrt(g.degrees())[:, None]
-    _, assignment = kmeans2(rows, K, seed=seed, minit="++")
+    _, assignment = kmeans2(scaled_eigenvectors(g, K), K, seed=seed, minit="++")
     return Prediction(scores=np.eye(K)[assignment].astype(float))
 
 
@@ -277,7 +316,7 @@ def combined_loss(
     weak_strong_pairs,
     rkd_pairs,
     kmat: np.ndarray,
-    loss_cfg: dict,
+    weights: LossWeights,
 ) -> CombinedLossReport:
     """CE + lambda_dac * consistency + lambda_rkd * pairwise relational loss.
 
@@ -291,10 +330,7 @@ def combined_loss(
     """
     scores = model.forward(features)
     gscores = np.zeros_like(scores)
-    lam_dac = float(loss_cfg.get("lambda_dac", 1.0))
-    lam_rkd = float(loss_cfg.get("lambda_rkd", 0.0))
-    tau = float(loss_cfg.get("tau_dac", 0.95))
-    temp = float(loss_cfg.get("temperature", 1.0))
+    lam_dac, lam_rkd = weights.lambda_dac, weights.lambda_rkd
 
     # each softmax block minus its one-hot targets is the score gradient of its
     # CE; a mean is written as sum / count, the same reduction and divide
@@ -313,7 +349,7 @@ def combined_loss(
     if weak_strong_pairs is not None and len(weak_strong_pairs) and lam_dac > 0:
         ws = np.asarray(weak_strong_pairs, dtype=int)
         weak = scores[ws[:, 0]]
-        confident = _softmax(weak / temp).max(axis=1) >= tau
+        confident = _softmax(weak / weights.temperature).max(axis=1) >= weights.tau_dac
         kept = int(np.count_nonzero(confident))
         if kept:
             pseudo = weak[confident].argmax(axis=1)
@@ -390,35 +426,11 @@ class _ViewTable:
         return pairs
 
 
-@dataclass(frozen=True)
-class _PairTable:
-    """Relational-pair endpoints drawn from a vertex pool with fixed
-    probabilities, built once per run.
-
-    `cdf` is the normalised cumulative table that
-    `Generator.choice(len(pool), p=weights)` builds on every call; searching it
-    with the same uniforms gives the same indices and leaves the generator in
-    the same state, without choice's per-call validation of `p`.
-    """
-
-    pool: np.ndarray
-    cdf: np.ndarray
-
-    @classmethod
-    def build(cls, pool: np.ndarray, weights: np.ndarray) -> "_PairTable":
-        cdf = np.asarray(weights, dtype=float).cumsum()
-        cdf /= cdf[-1]
-        return cls(pool=pool, cdf=cdf)
-
-    def draw(self, rng: np.random.Generator, num_pairs: int) -> np.ndarray:
-        """num_pairs (a, b) pairs, 2 * num_pairs endpoints drawn in row order."""
-        return self.pool[self.cdf.searchsorted(rng.random(2 * num_pairs), side="right")].reshape(num_pairs, 2)
-
-
-def build_student(cfg: ExperimentConfig, g: PopulationGraph, points, seed: int):
-    """Returns (model, features): the config's student initialized from `seed`,
-    and the per-vertex inputs it reads (None for the table student)."""
-    arch = cfg.student.get("arch", "table")
+def build_student(g: PopulationGraph, points, seed: int, arch: str = "table", init_scale: float = 0.1,
+                  hidden: int = 8):
+    """Returns (model, features): the student a config's student section
+    describes, initialized from `seed`, and the per-vertex inputs it reads
+    (None for the table student)."""
     if arch == "table":
         widths, features = (g.size, g.num_classes), None
     elif arch in ("linear", "mlp"):
@@ -426,10 +438,10 @@ def build_student(cfg: ExperimentConfig, g: PopulationGraph, points, seed: int):
             raise InvalidConfigError(f"{arch} student needs point coordinates from the graph fixture")
         features = points
         widths = ((points.shape[1], g.num_classes) if arch == "linear"
-                  else (points.shape[1], int(cfg.student.get("hidden", 8)), g.num_classes))
+                  else (points.shape[1], int(hidden), g.num_classes))
     else:
         raise InvalidConfigError(f"unknown architecture {arch!r}")
-    model = StudentModel.initialize(arch, widths, seed=seed, scale=float(cfg.student.get("init_scale", 0.1)))
+    model = StudentModel.initialize(arch, widths, seed=seed, scale=float(init_scale))
     return model, features
 
 
@@ -443,37 +455,34 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
     kmat = kernel_matrix(kernel, g)
     labeled = acquire_labels(cfg, g, kernel, seed)
 
-    model, features = build_student(cfg, g, points, seed)
+    model, features = build_student(g, points, seed, **cfg.student)
 
-    opt = dict(cfg.optimizer)
+    opt = cfg.opt
     rng = np.random.default_rng((seed, 1))
     unlabeled = np.setdiff1d(np.arange(g.size), labeled.vertices())
-    recycle = bool(opt.get("recycle_labeled", True))
-    pool = np.arange(g.size) if recycle else unlabeled
+    pool = np.arange(g.size) if opt.recycle_labeled else unlabeled
     if not len(pool):
         raise InvalidConfigError("optimizer.recycle_labeled is false and every vertex is labeled: "
                                  "the unlabeled training pool is empty")
     views = _ViewTable.build(aug, pool)
     pairs = _PairTable.build(pool, g.degrees()[pool] / g.degrees()[pool].sum())
-    num_pairs = int(opt.get("rkd_pairs", max(2, g.size)))
-    step_size = float(opt.get("step_size", 0.5))
-    momentum = float(opt.get("momentum", 0.9))
-    iterations = int(opt.get("iterations", 500))
+    num_pairs = max(2, g.size) if opt.rkd_pairs is None else opt.rkd_pairs
 
     losses = []
     velocity = np.zeros_like(model.parameters)
-    for step in range(iterations):
+    for step in range(opt.iterations):
         ws = views.draw(rng)
-        report = combined_loss(model, features, labeled, ws, pairs.draw(rng, num_pairs), kmat, cfg.loss)
-        if not math.isfinite(report.total) or report.total > 1e6:
+        report = combined_loss(model, features, labeled, ws, pairs.draw(rng, num_pairs), kmat,
+                               cfg.loss_weights)
+        if not math.isfinite(report.total) or report.total > DIVERGENCE_CAP:
             raise TrainingDivergedError(f"combined loss {report.total!r} at step {step}",
                                         trace=[r["total"] for r in losses])
         losses.append({
             "total": report.total, "cross_entropy": report.cross_entropy,
             "dac": report.dac, "rkd": report.rkd, "confident": report.confident_count,
         })
-        velocity *= momentum
-        velocity -= step_size * report.grad
+        velocity *= opt.momentum
+        velocity -= opt.step_size * report.grad
         model.parameters += velocity
 
     pred = model.prediction(features)
@@ -547,9 +556,8 @@ def run_sweep(cfg: ExperimentConfig, seeds) -> list:
     persist_failure), and the remaining seeds still run."""
     results = []
     for seed in seeds:
-        sub = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": int(seed), "out_dir": (
-            str(Path(cfg.out_dir) / f"seed_{seed}") if cfg.out_dir else None
-        )})
+        out_dir = str(Path(cfg.out_dir) / f"seed_{seed}") if cfg.out_dir else None
+        sub = replace(cfg, seed=seed, out_dir=out_dir)
         try:
             results.append(run_experiment(sub))
         except TrainingDivergedError as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InvalidConfigError
-from .graph_core import PopulationGraph, normalized_adjacency, spectral_decompose
+from .graph_core import PopulationGraph, normalized_adjacency, scaled_eigenvectors
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def kernel_matrix(spec: KernelSpec, g: PopulationGraph) -> np.ndarray:
     """Materialize the |X| x |X| kernel matrix of `spec` on g's vertex set."""
     if spec.variant == "graph_revealing":
         deg = g.degrees()
-        if np.any(deg <= 0):
+        if (deg <= 0).any():
             raise DomainError("graph-revealing kernel needs positive degrees")
         return g.weights / np.outer(deg, deg)
     feats = spec.embedding.features
@@ -131,9 +131,7 @@ def spectral_teacher_embedding(g: PopulationGraph, dim: int, noise: float = 0.0,
     The leading `dim` eigenvectors, scaled by sqrt(1 - lambda_i) and unscaled by
     D^{1/2}, optionally perturbed by Gaussian noise to model a shifted teacher.
     """
-    dec = spectral_decompose(g)
-    scale = np.sqrt(np.clip(1.0 - dec.eigenvalues[:dim], 0.0, None))
-    feats = (dec.eigenvectors[:, :dim] * scale[None, :]) / np.sqrt(g.degrees())[:, None]
+    feats = scaled_eigenvectors(g, dim)
     if noise > 0:
         rng = np.random.default_rng(seed)
         feats = feats + noise * rng.standard_normal(feats.shape)

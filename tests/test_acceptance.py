@@ -202,7 +202,7 @@ def test_criterion_05_empirical_bound_lp_and_trained_students():
         g = lazy_graph(build_sbm(2, [5, 5], 0.9, 0.06, seed=seed))
         model = StudentModel.initialize("table", (g.size, 2), seed=seed + 500)
         trained, rep = train_student(
-            model, g, KernelSpec.graph_revealing(), "exhaustive",
+            model, g, KernelSpec.graph_revealing(),
             OptimizerConfig(step_size=0.3, iterations=2500, seed=seed, momentum=0.9),
         )
         audit = theorem4_check(trained.prediction(), g, Delta=max(rep.gap, 0.0), K0=2)

@@ -328,6 +328,70 @@ def test_ssl_lp_oracle_agrees_on_wide_cost_spectrum(tmp_path):
     assert abs(thm4["lp_primal"] - 0.11600982867893615) < 1e-15
 
 
+def _rename(section, key, typo):
+    def edit(cfg):
+        cfg[section][typo] = cfg[section].pop(key, 1)
+    return edit
+
+
+def _set(section, **values):
+    return lambda cfg: cfg[section].update(values)
+
+
+# (case, edit of the audit_config document or the file's raw text, the key
+# stderr must name); every error but split_chain's parts also names the file
+BAD_CONFIGS = [
+    ("optimizer.iteration", _rename("optimizer", "iterations", "iteration"), "optimizer.iteration"),
+    ("loss.lambda_rk", _rename("loss", "lambda_rkd", "lambda_rk"), "loss.lambda_rk"),
+    ("student.hiden", _rename("student", "hidden", "hiden"), "student.hiden"),
+    ("graph.p_inn", _rename("graph", "p_in", "p_inn"), "graph.p_inn"),
+    ("unknown-section", lambda cfg: cfg.update(optimiser={}), "optimiser"),
+    ("negative-iterations", _set("optimizer", iterations=-5), "optimizer.iterations"),
+    ("zero-rkd-pairs", _set("optimizer", rkd_pairs=0), "optimizer.rkd_pairs"),
+    ("zero-parts", _set("augmentation", kind="split_chain", parts=0), "augmentation.parts"),
+    ("missing-section", lambda cfg: cfg.pop("kernel"), "kernel"),
+    ("missing-file", None, None),
+    ("malformed-json", '{"graph": ', None),
+    ("top-level-list", "[1, 2]", None),
+]
+
+
+@pytest.mark.parametrize("case,edit,named,command", [
+    pytest.param(case, edit, named, command, id=f"{case}-{command}")
+    for case, edit, named in BAD_CONFIGS
+    for command in (("dac", "ssl") if case == "zero-parts" else ("rkd", "ssl", "audit"))
+])
+def test_bad_config_exits_1_naming_the_key_or_the_path(tmp_path, audit_config, capsys, case, edit, named,
+                                                        command):
+    path = tmp_path / "bad.json"
+    if isinstance(edit, str):
+        path.write_text(edit)
+    elif edit is not None:
+        cfg = json.loads(audit_config.read_text())
+        edit(cfg)
+        dump_canonical(cfg, path)
+    code = main([command, "--config", str(path), "--seed", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    if named:
+        assert named in err, err
+    if case != "zero-parts":  # parts is read when the augmentation is built
+        assert str(path) in err, err
+
+
+def test_rkd_and_ssl_share_the_optimizer_defaults(tmp_path, audit_config):
+    # step_size 0.5 and 500 iterations for both commands (rkd used 0.3 and 1000)
+    cfg = json.loads(audit_config.read_text())
+    del cfg["optimizer"]["step_size"], cfg["optimizer"]["iterations"]
+    path = tmp_path / "defaults.json"
+    dump_canonical(cfg, path)
+    assert main(["rkd", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "rkd")]) == 0
+    assert len((tmp_path / "rkd" / "losses.csv").read_text().splitlines()) == 1 + 500
+    assert abs(json.loads((tmp_path / "rkd" / "rkd_report.json").read_text())["gap"]) <= 1e-12
+    assert main(["ssl", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "ssl")]) == 0
+    assert json.loads((tmp_path / "ssl" / "run_result.json").read_text())["iterations"] == 500
+
+
 def test_ssl_with_empty_training_pool_exits_1(tmp_path, capsys):
     # every vertex labeled and labeled vertices not recycled: nothing to train on
     path = ab_config(tmp_path, labels={"n_per_class": 16}, optimizer={"recycle_labeled": False})

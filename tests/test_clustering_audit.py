@@ -155,11 +155,22 @@ class TestTheorem4:
         assert r4.verdicts["thm4"] == "pass"
         assert math.isclose(r4.bound_thm4, r1.bound_thm1, rel_tol=1e-12)
 
+    def test_negative_dual_denominator_is_bound_undefined(self):
+        # a non-lazy path on four vertices has eigenvalues 0, 0.5, 1.5, 2: with
+        # K = K0 = 3, (1 - 1.5)^2 - (1 - 2)^2 < 0 although 1.5 < 2, and the
+        # closed-form dual was -0 below the LP optimum 1
+        g = hand_graph(np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1), [0, 0, 1, 1], 2)
+        f = Prediction(scores=np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 2.0]]))
+        audit = theorem4_check(f, g, Delta=0.0, K0=3)
+        assert audit.verdicts["thm4"].startswith("bound-undefined: (1 - lambda_K0)^2=0.25")
+        assert "(1 - lambda_K+1)^2=0.99" in audit.verdicts["thm4"]
+        assert audit.bound_thm4 is None and audit.lp_dual is None
+
     def test_trained_student_passes(self):
         g = lazy_graph(build_sbm(2, [5, 5], 0.9, 0.05, seed=21))
         model = StudentModel.initialize("table", (g.size, 2), seed=3)
         trained, report = train_student(
-            model, g, KernelSpec.graph_revealing(), "exhaustive",
+            model, g, KernelSpec.graph_revealing(),
             OptimizerConfig(step_size=0.3, iterations=3000, seed=0, momentum=0.9),
         )
         pred = trained.prediction()
@@ -296,6 +307,17 @@ class TestLpOracle:
         lam = [0.0, 0.0, 0.5, 0.9]
         expected = 0.01 / ((1.0 - 0.0) ** 2 - (1.0 - 0.5) ** 2)
         assert math.isclose(lp_dual_value(lam, 2, 2, 0.01), expected, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("lam,K,delta", [
+        ([0.0, 3.06e-69, 1.0, 1.0, 1.0, 1.0], 1, 0.0),  # both squares round to 1.0
+        ([0.0, 0.3, math.nextafter(0.3, 1.0), 0.9], 2, 1e-3),  # both round to 0.48999999999999994
+    ])
+    def test_dual_denominator_that_rounds_to_zero_is_rejected(self, lam, K, delta):
+        # lambda_K0 < lambda_{K+1}, yet the float denominator is 0 (it gave nan and inf)
+        with pytest.raises(DomainError, match=r"lambda_K0\)\^2=.* - \(1 - lambda_K\+1\)\^2=.* not positive"):
+            lp_dual_value(lam, K, K, delta)
+        with pytest.raises(DomainError, match="is not positive"):
+            lp_bound_oracle(lam, K, K0=K, Delta=delta)
 
     def test_weak_duality_on_random_spectra(self):
         rng = np.random.default_rng(5)

@@ -150,7 +150,7 @@ class TestTraining:
         floor = spectral_decompose(g).residual_weights(2)
         model = StudentModel.initialize("table", (8, 2), seed=1)
         _, report = train_student(
-            model, g, KernelSpec.graph_revealing(), "exhaustive",
+            model, g, KernelSpec.graph_revealing(),
             OptimizerConfig(step_size=0.3, iterations=3000, seed=0, momentum=0.9),
         )
         assert abs(report.population_loss - floor) < 1e-3
@@ -159,7 +159,7 @@ class TestTraining:
     def test_zero_iterations_returns_input_model(self, sbm_pair):
         model = StudentModel.initialize("table", (sbm_pair.size, 2), seed=2)
         trained, _ = train_student(
-            model, sbm_pair, KernelSpec.graph_revealing(), "exhaustive",
+            model, sbm_pair, KernelSpec.graph_revealing(),
             OptimizerConfig(step_size=0.1, iterations=0, seed=0),
         )
         assert np.array_equal(trained.parameters, model.parameters)
@@ -169,7 +169,7 @@ class TestTraining:
         target = exact_population_minimizer(g, 2)
         model = StudentModel.initialize("linear", (2, 2), seed=4)
         _, report = train_student(
-            model, g, KernelSpec.graph_revealing(), "exhaustive",
+            model, g, KernelSpec.graph_revealing(),
             OptimizerConfig(step_size=0.2, iterations=5000, seed=0, momentum=0.9),
             features=target.scores,
         )
@@ -179,7 +179,7 @@ class TestTraining:
         model = StudentModel.initialize("table", (sbm_pair.size, 2), seed=0)
         with pytest.raises(TrainingDivergedError) as err:
             train_student(
-                model, sbm_pair, KernelSpec.graph_revealing(), "exhaustive",
+                model, sbm_pair, KernelSpec.graph_revealing(),
                 OptimizerConfig(step_size=500.0, iterations=200, seed=0),
             )
         assert len(err.value.trace) > 0
@@ -188,7 +188,7 @@ class TestTraining:
         g = lazy_graph(build_sbm(2, [4, 4], 0.9, 0.1, seed=3))
         model = StudentModel.initialize("table", (8, 2), seed=1)
         trained, report = train_student(
-            model, g, KernelSpec.graph_revealing(), "exhaustive",
+            model, g, KernelSpec.graph_revealing(),
             OptimizerConfig(step_size=0.3, iterations=500, seed=0, momentum=0.9, b_f=0.5),
         )
         assert report.b_f <= 0.5 + 1e-9
@@ -196,8 +196,8 @@ class TestTraining:
     def test_pair_sampler_mode_trains(self, sbm_pair):
         model = StudentModel.initialize("table", (sbm_pair.size, 2), seed=1)
         trained, report = train_student(
-            model, sbm_pair, KernelSpec.graph_revealing(), 64,
-            OptimizerConfig(step_size=0.1, iterations=400, seed=0, momentum=0.5),
+            model, sbm_pair, KernelSpec.graph_revealing(),
+            OptimizerConfig(step_size=0.1, iterations=400, seed=0, momentum=0.5, sampler=64),
         )
         zero = population_rkd_loss(Prediction(scores=np.zeros((sbm_pair.size, 2))), sbm_pair)
         assert report.population_loss < zero

@@ -1,8 +1,13 @@
 import math
+import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkdlab.dac_expansion import make_augmentation
 from rkdlab.errors import InvalidConfigError
@@ -13,6 +18,7 @@ from rkdlab.spectral_rkd import StudentModel
 from rkdlab.ssl_harness import (
     CombinedLossReport,
     ExperimentConfig,
+    LossWeights,
     _PairTable,
     _ViewTable,
     combined_loss,
@@ -58,6 +64,36 @@ class TestConfig:
         with pytest.raises(InvalidConfigError, match="does not exist"):
             blob_config(graph={"kind": "file", "path": "/nonexistent/graph.json"})
 
+    # (section, its required keys, each optional key with a valid value)
+    SECTIONS = [
+        ("loss", {}, {"lambda_dac": 0.5, "lambda_rkd": 0.001, "tau_dac": 0.9, "temperature": 2.0}),
+        ("optimizer", {}, {"step_size": 0.3, "iterations": 5, "momentum": 0.5, "b_f": 1.0, "sampler": 16,
+                           "rkd_pairs": 8, "recycle_labeled": False}),
+        ("student", {}, {"arch": "mlp", "init_scale": 0.2, "hidden": 4}),
+        ("graph", {"kind": "two_blobs", "n_per_class": 8},
+         {"separation": 3.0, "noise": 0.4, "bandwidth": 1.0, "seed": 2}),
+        ("graph", {"kind": "sbm", "num_classes": 2, "sizes": [4, 4], "p_in": 0.9, "p_out": 0.1, "seed": 3},
+         {"lazy": False}),
+    ]
+    # keys another reader takes or the run supplies, and typos of real keys
+    STRANGERS = ["seed", "g", "points", "lazy", "max_attempts", "iteration", "lambda_rk", "hiden", "p_inn"]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_section_readers_take_exactly_their_keys(self, data):
+        name, required, optional = data.draw(st.sampled_from(self.SECTIONS), label="section")
+        chosen = data.draw(st.sets(st.sampled_from(sorted(optional))), label="optional keys")
+        section = {**required, **{key: optional[key] for key in chosen}}
+        cfg = blob_config(**{name: section})
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg.save(Path(tmp) / "cfg.json")
+            assert ExperimentConfig.from_file(Path(tmp) / "cfg.json").config_hash() == cfg.config_hash()
+        names = st.one_of(st.sampled_from(self.STRANGERS), st.text(min_size=1, max_size=6))
+        stranger = data.draw(names.filter(lambda key: key not in {**optional, **required}), label="stranger")
+        with pytest.raises(InvalidConfigError, match=re.escape(f"unknown key {name}.{stranger}")):
+            blob_config(**{name: {**section, stranger: 1}})
+
 
 class TestCombinedLoss:
     def setup_fixture(self):
@@ -72,7 +108,7 @@ class TestCombinedLoss:
         cfg = {"lambda_dac": 0.0, "lambda_rkd": 0.0}
         ws = [(i, i) for i in range(g.size)]
         pairs = [(0, 1), (2, 3)]
-        rep = combined_loss(model, None, labeled, ws, pairs, kmat, cfg)
+        rep = combined_loss(model, None, labeled, ws, pairs, kmat, LossWeights(**cfg))
         assert rep.total == rep.cross_entropy
         assert rep.dac == 0.0 and rep.rkd == 0.0
 
@@ -82,7 +118,7 @@ class TestCombinedLoss:
         model = StudentModel("table", (g.size, 2), scores.ravel())
         ws = [(i, i) for i in range(g.size)]
         rep = combined_loss(model, None, labeled, ws, None, kmat,
-                            {"lambda_dac": 1.0, "lambda_rkd": 0.0, "tau_dac": 0.95})
+                            LossWeights(lambda_dac=1.0, lambda_rkd=0.0, tau_dac=0.95))
         assert rep.confident_count == g.size
         assert rep.dac < 1e-8
         assert rep.cross_entropy < 1e-8
@@ -92,7 +128,7 @@ class TestCombinedLoss:
         model = StudentModel("table", (g.size, 2), np.zeros(g.size * 2))
         ws = [(i, i) for i in range(g.size)]
         rep = combined_loss(model, None, labeled, ws, None, kmat,
-                            {"lambda_dac": 1.0, "lambda_rkd": 0.0, "tau_dac": 0.95})
+                            LossWeights(lambda_dac=1.0, lambda_rkd=0.0, tau_dac=0.95))
         assert rep.confident_count == 0
         assert rep.dac == 0.0
 
@@ -108,7 +144,7 @@ class TestCombinedLoss:
         ws = [(0, 1)]  # weak view vertex 0, strong view vertex 1
         pairs = [(0, 1)]
         cfg = {"lambda_dac": 1.0, "lambda_rkd": 0.5, "tau_dac": 0.8, "temperature": 1.0}
-        rep = combined_loss(model, None, labeled, ws, pairs, kmat, cfg)
+        rep = combined_loss(model, None, labeled, ws, pairs, kmat, LossWeights(**cfg))
         ce = -math.log(math.exp(2.0) / (math.exp(2.0) + 1.0))
         conf = math.exp(2.0) / (math.exp(2.0) + 1.0)  # 0.881 >= 0.8 kept
         dac = -math.log(1.0 / (1.0 + math.e))  # strong logits [0,1], pseudo-label 0
@@ -130,15 +166,15 @@ class TestCombinedLoss:
               for i in range(g.size)]
         pairs = [(0, 1), (2, 5), (3, 3), (6, 7)]
         cfg = {"lambda_dac": 1.0, "lambda_rkd": 0.3, "tau_dac": 0.2, "temperature": 1.0}
-        grad = combined_loss(model, feats, labeled, ws, pairs, kmat, cfg).grad
+        grad = combined_loss(model, feats, labeled, ws, pairs, kmat, LossWeights(**cfg)).grad
         h = 1e-6
         idx = rng.choice(model.parameters.size, size=min(10, model.parameters.size), replace=False)
         for i in idx:
             probe = model.copy()
             probe.parameters[i] += h
-            up = combined_loss(probe, feats, labeled, ws, pairs, kmat, cfg).total
+            up = combined_loss(probe, feats, labeled, ws, pairs, kmat, LossWeights(**cfg)).total
             probe.parameters[i] -= 2 * h
-            down = combined_loss(probe, feats, labeled, ws, pairs, kmat, cfg).total
+            down = combined_loss(probe, feats, labeled, ws, pairs, kmat, LossWeights(**cfg)).total
             numeric = (up - down) / (2 * h)
             assert abs(numeric - grad[i]) <= 1e-4 * max(1.0, abs(numeric), abs(grad[i]))
 
@@ -222,7 +258,7 @@ class TestCombinedLossOracle:
             pairs = maker.integers(0, n // 2, size=(2 * n, 2))
             cfg = {"lambda_dac": float(maker.uniform(0.5, 2.0)), "lambda_rkd": lam_rkd,
                    "tau_dac": tau, "temperature": temp}
-            got = combined_loss(model, features, labeled, ws, pairs, kmat, cfg)
+            got = combined_loss(model, features, labeled, ws, pairs, kmat, LossWeights(**cfg))
             want = _combined_loss_reference(model, features, labeled, ws, pairs, kmat, cfg)
             for name in ("total", "cross_entropy", "dac", "rkd", "confident_count"):
                 assert getattr(got, name) == getattr(want, name), (trial, name)
