@@ -28,9 +28,10 @@ from .graph_core import (
     spectral_decompose,
 )
 from .spectral_rkd import (
-    exact_population_minimizer,
+    Prediction,
+    population_minimizers,
     population_rkd_loss,
-    random_rotation,
+    random_rotations,
     save_checkpoint,
     save_loss_trace,
     train_student,
@@ -111,14 +112,13 @@ def _cmd_audit(args) -> int:
     from .clustering_audit import theorem1_check, theorem4_check
 
     cfg = ExperimentConfig.from_file(args.config)
-    g, points = build_graph_fixture(cfg)
+    g, _ = build_graph_fixture(cfg)
     K = g.num_classes
-    rng = np.random.default_rng(args.seed)
-    rotations = int(cfg.tolerances.get("audit_rotations", 20))
-    family = [exact_population_minimizer(g, K, random_rotation(K, rng)) for _ in range(rotations)]
+    rotations = random_rotations(K, cfg.audit_tolerances.audit_rotations, np.random.default_rng(args.seed))
+    family = population_minimizers(g, K, rotations)
     thm1 = theorem1_check(family, g)
     dec = spectral_decompose(g)
-    f0 = family[0]
+    f0 = Prediction(scores=family[0])
     delta = max(population_rkd_loss(f0, g) - dec.residual_weights(K), 0.0)
     thm4 = theorem4_check(f0, g, Delta=delta, K0=K)
     out = Path(args.out)
@@ -133,7 +133,6 @@ def _cmd_audit(args) -> int:
 def _cmd_dac(args) -> int:
     from .dac_expansion import estimate_c_expansion, expansion_implication_check, theorem5_check
     from .errors import SizeLimitError
-    from .spectral_rkd import Prediction
 
     cfg = ExperimentConfig.from_file(args.config)
     g, points = build_graph_fixture(cfg)

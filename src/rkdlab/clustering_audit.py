@@ -18,14 +18,28 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NumericError, SizeLimitError
+from .errors import DomainError, InvalidConfigError, NumericError, SizeLimitError
 from .graph_core import PopulationGraph, inter_class_fraction, laplacian, spectral_decompose
-from .spectral_rkd import Prediction
+from .spectral_rkd import Prediction, is_integer
 
 VERDICT_SLACK = 1e-9
 LP_AGREEMENT_TOL = 1e-9
 RANK_TOL = 1e-10
 LP_ENUMERATION_CAP = 12
+
+
+@dataclass(frozen=True)
+class AuditTolerances:
+    """The tolerances section of a config, read by `rkdlab audit`: the number
+    of random rotations of the population minimizer that theorem 1 audits."""
+
+    audit_rotations: int = 20
+
+    def __post_init__(self):
+        if not (is_integer(self.audit_rotations) and self.audit_rotations >= 1):
+            raise InvalidConfigError(
+                f"tolerances.audit_rotations={self.audit_rotations!r} must be an integer >= 1"
+            )
 
 
 @dataclass(frozen=True)
@@ -77,31 +91,46 @@ def majority_label(f: Prediction, g: PopulationGraph, predicted: np.ndarray | No
     class index and are recorded.  `predicted` overrides the deterministic
     argmax (used by the stochastic tie-breaking mode).
     """
+    stacked = None if predicted is None else np.asarray(predicted)[None]
+    return majority_labels(f.scores[None], g, stacked)[0]
+
+
+def majority_labels(scores: np.ndarray, g: PopulationGraph, predicted: np.ndarray | None = None) -> list:
+    """majority_label of each member of an (R, |X|, K) score stack, at once.
+
+    Class masses come from one bincount over (member, cluster, class) codes
+    weighted by degree, which sums each cluster's vertices of a class in
+    ascending order from zero, as a per-cluster scatter does.  `predicted`,
+    (R, |X|) labels in [0, K), overrides the argmax.
+    """
+    R, _, K = scores.shape
     if predicted is None:
-        predicted = f.hard_labels()
+        predicted = np.argmax(scores, axis=2)
     predicted = np.asarray(predicted, dtype=int)
-    if predicted.shape != (g.size,):
+    if predicted.shape != (R, g.size):
         raise DomainError("predicted labels misaligned with the vertex set")
+    if np.any((predicted < 0) | (predicted >= K)):
+        raise DomainError(f"predicted labels outside [0, {K})")
+    C = g.num_classes
     deg = g.degrees()
-    label = np.empty(g.size, dtype=int)
-    ties = []
-    for cluster in np.unique(predicted):
-        members = predicted == cluster
-        masses = np.zeros(g.num_classes)
-        np.add.at(masses, g.labels[members], deg[members])
-        top = masses.max()
-        winners = np.nonzero(masses >= top)[0]
-        if len(winners) > 1:
-            ties.append(int(cluster))
-        label[members] = winners[0]
+    cluster = np.arange(R)[:, None] * K + predicted
+    weights = np.broadcast_to(deg, predicted.shape).ravel()
+    masses = np.bincount((cluster * C + g.labels).ravel(), weights=weights, minlength=R * K * C)
+    masses = masses.reshape(R, K, C)
+    present = np.bincount(cluster.ravel(), minlength=R * K).reshape(R, K) > 0
+    tied = present & ((masses >= masses.max(axis=2, keepdims=True)).sum(axis=2) > 1)
+    label = np.take_along_axis(masses.argmax(axis=2), predicted, axis=1)
     minority = label != g.labels
-    return MajorityLabeling(
-        label=label,
-        minority_mask=minority,
-        minority_mass=float(deg[minority].sum()),
-        predicted=predicted,
-        ties=tuple(ties),
-    )
+    return [
+        MajorityLabeling(
+            label=label[r],
+            minority_mask=minority[r],
+            minority_mass=float(deg[minority[r]].sum()),
+            predicted=predicted[r],
+            ties=tuple(np.nonzero(tied[r])[0].tolist()),
+        )
+        for r in range(R)
+    ]
 
 
 def label_boundary_mass(g: PopulationGraph) -> float:
@@ -138,43 +167,47 @@ def skeleton_and_margin(
     """
     if maj is None:
         maj = majority_label(f, g)
-    K = f.num_classes
+    return skeletons_and_margins(f.scores[None], g, [maj])[0]
+
+
+def skeletons_and_margins(scores: np.ndarray, g: PopulationGraph, majs) -> list:
+    """skeleton_and_margin of each member of an (R, |X|, K) score stack, given
+    its majority labelings: skeletons by a masked argmax, the skeleton
+    matrices' singular values by one stacked svd, margins by a masked max."""
+    R, _, K = scores.shape
+    minority = np.stack([maj.minority_mask for maj in majs])
+    predicted = np.stack([maj.predicted for maj in majs])
+    skeleton = np.where(minority[:, :, None], -np.inf, scores).argmax(axis=1)
+    wrong = np.take_along_axis(predicted, skeleton, axis=1) != np.arange(K)
+    svals = np.linalg.svd(scores[np.arange(R)[:, None], skeleton], compute_uv=False)
+    competitors = minority[:, :, None] & (predicted[:, :, None] != np.arange(K))
+    top = np.take_along_axis(scores, skeleton[:, None, :], axis=1)[:, 0, :]
+    margins = top - np.where(competitors, scores, -np.inf).max(axis=1)  # inf without competitors
     empty = SkeletonReport(
         skeleton=(), beta=math.nan, gammas=(), gamma=math.nan,
         rank_ok=False, applicable=False, reason="",
     )
-    if not halves_condition(maj, g):
-        return _with_reason(empty, "minority mass exceeds half of some class")
-    candidates = np.nonzero(~maj.minority_mask)[0]
-    if len(candidates) == 0:
-        return _with_reason(empty, "no non-minority vertices")
-    skeleton = []
-    for k in range(K):
-        col = f.scores[candidates, k]
-        skeleton.append(int(candidates[int(np.argmax(col))]))
-    predicted = maj.predicted
-    if any(predicted[s] != k for k, s in enumerate(skeleton)):
-        bad = [k for k, s in enumerate(skeleton) if predicted[s] != k]
-        return _with_reason(empty, f"skeleton vertex predicts the wrong class for k={bad}")
-    fs = f.scores[skeleton, :]
-    svals = np.linalg.svd(fs, compute_uv=False)
-    rank_ok = bool(svals[-1] > RANK_TOL)
-    beta = float(svals[0])
-    gammas = []
-    for k in range(K):
-        competitors = maj.minority_mask & (predicted != k)
-        if competitors.any():
-            gammas.append(float(f.scores[skeleton[k], k] - f.scores[competitors, k].max()))
+    reports = []
+    for r, maj in enumerate(majs):
+        if not halves_condition(maj, g):
+            reports.append(_with_reason(empty, "minority mass exceeds half of some class"))
+        elif minority[r].all():
+            reports.append(_with_reason(empty, "no non-minority vertices"))
+        elif wrong[r].any():
+            bad = np.nonzero(wrong[r])[0].tolist()
+            reports.append(_with_reason(empty, f"skeleton vertex predicts the wrong class for k={bad}"))
         else:
-            gammas.append(math.inf)
-    gamma = min(gammas)
-    if not rank_ok:
-        return SkeletonReport(tuple(skeleton), beta, tuple(gammas), gamma, False, False,
-                              "skeleton matrix rank-deficient")
-    if not gamma > 0:
-        return SkeletonReport(tuple(skeleton), beta, tuple(gammas), gamma, True, False,
-                              f"non-positive margin {gamma}")
-    return SkeletonReport(tuple(skeleton), beta, tuple(gammas), gamma, True, True, "")
+            skel, gammas = tuple(skeleton[r].tolist()), tuple(margins[r].tolist())
+            beta, gamma = float(svals[r, 0]), min(gammas)
+            if not svals[r, -1] > RANK_TOL:
+                reports.append(SkeletonReport(skel, beta, gammas, gamma, False, False,
+                                              "skeleton matrix rank-deficient"))
+            elif not gamma > 0:
+                reports.append(SkeletonReport(skel, beta, gammas, gamma, True, False,
+                                              f"non-positive margin {gamma}"))
+            else:
+                reports.append(SkeletonReport(skel, beta, gammas, gamma, True, True, ""))
+    return reports
 
 
 def _with_reason(report: SkeletonReport, reason: str) -> SkeletonReport:
@@ -192,22 +225,23 @@ def margin_prefactor(beta: float, gamma: float) -> float:
 def theorem1_check(f_family, g: PopulationGraph) -> AuditReport:
     """Audit mu(family) <= 2 max(beta^2/gamma^2, 1) alpha / lambda_{K+1}.
 
+    The family is a sequence of Predictions or an (R, |X|, K) score stack.
     Members that violate the skeleton/margin preconditions are skipped with a
     marker and excluded from mu, beta, gamma.
     """
-    if not f_family:
+    if len(f_family) == 0:
         raise DomainError("empty prediction family")
+    scores = f_family if isinstance(f_family, np.ndarray) else np.stack([f.scores for f in f_family])
     dec = spectral_decompose(g)
     alpha = inter_class_fraction(g)
-    K = f_family[0].num_classes
+    K = scores.shape[2]
+    majs = majority_labels(scores, g)
     mu = 0.0
     beta = 0.0
     gamma = math.inf
     skipped = []
     audited = 0
-    for idx, f in enumerate(f_family):
-        maj = majority_label(f, g)
-        skel = skeleton_and_margin(f, g, maj)
+    for idx, (maj, skel) in enumerate(zip(majs, skeletons_and_margins(scores, g, majs))):
         if not skel.applicable:
             skipped.append((idx, skel.reason))
             continue

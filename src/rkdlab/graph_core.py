@@ -178,7 +178,8 @@ def scaled_eigenvectors(g: PopulationGraph, K: int, rotation: np.ndarray | None 
     """D^{-1/2} V_K diag(sqrt(1 - lambda_i)) Q, one row per vertex.
 
     The leading K eigenvectors scaled by sqrt(1 - lambda_i) (clipped at 0),
-    rotated by Q when one is given, then unscaled by D^{1/2}.
+    rotated by Q when one is given, then unscaled by D^{1/2}.  An (R, K, K)
+    stack of rotations gives an (R, |X|, K) stack, rotated by one matmul.
     """
     dec = spectral_decompose(g)
     rows = dec.eigenvectors[:, :K] * np.sqrt(np.clip(1.0 - dec.eigenvalues[:K], 0.0, None))[None, :]

@@ -8,7 +8,6 @@ sampled vertex pairs is an unbiased estimate of it.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -25,6 +24,7 @@ LOSS_AGREEMENT_TOL = 1e-9
 GRAD_CHECK_REL_TOL = 1e-4
 GRAD_CHECK_COORDS = 10
 DIVERGENCE_CAP = 1e6
+TRACE_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -183,31 +183,60 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.step_size <= 0:
             raise InvalidConfigError(f"optimizer.step_size={self.step_size!r} must be positive")
-        if self.iterations < 0:
-            raise InvalidConfigError(f"optimizer.iterations={self.iterations!r} must be nonnegative")
-        if self.rkd_pairs is not None and self.rkd_pairs < 1:
-            raise InvalidConfigError(f"optimizer.rkd_pairs={self.rkd_pairs!r} must be at least 1")
-        if self.sampler != "exhaustive" and not (isinstance(self.sampler, int) and self.sampler >= 1):
+        if not (is_integer(self.iterations) and self.iterations >= 0):
+            raise InvalidConfigError(f"optimizer.iterations={self.iterations!r} must be a nonnegative integer")
+        if self.rkd_pairs is not None and not (is_integer(self.rkd_pairs) and self.rkd_pairs >= 1):
+            raise InvalidConfigError(f"optimizer.rkd_pairs={self.rkd_pairs!r} must be an integer >= 1")
+        if self.sampler != "exhaustive" and not (is_integer(self.sampler) and self.sampler >= 1):
             raise InvalidConfigError(f"optimizer.sampler={self.sampler!r} is not 'exhaustive' or a count > 0")
+
+
+def is_integer(value) -> bool:
+    """An int or a numpy integer, and not a bool: a count read from a config."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def population_rkd_loss(f: Prediction, g: PopulationGraph) -> float:
     """|| Wbar - D^{1/2} F F^T D^{1/2} ||_F^2, cross-checked against its
     expectation form over weighted vertex pairs (agreement within 1e-9)."""
-    scores = f.scores
-    if scores.shape[0] != g.size:
-        raise DomainError(f"prediction rows {scores.shape[0]} != |X| = {g.size}")
-    deg = g.degrees()
-    sd = np.sqrt(deg)
-    wbar = normalized_adjacency(g)
-    gram = (scores * sd[:, None]) @ (scores * sd[:, None]).T
-    matrix_form = float(np.linalg.norm(wbar - gram) ** 2)
-    expectation_form = exact_pair_expectation(f, KernelSpec.graph_revealing(), g)
+    (matrix_form,), (expectation_form,) = _PopulationLoss(g).forms(f.scores[None])
+    return _agreed(matrix_form, float(expectation_form))
+
+
+def _agreed(matrix_form: float, expectation_form: float) -> float:
+    """The matrix form of the population loss, once its expectation form agrees."""
     if abs(matrix_form - expectation_form) > LOSS_AGREEMENT_TOL * max(1.0, matrix_form):
         raise NumericError(
             f"population loss forms disagree: {matrix_form!r} vs {expectation_form!r}"
         )
     return matrix_form
+
+
+class _PopulationLoss:
+    """Both forms of the population loss on one graph, for a stack of score
+    tables, with the graph's D^{1/2}, Wbar, graph-revealing kernel and pair
+    weights w_x w_x' built once."""
+
+    def __init__(self, g: PopulationGraph):
+        deg = g.degrees()
+        self.size = g.size
+        self.sqrt_deg = np.sqrt(deg)[:, None]
+        self.wbar = normalized_adjacency(g)
+        self.kmat = kernel_matrix(KernelSpec.graph_revealing(), g)
+        self.pair_weights = np.outer(deg, deg)
+
+    def forms(self, scores: np.ndarray) -> tuple:
+        """(matrix forms, expectation forms) of an (R, |X|, K) stack: a list
+        and an array of floats equal to those of one 2-D evaluation per
+        member.  A stacked matmul makes the same BLAS call per member, and
+        each Frobenius norm is its own dot, square root and scalar power, as
+        in np.linalg.norm(...) ** 2 (an array square rounds differently)."""
+        if scores.shape[1] != self.size:
+            raise DomainError(f"prediction rows {scores.shape[1]} != |X| = {self.size}")
+        left, right = scores * self.sqrt_deg, scores * self.sqrt_deg  # two buffers: a gemm, not a syrk
+        resid = (self.wbar - left @ right.transpose(0, 2, 1)).reshape(len(scores), -1)
+        matrix = [math.sqrt(r.dot(r)) ** 2 for r in resid]
+        return matrix, _pair_expectations(scores, self.kmat, self.pair_weights)
 
 
 def empirical_rkd_loss(f: Prediction, pairs, kernel, g: PopulationGraph | None = None) -> float:
@@ -232,7 +261,13 @@ def exact_pair_expectation(f: Prediction, kernel, g: PopulationGraph) -> float:
     """
     kmat = kernel if isinstance(kernel, np.ndarray) else kernel_matrix(kernel, g)
     deg = g.degrees()
-    return float((np.outer(deg, deg) * (f.scores @ f.scores.T - kmat) ** 2).sum())
+    return float(_pair_expectations(f.scores[None], kmat, np.outer(deg, deg))[0])
+
+
+def _pair_expectations(scores: np.ndarray, kmat: np.ndarray, pair_weights: np.ndarray) -> np.ndarray:
+    """exact_pair_expectation of each member of an (R, |X|, K) score stack."""
+    gram = scores @ scores.transpose(0, 2, 1)
+    return (pair_weights * (gram - kmat) ** 2).reshape(len(scores), -1).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -273,68 +308,129 @@ def exact_population_minimizer(g: PopulationGraph, K: int, rotation: np.ndarray 
     Requires 1 - lambda_i >= 0 for i <= K (guaranteed when the normalized
     adjacency is positive semi-definite); any orthogonal Q gives the same loss.
     """
+    stacked = None if rotation is None else np.asarray(rotation, dtype=float)[None]
+    return Prediction(scores=population_minimizers(g, K, stacked)[0])
+
+
+def population_minimizers(g: PopulationGraph, K: int, rotations: np.ndarray | None = None) -> np.ndarray:
+    """exact_population_minimizer for each Q of an (R, K, K) stack of
+    rotations (None: the identity alone), as one (R, |X|, K) score array
+    built from one unrotated base and one stacked matmul."""
     if not 1 <= K <= g.size:
         raise DomainError(f"need 1 <= K <= |X|, got K={K}")
-    if rotation is None:
-        rotation = np.eye(K)
-    q = np.asarray(rotation, dtype=float)
-    if q.shape != (K, K) or np.linalg.norm(q.T @ q - np.eye(K)) > 1e-10:
+    q = np.eye(K)[None] if rotations is None else np.asarray(rotations, dtype=float)
+    if q.ndim != 3 or q.shape[1:] != (K, K) or np.any(
+        np.linalg.norm(q.transpose(0, 2, 1) @ q - np.eye(K), axis=(1, 2)) > 1e-10
+    ):
         raise DomainError("rotation must be a K x K orthogonal matrix")
     head = spectral_decompose(g).eigenvalues[:K]
     if np.any(1.0 - head < -1e-10):
         raise NotPsdError(
             f"1 - lambda_{int(np.argmax(head)) + 1} < 0: normalized adjacency is not PSD on the top-K block"
         )
-    return Prediction(scores=scaled_eigenvectors(g, K, q))
+    scores = scaled_eigenvectors(g, K, q)
+    if not np.all(np.isfinite(scores)):
+        raise InvalidConfigError("non-finite prediction score")
+    return scores
 
 
 def random_rotation(K: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish orthogonal matrix from the QR of a Gaussian draw."""
-    q, r = np.linalg.qr(rng.standard_normal((K, K)))
-    return q * np.sign(np.diag(r))
+    return random_rotations(K, 1, rng)[0]
+
+
+def random_rotations(K: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, K, K) stack of random_rotation draws from one Gaussian draw and
+    one stacked QR: the same matrices, and the same generator state after,
+    as count random_rotation calls."""
+    q, r = np.linalg.qr(rng.standard_normal((count, K, K)))
+    return q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
 
 
 # ---------------------------------------------------------------------------
 # training
 
 
-def _loss_and_grad(model: StudentModel, features, a, b, u, kvals):
-    """Weighted pair loss sum_i u_i (f(a_i)^T f(b_i) - k_i)^2 and its gradient."""
-    scores = model.forward(features)
-    fa, fb = scores[a], scores[b]
-    resid = np.sum(fa * fb, axis=1) - kvals
-    loss = float(np.sum(u * resid**2))
-    coef = (2.0 * u * resid)[:, None]
-    gscores = np.zeros_like(scores)
-    np.add.at(gscores, a, coef * fb)
-    np.add.at(gscores, b, coef * fa)
-    return loss, model.backward(features, gscores)
+class _PairLoss:
+    """The weighted pair loss sum_i u_i (f(a_i)^T f(b_i) - k_i)^2 of one batch,
+    and its gradient with respect to the scores, computed in buffers kept
+    with the batch.
+
+    a and b select the pairs' endpoint rows of the scores: 1-D index arrays,
+    or basic indices whose views broadcast to a grid of pairs (the
+    exhaustive batch), with u and kvals of the pairs' shape.
+    """
+
+    def __init__(self, a, b, u, kvals):
+        self.a, self.b, self.u, self.kvals = a, b, u, kvals
+        self.twice_u = 2.0 * u
+        self.codes = None
+
+    def _allocate(self, n: int, K: int) -> None:
+        shape = np.shape(self.u)
+        rows = np.arange(n)
+        ends = np.stack([np.broadcast_to(rows[self.a], shape), np.broadcast_to(rows[self.b], shape)])
+        # Flat gscores bins of the gradient terms, laid out (endpoint, class,
+        # pair): each a-endpoint's terms, then each b-endpoint's.  One
+        # bincount over them adds every bin's terms in the order of an
+        # unbuffered `add.at` scatter over a followed by one over b, from the
+        # same zeros, so it gives the same floats.
+        self.codes = (ends.reshape(2, 1, -1) * K + np.arange(K)[:, None]).ravel()
+        self.class_first = (len(shape), *range(len(shape)))
+        self.products = np.empty((*shape, K))
+        self.resid = np.empty(shape)
+        self.terms = np.empty((2, K, *shape))
+
+    def __call__(self, scores: np.ndarray):
+        """(loss, gradient with respect to scores)."""
+        if self.codes is None:
+            self._allocate(*scores.shape)
+        fa, fb = scores[self.a], scores[self.b]
+        resid = np.multiply(fa, fb, out=self.products).sum(axis=-1, out=self.resid)
+        resid -= self.kvals
+        loss = float((self.u * resid**2).sum())
+        coef = self.twice_u * resid
+        np.multiply(coef, fb.transpose(self.class_first), out=self.terms[0])
+        np.multiply(coef, fa.transpose(self.class_first), out=self.terms[1])
+        gscores = np.bincount(self.codes, weights=self.terms.reshape(-1), minlength=scores.size)
+        return loss, gscores.reshape(scores.shape)
 
 
 def _exhaustive_batch(g: PopulationGraph, kmat: np.ndarray):
-    n = g.size
-    a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    a, b = a.ravel(), b.ravel()
+    """Every ordered pair (x, x') weighted by w_x w_x', as the basic indices
+    a = [:, None] and b = [None, :], whose views of the scores broadcast to
+    the |X| x |X| grid of pairs."""
+    a, b = (slice(None), None), (None, slice(None))
     deg = g.degrees()
-    return a, b, deg[a] * deg[b], kmat[a, b]
+    return a, b, deg[a] * deg[b], kmat
 
 
 def check_gradient(model: StudentModel, features, a, b, u, kvals, coords: int, seed: int) -> float:
-    """Max relative error of the analytic gradient vs central differences."""
-    _, grad = _loss_and_grad(model, features, a, b, u, kvals)
+    """Max relative error of the analytic gradient vs central differences.
+
+    A coordinate's error is scaled by the larger of the two gradients, and at
+    least by the roundoff of a central difference of the loss,
+    eps |loss| / h, over the tolerance: a gradient below that floor cannot be
+    resolved by the differences, so its error is not read as relative.
+    """
+    pair_loss = _PairLoss(a, b, u, kvals)
+    loss, gscores = pair_loss(model.forward(features))
+    grad = model.backward(features, gscores)
     rng = np.random.default_rng(seed)
     idx = rng.choice(model.parameters.size, size=min(coords, model.parameters.size), replace=False)
     worst = 0.0
     h = 1e-6
+    floor = np.finfo(float).eps * abs(loss) / (h * GRAD_CHECK_REL_TOL)
     for i in idx:
         probe = model.copy()
         probe.parameters[i] += h
-        up, _ = _loss_and_grad(probe, features, a, b, u, kvals)
+        up, _ = pair_loss(probe.forward(features))
         probe.parameters[i] -= 2 * h
-        down, _ = _loss_and_grad(probe, features, a, b, u, kvals)
+        down, _ = pair_loss(probe.forward(features))
         numeric = (up - down) / (2 * h)
-        scale = max(abs(numeric), abs(grad[i]), 1e-8)
-        worst = max(worst, abs(numeric - grad[i]) / scale)
+        error = abs(numeric - grad[i])
+        if error > 0:
+            worst = max(worst, error / max(abs(numeric), abs(grad[i]), floor))
     return worst
 
 
@@ -374,41 +470,49 @@ def train_student(
 
     if opt.sampler == "exhaustive":
         batch_fn = None
-        a0, b0, u0, k0 = _exhaustive_batch(g, kmat)
+        pair_loss = _PairLoss(*_exhaustive_batch(g, kmat))
     else:
         table = _PairTable.build(np.arange(g.size), g.degrees())
+        weights = np.full(opt.sampler, 1.0 / opt.sampler)
 
         def batch_fn():
             pairs = table.draw(rng, opt.sampler)
             a, b = pairs[:, 0], pairs[:, 1]
-            return a, b, np.full(len(a), 1.0 / len(a)), kmat[a, b]
+            return _PairLoss(a, b, weights, kmat[a, b])
 
-        a0, b0, u0, k0 = batch_fn()
+        pair_loss = batch_fn()
 
-    worst = check_gradient(model, features, a0, b0, u0, k0, GRAD_CHECK_COORDS, opt.seed)
+    worst = check_gradient(model, features, pair_loss.a, pair_loss.b, pair_loss.u, pair_loss.kvals,
+                           GRAD_CHECK_COORDS, opt.seed)
     if worst >= GRAD_CHECK_REL_TOL:
         raise NumericError(f"gradient check failed: relative error {worst:.3e} >= 1e-4")
 
     velocity = np.zeros_like(model.parameters)
-    trace = []
-    a, b, u, kv = a0, b0, u0, k0
+    losses = []
+    trace = None if trace_out is None else _LossTrace(g, trace_out)
     for step in range(opt.iterations):
         if batch_fn is not None:
-            a, b, u, kv = batch_fn()
-        loss, grad = _loss_and_grad(model, features, a, b, u, kv)
-        trace.append(loss)
-        if trace_out is not None:
-            trace_out.append((step, loss, population_rkd_loss(model.prediction(features), g)))
+            pair_loss = batch_fn()
+        scores = model.forward(features)
+        loss, gscores = pair_loss(scores)
+        losses.append(loss)
+        if trace is not None:
+            trace.add(step, loss, scores)
         if not math.isfinite(loss) or loss > DIVERGENCE_CAP:
-            raise TrainingDivergedError(f"loss {loss!r} at step {step}", trace=trace)
-        velocity = opt.momentum * velocity - opt.step_size * grad
-        model.parameters = model.parameters + velocity
+            if trace is not None:
+                trace.flush()
+            raise TrainingDivergedError(f"loss {loss!r} at step {step}", trace=losses)
+        velocity *= opt.momentum
+        velocity -= opt.step_size * model.backward(features, gscores)
+        model.parameters += velocity
         if opt.b_f is not None:
             _project_rows(model, features, opt.b_f)
+    if trace is not None:
+        trace.flush()
 
     pred = model.prediction(features)
     pop = population_rkd_loss(pred, g)
-    emp, _ = _loss_and_grad(model, features, a, b, u, kv)
+    emp, _ = pair_loss(pred.scores)
     floor = spectral_decompose(g).residual_weights(min(model.num_classes, g.size))
     b_f = float(np.max(np.sum(pred.scores**2, axis=1)))
     report = RkdLossReport(
@@ -419,6 +523,50 @@ def train_student(
         b_k=float(kmat.max()),
     )
     return model, report
+
+
+class _LossTrace:
+    """The (step, empirical loss, population loss) rows of a training run.
+
+    Each step's scores are kept, and the population loss of a block of steps
+    is evaluated at once, with the floats, checks and errors of one
+    population_rkd_loss call per step, in step order.  A block's |X| x |X|
+    temporaries hold at most TRACE_BLOCK_BYTES each, so memory does not grow
+    with the number of steps.
+    """
+
+    def __init__(self, g: PopulationGraph, rows: list):
+        self.population = _PopulationLoss(g)
+        self.capacity = max(1, TRACE_BLOCK_BYTES // (8 * g.size * g.size))
+        self.rows = rows
+        self.steps, self.losses = [], []  # of the kept scores
+        self.block = None
+
+    def add(self, step: int, loss: float, scores: np.ndarray) -> None:
+        if self.block is None:
+            self.block = np.empty((self.capacity, *scores.shape))
+        self.block[len(self.steps)] = scores
+        self.steps.append(step)
+        self.losses.append(loss)
+        if len(self.steps) == self.capacity:
+            self.flush()
+
+    def flush(self) -> None:
+        """Append the kept steps' rows; raise at the first step whose scores
+        are not finite or whose loss forms disagree, after the rows before it."""
+        if not self.steps:
+            return
+        block = self.block[: len(self.steps)]
+        finite = np.isfinite(block).all(axis=(1, 2))
+        usable = len(block) if finite.all() else int(np.argmin(finite))
+        if usable:
+            matrix, expectation = self.population.forms(block[:usable])
+            for step, loss, m, e in zip(self.steps, self.losses, matrix, expectation.tolist()):
+                self.rows.append((step, loss, _agreed(m, e)))
+        if usable < len(block):
+            Prediction(scores=block[usable])  # raises: a non-finite score
+        self.steps.clear()
+        self.losses.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +677,9 @@ def load_checkpoint(path) -> StudentModel:
 
 
 def save_loss_trace(rows, path) -> None:
-    """rows: iterable of (iteration, empirical_loss, population_loss)."""
+    """rows: iterable of (iteration, empirical_loss, population_loss), written
+    as the csv module's default dialect writes them (no field needs quoting,
+    lines end in CRLF), in one write."""
+    lines = [f"{it},{emp:.17g},{pop:.17g}\r\n" for it, emp, pop in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "empirical_loss", "population_loss"])
-        for it, emp, pop in rows:
-            writer.writerow([it, format(emp, ".17g"), format(pop, ".17g")])
+        fh.write("".join(["iteration,empirical_loss,population_loss\r\n", *lines]))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .clustering_audit import theorem1_check, theorem4_check
+from .clustering_audit import AuditTolerances, theorem1_check, theorem4_check
 from .dac_expansion import (
     AugmentationMap,
     chain_augmentation,
@@ -105,8 +105,9 @@ class ExperimentConfig:
     """A run's config, with its sections kept as written for `to_dict` and the
     hash.  The parameters of the class or builder that consumes a section are
     its schema, checked here: `loss` (read into `loss_weights`), `optimizer`
-    (into `opt`, with this seed), `student` (build_student) and `graph` (its
-    kind's builder).  The other sections are read where they are used."""
+    (into `opt`, with this seed), `tolerances` (into `audit_tolerances`),
+    `student` (build_student) and `graph` (its kind's builder).  The other
+    sections are read where they are used."""
 
     graph: dict
     kernel: dict
@@ -125,6 +126,8 @@ class ExperimentConfig:
         optimizer = _check_section("optimizer.", self.optimizer, OptimizerConfig, supplied=("seed",))
         object.__setattr__(self, "loss_weights", LossWeights(**loss))
         object.__setattr__(self, "opt", OptimizerConfig(**optimizer, seed=self.seed))
+        tolerances = _check_section("tolerances.", self.tolerances, AuditTolerances)
+        object.__setattr__(self, "audit_tolerances", AuditTolerances(**tolerances))
         _check_section("student.", self.student, build_student, supplied=("g", "points", "seed"))
         kind = self.graph.get("kind")
         builder = {"sbm": build_sbm, "two_blobs": build_two_blobs, "file": load_graph}.get(kind)

@@ -349,6 +349,17 @@ BAD_CONFIGS = [
     ("negative-iterations", _set("optimizer", iterations=-5), "optimizer.iterations"),
     ("zero-rkd-pairs", _set("optimizer", rkd_pairs=0), "optimizer.rkd_pairs"),
     ("zero-parts", _set("augmentation", kind="split_chain", parts=0), "augmentation.parts"),
+    ("fractional-iterations", _set("optimizer", iterations=400.5), "optimizer.iterations"),
+    ("bool-iterations", _set("optimizer", iterations=True), "optimizer.iterations"),
+    ("fractional-rkd-pairs", _set("optimizer", rkd_pairs=2.5), "optimizer.rkd_pairs"),
+    ("bool-sampler", _set("optimizer", sampler=True), "optimizer.sampler"),
+    ("fractional-sampler", _set("optimizer", sampler=16.5), "optimizer.sampler"),
+    ("tolerances.audit_rotation", _rename("tolerances", "audit_rotations", "audit_rotation"),
+     "tolerances.audit_rotation"),
+    ("string-rotations", _set("tolerances", audit_rotations="x"), "tolerances.audit_rotations"),
+    ("fractional-rotations", _set("tolerances", audit_rotations=2.5), "tolerances.audit_rotations"),
+    ("zero-rotations", _set("tolerances", audit_rotations=0), "tolerances.audit_rotations"),
+    ("bool-rotations", _set("tolerances", audit_rotations=True), "tolerances.audit_rotations"),
     ("missing-section", lambda cfg: cfg.pop("kernel"), "kernel"),
     ("missing-file", None, None),
     ("malformed-json", '{"graph": ', None),

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import frozen_oracles as oracle
+from rkdlab import clustering_audit
 from rkdlab.clustering_audit import (
     LP_AGREEMENT_TOL,
     LP_ENUMERATION_CAP,
@@ -18,8 +20,10 @@ from rkdlab.clustering_audit import (
     lp_primal_enumerate,
     lp_primal_greedy,
     majority_label,
+    majority_labels,
     margin_prefactor,
     skeleton_and_margin,
+    skeletons_and_margins,
     theorem1_check,
     theorem4_check,
 )
@@ -30,7 +34,9 @@ from rkdlab.spectral_rkd import (
     Prediction,
     StudentModel,
     exact_population_minimizer,
+    population_minimizers,
     random_rotation,
+    random_rotations,
     train_student,
 )
 from rkdlab.teacher_kernel import KernelSpec
@@ -402,3 +408,117 @@ class TestBoundaryMassIdentity:
             labels = f.hard_labels_stochastic(np.random.default_rng((9, t)))
             masses.append(majority_label(f, disconnected_blocks, predicted=labels).minority_mass)
         assert np.mean(masses) >= 0.25 - 0.05
+
+
+# ---------------------------------------------------------------------------
+# the stacked family audit against the frozen per-member loops
+
+
+def _same_majority(got, want):
+    assert np.array_equal(got.label, want.label)
+    assert np.array_equal(got.minority_mask, want.minority_mask)
+    assert np.array_equal(got.predicted, want.predicted)
+    assert got.minority_mass == want.minority_mass  # bit for bit: deg[mask].sum() on both sides
+    assert got.ties == want.ties
+
+
+def _check_stack_against_oracle(scores, g):
+    family = [Prediction(scores=s) for s in scores]
+    majs = majority_labels(scores, g)
+    skels = skeletons_and_margins(scores, g, majs)
+    for f, maj, skel in zip(family, majs, skels):
+        _same_majority(maj, oracle.majority_label(f, g))
+        # repr is exact for floats and treats the nan of a skipped member as equal
+        assert repr(skel) == repr(oracle.skeleton_and_margin(f, g))
+        _same_majority(majority_label(f, g), oracle.majority_label(f, g))
+        assert repr(skeleton_and_margin(f, g)) == repr(oracle.skeleton_and_margin(f, g))
+    want = oracle.theorem1_check(family, g)
+    assert repr(theorem1_check(scores, g)) == repr(want)
+    assert repr(theorem1_check(family, g)) == repr(want)
+    return skels
+
+
+def _skip_reason_family():
+    """Six members on six equal-mass vertices, classes [0, 0, 0, 1, 1, 1]: one
+    per reachable skip reason, one whose clusters both tie (so that half of
+    class 1 is minority), and one that passes."""
+    halves = np.tile([1.0, 0.0], (6, 1))
+    halves[5] = [0.0, 1.0]  # cluster 0 holds two class-1 vertices of three
+    wrong = np.array([[2.0, 1.5], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    rank = np.array([[2.0, -3.0], [1.0, -4.0], [1.0, -4.0], [-2.0 / 3.0, 1.0], [-1.0, 0.5], [-1.0, 0.5]])
+    margin = np.array([[3.0, 0.0], [1.0, 0.0], [1.0, 0.0], [5.0, 4.9], [0.0, 1.0], [0.0, 1.0]])
+    tie = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    clean = np.array([[2.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 1.0], [0.0, 1.0]])
+    return np.stack([halves, wrong, rank, margin, tie, clean])
+
+
+class TestStackedAuditMatchesOracle:
+    def test_every_skip_reason_and_tie(self):
+        g = hand_graph(np.ones((6, 6)), [0, 0, 0, 1, 1, 1], 2)
+        skels = _check_stack_against_oracle(_skip_reason_family(), g)
+        reasons = [s.reason.split(" ")[0] for s in skels]
+        assert reasons == ["minority", "skeleton", "skeleton", "non-positive", "minority", ""]
+        assert "wrong class" in skels[1].reason and "rank-deficient" in skels[2].reason
+        assert majority_labels(_skip_reason_family(), g)[4].ties == (0, 1)
+
+    def test_no_non_minority_vertex(self, monkeypatch):
+        # unreachable through majority labels (every cluster keeps its
+        # winning class), so the halves check is bypassed on a hand-made labeling
+        monkeypatch.setattr(clustering_audit, "halves_condition", lambda maj, g: True)
+        g = hand_graph(np.ones((4, 4)), [0, 0, 1, 1], 2)
+        scores = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        f = Prediction(scores=scores)
+        real = oracle.majority_label(f, g)
+        maj = clustering_audit.MajorityLabeling(
+            label=1 - g.labels, minority_mask=np.ones(4, dtype=bool), minority_mass=1.0,
+            predicted=real.predicted, ties=(),
+        )
+        got = skeletons_and_margins(scores[None], g, [maj])[0]
+        assert got.reason == "no non-minority vertices"
+        assert repr(got) == repr(oracle.skeleton_and_margin(f, g, maj))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_random_stacks(self, data):
+        n = data.draw(st.integers(2, 9), label="n")
+        C = data.draw(st.integers(1, min(3, n)), label="C")
+        labels = list(range(C)) + data.draw(st.lists(st.integers(0, C - 1), min_size=n - C,
+                                                     max_size=n - C), label="labels")
+        # equal weights half the time, so that class masses tie within clusters
+        top = data.draw(st.sampled_from([0, 3]), label="top")
+        upper = data.draw(st.lists(st.integers(0, top), min_size=n * n, max_size=n * n), label="w")
+        w = np.triu(np.reshape(upper, (n, n)).astype(float))
+        w = w + w.T + np.eye(n)  # self-loops keep every degree positive
+        g = hand_graph(w, labels, C)
+        R = data.draw(st.integers(1, 5), label="R")
+        K = data.draw(st.integers(1, 3), label="K")
+        # few distinct values, so argmax, mass and margin ties and
+        # rank-deficient skeletons are common
+        value = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0])
+        flat = data.draw(st.lists(value, min_size=R * n * K, max_size=R * n * K), label="scores")
+        _check_stack_against_oracle(np.reshape(flat, (R, n, K)), g)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+    def test_stacked_rotations_match_sequential_draws(self, K):
+        stacked, sequential = np.random.default_rng(K), np.random.default_rng(K)
+        for count in (1, 3, 20):
+            q = random_rotations(K, count, stacked)
+            assert np.array_equal(q, np.stack([oracle.random_rotation(K, sequential) for _ in range(count)]))
+        assert stacked.bit_generator.state == sequential.bit_generator.state
+        assert np.array_equal(random_rotation(K, stacked), oracle.random_rotation(K, sequential))
+
+    @pytest.mark.parametrize("sizes", [[5, 5], [4, 3, 5]])
+    def test_minimizer_family_matches_per_rotation_builds(self, sizes):
+        g = lazy_graph(build_sbm(len(sizes), sizes, 0.9, 0.1, seed=2))
+        K = len(sizes)
+        q = random_rotations(K, 21, np.random.default_rng(5))
+        family = population_minimizers(g, K, q)
+        for member, rotation in zip(family, q):
+            assert np.array_equal(member, exact_population_minimizer(g, K, rotation).scores)
+        _check_stack_against_oracle(family, g)
+
+    def test_one_bad_rotation_rejects_the_family(self, sbm_pair):
+        q = random_rotations(2, 4, np.random.default_rng(0))
+        q[2, 0, 0] += 1e-6
+        with pytest.raises(DomainError, match="orthogonal"):
+            population_minimizers(sbm_pair, 2, q)

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import frozen_oracles as oracle
+from rkdlab import spectral_rkd
 from rkdlab.errors import (
     DomainError,
     InvalidConfigError,
     NotPsdError,
+    NumericError,
     TrainingDivergedError,
 )
 from rkdlab.graph_core import build_sbm, lazy_graph, normalized_adjacency, spectral_decompose
@@ -311,3 +314,118 @@ def test_variance_shrinks_with_more_pairs(sbm_pair):
         ]
         variances.append(float(np.var(vals, ddof=1)))
     assert variances[0] > variances[1] > variances[2]
+
+
+# ---------------------------------------------------------------------------
+# the batched training loop against the frozen per-step loop
+
+
+def _students(g):
+    """(model, features) of each student architecture on g."""
+    feats = 0.3 * np.random.default_rng(3).standard_normal((g.size, 3))
+    return {
+        "table": (StudentModel.initialize("table", (g.size, 2), seed=1, scale=0.3), None),
+        "linear": (StudentModel.initialize("linear", (3, 2), seed=1, scale=0.3), feats),
+        "mlp": (StudentModel.initialize("mlp", (3, 4, 2), seed=1, scale=0.3), feats),
+    }
+
+
+def _outcome(train, model, g, opt, features):
+    """(parameters, trace rows, error) of one run of a training loop."""
+    rows = []
+    with np.errstate(all="ignore"):  # the diverging runs overflow on both sides
+        try:
+            trained, _ = train(model, g, KernelSpec.graph_revealing(), opt, features=features, trace_out=rows)
+        except (TrainingDivergedError, NumericError, InvalidConfigError) as exc:
+            return None, rows, (type(exc), str(exc), getattr(exc, "trace", None))
+    return trained.parameters, rows, None
+
+
+def _same_run(model, g, opt, features):
+    got = _outcome(train_student, model, g, opt, features)
+    want = _outcome(oracle.train_student, model, g, opt, features)
+    if want[0] is None:
+        assert got[0] is None
+    else:
+        assert np.array_equal(got[0], want[0])
+    assert repr(got[1:]) == repr(want[1:])  # exact floats, and a nan equals a nan
+    return got
+
+
+class TestTrainingMatchesPerStepOracle:
+    @pytest.mark.parametrize("arch", ["table", "linear", "mlp"])
+    @pytest.mark.parametrize("sampler", ["exhaustive", 16])
+    @pytest.mark.parametrize("b_f", [None, 0.05])
+    @pytest.mark.parametrize("iterations", [0, 40, 42])
+    def test_parameters_and_trace_rows(self, monkeypatch, arch, sampler, b_f, iterations):
+        # a block of 7 steps puts flushes mid-run, and leaves a partial last
+        # block (40 steps) or none (42 steps, and no step at all)
+        g = lazy_graph(build_sbm(2, [4, 5], 0.9, 0.1, seed=3))
+        monkeypatch.setattr(spectral_rkd, "TRACE_BLOCK_BYTES", 7 * 8 * g.size * g.size)
+        model, feats = _students(g)[arch]
+        opt = OptimizerConfig(seed=2, step_size=0.2, iterations=iterations, momentum=0.9, sampler=sampler,
+                              b_f=b_f)
+        _, rows, error = _same_run(model, g, opt, feats)
+        assert error is None and len(rows) == iterations
+
+    @pytest.mark.parametrize("step_size,error", [(50.0, TrainingDivergedError), (math.inf, InvalidConfigError)])
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_divergence_flushes_the_open_block_first(self, monkeypatch, step_size, error, block):
+        # an infinite step makes the parameters non-finite, so the trace meets
+        # a non-finite score before the divergence check reads that step's
+        # loss; with one step per block that score opens its block
+        g = lazy_graph(build_sbm(2, [4, 5], 0.9, 0.1, seed=3))
+        monkeypatch.setattr(spectral_rkd, "TRACE_BLOCK_BYTES", block * 8 * g.size * g.size)
+        model, _ = _students(g)["table"]
+        opt = OptimizerConfig(seed=2, step_size=step_size, iterations=40, momentum=0.9)
+        _, rows, got = _same_run(model, g, opt, None)
+        assert got[0] is error and rows
+
+    def test_disagreeing_loss_forms_raise_at_the_same_step(self, monkeypatch):
+        # the forms differ by up to about 5e-16 of the loss here: at a
+        # tolerance inside that range, the first step beyond it raises, after
+        # the rows before it, as a per-step check does
+        g = lazy_graph(build_sbm(2, [4, 5], 0.9, 0.1, seed=3))
+        monkeypatch.setattr(spectral_rkd, "TRACE_BLOCK_BYTES", 7 * 8 * g.size * g.size)
+        monkeypatch.setattr(spectral_rkd, "LOSS_AGREEMENT_TOL", 5.1e-16)
+        model, _ = _students(g)["table"]
+        opt = OptimizerConfig(seed=2, step_size=0.2, iterations=40, momentum=0.9)
+        _, _, got = _same_run(model, g, opt, None)
+        assert got[0] is NumericError
+
+
+class TestGradientCheckFloor:
+    def test_tiny_gradient_on_a_sampled_batch_passes(self, tmp_path):
+        # a coordinate's gradient of -6.7e-8 is within a few hundred times the
+        # central-difference roundoff at this loss (about 2e-10): an absolute
+        # 1e-8 scale floor read it as a 3.5e-4 relative error and aborted
+        # `rkdlab rkd` on this fixture
+        g = lazy_graph(build_sbm(2, [6, 6], 0.9, 0.1, seed=4))
+        model = StudentModel.initialize("table", (12, 2), seed=1, scale=0.05)
+        opt = OptimizerConfig(seed=1, step_size=0.4, iterations=1, momentum=0.9, sampler=16)
+        train_student(model, g, KernelSpec.graph_revealing(), opt)
+
+    def test_one_percent_error_above_the_floor_fails(self):
+        g = lazy_graph(build_sbm(2, [3, 3], 0.9, 0.2, seed=2))
+        a, b, u, kvals = spectral_rkd._exhaustive_batch(g, normalized_adjacency(g))
+        model = StudentModel.initialize("table", (6, 2), seed=7, scale=0.5)
+        grad = model.backward(None, spectral_rkd._PairLoss(a, b, u, kvals)(model.forward(None))[1])
+        worst = int(np.argmax(np.abs(grad)))
+
+        class Skewed(StudentModel):
+            def backward(self, features, gscores):
+                out = super().backward(features, gscores).copy()
+                out[worst] *= 1.01
+                return out
+
+        skewed = Skewed("table", (6, 2), model.parameters)
+        assert check_gradient(model, None, a, b, u, kvals, coords=12, seed=0) < 1e-6
+        assert check_gradient(skewed, None, a, b, u, kvals, coords=12, seed=0) > 5e-3
+
+
+@pytest.mark.parametrize("field,value", [
+    ("iterations", 400.0), ("iterations", True), ("rkd_pairs", 2.5), ("sampler", True), ("sampler", 16.0),
+])
+def test_integer_optimizer_keys_reject_other_types(field, value):
+    with pytest.raises(InvalidConfigError, match=f"optimizer.{field}="):
+        OptimizerConfig(seed=0, **{field: value})
