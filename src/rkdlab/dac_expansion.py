@@ -1,4 +1,4 @@
-"""Expansion-based augmentations, consistency error, and margin machinery.
+"""Expansion-based augmentations and consistency error.
 
 Augmentation sets live inside ground-truth classes; two vertices are
 neighbors when their augmentation sets overlap.  Expansion strength is the
@@ -19,15 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InvalidAugmentationError,
-    InvalidConfigError,
-    NumericError,
-    SizeLimitError,
-)
+from .errors import DomainError, InvalidAugmentationError, SizeLimitError
 from .graph_core import PopulationGraph
-from .spectral_rkd import Prediction, StudentModel
+from .spectral_rkd import Prediction
 
 EXHAUSTIVE_SUBSET_CAP = 18  # whole-graph enumeration (constant expansion)
 COMPONENT_SUBSET_CAP = 20  # per-NB-component enumeration (c-expansion)
@@ -238,10 +232,6 @@ def dac_error(f: Prediction, aug: AugmentationMap, g: PopulationGraph) -> float:
     return float(deg[bad].sum())
 
 
-def dac_error_family(f_family, aug: AugmentationMap, g: PopulationGraph) -> float:
-    return max(dac_error(f, aug, g) for f in f_family)
-
-
 def theorem5_check(f_family, aug: AugmentationMap, g: PopulationGraph):
     """Audit mu(family) <= max(2 / (c - 1), 2) nu(family) under c-expansion.
 
@@ -334,217 +324,3 @@ def expansion_implication_check(aug: AugmentationMap, g: PopulationGraph, xis=(0
         q = xi / (c_eff - 1.0)
         out["probes"][xi] = _expands(*masses, q=q, xi=xi)
     return out
-
-
-# ---------------------------------------------------------------------------
-# all-layer and robust margins
-
-
-@dataclass(frozen=True)
-class PerturbationSolverConfig:
-    """Random restarts of the margin descent: each runs 4 penalty rounds of
-    200 steps of size 0.05, with penalty weights 1, 10, 100 and 1000."""
-
-    restarts: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 4:
-            raise InvalidConfigError("perturbation solver needs at least 4 restarts")
-
-
-@dataclass(frozen=True)
-class MarginResult:
-    """value is the layerwise-perturbation norm; exact=False flags a descent
-    upper bound whose certificate delta verifiably flips the argmax."""
-
-    value: float
-    exact: bool
-    delta: tuple
-
-
-def _uniquely_argmax(scores: np.ndarray, y: int) -> bool:
-    return bool(np.all(np.delete(scores, y) < scores[y]))
-
-
-def all_layer_margin(model: StudentModel, x, y: int, solver: PerturbationSolverConfig | None = None) -> MarginResult:
-    """Minimum norm of layerwise perturbations that flip the prediction off y.
-
-    Exact closed form for linear models; projected-descent upper bound with
-    multiple restarts (plus an output-layer fallback) for 1-hidden-layer nets.
-    """
-    x = np.asarray(x, dtype=float)
-    if model.architecture == "table":
-        raise DomainError("all-layer margins are defined for parametric models only")
-    scores = model.forward(x[None, :])[0]
-    K = model.num_classes
-    if not 0 <= y < K:
-        raise DomainError(f"class {y} outside [0, {K})")
-    if not _uniquely_argmax(scores, y):
-        return MarginResult(value=0.0, exact=True, delta=(np.zeros(K),))
-    if model.architecture == "linear":
-        norm_x = float(np.linalg.norm(x))
-        gaps = scores[y] - np.delete(scores, y)
-        value = float(gaps.min()) / (math.sqrt(2.0) * norm_x)
-        k_star = int(np.argmin(gaps))
-        k_star = k_star if k_star < y else k_star + 1
-        step = (float(gaps.min()) / 2.0 + 1e-12) / norm_x
-        delta = np.zeros(K)
-        delta[k_star] = step
-        delta[y] = -step
-        return MarginResult(value=value, exact=True, delta=(delta,))
-    if solver is None:
-        solver = PerturbationSolverConfig()
-    return _mlp_margin_descent(model, x, y, solver)
-
-
-def _mlp_perturbed_forward(model: StudentModel, x, d1, d2, d3):
-    a1, a2 = model._unpack()
-    n0 = float(np.linalg.norm(x))
-    u1 = a1 @ x + d1 * n0
-    n1 = float(np.linalg.norm(u1))
-    u2 = np.tanh(u1) + d2 * n1
-    n2 = float(np.linalg.norm(u2))
-    u3 = a2 @ u2 + d3 * n2
-    return u1, u2, u3, n0, n1, n2
-
-
-def _mlp_flips(model: StudentModel, x, y: int, delta) -> bool:
-    _, _, u3, *_ = _mlp_perturbed_forward(model, x, *delta)
-    return bool(np.max(np.delete(u3, y)) > u3[y])
-
-
-def _mlp_margin_descent(model: StudentModel, x, y: int, solver: PerturbationSolverConfig) -> MarginResult:
-    a1, a2 = model._unpack()
-    h = a1.shape[0]
-    K = a2.shape[0]
-    rng = np.random.default_rng(solver.seed)
-    best_value = math.inf
-    best_delta = None
-
-    def certify(delta):
-        """Scale delta just past the decision boundary; returns (norm, scaled) or None."""
-        nonlocal best_value, best_delta
-        lo, hi = 0.0, 1.0
-        if not _mlp_flips(model, x, y, delta):
-            grow = 1.0
-            while grow < 1e6:
-                grow *= 2.0
-                if _mlp_flips(model, x, y, tuple(grow * d for d in delta)):
-                    hi = grow
-                    lo = grow / 2.0
-                    break
-            else:
-                return
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            if _mlp_flips(model, x, y, tuple(mid * d for d in delta)):
-                hi = mid
-            else:
-                lo = mid
-        scaled = tuple(hi * d for d in delta)
-        norm = math.sqrt(sum(float(np.sum(d**2)) for d in scaled))
-        if norm < best_value:
-            best_value = norm
-            best_delta = scaled
-
-    # output-layer-only fallback: exact attack on the last layer
-    u1, u2, u3, n0, n1, n2 = _mlp_perturbed_forward(model, x, np.zeros(h), np.zeros(h), np.zeros(K))
-    if n2 > 0:
-        gaps = u3[y] - np.delete(u3, y)
-        k_star = int(np.argmin(gaps))
-        k_star = k_star if k_star < y else k_star + 1
-        step = (float(gaps.min()) / 2.0 + 1e-12) / n2
-        d3 = np.zeros(K)
-        d3[k_star] = step
-        d3[y] = -step
-        certify((np.zeros(h), np.zeros(h), d3))
-
-    for restart in range(solver.restarts):
-        scale = 10.0 ** rng.uniform(-2, 0)
-        d1 = scale * rng.standard_normal(h)
-        d2 = scale * rng.standard_normal(h)
-        d3 = scale * rng.standard_normal(K)
-        for rho in (1.0, 10.0, 100.0, 1000.0):
-            for _ in range(200):
-                u1, u2, u3, n0, n1, n2 = _mlp_perturbed_forward(model, x, d1, d2, d3)
-                others = np.delete(u3, y)
-                k_hat = int(np.argmax(others))
-                k_hat = k_hat if k_hat < y else k_hat + 1
-                gap = float(u3[y] - u3[k_hat])
-                g1 = 2.0 * d1
-                g2 = 2.0 * d2
-                g3 = 2.0 * d3
-                if gap > -1e-9:
-                    gu3 = np.zeros(K)
-                    gu3[y] = 1.0
-                    gu3[k_hat] = -1.0
-                    gu3 *= 2.0 * rho * max(gap + 1e-6, 0.0)
-                    gu2 = a2.T @ gu3
-                    if n2 > 0:
-                        gu2 += float(d3 @ gu3) * (u2 / n2)
-                    gu1 = (1.0 - np.tanh(u1) ** 2) * gu2
-                    if n1 > 0:
-                        gu1 += float(d2 @ gu2) * (u1 / n1)
-                    g3 += n2 * gu3
-                    g2 += n1 * gu2
-                    g1 += n0 * gu1
-                d1 -= 0.05 * g1
-                d2 -= 0.05 * g2
-                d3 -= 0.05 * g3
-        certify((d1, d2, d3))
-
-    if best_delta is None:
-        raise NumericError("margin descent found no flipping perturbation")
-    return MarginResult(value=best_value, exact=False, delta=best_delta)
-
-
-def robust_margin(
-    model: StudentModel,
-    features: np.ndarray,
-    vertex: int,
-    aug: AugmentationMap,
-    solver: PerturbationSolverConfig | None = None,
-) -> MarginResult:
-    """Worst all-layer margin over the augmentation set of a vertex, measured
-    against the model's own prediction at that vertex."""
-    features = np.asarray(features, dtype=float)
-    y = int(np.argmax(model.forward(features[vertex][None, :])[0]))
-    best = None
-    for other in sorted(aug.sets[vertex]):
-        res = all_layer_margin(model, features[other], y, solver)
-        if best is None or res.value < best.value:
-            best = res
-    return best
-
-
-def dac_class_membership(
-    model: StudentModel,
-    features: np.ndarray,
-    points,
-    aug: AugmentationMap,
-    tau: float,
-    solver: PerturbationSolverConfig | None = None,
-) -> list:
-    """Whether the robust margin clears tau at each given unlabeled point."""
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    return [robust_margin(model, features, int(p), aug, solver).value >= tau for p in points]
-
-
-def prop1_bound(weights_frobenius, d: int, tau: float, N: int, delta: float, p: int) -> float:
-    """Two-term scale indicator for the consistency-error sample bound.
-
-    Explicit constant 1 on each term, polylogarithmic factors dropped; this is
-    a reported scale, never asserted as a true bound.
-    """
-    norms = [float(v) for v in weights_frobenius]
-    if len(norms) != p:
-        raise DomainError(f"expected {p} layer norms, got {len(norms)}")
-    if d <= 0 or tau <= 0 or N < 1 or p < 1 or any(v <= 0 for v in norms):
-        raise DomainError("all inputs must be positive")
-    if not 0 < delta < 1:
-        raise DomainError("delta must be in (0, 1)")
-    term1 = sum(norms) * math.sqrt(d) / (tau * math.sqrt(N))
-    term2 = math.sqrt((math.log(1.0 / delta) + p * math.log(N)) / N)
-    return term1 + term2

@@ -319,7 +319,7 @@ def population_minimizers(g: PopulationGraph, K: int, rotations: np.ndarray | No
     if not 1 <= K <= g.size:
         raise DomainError(f"need 1 <= K <= |X|, got K={K}")
     q = np.eye(K)[None] if rotations is None else np.asarray(rotations, dtype=float)
-    if q.ndim != 3 or q.shape[1:] != (K, K) or np.any(
+    if q.ndim != 3 or q.shape[1:] != (K, K) or not np.isfinite(q).all() or np.any(
         np.linalg.norm(q.transpose(0, 2, 1) @ q - np.eye(K), axis=(1, 2)) > 1e-10
     ):
         raise DomainError("rotation must be a K x K orthogonal matrix")

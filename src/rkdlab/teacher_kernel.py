@@ -8,9 +8,7 @@ verified by verify_graph_revealing_identity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -109,11 +107,6 @@ def kernel_matrix(spec: KernelSpec, g: PopulationGraph) -> np.ndarray:
     return spec.pairwise(feats)
 
 
-def kernel_bound(spec: KernelSpec, g: PopulationGraph) -> float:
-    """B_k: the maximum kernel value on the vertex set."""
-    return float(kernel_matrix(spec, g).max())
-
-
 def verify_graph_revealing_identity(g: PopulationGraph) -> float:
     """Frobenius residual of D^{1/2} K D^{1/2} - normalized adjacency.
 
@@ -137,14 +130,3 @@ def spectral_teacher_embedding(g: PopulationGraph, dim: int, noise: float = 0.0,
         feats = feats + noise * rng.standard_normal(feats.shape)
     return TeacherEmbedding.from_arrays(feats)
 
-
-def load_embedding(path) -> TeacherEmbedding:
-    """Load {"dim": d, "features": [[...], ...]} aligned with graph vertex order."""
-    data = json.loads(Path(path).read_text())
-    return TeacherEmbedding(features=np.asarray(data["features"], dtype=float), dim=int(data["dim"]))
-
-
-def save_embedding(emb: TeacherEmbedding, path) -> None:
-    from .jsonio import dump_canonical
-
-    dump_canonical({"dim": emb.dim, "features": emb.features}, path)

@@ -7,27 +7,20 @@ from rkdlab.dac_expansion import (
     C_HAT_CAP,
     COMPONENT_SUBSET_CAP,
     MASS_TOL,
-    PerturbationSolverConfig,
-    all_layer_margin,
     chain_augmentation,
     constant_expansion_check,
-    dac_class_membership,
     dac_error,
-    dac_error_family,
     estimate_c_expansion,
     expansion_implication_check,
     load_augmentation,
     make_augmentation,
     neighborhoods,
-    prop1_bound,
-    robust_margin,
     save_augmentation,
     theorem5_check,
-    _mlp_perturbed_forward,
 )
 from rkdlab.errors import DomainError, InvalidAugmentationError, SizeLimitError
 from rkdlab.graph_core import PopulationGraph, build_sbm, lazy_graph
-from rkdlab.spectral_rkd import Prediction, StudentModel
+from rkdlab.spectral_rkd import Prediction
 
 from conftest import hand_graph
 
@@ -252,7 +245,6 @@ class TestDacError:
         scores = np.eye(2)[[0, 1, 1, 1, 1]].astype(float)
         f = Prediction(scores=scores)
         assert math.isclose(dac_error(f, aug, g), 0.2, abs_tol=1e-12)
-        assert dac_error_family([f], aug, g) == dac_error(f, aug, g)
 
 
 class TestTheorem5:
@@ -272,6 +264,21 @@ class TestTheorem5:
         mu, bound, verdict = theorem5_check([Prediction(scores=scores)], aug, g)
         assert verdict == "pass"
         assert mu <= bound + 1e-9
+
+    def test_bound_scales_family_max_dac_error(self):
+        g = uniform_graph([0] * 6 + [1] * 6)
+        aug = chain_augmentation(g)
+        fam = []
+        for flipped in ([2], [2, 8]):
+            scores = np.eye(2)[g.labels].astype(float)
+            scores[flipped] = scores[flipped][:, ::-1]
+            fam.append(Prediction(scores=scores))
+        nus = [dac_error(f, aug, g) for f in fam]
+        assert nus[0] < nus[1]
+        c_hat = estimate_c_expansion(aug, g).c_hat
+        mu, bound, verdict = theorem5_check(fam, aug, g)
+        assert bound == max(2.0 / (c_hat - 1.0), 2.0) * max(nus)
+        assert verdict == "pass"
 
     def test_twenty_random_thresholded_predictors(self):
         g = uniform_graph([0] * 7 + [1] * 7)
@@ -337,136 +344,3 @@ class TestConstantExpansion:
         result = expansion_implication_check(chain_augmentation(g), g)
         assert result["applicable"]
         assert all(result["probes"].values())
-
-
-class TestAllLayerMargin:
-    def test_misclassified_point_has_zero_margin(self):
-        model = StudentModel("linear", (2, 2), np.array([1.0, 0.0, 0.0, 1.0]))
-        res = all_layer_margin(model, [0.0, 1.0], 0)
-        assert res.value == 0.0 and res.exact
-
-    def test_linear_margin_matches_grid_oracle(self):
-        rng = np.random.default_rng(7)
-        model = StudentModel("linear", (2, 2), rng.standard_normal(4))
-        x = np.array([0.8, -0.3])
-        scores = model.forward(x[None, :])[0]
-        y = int(np.argmax(scores))
-        res = all_layer_margin(model, x, y)
-        # grid oracle over output perturbation directions
-        best = math.inf
-        for theta in np.linspace(0, 2 * math.pi, 3600, endpoint=False):
-            d = np.array([math.cos(theta), math.sin(theta)])
-            pert = scores + d * np.linalg.norm(x)
-            # radius to flip along this direction
-            k = 1 - y
-            denom = (d[k] - d[y]) * np.linalg.norm(x)
-            if denom > 1e-12:
-                r = (scores[y] - scores[k]) / denom * np.linalg.norm(x)
-                best = min(best, (scores[y] - scores[k]) / denom)
-        assert math.isclose(res.value, best, rel_tol=1e-3)
-
-    def test_margin_monotone_in_logit_gap(self):
-        model_small = StudentModel("linear", (1, 2), np.array([1.0, -1.0]))
-        model_big = StudentModel("linear", (1, 2), np.array([2.0, -2.0]))
-        x = [1.0]
-        assert all_layer_margin(model_big, x, 0).value > all_layer_margin(model_small, x, 0).value
-
-    def test_linear_certificate_flips(self):
-        rng = np.random.default_rng(3)
-        model = StudentModel("linear", (3, 3), rng.standard_normal(9))
-        x = rng.standard_normal(3)
-        y = int(np.argmax(model.forward(x[None, :])[0]))
-        res = all_layer_margin(model, x, y)
-        a = model._unpack()
-        perturbed = a @ x + res.delta[0] * np.linalg.norm(x)
-        assert np.max(np.delete(perturbed, y)) >= perturbed[y]
-
-    def test_mlp_upper_bound_certified_by_forward_pass(self):
-        rng = np.random.default_rng(11)
-        model = StudentModel.initialize("mlp", (2, 4, 2), seed=2, scale=0.8)
-        x = np.array([0.9, -0.4])
-        y = int(np.argmax(model.forward(x[None, :])[0]))
-        res = all_layer_margin(model, x, y, PerturbationSolverConfig(restarts=4, seed=0))
-        assert not res.exact
-        assert res.value >= 0.0
-        _, _, u3, *_ = _mlp_perturbed_forward(model, x, *res.delta)
-        assert np.max(np.delete(u3, y)) > u3[y]
-
-    def test_mlp_bound_at_least_linear_slice(self):
-        # the output-layer-only attack is one feasible perturbation, so the
-        # reported minimum can only improve on it
-        model = StudentModel.initialize("mlp", (2, 4, 2), seed=5, scale=0.8)
-        x = np.array([0.5, 0.2])
-        y = int(np.argmax(model.forward(x[None, :])[0]))
-        res = all_layer_margin(model, x, y, PerturbationSolverConfig(restarts=4, seed=1))
-        hidden = np.tanh(model._unpack()[0] @ x)
-        scores = model._unpack()[1] @ hidden
-        gaps = scores[y] - np.delete(scores, y)
-        output_only = float(gaps.min()) / (math.sqrt(2.0) * np.linalg.norm(hidden))
-        assert res.value <= output_only * (1.0 + 1e-6) + 1e-9
-
-    def test_table_model_rejected(self):
-        model = StudentModel.initialize("table", (4, 2), seed=0)
-        with pytest.raises(DomainError):
-            all_layer_margin(model, [0.0], 0)
-
-
-class TestRobustMargin:
-    def test_identical_features_match_single_margin(self):
-        g = uniform_graph([0, 0, 1, 1])
-        aug = make_augmentation([{0, 1}, {1, 0}, {2, 3}, {3, 2}], g)
-        feats = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
-        model = StudentModel("linear", (2, 2), np.array([1.0, 0.0, -1.0, 0.0]))
-        single = all_layer_margin(model, feats[0], int(np.argmax(model.forward(feats[:1])[0])))
-        robust = robust_margin(model, feats, 0, aug)
-        assert math.isclose(robust.value, single.value, rel_tol=1e-12)
-
-    def test_misclassified_member_zeroes_the_margin(self):
-        g = uniform_graph([0, 0, 1, 1])
-        aug = make_augmentation([{0, 1}, {1, 0}, {2, 3}, {3, 2}], g)
-        feats = np.array([[1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
-        model = StudentModel("linear", (2, 2), np.array([1.0, 0.0, -1.0, 0.0]))
-        assert robust_margin(model, feats, 0, aug).value == 0.0
-
-    def test_three_point_set_takes_minimum(self):
-        g = uniform_graph([0, 0, 0, 1, 1])
-        aug = make_augmentation(
-            [{0, 1, 2}, {1, 0}, {2, 0}, {3, 4}, {4, 3}], g
-        )
-        feats = np.array([[2.0, 0.0], [1.5, 0.0], [0.5, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
-        model = StudentModel("linear", (2, 2), np.array([1.0, 0.0, -1.0, 0.0]))
-        y = int(np.argmax(model.forward(feats[:1])[0]))
-        singles = [all_layer_margin(model, feats[v], y).value for v in (0, 1, 2)]
-        assert math.isclose(robust_margin(model, feats, 0, aug).value, min(singles), rel_tol=1e-12)
-
-    def test_membership_threshold(self):
-        g = uniform_graph([0, 0, 1, 1])
-        aug = make_augmentation([{0, 1}, {1, 0}, {2, 3}, {3, 2}], g)
-        feats = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
-        model = StudentModel("linear", (2, 2), np.array([1.0, 0.0, -1.0, 0.0]))
-        members = dac_class_membership(model, feats, [0, 2], aug, tau=0.1)
-        assert members == [True, True]
-
-
-class TestProp1Bound:
-    def test_direct_substitution(self):
-        term1 = (1.0 + 1.0) * math.sqrt(4.0) / (0.5 * math.sqrt(100.0))
-        term2 = math.sqrt((math.log(10.0) + 2.0 * math.log(100.0)) / 100.0)
-        assert math.isclose(prop1_bound([1.0, 1.0], 4, 0.5, 100, 0.1, 2), term1 + term2, rel_tol=1e-12)
-
-    def test_tau_doubling_halves_first_term(self):
-        base = prop1_bound([1.0, 1.0], 4, 0.5, 100, 0.1, 2)
-        term2 = math.sqrt((math.log(10.0) + 2.0 * math.log(100.0)) / 100.0)
-        doubled = prop1_bound([1.0, 1.0], 4, 1.0, 100, 0.1, 2)
-        assert math.isclose(doubled - term2, (base - term2) / 2.0, rel_tol=1e-12)
-
-    def test_sample_scaling_halves_first_term(self):
-        t1 = lambda n: sum([1.0, 1.0]) * math.sqrt(4.0) / (0.5 * math.sqrt(n))
-        assert math.isclose(t1(400), t1(100) / 2.0, rel_tol=1e-15)
-        assert prop1_bound([1.0, 1.0], 4, 0.5, 400, 0.1, 2) < prop1_bound([1.0, 1.0], 4, 0.5, 100, 0.1, 2)
-
-    def test_nonpositive_inputs_rejected(self):
-        with pytest.raises(DomainError):
-            prop1_bound([1.0], 4, 0.0, 100, 0.1, 1)
-        with pytest.raises(DomainError):
-            prop1_bound([1.0, 1.0], 4, 0.5, 100, 0.1, 1)

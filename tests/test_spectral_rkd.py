@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frozen_oracles as oracle
 from rkdlab import spectral_rkd
@@ -12,7 +15,14 @@ from rkdlab.errors import (
     NumericError,
     TrainingDivergedError,
 )
-from rkdlab.graph_core import build_sbm, lazy_graph, normalized_adjacency, spectral_decompose
+from rkdlab.graph_core import (
+    EIGENVALUE_TOL,
+    build_sbm,
+    laplacian,
+    lazy_graph,
+    normalized_adjacency,
+    spectral_decompose,
+)
 from rkdlab.spectral_rkd import (
     OptimizerConfig,
     Prediction,
@@ -25,13 +35,15 @@ from rkdlab.spectral_rkd import (
     exact_pair_expectation,
     exact_population_minimizer,
     load_checkpoint,
+    population_minimizers,
     population_rkd_loss,
     random_rotation,
+    random_rotations,
     save_checkpoint,
     theorem2_gap_bound,
     train_student,
 )
-from rkdlab.teacher_kernel import KernelSpec
+from rkdlab.teacher_kernel import KernelSpec, kernel_matrix
 
 from conftest import hand_graph
 
@@ -113,6 +125,18 @@ class TestExactMinimizer:
         with pytest.raises(DomainError):
             exact_population_minimizer(sbm_pair, 2, np.ones((2, 2)))
 
+    @pytest.mark.parametrize("call", [
+        lambda g: exact_population_minimizer(g, 2, np.full((2, 2), np.nan)),
+        lambda g: exact_population_minimizer(g, 2, np.diag([np.inf, 1.0])),
+        lambda g: population_minimizers(g, 2, np.full((3, 2, 2), np.nan)),
+    ], ids=["nan", "inf-entry", "nan-stack"])
+    def test_non_finite_rotation_rejected_as_rotation(self, sbm_pair, call):
+        # rejected before any arithmetic on it: no warning from the matmul
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="orthogonal"):
+                call(sbm_pair)
+
     def test_random_search_never_beats_floor(self, sbm_pair):
         dec = spectral_decompose(sbm_pair)
         floor = dec.residual_weights(2)
@@ -122,6 +146,28 @@ class TestExactMinimizer:
             f = Prediction(scores=rng.standard_normal((sbm_pair.size, 2)))
             best = min(best, population_rkd_loss(f, sbm_pair))
         assert best >= floor - 1e-8
+
+
+class TestLazySbmInvariants:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_graph_spectrum_and_minimizers(self, data):
+        K = data.draw(st.integers(2, 3), label="K")
+        sizes = data.draw(st.lists(st.integers(2, 6), min_size=K, max_size=K), label="sizes")
+        p_in = data.draw(st.floats(0.5, 1.0), label="p_in")
+        p_out = data.draw(st.floats(0.0, p_in), label="p_out")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        g = lazy_graph(build_sbm(K, sizes, p_in, p_out, seed=seed))
+        assert np.array_equal(g.weights, g.weights.T)
+        assert math.isclose(float(g.weights.sum()), 1.0, abs_tol=1e-12)
+        dec = spectral_decompose(g)
+        lam = dec.eigenvalues
+        assert np.all(np.diff(lam) >= 0)
+        assert lam[0] >= -EIGENVALUE_TOL and lam[-1] <= 1.0 + EIGENVALUE_TOL
+        assert math.isclose(float(lam.sum()), float(np.trace(laplacian(g))), abs_tol=1e-9)
+        family = population_minimizers(g, K, random_rotations(K, 4, np.random.default_rng(seed)))
+        for scores in family:
+            assert abs(population_rkd_loss(Prediction(scores=scores), g) - dec.residual_weights(K)) <= 1e-8
 
 
 class TestStudentModel:
@@ -177,6 +223,15 @@ class TestTraining:
             features=target.scores,
         )
         assert report.gap < 0.05
+
+    def test_report_b_k_is_kernel_max(self, sbm_pair):
+        # B_k = sup k(x, x'), read off the kernel matrix the run trains on
+        model = StudentModel.initialize("table", (sbm_pair.size, 2), seed=2)
+        _, report = train_student(
+            model, sbm_pair, KernelSpec.graph_revealing(),
+            OptimizerConfig(step_size=0.1, iterations=0, seed=0),
+        )
+        assert report.b_k == float(kernel_matrix(KernelSpec.graph_revealing(), sbm_pair).max())
 
     def test_divergence_raises_with_trace(self, sbm_pair):
         model = StudentModel.initialize("table", (sbm_pair.size, 2), seed=0)
