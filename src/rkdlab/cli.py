@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,16 +94,7 @@ def _cmd_rkd(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(trained, args.seed, out / "checkpoint.json")
     save_loss_trace(trace, out / "losses.csv")
-    jsonio.dump_canonical(
-        {
-            "population_loss": report.population_loss,
-            "empirical_loss": report.empirical_loss,
-            "gap": report.gap,
-            "b_f": report.b_f,
-            "b_k": report.b_k,
-        },
-        out / "rkd_report.json",
-    )
+    jsonio.dump_canonical(asdict(report), out / "rkd_report.json")
     print(f"rkd gap={report.gap:.6g} population_loss={report.population_loss:.6g} -> {out}")
     return 0
 

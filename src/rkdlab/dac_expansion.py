@@ -12,16 +12,15 @@ doubling.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, InvalidAugmentationError, SizeLimitError
+from . import jsonio
+from .errors import DomainError, InvalidAugmentationError, InvalidConfigError, SizeLimitError
 from .graph_core import PopulationGraph
-from .spectral_rkd import Prediction
+from .spectral_rkd import Prediction, is_integer
 
 EXHAUSTIVE_SUBSET_CAP = 18  # whole-graph enumeration (constant expansion)
 COMPONENT_SUBSET_CAP = 20  # per-NB-component enumeration (c-expansion)
@@ -75,16 +74,46 @@ def chain_augmentation(g: PopulationGraph) -> AugmentationMap:
     return AugmentationMap(sets=tuple(sets))
 
 
+def split_chain_augmentation(g: PopulationGraph, parts: int = 2) -> AugmentationMap:
+    """Up to `parts` disjoint sub-chains per class: a weak augmentation, no expansion across parts."""
+    if not (is_integer(parts) and parts >= 1):
+        raise InvalidConfigError(f"augmentation.parts={parts!r} must be an integer >= 1")
+    sets = [None] * g.size
+    for k in range(g.num_classes):
+        members = [int(v) for v in g.class_members(k)]
+        chunk = max(2, -(-len(members) // parts))
+        for start in range(0, len(members), chunk):
+            piece = members[start : start + chunk]
+            if len(piece) == 1:
+                sets[piece[0]] = {piece[0], members[start - 1]}
+                continue
+            for i, v in enumerate(piece):
+                sets[v] = {v, piece[(i + 1) % len(piece)]}
+    return AugmentationMap(sets=tuple(sets))
+
+
+def knn_augmentation(g: PopulationGraph, points, k: int = 2) -> AugmentationMap:
+    """A(x) = x and its k nearest points of x's class."""
+    if points is None:
+        raise InvalidConfigError("knn augmentation needs point coordinates")
+    if not is_integer(k):
+        raise InvalidConfigError(f"augmentation.k={k!r} must be an integer")
+    sets = []
+    for x in range(g.size):
+        same = np.nonzero(g.labels == g.labels[x])[0]
+        order = same[np.argsort(np.linalg.norm(points[same] - points[x], axis=1))]
+        sets.append(set(order[: k + 1].tolist()) | {x})
+    return make_augmentation(sets, g)
+
+
 def load_augmentation(path, g: PopulationGraph) -> AugmentationMap:
     """Load {"sets": [[...vertex ids...], ...]} aligned to graph vertex order."""
-    data = json.loads(Path(path).read_text())
+    data = jsonio.load(path)
     return make_augmentation(data["sets"], g)
 
 
 def save_augmentation(aug: AugmentationMap, path) -> None:
-    from .jsonio import dump_canonical
-
-    dump_canonical({"sets": [sorted(s) for s in aug.sets]}, path)
+    jsonio.dump_canonical({"sets": [sorted(s) for s in aug.sets]}, path)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .errors import (
     NumericError,
     SizeLimitError,
 )
-from .jsonio import format_float
+from . import jsonio
 
 TOTAL_MASS_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
@@ -426,7 +426,7 @@ def save_graph(g: PopulationGraph, path) -> None:
         for j in range(i, n):
             w = g.weights[i, j]
             if w != 0.0:
-                lines.append(f"    [{i}, {j}, {format_float(float(w))}]")
+                lines.append(f"    [{i}, {j}, {jsonio.format_float(float(w))}]")
     edges = ",\n".join(lines)
     labels = ", ".join(str(int(x)) for x in g.labels)
     vertices = ", ".join(json.dumps(v) for v in g.vertices)
@@ -443,7 +443,7 @@ def save_graph(g: PopulationGraph, path) -> None:
 
 def load_graph(path) -> PopulationGraph:
     """Load the JSON graph format; symmetrizes edges and normalizes total mass."""
-    data = json.loads(Path(path).read_text())
+    data = jsonio.load(path)
     vertices = tuple(data["vertices"])
     n = len(vertices)
     weights = np.zeros((n, n))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidConfigError
 from .graph_core import PopulationGraph
-from .spectral_rkd import Prediction
+from .spectral_rkd import Prediction, is_integer
 from .teacher_kernel import kernel_matrix
 
 
@@ -60,8 +60,8 @@ def iid_sample(g: PopulationGraph, n: int, seed: int, require_coverage: bool = F
     """n i.i.d. degree-weighted labeled draws; optionally redraw until every
     class is covered (at most 100000 redraws), counting rejections.  Returns
     (LabeledSet, rejections)."""
-    if n < 1:
-        raise InvalidConfigError("label budget must be positive")
+    if not (is_integer(n) and n >= 1):
+        raise InvalidConfigError(f"labels.budget={n!r} must be an integer >= 1")
     rng = np.random.default_rng(seed)
     deg = g.degrees()
     rejections = 0
@@ -76,8 +76,8 @@ def iid_sample(g: PopulationGraph, n: int, seed: int, require_coverage: bool = F
 
 def uniform_per_class_sample(g: PopulationGraph, n_per_class: int, seed: int) -> LabeledSet:
     """n_per_class uniform draws without replacement from each ground-truth class."""
-    if n_per_class < 1:
-        raise InvalidConfigError("per-class budget must be positive")
+    if not (is_integer(n_per_class) and n_per_class >= 1):
+        raise InvalidConfigError(f"labels.n_per_class={n_per_class!r} must be an integer >= 1")
     rng = np.random.default_rng(seed)
     chosen = []
     for k in range(g.num_classes):

@@ -9,13 +9,12 @@ sampled vertex pairs is an unbiased estimate of it.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import jsonio
 from .errors import DomainError, InvalidConfigError, NotPsdError, NumericError, TrainingDivergedError
 from .graph_core import PopulationGraph, normalized_adjacency, scaled_eigenvectors, spectral_decompose
 from .teacher_kernel import KernelSpec, kernel_matrix
@@ -662,13 +661,11 @@ def save_checkpoint(model: StudentModel, seed: int, path) -> None:
         "parameters": [float(x) for x in model.parameters],
         "seed": seed,
     }
-    from .jsonio import dump_canonical
-
-    dump_canonical(payload, path)
+    jsonio.dump_canonical(payload, path)
 
 
 def load_checkpoint(path) -> StudentModel:
-    data = json.loads(Path(path).read_text())
+    data = jsonio.load(path)
     return StudentModel(
         architecture=data["architecture"],
         widths=tuple(data["widths"]),

@@ -24,8 +24,9 @@ from .clustering_audit import AuditTolerances, theorem1_check, theorem4_check
 from .dac_expansion import (
     AugmentationMap,
     chain_augmentation,
+    knn_augmentation,
     load_augmentation,
-    make_augmentation,
+    split_chain_augmentation,
     theorem5_check,
 )
 from .errors import InvalidConfigError, TrainingDivergedError
@@ -52,10 +53,11 @@ from .spectral_rkd import (
     Prediction,
     StudentModel,
     _PairTable,
+    is_integer,
     population_rkd_loss,
     spectral_decompose,
 )
-from .teacher_kernel import KernelSpec, kernel_matrix, spectral_teacher_embedding
+from .teacher_kernel import KernelSpec, TeacherEmbedding, kernel_matrix, spectral_teacher_embedding
 
 
 @functools.cache
@@ -106,8 +108,8 @@ class ExperimentConfig:
     hash.  The parameters of the class or builder that consumes a section are
     its schema, checked here: `loss` (read into `loss_weights`), `optimizer`
     (into `opt`, with this seed), `tolerances` (into `audit_tolerances`),
-    `student` (build_student) and `graph` (its kind's builder).  The other
-    sections are read where they are used."""
+    `student` (build_student), and `graph`, `augmentation`, `kernel` and
+    `labels` (the reader of their kind, from `_read`)."""
 
     graph: dict
     kernel: dict
@@ -129,15 +131,8 @@ class ExperimentConfig:
         tolerances = _check_section("tolerances.", self.tolerances, AuditTolerances)
         object.__setattr__(self, "audit_tolerances", AuditTolerances(**tolerances))
         _check_section("student.", self.student, build_student, supplied=("g", "points", "seed"))
-        kind = self.graph.get("kind")
-        builder = {"sbm": build_sbm, "two_blobs": build_two_blobs, "file": load_graph}.get(kind)
-        if builder is None:
-            raise InvalidConfigError(f"unknown graph kind {kind!r}")
-        _check_section("graph.", self.graph, builder, own=("kind", "lazy") if kind == "sbm" else ("kind",))
-        for section in (self.graph, self.augmentation):
-            path = section.get("path")
-            if path is not None and not Path(path).exists():
-                raise InvalidConfigError(f"referenced file does not exist: {path}")
+        for name in ("graph", "augmentation", "kernel", "labels"):
+            _read(name, getattr(self, name))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -191,92 +186,86 @@ class RunResult:
 # fixture builders
 
 
+def _read(name: str, section: dict):
+    """(the reader of `section`'s kind, its other keys), checked against the reader's parameters and
+    any `path` for existence.  The map is built per call, as benchmarks/tracing.py wraps readers after import."""
+    tag, default, supplied, readers = {
+        "graph": ("kind", None, (), {"sbm": sbm_graph, "two_blobs": build_two_blobs, "file": load_graph}),
+        "augmentation": ("kind", "chain", ("g", "points"), {
+            "chain": chain_augmentation, "split_chain": split_chain_augmentation, "knn": knn_augmentation,
+            "file": load_augmentation}),
+        "kernel": ("kind", None, ("g", "points"), {
+            "graph_revealing": KernelSpec.graph_revealing, "shifted_cosine": shifted_cosine_kernel,
+            "rbf": rbf_kernel}),
+        "labels": ("strategy", "uniform_per_class", ("g", "kernel", "seed"), {
+            "uniform_per_class": uniform_per_class_sample, "iid": iid_labels,
+            "coreset_greedy": coreset_greedy_labels, "cluster_wise": cluster_wise_labels}),
+    }[name]
+    kind = section[tag] if tag in section else default
+    if not isinstance(kind, str) or kind not in readers:
+        raise InvalidConfigError(f"unknown {name}.{tag} {kind!r}" if tag in section else f"missing key {name}.{tag}")
+    _check_section(f"{name}.", section, readers[kind], own=(tag,), supplied=supplied)
+    if "path" in section and not Path(section["path"]).exists():
+        raise InvalidConfigError(f"referenced file does not exist: {section['path']}")
+    return readers[kind], {key: value for key, value in section.items() if key != tag}
+
+
+def _build(name: str, section: dict, **run):
+    """What `section` describes: its kind's reader on its other keys and on the names in `run` it takes."""
+    reader, keys = _read(name, section)
+    taken, _ = _parameters(reader)
+    return reader(**keys, **{key: value for key, value in run.items() if key in taken})
+
+
+def sbm_graph(num_classes: int, sizes, p_in: float, p_out: float, seed: int, lazy: bool = True) -> PopulationGraph:
+    g = build_sbm(num_classes, sizes, p_in, p_out, seed)
+    return lazy_graph(g) if lazy else g
+
+
+def shifted_cosine_kernel(g, dim: int | None = None, noise: float = 0.0, seed: int = 0) -> KernelSpec:
+    """Spectral teacher features of `dim` dimensions (None: K), with Gaussian noise of scale `noise`."""
+    dim = g.num_classes if dim is None else dim
+    if not is_integer(dim):
+        raise InvalidConfigError(f"kernel.dim={dim!r} must be an integer")
+    return KernelSpec.shifted_cosine(spectral_teacher_embedding(g, dim, float(noise), int(seed)))
+
+
+def rbf_kernel(points, bandwidth: float) -> KernelSpec:
+    if points is None:
+        raise InvalidConfigError("rbf kernel needs point coordinates")
+    return KernelSpec.rbf(TeacherEmbedding.from_arrays(points), float(bandwidth))
+
+
+def iid_labels(g: PopulationGraph, budget: int, seed: int, require_coverage: bool = True) -> LabeledSet:
+    return iid_sample(g, budget, seed, require_coverage)[0]
+
+
+def coreset_greedy_labels(g: PopulationGraph, kernel, budget: int, seed: int, epsilon: float = 0.1) -> LabeledSet:
+    if not is_integer(budget):
+        raise InvalidConfigError(f"labels.budget={budget!r} must be an integer")
+    return make_labeled(g, stochastic_greedy(kernel, g, budget, float(epsilon), seed), "coreset_greedy", seed)
+
+
+def cluster_wise_labels(g: PopulationGraph, seed: int, delta: float = 0.1) -> LabeledSet:
+    return cluster_wise_sample(spectral_clustering_prediction(g, seed), g, float(delta), seed)
+
+
 def build_graph_fixture(cfg: ExperimentConfig):
     """Returns (graph, points-or-None) from the config's graph section."""
-    spec = dict(cfg.graph)
-    kind = spec.pop("kind")
-    if kind == "sbm":
-        lazy = spec.pop("lazy", True)
-        g = build_sbm(**spec)
-        return (lazy_graph(g) if lazy else g), None
-    if kind == "two_blobs":
-        return build_two_blobs(**spec)
-    return load_graph(**spec), None
+    built = _build("graph", cfg.graph)
+    return built if isinstance(built, tuple) else (built, None)
 
 
 def build_augmentation_fixture(cfg: ExperimentConfig, g: PopulationGraph, points) -> AugmentationMap:
-    spec = dict(cfg.augmentation)
-    kind = spec.pop("kind", "chain")
-    if kind == "chain":
-        return chain_augmentation(g)
-    if kind == "split_chain":
-        # disjoint sub-chains per class: weak augmentations whose neighborhoods
-        # never connect the parts, so expansion fails across them
-        parts = int(spec.get("parts", 2))
-        if parts < 1:
-            raise InvalidConfigError(f"augmentation.parts={parts} must be at least 1")
-        sets = [None] * g.size
-        for k in range(g.num_classes):
-            members = [int(v) for v in g.class_members(k)]
-            chunk = max(2, -(-len(members) // parts))
-            for start in range(0, len(members), chunk):
-                piece = members[start : start + chunk]
-                if len(piece) == 1:
-                    sets[piece[0]] = {piece[0], members[start - 1]}
-                    continue
-                for i, v in enumerate(piece):
-                    sets[v] = {v, piece[(i + 1) % len(piece)]}
-        return AugmentationMap(sets=tuple(sets))
-    if kind == "knn":
-        k = int(spec.get("k", 2))
-        if points is None:
-            raise InvalidConfigError("knn augmentation needs point coordinates")
-        sets = []
-        for x in range(g.size):
-            same = np.nonzero(g.labels == g.labels[x])[0]
-            order = same[np.argsort(np.linalg.norm(points[same] - points[x], axis=1))]
-            sets.append(set(order[: k + 1].tolist()) | {x})
-        return make_augmentation(sets, g)
-    if kind == "file":
-        return load_augmentation(spec["path"], g)
-    raise InvalidConfigError(f"unknown augmentation kind {kind!r}")
+    return _build("augmentation", cfg.augmentation, g=g, points=points)
 
 
 def build_kernel_fixture(cfg: ExperimentConfig, g: PopulationGraph, points) -> KernelSpec:
-    spec = dict(cfg.kernel)
-    kind = spec.pop("kind")
-    if kind == "graph_revealing":
-        return KernelSpec.graph_revealing()
-    if kind == "shifted_cosine":
-        emb = spectral_teacher_embedding(
-            g, dim=int(spec.get("dim", g.num_classes)),
-            noise=float(spec.get("noise", 0.0)), seed=int(spec.get("seed", 0)),
-        )
-        return KernelSpec.shifted_cosine(emb)
-    if kind == "rbf":
-        from .teacher_kernel import TeacherEmbedding
-
-        if points is None:
-            raise InvalidConfigError("rbf kernel needs point coordinates")
-        return KernelSpec.rbf(TeacherEmbedding.from_arrays(points), float(spec["bandwidth"]))
-    raise InvalidConfigError(f"unknown kernel kind {kind!r}")
+    return _build("kernel", cfg.kernel, g=g, points=points)
 
 
 def acquire_labels(cfg: ExperimentConfig, g: PopulationGraph, kernel, seed: int) -> LabeledSet:
-    spec = dict(cfg.labels)
-    strategy = spec.get("strategy", "uniform_per_class")
-    if strategy == "uniform_per_class":
-        return uniform_per_class_sample(g, int(spec["n_per_class"]), seed)
-    if strategy == "iid":
-        labeled, _ = iid_sample(g, int(spec["budget"]), seed, require_coverage=bool(spec.get("require_coverage", True)))
-        return labeled
-    if strategy == "coreset_greedy":
-        chosen = stochastic_greedy(kernel, g, int(spec["budget"]), float(spec.get("epsilon", 0.1)), seed)
-        return make_labeled(g, chosen, "coreset_greedy", seed)
-    if strategy == "cluster_wise":
-        f = spectral_clustering_prediction(g, seed)
-        return cluster_wise_sample(f, g, float(spec.get("delta", 0.1)), seed)
-    raise InvalidConfigError(f"unknown label strategy {strategy!r}")
+    return _build("labels", cfg.labels, g=g, kernel=kernel, seed=seed)
 
 
 def spectral_clustering_prediction(g: PopulationGraph, seed: int) -> Prediction:

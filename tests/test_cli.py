@@ -361,6 +361,19 @@ BAD_CONFIGS = [
     ("zero-rotations", _set("tolerances", audit_rotations=0), "tolerances.audit_rotations"),
     ("bool-rotations", _set("tolerances", audit_rotations=True), "tolerances.audit_rotations"),
     ("missing-section", lambda cfg: cfg.pop("kernel"), "kernel"),
+    ("augmentation.parst", _set("augmentation", kind="split_chain", parst=2), "augmentation.parst"),
+    ("labels.budjet", lambda cfg: cfg.update(labels={"strategy": "iid", "budjet": 4}), "labels.budjet"),
+    ("labels.epsilom", _set("labels", strategy="coreset_greedy", budget=4, epsilom=0.2), "labels.epsilom"),
+    ("kernel.bandwith", lambda cfg: cfg.update(kernel={"kind": "rbf", "bandwith": 1.0}), "kernel.bandwith"),
+    ("kernel-without-kind", lambda cfg: cfg["kernel"].pop("kind"), "kernel.kind"),
+    ("unknown-augmentation-kind", _set("augmentation", kind="shuffle"), "augmentation.kind"),
+    ("unknown-label-strategy", _set("labels", strategy="random"), "labels.strategy"),
+    ("unknown-graph-kind", _set("graph", kind="ring"), "graph.kind"),
+    ("graph-without-kind", lambda cfg: cfg["graph"].pop("kind"), "graph.kind"),
+    ("list-kind", _set("augmentation", kind=["chain"]), "augmentation.kind"),
+    ("labels.seed", _set("labels", seed=3), "labels.seed"),
+    ("iid-without-budget", lambda cfg: cfg.update(labels={"strategy": "iid"}), "labels.budget"),
+    ("file-without-path", _set("augmentation", kind="file"), "augmentation.path"),
     ("missing-file", None, None),
     ("malformed-json", '{"graph": ', None),
     ("top-level-list", "[1, 2]", None),
@@ -384,6 +397,7 @@ def test_bad_config_exits_1_naming_the_key_or_the_path(tmp_path, audit_config, c
     code = main([command, "--config", str(path), "--seed", "1", "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
+    assert "Traceback" not in err, err
     if named:
         assert named in err, err
     if case != "zero-parts":  # parts is read when the augmentation is built

@@ -3,17 +3,31 @@ import re
 import shutil
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkdlab.dac_expansion import make_augmentation
+from rkdlab.dac_expansion import (
+    AugmentationMap,
+    chain_augmentation,
+    load_augmentation,
+    make_augmentation,
+    save_augmentation,
+)
 from rkdlab.errors import InvalidConfigError
-from rkdlab.graph_core import build_two_blobs
+from rkdlab.graph_core import build_sbm, build_two_blobs, lazy_graph, load_graph, save_graph
 from rkdlab.jsonio import dumps_canonical
-from rkdlab.label_acquisition import LabeledSet, make_labeled, uniform_per_class_sample
+from rkdlab.label_acquisition import (
+    LabeledSet,
+    cluster_wise_sample,
+    iid_sample,
+    make_labeled,
+    stochastic_greedy,
+    uniform_per_class_sample,
+)
 from rkdlab.spectral_rkd import StudentModel
 from rkdlab.ssl_harness import (
     CombinedLossReport,
@@ -21,11 +35,16 @@ from rkdlab.ssl_harness import (
     LossWeights,
     _PairTable,
     _ViewTable,
+    acquire_labels,
+    build_augmentation_fixture,
+    build_graph_fixture,
+    build_kernel_fixture,
     combined_loss,
     run_experiment,
     run_sweep,
+    spectral_clustering_prediction,
 )
-from rkdlab.teacher_kernel import KernelSpec, kernel_matrix
+from rkdlab.teacher_kernel import KernelSpec, TeacherEmbedding, kernel_matrix, spectral_teacher_embedding
 
 
 def blob_config(**overrides):
@@ -74,15 +93,27 @@ class TestConfig:
          {"separation": 3.0, "noise": 0.4, "bandwidth": 1.0, "seed": 2}),
         ("graph", {"kind": "sbm", "num_classes": 2, "sizes": [4, 4], "p_in": 0.9, "p_out": 0.1, "seed": 3},
          {"lazy": False}),
+        ("augmentation", {}, {"kind": "chain"}),
+        ("augmentation", {"kind": "split_chain"}, {"parts": 3}),
+        ("augmentation", {"kind": "knn"}, {"k": 1}),
+        ("augmentation", {"kind": "file", "path": __file__}, {}),
+        ("kernel", {"kind": "graph_revealing"}, {}),
+        ("kernel", {"kind": "shifted_cosine"}, {"dim": 3, "noise": 0.1, "seed": 4}),
+        ("kernel", {"kind": "rbf", "bandwidth": 1.5}, {}),
+        ("labels", {"n_per_class": 2}, {"strategy": "uniform_per_class"}),
+        ("labels", {"strategy": "iid", "budget": 4}, {"require_coverage": False}),
+        ("labels", {"strategy": "coreset_greedy", "budget": 4}, {"epsilon": 0.2}),
+        ("labels", {"strategy": "cluster_wise"}, {"delta": 0.2}),
     ]
     # keys another reader takes or the run supplies, and typos of real keys
-    STRANGERS = ["seed", "g", "points", "lazy", "max_attempts", "iteration", "lambda_rk", "hiden", "p_inn"]
+    STRANGERS = ["seed", "g", "points", "kernel", "kind", "strategy", "lazy", "max_attempts", "iteration",
+                 "lambda_rk", "hiden", "p_inn", "parst", "budjet", "epsilom", "bandwith"]
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_section_readers_take_exactly_their_keys(self, data):
         name, required, optional = data.draw(st.sampled_from(self.SECTIONS), label="section")
-        chosen = data.draw(st.sets(st.sampled_from(sorted(optional))), label="optional keys")
+        chosen = data.draw(st.sets(st.sampled_from(sorted(optional))), label="optional keys") if optional else ()
         section = {**required, **{key: optional[key] for key in chosen}}
         cfg = blob_config(**{name: section})
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
@@ -93,6 +124,148 @@ class TestConfig:
         stranger = data.draw(names.filter(lambda key: key not in {**optional, **required}), label="stranger")
         with pytest.raises(InvalidConfigError, match=re.escape(f"unknown key {name}.{stranger}")):
             blob_config(**{name: {**section, stranger: 1}})
+
+
+# blobs close enough that spectral clustering errs, so cluster_wise's delta sets its draw count
+SMALL_BLOBS = {"kind": "two_blobs", "n_per_class": 5, "separation": 1.5, "noise": 0.5, "bandwidth": 1.2,
+               "seed": 5}
+
+
+def _small_blobs():
+    return build_two_blobs(5, separation=1.5, noise=0.5, bandwidth=1.2, seed=5)
+
+
+def _both_classes(sets):
+    """Class 0 of the 5-per-class blobs is vertices 0-4, class 1 is 5-9."""
+    return AugmentationMap(sets=tuple(sets) + tuple({v + 5 for v in s} for s in sets))
+
+
+# split_chain sets, written out: 5 members in chunks of max(2, ceil(5 / parts)),
+# a chunk of one joined to the member before it
+SPLIT_CHAIN = {
+    2: _both_classes([{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 3}]),
+    3: _both_classes([{0, 1}, {1, 0}, {2, 3}, {3, 2}, {4, 3}]),
+}
+
+
+def _knn_oracle(g, points, k):
+    """A(x) = x and its k nearest points of its own class."""
+    sets = []
+    for x in range(g.size):
+        same = sorted((math.dist(points[x], points[v]), v) for v in range(g.size) if g.labels[v] == g.labels[x])
+        sets.append({v for _, v in same[: k + 1]} | {x})
+    return make_augmentation(sets, g)
+
+
+def _sbm_expected(fx, s):
+    g = build_sbm(2, [4, 4], 0.9, 0.1, 3)
+    return (lazy_graph(g) if s.get("lazy", True) else g), None
+
+
+def _shifted_cosine_expected(fx, s):
+    dim = s.get("dim", fx.g.num_classes)
+    return KernelSpec.shifted_cosine(spectral_teacher_embedding(fx.g, dim, s.get("noise", 0.0), s.get("seed", 0)))
+
+
+# (section, its required keys, each optional key, the direct library call at
+# the defaults a config gets); "path" is replaced by a temporary file
+KIND_CASES = [
+    ("graph", {"kind": "sbm", "num_classes": 2, "sizes": [4, 4], "p_in": 0.9, "p_out": 0.1, "seed": 3},
+     {"lazy": False}, _sbm_expected),
+    ("graph", {"kind": "two_blobs", "n_per_class": 5},
+     {"separation": 3.0, "noise": 0.4, "bandwidth": 1.0, "seed": 2},
+     lambda fx, s: build_two_blobs(5, s.get("separation", 4.0), s.get("noise", 0.6), s.get("bandwidth", 1.2),
+                                   s.get("seed", 0))),
+    ("graph", {"kind": "file", "path": None}, {}, lambda fx, s: (load_graph(fx.files["graph"]), None)),
+    ("augmentation", {}, {"kind": "chain"}, lambda fx, s: chain_augmentation(fx.g)),
+    ("augmentation", {"kind": "split_chain"}, {"parts": 3}, lambda fx, s: SPLIT_CHAIN[s.get("parts", 2)]),
+    ("augmentation", {"kind": "knn"}, {"k": 1}, lambda fx, s: _knn_oracle(fx.g, fx.points, s.get("k", 2))),
+    ("augmentation", {"kind": "file", "path": None}, {},
+     lambda fx, s: load_augmentation(fx.files["augmentation"], fx.g)),
+    ("kernel", {"kind": "graph_revealing"}, {}, lambda fx, s: KernelSpec.graph_revealing()),
+    ("kernel", {"kind": "shifted_cosine"}, {"dim": 3, "noise": 0.1, "seed": 4}, _shifted_cosine_expected),
+    # the noise seed's default shows only under noise
+    ("kernel", {"kind": "shifted_cosine", "noise": 0.1}, {"seed": 4}, _shifted_cosine_expected),
+    ("kernel", {"kind": "rbf", "bandwidth": 1.5}, {},
+     lambda fx, s: KernelSpec.rbf(TeacherEmbedding.from_arrays(fx.points), 1.5)),
+    ("labels", {"n_per_class": 2}, {"strategy": "uniform_per_class"},
+     lambda fx, s: uniform_per_class_sample(fx.g, 2, fx.seed)),
+    # at seed 7 a budget of 2 covers both classes only after a redraw
+    ("labels", {"strategy": "iid", "budget": 2}, {"require_coverage": False},
+     lambda fx, s: iid_sample(fx.g, 2, fx.seed, s.get("require_coverage", True))[0]),
+    ("labels", {"strategy": "coreset_greedy", "budget": 4}, {"epsilon": 0.3},
+     lambda fx, s: make_labeled(fx.g, stochastic_greedy(fx.kernel, fx.g, 4, s.get("epsilon", 0.1), fx.seed),
+                                "coreset_greedy", fx.seed)),
+    ("labels", {"strategy": "cluster_wise"}, {"delta": 0.5},
+     lambda fx, s: cluster_wise_sample(spectral_clustering_prediction(fx.g, fx.seed), fx.g,
+                                       s.get("delta", 0.1), fx.seed)),
+]
+
+
+class TestSectionKinds:
+    """Each kind of each kind-tagged section builds what the library call it
+    names builds, with the defaults a config gets."""
+
+    @staticmethod
+    def build(section, cfg, kernel):
+        g, points = build_graph_fixture(cfg)
+        if section == "graph":
+            return g, points
+        if section == "augmentation":
+            return build_augmentation_fixture(cfg, g, points)
+        if section == "kernel":
+            return build_kernel_fixture(cfg, g, points)
+        return acquire_labels(cfg, g, kernel, cfg.seed)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["required", "all-keys"])
+    @pytest.mark.parametrize("section,required,optional,expected", [
+        pytest.param(*case, id="-".join([case[0], *(v for k, v in {**case[1], **case[2]}.items()
+                                                      if k in ("kind", "strategy"))]))
+        for case in KIND_CASES
+    ])
+    def test_fixture_is_the_direct_call(self, tmp_path, section, required, optional, expected, full):
+        g, points = _small_blobs()
+        files = {"graph": tmp_path / "graph.json", "augmentation": tmp_path / "augmentation.json"}
+        save_graph(build_sbm(2, [3, 3], 1.0, 0.0, 1), files["graph"])
+        save_augmentation(chain_augmentation(g), files["augmentation"])
+        fx = SimpleNamespace(g=g, points=points, files=files, kernel=KernelSpec.graph_revealing(), seed=7)
+        spec = {**required, **(optional if full else {})}
+        if "path" in spec:
+            spec["path"] = str(files[section])
+        got = self.build(section, blob_config(**{"graph": SMALL_BLOBS, section: spec}), fx.kernel)
+        want = expected(fx, spec)
+        if section == "graph":
+            (got_g, got_points), (want_g, want_points) = got, want
+            assert got_g.vertices == want_g.vertices and got_g.num_classes == want_g.num_classes
+            assert np.array_equal(got_g.weights, want_g.weights)
+            assert np.array_equal(got_g.labels, want_g.labels)
+            assert (got_points is None and want_points is None) or np.array_equal(got_points, want_points)
+        elif section == "kernel":
+            assert got.variant == want.variant
+            assert np.array_equal(kernel_matrix(got, g), kernel_matrix(want, g))
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("section,kind,key,value", [
+        pytest.param(*case, id=f"{case[0]}.{case[2]}={case[3]!r}") for case in [
+            ("augmentation", {"kind": "split_chain"}, "parts", 2.5),
+            ("augmentation", {"kind": "split_chain"}, "parts", "2"),
+            ("augmentation", {"kind": "knn"}, "k", 1.5),
+            ("augmentation", {"kind": "knn"}, "k", True),
+            ("kernel", {"kind": "shifted_cosine"}, "dim", 2.5),
+            ("kernel", {"kind": "shifted_cosine"}, "dim", "2"),
+            ("labels", {}, "n_per_class", 2.5),
+            ("labels", {}, "n_per_class", "4"),
+            ("labels", {"strategy": "iid"}, "budget", 2.5),
+            ("labels", {"strategy": "coreset_greedy"}, "budget", "4"),
+            ("labels", {"strategy": "coreset_greedy"}, "budget", True),
+        ]
+    ])
+    def test_integer_keys_reject_other_values(self, section, kind, key, value):
+        # int() used to read 2.5 as 2 and "4" as 4
+        cfg = blob_config(**{"graph": SMALL_BLOBS, section: {**kind, key: value}})
+        with pytest.raises(InvalidConfigError, match=re.escape(f"{section}.{key}={value!r}")):
+            self.build(section, cfg, KernelSpec.graph_revealing())
 
 
 class TestCombinedLoss:
