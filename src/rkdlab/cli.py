@@ -19,10 +19,8 @@ import numpy as np
 from . import jsonio
 from .errors import RkdlabError
 from .graph_core import (
-    build_sbm,
     build_two_blobs,
     inter_class_fraction,
-    lazy_graph,
     load_graph,
     save_graph,
     spectral_decompose,
@@ -46,19 +44,16 @@ from .ssl_harness import (
     persist_failure,
     run_experiment,
     run_sweep,
+    sbm_graph,
 )
 
 
 def _cmd_graph(args) -> int:
     if args.gen == "sbm":
         sizes = [int(s) for s in args.sizes.split(",")]
-        g = build_sbm(args.k, sizes, args.p_in, args.p_out, args.seed)
-        if args.lazy:
-            g = lazy_graph(g)
-    elif args.gen == "two-blobs":
+        g = sbm_graph(args.k, sizes, args.p_in, args.p_out, args.seed, lazy=args.lazy)
+    else:  # two-blobs, the parser's only other choice
         g, _ = build_two_blobs(args.n_per, seed=args.seed)
-    else:
-        raise RkdlabError(f"unknown generator {args.gen!r}")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_graph(g, args.out)
     print(f"graph |X|={g.size} K={g.num_classes} alpha={inter_class_fraction(g):.6g} -> {args.out}")

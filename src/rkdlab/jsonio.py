@@ -64,5 +64,10 @@ def dump_canonical(obj, path) -> None:
     Path(path).write_text(dumps_canonical(obj))
 
 
+def dump_csv(header, rows, path) -> None:
+    """Rows of string fields that need no quoting, as the csv module writes them (CRLF line ends), in one write."""
+    Path(path).write_text("\r\n".join(map(",".join, (header, *rows))) + "\r\n", newline="")
+
+
 def load(path):
     return json.loads(Path(path).read_text())

@@ -8,13 +8,13 @@ over finite families and the excess-risk Monte Carlo audit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
+from . import jsonio
 from .errors import DomainError, InvalidConfigError
 from .graph_core import PopulationGraph
 from .spectral_rkd import Prediction, is_integer
@@ -49,11 +49,8 @@ def make_labeled(g: PopulationGraph, vertices, strategy: str, seed: int) -> Labe
 
 
 def save_labeled(labeled: LabeledSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex_id", "class", "strategy", "seed"])
-        for v, c in labeled.pairs:
-            writer.writerow([v, c, labeled.strategy, labeled.seed])
+    jsonio.dump_csv(("vertex_id", "class", "strategy", "seed"),
+                    [(f"{v}", f"{c}", labeled.strategy, f"{labeled.seed}") for v, c in labeled.pairs], path)
 
 
 def iid_sample(g: PopulationGraph, n: int, seed: int, require_coverage: bool = False):

@@ -167,8 +167,8 @@ class RkdLossReport:
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Momentum descent: the optimizer section shared by `rkdlab rkd` (which
-    reads `sampler` and the row-norm cap `b_f`) and `rkdlab ssl` (`rkd_pairs`,
-    None meaning max(2, |X|), and `recycle_labeled`), with the run's seed."""
+    reads `sampler`) and `rkdlab ssl` (`rkd_pairs`, None meaning max(2, |X|),
+    and `recycle_labeled`), both of which read the row-norm cap `b_f`, with the run's seed."""
 
     seed: int
     step_size: float = 0.5
@@ -394,6 +394,13 @@ class _PairLoss:
         gscores = np.bincount(self.codes, weights=self.terms.reshape(-1), minlength=scores.size)
         return loss, gscores.reshape(scores.shape)
 
+    def objective(self, features):
+        """The batch's loss as an objective: model -> (loss, parameter gradient)."""
+        def at(model: StudentModel):
+            loss, gscores = self(model.forward(features))
+            return loss, model.backward(features, gscores)
+        return at
+
 
 def _exhaustive_batch(g: PopulationGraph, kmat: np.ndarray):
     """Every ordered pair (x, x') weighted by w_x w_x', as the basic indices
@@ -404,17 +411,15 @@ def _exhaustive_batch(g: PopulationGraph, kmat: np.ndarray):
     return a, b, deg[a] * deg[b], kmat
 
 
-def check_gradient(model: StudentModel, features, a, b, u, kvals, coords: int, seed: int) -> float:
-    """Max relative error of the analytic gradient vs central differences.
+def check_gradient(model: StudentModel, objective, coords: int, seed: int) -> float:
+    """Max relative error of objective(model) -> (loss, parameter gradient) vs central differences.
 
     A coordinate's error is scaled by the larger of the two gradients, and at
     least by the roundoff of a central difference of the loss,
     eps |loss| / h, over the tolerance: a gradient below that floor cannot be
     resolved by the differences, so its error is not read as relative.
     """
-    pair_loss = _PairLoss(a, b, u, kvals)
-    loss, gscores = pair_loss(model.forward(features))
-    grad = model.backward(features, gscores)
+    loss, grad = objective(model)
     rng = np.random.default_rng(seed)
     idx = rng.choice(model.parameters.size, size=min(coords, model.parameters.size), replace=False)
     worst = 0.0
@@ -423,9 +428,9 @@ def check_gradient(model: StudentModel, features, a, b, u, kvals, coords: int, s
     for i in idx:
         probe = model.copy()
         probe.parameters[i] += h
-        up, _ = pair_loss(probe.forward(features))
+        up, _ = objective(probe)
         probe.parameters[i] -= 2 * h
-        down, _ = pair_loss(probe.forward(features))
+        down, _ = objective(probe)
         numeric = (up - down) / (2 * h)
         error = abs(numeric - grad[i])
         if error > 0:
@@ -447,6 +452,28 @@ def _project_rows(model: StudentModel, features, b_f: float) -> None:
             model.parameters *= math.sqrt(b_f / worst)
 
 
+def descend(model: StudentModel, step_loss, check, opt: OptimizerConfig, features=None) -> None:
+    """Momentum descent on the model's parameters in place, the training loop of `rkdlab rkd` and
+    `rkdlab ssl`: after a gradient check of `check`, one fixed batch's objective, step i descends on
+    step_loss(i) = (loss, parameter gradient), stops at a non-finite loss or one above
+    DIVERGENCE_CAP, and projects rows to squared norm opt.b_f when that is set."""
+    worst = check_gradient(model, check, GRAD_CHECK_COORDS, opt.seed)
+    if worst >= GRAD_CHECK_REL_TOL:
+        raise NumericError(f"gradient check failed: relative error {worst:.3e} >= 1e-4")
+    velocity = np.zeros_like(model.parameters)
+    losses = []
+    for step in range(opt.iterations):
+        loss, grad = step_loss(step)
+        losses.append(loss)
+        if not math.isfinite(loss) or loss > DIVERGENCE_CAP:
+            raise TrainingDivergedError(f"loss {loss!r} at step {step}", trace=losses)
+        velocity *= opt.momentum
+        velocity -= opt.step_size * grad
+        model.parameters += velocity
+        if opt.b_f is not None:
+            _project_rows(model, features, opt.b_f)
+
+
 def train_student(
     model: StudentModel,
     g: PopulationGraph,
@@ -458,56 +485,43 @@ def train_student(
     """Gradient descent on the empirical RKD loss; returns (model, RkdLossReport).
 
     opt.sampler: "exhaustive" trains on all ordered pairs weighted by w_x w_x'
-    (the population objective); an integer m resamples m i.i.d. pairs per step.
-    The analytic gradient is checked against central differences at
-    initialization and must agree to 1e-4 relative error.  Pass a list as
-    trace_out to collect (iteration, empirical_loss, population_loss) rows.
+    (the population objective); an integer m resamples m i.i.d. pairs per step,
+    after one batch drawn for the gradient check.  Pass a list as trace_out to
+    collect (iteration, empirical_loss, population_loss) rows.
     """
     kmat = kernel if isinstance(kernel, np.ndarray) else kernel_matrix(kernel, g)
     model = model.copy()
     rng = np.random.default_rng(opt.seed)
 
     if opt.sampler == "exhaustive":
-        batch_fn = None
-        pair_loss = _PairLoss(*_exhaustive_batch(g, kmat))
+        grid = _PairLoss(*_exhaustive_batch(g, kmat))
+        next_batch = lambda: grid  # noqa: E731
     else:
         table = _PairTable.build(np.arange(g.size), g.degrees())
         weights = np.full(opt.sampler, 1.0 / opt.sampler)
 
-        def batch_fn():
+        def next_batch():
             pairs = table.draw(rng, opt.sampler)
             a, b = pairs[:, 0], pairs[:, 1]
             return _PairLoss(a, b, weights, kmat[a, b])
 
-        pair_loss = batch_fn()
-
-    worst = check_gradient(model, features, pair_loss.a, pair_loss.b, pair_loss.u, pair_loss.kvals,
-                           GRAD_CHECK_COORDS, opt.seed)
-    if worst >= GRAD_CHECK_REL_TOL:
-        raise NumericError(f"gradient check failed: relative error {worst:.3e} >= 1e-4")
-
-    velocity = np.zeros_like(model.parameters)
-    losses = []
+    pair_loss = next_batch()
     trace = None if trace_out is None else _LossTrace(g, trace_out)
-    for step in range(opt.iterations):
-        if batch_fn is not None:
-            pair_loss = batch_fn()
+
+    def step_loss(step):
+        nonlocal pair_loss
+        pair_loss = next_batch()
         scores = model.forward(features)
         loss, gscores = pair_loss(scores)
-        losses.append(loss)
         if trace is not None:
             trace.add(step, loss, scores)
-        if not math.isfinite(loss) or loss > DIVERGENCE_CAP:
-            if trace is not None:
-                trace.flush()
-            raise TrainingDivergedError(f"loss {loss!r} at step {step}", trace=losses)
-        velocity *= opt.momentum
-        velocity -= opt.step_size * model.backward(features, gscores)
-        model.parameters += velocity
-        if opt.b_f is not None:
-            _project_rows(model, features, opt.b_f)
-    if trace is not None:
-        trace.flush()
+        return loss, model.backward(features, gscores)
+
+    try:
+        descend(model, step_loss, pair_loss.objective(features), opt, features)
+    finally:
+        if trace is not None:
+            trace.flush()
 
     pred = model.prediction(features)
     pop = population_rkd_loss(pred, g)
@@ -552,20 +566,21 @@ class _LossTrace:
 
     def flush(self) -> None:
         """Append the kept steps' rows; raise at the first step whose scores
-        are not finite or whose loss forms disagree, after the rows before it."""
-        if not self.steps:
+        are not finite or whose loss forms disagree, after the rows before it;
+        the kept steps are dropped either way."""
+        steps, losses = self.steps, self.losses
+        self.steps, self.losses = [], []
+        if not steps:
             return
-        block = self.block[: len(self.steps)]
+        block = self.block[: len(steps)]
         finite = np.isfinite(block).all(axis=(1, 2))
         usable = len(block) if finite.all() else int(np.argmin(finite))
         if usable:
             matrix, expectation = self.population.forms(block[:usable])
-            for step, loss, m, e in zip(self.steps, self.losses, matrix, expectation.tolist()):
+            for step, loss, m, e in zip(steps, losses, matrix, expectation.tolist()):
                 self.rows.append((step, loss, _agreed(m, e)))
         if usable < len(block):
             Prediction(scores=block[usable])  # raises: a non-finite score
-        self.steps.clear()
-        self.losses.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +689,6 @@ def load_checkpoint(path) -> StudentModel:
 
 
 def save_loss_trace(rows, path) -> None:
-    """rows: iterable of (iteration, empirical_loss, population_loss), written
-    as the csv module's default dialect writes them (no field needs quoting,
-    lines end in CRLF), in one write."""
-    lines = [f"{it},{emp:.17g},{pop:.17g}\r\n" for it, emp, pop in rows]
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(["iteration,empirical_loss,population_loss\r\n", *lines]))
+    """rows: iterable of (iteration, empirical_loss, population_loss)."""
+    jsonio.dump_csv(("iteration", "empirical_loss", "population_loss"),
+                    [(f"{it}", f"{emp:.17g}", f"{pop:.17g}") for it, emp, pop in rows], path)

@@ -8,11 +8,11 @@ vertices, and embeds the clustering-error audits in the result.  Identical
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import inspect
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -48,11 +48,11 @@ from .label_acquisition import (
     uniform_per_class_sample,
 )
 from .spectral_rkd import (
-    DIVERGENCE_CAP,
     OptimizerConfig,
     Prediction,
     StudentModel,
     _PairTable,
+    descend,
     is_integer,
     population_rkd_loss,
     spectral_decompose,
@@ -62,20 +62,28 @@ from .teacher_kernel import KernelSpec, TeacherEmbedding, kernel_matrix, spectra
 
 @functools.cache
 def _parameters(reader) -> tuple:
-    """(the names reader takes, the ones without a default), from its signature."""
+    """(the annotation of each name reader takes, the names without a default), from its signature."""
     params = inspect.signature(reader).parameters.values()
-    return frozenset(p.name for p in params), tuple(p.name for p in params if p.default is p.empty)
+    return {p.name: p.annotation for p in params}, tuple(p.name for p in params if p.default is p.empty)
+
+
+# what a config value of a parameter annotated float, float | None or bool must be (a bool is not a number)
+_VALUE_TYPES = {"float": (numbers.Real, "a number"), "float | None": ((numbers.Real, type(None)), "a number or null"),
+                "bool": (bool, "true or false")}
 
 
 def _check_section(prefix: str, section: dict, reader, own=(), supplied=()) -> dict:
     """`section`, once its keys are the parameters of `reader`, the class or
     builder that consumes it, apart from the `own` keys its caller reads (a
-    `kind`) and those the run supplies (a seed).  An unknown or a missing key
-    is an InvalidConfigError naming prefix + key."""
+    `kind`) and those the run supplies (a seed), and its values fit `_VALUE_TYPES`.  An unknown
+    or missing key, or a value of the wrong type, is an InvalidConfigError naming prefix + key."""
     taken, required = _parameters(reader)
-    for key in section:
+    for key, value in section.items():
         if key not in own and (key not in taken or key in supplied):
             raise InvalidConfigError(f"unknown key {prefix}{key}")
+        types, name = _VALUE_TYPES.get(taken.get(key), (None, None))
+        if types and (not isinstance(value, types) or isinstance(value, bool) and types is not bool):
+            raise InvalidConfigError(f"{prefix}{key}={value!r} must be {name}")
     for key in required:
         if key not in section and key not in supplied:
             raise InvalidConfigError(f"missing key {prefix}{key}")
@@ -449,7 +457,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
 
     model, features = build_student(g, points, seed, **cfg.student)
 
-    opt = cfg.opt
+    opt = replace(cfg.opt, seed=seed)
     rng = np.random.default_rng((seed, 1))
     unlabeled = np.setdiff1d(np.arange(g.size), labeled.vertices())
     pool = np.arange(g.size) if opt.recycle_labeled else unlabeled
@@ -461,21 +469,24 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
     num_pairs = max(2, g.size) if opt.rkd_pairs is None else opt.rkd_pairs
 
     losses = []
-    velocity = np.zeros_like(model.parameters)
-    for step in range(opt.iterations):
-        ws = views.draw(rng)
-        report = combined_loss(model, features, labeled, ws, pairs.draw(rng, num_pairs), kmat,
+
+    def step_loss(step):
+        report = combined_loss(model, features, labeled, views.draw(rng), pairs.draw(rng, num_pairs), kmat,
                                cfg.loss_weights)
-        if not math.isfinite(report.total) or report.total > DIVERGENCE_CAP:
-            raise TrainingDivergedError(f"combined loss {report.total!r} at step {step}",
-                                        trace=[r["total"] for r in losses])
         losses.append({
             "total": report.total, "cross_entropy": report.cross_entropy,
             "dac": report.dac, "rkd": report.rkd, "confident": report.confident_count,
         })
-        velocity *= opt.momentum
-        velocity -= opt.step_size * report.grad
-        model.parameters += velocity
+        return report.total, report.grad
+
+    twin = np.random.default_rng((seed, 1))  # draws step 0's batch for the check, leaving rng as it is
+    ws, rkd_pairs = views.draw(twin), pairs.draw(twin, num_pairs)
+
+    def check(student):
+        report = combined_loss(student, features, labeled, ws, rkd_pairs, kmat, cfg.loss_weights)
+        return report.total, report.grad
+
+    descend(model, step_loss, check, opt, features)
 
     pred = model.prediction(features)
     correct = pred.hard_labels()[unlabeled] == g.labels[unlabeled]
@@ -523,14 +534,9 @@ def persist_run(cfg: ExperimentConfig, result: RunResult, seed: int) -> None:
     jsonio.dump_canonical({"wall_clock_seconds": result.wall_clock}, out / "timing.json")
     cfg.save(out / "config.json")
     save_labeled(result.labeled, out / "labels.csv")
-    with open(out / "losses.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "total", "cross_entropy", "dac", "rkd", "confident"])
-        for i, row in enumerate(result.losses):
-            writer.writerow([
-                i, format(row["total"], ".17g"), format(row["cross_entropy"], ".17g"),
-                format(row["dac"], ".17g"), format(row["rkd"], ".17g"), row["confident"],
-            ])
+    terms = ("total", "cross_entropy", "dac", "rkd")
+    rows = [(f"{i}", *(f"{row[t]:.17g}" for t in terms), f"{row['confident']}") for i, row in enumerate(result.losses)]
+    jsonio.dump_csv(("iteration", *terms, "confident"), rows, out / "losses.csv")
 
 
 def persist_failure(out_dir, exc: TrainingDivergedError) -> Path:

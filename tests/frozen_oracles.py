@@ -3,8 +3,10 @@
 These are the loops that the stacked audit and the batched training loop in
 `rkdlab` replaced, kept verbatim in their arithmetic: one QR per rotation, one
 majority labeling and one skeleton per family member, and per training step
-two `np.add.at` scatters and one population-loss evaluation.  The oracle tests
-require the library to give the same floats, labels, verdicts and errors.
+two `np.add.at` scatters and one population-loss evaluation; and the SSL
+run's own momentum loop, from before it shared its loop with `train_student`.
+The oracle tests require the library to give the same floats, labels,
+verdicts and errors.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from rkdlab import clustering_audit as ca
 from rkdlab import spectral_rkd as sr
+from rkdlab import ssl_harness as sh
 from rkdlab.errors import DomainError, NumericError, TrainingDivergedError
 from rkdlab.graph_core import inter_class_fraction, normalized_adjacency, spectral_decompose
 from rkdlab.teacher_kernel import KernelSpec, kernel_matrix
@@ -211,3 +214,40 @@ def train_student(model, g, kernel, opt, features=None, trace_out=None):
     pop = population_rkd_loss(pred, g)
     emp, _ = _loss_and_grad(model, features, a, b, u, kv)
     return model, (pop, emp)
+
+
+def ssl_train(cfg, seed):
+    """The training loop of `run_experiment` with the run's fixtures, without
+    a gradient check or row projection; returns (loss rows, parameters)."""
+    g, points = sh.build_graph_fixture(cfg)
+    aug = sh.build_augmentation_fixture(cfg, g, points)
+    kernel = sh.build_kernel_fixture(cfg, g, points)
+    kmat = kernel_matrix(kernel, g)
+    labeled = sh.acquire_labels(cfg, g, kernel, seed)
+    model, features = sh.build_student(g, points, seed, **cfg.student)
+
+    opt = cfg.opt
+    rng = np.random.default_rng((seed, 1))
+    unlabeled = np.setdiff1d(np.arange(g.size), labeled.vertices())
+    pool = np.arange(g.size) if opt.recycle_labeled else unlabeled
+    views = sh._ViewTable.build(aug, pool)
+    pairs = sr._PairTable.build(pool, g.degrees()[pool] / g.degrees()[pool].sum())
+    num_pairs = max(2, g.size) if opt.rkd_pairs is None else opt.rkd_pairs
+
+    losses = []
+    velocity = np.zeros_like(model.parameters)
+    for step in range(opt.iterations):
+        ws = views.draw(rng)
+        report = sh.combined_loss(model, features, labeled, ws, pairs.draw(rng, num_pairs), kmat,
+                                  cfg.loss_weights)
+        if not math.isfinite(report.total) or report.total > sr.DIVERGENCE_CAP:
+            raise TrainingDivergedError(f"combined loss {report.total!r} at step {step}",
+                                        trace=[r["total"] for r in losses])
+        losses.append({
+            "total": report.total, "cross_entropy": report.cross_entropy,
+            "dac": report.dac, "rkd": report.rkd, "confident": report.confident_count,
+        })
+        velocity *= opt.momentum
+        velocity -= opt.step_size * report.grad
+        model.parameters += velocity
+    return losses, model.parameters

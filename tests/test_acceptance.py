@@ -47,6 +47,7 @@ from rkdlab.spectral_rkd import (
     OptimizerConfig,
     Prediction,
     StudentModel,
+    _PairLoss,
     check_gradient,
     draw_pairs,
     exact_pair_expectation,
@@ -422,8 +423,8 @@ def test_criterion_11_gradient_check():
         pairs = draw_pairs(g, 15, rng)
         a, b = pairs[:, 0], pairs[:, 1]
         kmat = kernel_matrix(KernelSpec.graph_revealing(), g)
-        worst = max(worst, check_gradient(model, feats, a, b, np.full(15, 1.0 / 15),
-                                          kmat[a, b], coords=10, seed=i))
+        objective = _PairLoss(a, b, np.full(15, 1.0 / 15), kmat[a, b]).objective(feats)
+        worst = max(worst, check_gradient(model, objective, coords=10, seed=i))
     elapsed = time.time() - t0
     verdict(11, worst < 1e-4 and elapsed < 5.0,
             f"analytic pair-loss gradient vs central differences, worst relative error "

@@ -9,8 +9,10 @@ import pytest
 
 import rkdlab
 from rkdlab.cli import build_parser, main
-from rkdlab.graph_core import load_graph
+from rkdlab.graph_core import load_graph, save_graph
 from rkdlab.jsonio import dump_canonical
+from rkdlab.spectral_rkd import StudentModel
+from rkdlab.ssl_harness import sbm_graph
 
 
 @pytest.fixture
@@ -60,6 +62,16 @@ def test_parser_is_built_once_and_parses_independently(tmp_path):
     assert main(["graph", "--gen", "sbm", "--seed", "0", "--out", str(plain)]) == 0
     assert np.all(np.diag(load_graph(lazy).weights) > 0)
     assert np.all(np.diag(load_graph(plain).weights) == 0)
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_graph_sbm_file_is_the_config_readers_graph(tmp_path, lazy):
+    # `rkdlab graph --gen sbm` and a config's sbm graph section build through one function
+    out, want = tmp_path / "cli.json", tmp_path / "reader.json"
+    flags = ["--k", "3", "--sizes", "3,4,2", "--p-in", "0.8", "--p-out", "0.1"] + (["--lazy"] if lazy else [])
+    assert main(["graph", "--gen", "sbm", *flags, "--seed", "5", "--out", str(out)]) == 0
+    save_graph(sbm_graph(3, [3, 4, 2], 0.8, 0.1, 5, lazy=lazy), want)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_graph_generation_writes_disconnected_fixture(tmp_path, capsys):
@@ -374,6 +386,19 @@ BAD_CONFIGS = [
     ("labels.seed", _set("labels", seed=3), "labels.seed"),
     ("iid-without-budget", lambda cfg: cfg.update(labels={"strategy": "iid"}), "labels.budget"),
     ("file-without-path", _set("augmentation", kind="file"), "augmentation.path"),
+    ("string-kernel-noise", lambda cfg: cfg.update(kernel={"kind": "shifted_cosine", "noise": "x"}),
+     "kernel.noise"),
+    ("string-init-scale", _set("student", init_scale="x"), "student.init_scale"),
+    ("string-tau", _set("loss", tau_dac="x"), "loss.tau_dac"),
+    ("string-graph-noise", lambda cfg: cfg.update(graph={"kind": "two_blobs", "n_per_class": 4, "separation": 4.0,
+                                                         "noise": "0.6", "bandwidth": 1.2, "seed": 5}),
+     "graph.noise"),
+    ("string-momentum", _set("optimizer", momentum="x"), "optimizer.momentum"),
+    ("bool-step-size", _set("optimizer", step_size=True), "optimizer.step_size"),
+    ("bool-lambda-rkd", _set("loss", lambda_rkd=True), "loss.lambda_rkd"),
+    ("string-b-f", _set("optimizer", b_f="0.5"), "optimizer.b_f"),
+    ("int-lazy", _set("graph", lazy=1), "graph.lazy"),
+    ("string-recycle-labeled", _set("optimizer", recycle_labeled="no"), "optimizer.recycle_labeled"),
     ("missing-file", None, None),
     ("malformed-json", '{"graph": ', None),
     ("top-level-list", "[1, 2]", None),
@@ -415,6 +440,15 @@ def test_rkd_and_ssl_share_the_optimizer_defaults(tmp_path, audit_config):
     assert abs(json.loads((tmp_path / "rkd" / "rkd_report.json").read_text())["gap"]) <= 1e-12
     assert main(["ssl", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "ssl")]) == 0
     assert json.loads((tmp_path / "ssl" / "run_result.json").read_text())["iterations"] == 500
+
+
+def test_ssl_with_a_wrong_gradient_exits_1(tmp_path, audit_config, capsys, monkeypatch):
+    backward = StudentModel.backward
+    monkeypatch.setattr(StudentModel, "backward", lambda self, features, gscores:
+                        1.01 * backward(self, features, gscores))
+    code = main(["ssl", "--config", str(audit_config), "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "gradient check failed" in capsys.readouterr().err
 
 
 def test_ssl_with_empty_training_pool_exits_1(tmp_path, capsys):

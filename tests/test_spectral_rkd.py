@@ -271,7 +271,8 @@ class TestGradientCheck:
         pairs = draw_pairs(g, 12, rng)
         a, b = pairs[:, 0], pairs[:, 1]
         kmat = normalized_adjacency(g)
-        worst = check_gradient(model, feats, a, b, np.full(12, 1.0 / 12), kmat[a, b], coords=10, seed=3)
+        objective = spectral_rkd._PairLoss(a, b, np.full(12, 1.0 / 12), kmat[a, b]).objective(feats)
+        worst = check_gradient(model, objective, coords=10, seed=3)
         assert worst < 1e-4
 
 
@@ -474,8 +475,9 @@ class TestGradientCheckFloor:
                 return out
 
         skewed = Skewed("table", (6, 2), model.parameters)
-        assert check_gradient(model, None, a, b, u, kvals, coords=12, seed=0) < 1e-6
-        assert check_gradient(skewed, None, a, b, u, kvals, coords=12, seed=0) > 5e-3
+        objective = spectral_rkd._PairLoss(a, b, u, kvals).objective(None)
+        assert check_gradient(model, objective, coords=12, seed=0) < 1e-6
+        assert check_gradient(skewed, objective, coords=12, seed=0) > 5e-3
 
 
 @pytest.mark.parametrize("field,value", [

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frozen_oracles as oracle
+
 from rkdlab.dac_expansion import (
     AugmentationMap,
     chain_augmentation,
@@ -17,7 +19,7 @@ from rkdlab.dac_expansion import (
     make_augmentation,
     save_augmentation,
 )
-from rkdlab.errors import InvalidConfigError
+from rkdlab.errors import InvalidConfigError, NumericError, TrainingDivergedError
 from rkdlab.graph_core import build_sbm, build_two_blobs, lazy_graph, load_graph, save_graph
 from rkdlab.jsonio import dumps_canonical
 from rkdlab.label_acquisition import (
@@ -28,7 +30,7 @@ from rkdlab.label_acquisition import (
     stochastic_greedy,
     uniform_per_class_sample,
 )
-from rkdlab.spectral_rkd import StudentModel
+from rkdlab.spectral_rkd import DIVERGENCE_CAP, GRAD_CHECK_COORDS, OptimizerConfig, StudentModel, train_student
 from rkdlab.ssl_harness import (
     CombinedLossReport,
     ExperimentConfig,
@@ -74,6 +76,11 @@ class TestConfig:
     def test_invalid_tau_rejected(self):
         with pytest.raises(InvalidConfigError):
             blob_config(loss={"lambda_dac": 1.0, "lambda_rkd": 0.0, "tau_dac": 1.5})
+
+    def test_float_keys_take_integers_and_an_optional_one_null(self):
+        cfg = blob_config(optimizer={"step_size": 1, "iterations": 0, "momentum": 0, "b_f": None},
+                          loss={"lambda_dac": 1, "lambda_rkd": 0})
+        assert (cfg.opt.step_size, cfg.opt.b_f, cfg.loss_weights.lambda_rkd) == (1, None, 0)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -505,8 +512,60 @@ class TestRunExperiment:
         iterations = 25
         run_experiment(blob_config(optimizer={"step_size": 0.5, "iterations": iterations,
                                               "momentum": 0.9, "rkd_pairs": 16}))
-        # one per training step, plus the final prediction
-        assert len(calls) == iterations + 1
+        # one per training step, plus the final prediction, plus the step-0
+        # gradient check's loss and two differences per checked coordinate
+        assert len(calls) == iterations + 1 + (1 + 2 * GRAD_CHECK_COORDS)
+
+    @pytest.mark.parametrize("arch", ["table", "linear", "mlp"])
+    @pytest.mark.parametrize("lambda_rkd", [0.0, 0.3])
+    @pytest.mark.parametrize("augmentation", [{"kind": "split_chain", "parts": 2}, {"kind": "knn", "k": 2}])
+    @pytest.mark.parametrize("iterations", [0, 1, 40])
+    def test_training_matches_the_frozen_loop(self, arch, lambda_rkd, augmentation, iterations):
+        # knn gives every vertex two partners, so each step draws strong views
+        cfg = blob_config(
+            graph={"kind": "two_blobs", "n_per_class": 6, "separation": 3.0, "noise": 0.8,
+                   "bandwidth": 1.2, "seed": 2},
+            augmentation=augmentation,
+            student={"arch": arch, "init_scale": 0.3, **({"hidden": 4} if arch == "mlp" else {})},
+            loss={"lambda_dac": 1.0, "lambda_rkd": lambda_rkd, "tau_dac": 0.6, "temperature": 1.0},
+            labels={"strategy": "uniform_per_class", "n_per_class": 2},
+            optimizer={"step_size": 0.1, "iterations": iterations, "momentum": 0.9, "rkd_pairs": 8},
+            seed=4,
+        )
+        want_losses, want_parameters = oracle.ssl_train(cfg, 4)
+        result = run_experiment(cfg)
+        assert repr(result.losses) == repr(want_losses)
+        assert np.array_equal(result.model.parameters, want_parameters)
+        assert iterations < 40 or max(row["confident"] for row in result.losses) > 0  # DAC term in play
+
+    def test_skewed_gradient_fails_the_check_before_training(self, monkeypatch):
+        backward = StudentModel.backward
+        monkeypatch.setattr(StudentModel, "backward", lambda self, features, gscores:
+                            1.01 * backward(self, features, gscores))
+        with pytest.raises(NumericError, match="gradient check failed"):
+            run_experiment(blob_config())
+
+    @pytest.mark.parametrize("arch", ["table", "linear"])
+    def test_row_norm_cap_holds_at_the_end(self, arch):
+        cfg = blob_config(student={"arch": arch, "init_scale": 0.05},
+                          optimizer={"step_size": 0.5, "iterations": 60, "momentum": 0.9, "rkd_pairs": 16,
+                                     "b_f": 0.05})
+        result = run_experiment(cfg)
+        points = build_graph_fixture(cfg)[1] if arch != "table" else None
+        assert np.sum(result.model.forward(points) ** 2, axis=1).max() <= 0.05 * (1 + 1e-12)
+
+    def test_divergence_records_the_diverging_loss_as_rkd_does(self):
+        g, _ = build_graph_fixture(blob_config())
+        diverging = {"step_size": 500.0, "iterations": 50, "momentum": 0.9}
+        with pytest.raises(TrainingDivergedError) as ssl_error:
+            run_experiment(blob_config(optimizer=diverging))
+        with pytest.raises(TrainingDivergedError) as rkd_error:
+            train_student(StudentModel.initialize("table", (g.size, 2), seed=7), g, KernelSpec.graph_revealing(),
+                          OptimizerConfig(seed=7, **diverging))
+        for error in (ssl_error.value, rkd_error.value):
+            trace = error.trace
+            assert not trace[-1] <= DIVERGENCE_CAP and all(loss <= DIVERGENCE_CAP for loss in trace[:-1])
+            assert str(error) == f"loss {trace[-1]!r} at step {len(trace) - 1}"
 
     def test_sweep_matches_individual_runs(self, tmp_path):
         cfg = blob_config(optimizer={"step_size": 0.5, "iterations": 30, "momentum": 0.9},
