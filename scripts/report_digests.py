@@ -1,11 +1,13 @@
-"""Digest every benchmark reference op: exit status, output text and file hashes.
+"""Digest every benchmark reference op and a fixed set of SSL sweeps: exit status, output text and file hashes.
 
     python3 scripts/report_digests.py --out digests.json
     python3 scripts/report_digests.py --root ../other-checkout --out other.json
     diff digests.json other.json
 
-Runs each op of ``benchmarks.workloads.all_reference_ops()`` in this process
-through ``rkdlab.cli.main``, importing ``rkdlab`` from ``<root>/src`` and the
+Runs each op of ``benchmarks.workloads.all_reference_ops()``, then each sweep of
+``sweep_ops()`` (paths the benchmark does not take: knn views, parametric
+students, a training pool without the labeled vertices, a row-norm cap), in
+this process through ``rkdlab.cli.main``, importing ``rkdlab`` from ``<root>/src`` and the
 workloads from ``<root>/benchmarks`` (``--root`` defaults to the checkout
 holding this script).  For each op key it records the exit status, standard
 output, standard error, and the sha256 of every file the op wrote except those
@@ -43,6 +45,29 @@ def load(root: Path):
     return rkdlab.cli, workloads
 
 
+SWEEP_SEEDS = (1, 2, 5)
+
+
+def sweep_ops(workloads) -> list:
+    """``ssl --sweep 1,2,5`` ops on the 32-vertex A/B blobs (graph seed 5): knn
+    views (k 3) for the table, linear and mlp students, each with the labeled
+    vertices in the training pool and, with i.i.d. labels, without them; and
+    the table student under a row-norm cap."""
+    made = []
+    for arch in ("table", "linear", "mlp"):
+        for recycle in (True, False):
+            cfg = workloads.ab_config(16, 0.001, 5, labels=None if recycle else {"strategy": "iid", "budget": 6})
+            cfg["augmentation"] = {"kind": "knn", "k": 3}
+            cfg["student"] = {"arch": arch, "init_scale": 0.05}
+            cfg["optimizer"]["recycle_labeled"] = recycle
+            made.append((f"knn3|{arch}|recycle={recycle}", cfg))
+    capped = workloads.ab_config(16, 0.001, 5)
+    capped["optimizer"]["b_f"] = 0.05
+    made.append(("b_f=0.05", capped))
+    return [(workloads.Op(f"ssl-sweep|{name}", "ssl", f"sweep_{i}.json", SWEEP_SEEDS, "run_result.json"),
+             {f"sweep_{i}.json": cfg}) for i, (name, cfg) in enumerate(made)]
+
+
 def digest_op(cli, workloads, op, inputs: Path, out: Path) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -64,7 +89,7 @@ def main(argv=None) -> int:
 
     target = args.out.resolve()
     cli, workloads = load(args.root.resolve())
-    ops = workloads.all_reference_ops()
+    ops = workloads.all_reference_ops() + sweep_ops(workloads)
     configs = {}
     for _, cfgs in ops:
         configs.update(cfgs)

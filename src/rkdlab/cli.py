@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .errors import RkdlabError
+from .errors import RkdlabError, TrainingDivergedError
 from .graph_core import (
     build_two_blobs,
     inter_class_fraction,
@@ -41,7 +41,6 @@ from .ssl_harness import (
     build_kernel_fixture,
     build_student,
     acquire_labels,
-    persist_failure,
     run_experiment,
     run_sweep,
     sbm_graph,
@@ -179,8 +178,6 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_ssl(args) -> int:
-    from .errors import TrainingDivergedError
-
     cfg = replace(ExperimentConfig.from_file(args.config), out_dir=args.out)
     if args.sweep:
         seeds = [int(s) for s in args.sweep.split(",")]
@@ -194,8 +191,8 @@ def _cmd_ssl(args) -> int:
         return 1 if diverged else 0
     try:
         result = run_experiment(cfg, seed=args.seed)
-    except TrainingDivergedError as exc:
-        print(f"error: training diverged, record at {persist_failure(args.out, exc)}", file=sys.stderr)
+    except TrainingDivergedError:
+        print(f"error: training diverged, record at {Path(args.out) / 'failed_run.json'}", file=sys.stderr)
         return 1
     print(f"ssl accuracy={result.accuracy:.4f} verdicts="
           f"{[v.get('verdict') for v in result.audits.values()]} -> {args.out}")
@@ -259,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--sweep", default=None, help="comma-separated seeds, run one after another")
+    p.add_argument("--sweep", default=None, help="comma-separated seeds, trained together in lockstep")
     p.set_defaults(func=_cmd_ssl)
 
     p = sub.add_parser("report", help="aggregate run results under a directory")

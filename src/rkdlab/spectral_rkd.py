@@ -67,6 +67,9 @@ class StudentModel:
       - table:  (|X|, K), parameters are the score table itself
       - linear: (d, K)
       - mlp:    (d, h, K), tanh hidden activation
+
+    parameters: one student's flat vector (p,), or an (S, p) stack scored as one (S, |X|, K) array with each
+    member's floats (a stacked matmul makes the same BLAS call per member).
     """
 
     architecture: str
@@ -78,10 +81,11 @@ class StudentModel:
             raise InvalidConfigError(f"unknown architecture {self.architecture!r}")
         self.widths = tuple(int(w) for w in self.widths)
         expect = self.parameter_count(self.architecture, self.widths)
-        self.parameters = np.asarray(self.parameters, dtype=float).ravel().copy()
-        if self.parameters.size != expect:
+        parameters = np.asarray(self.parameters, dtype=float)
+        self.parameters = (parameters if parameters.ndim == 2 else parameters.ravel()).copy()
+        if self.parameters.shape[-1] != expect:
             raise InvalidConfigError(
-                f"{self.architecture}{self.widths} needs {expect} parameters, got {self.parameters.size}"
+                f"{self.architecture}{self.widths} needs {expect} parameters, got {self.parameters.shape[-1]}"
             )
 
     @staticmethod
@@ -106,43 +110,46 @@ class StudentModel:
         return cls(architecture, tuple(widths), scale * rng.standard_normal(count))
 
     def _unpack(self):
+        lead = self.parameters.shape[:-1]
         if self.architecture == "mlp":
             d, h, k = self.widths
-            a1 = self.parameters[: h * d].reshape(h, d)
-            a2 = self.parameters[h * d :].reshape(k, h)
+            a1 = self.parameters[..., : h * d].reshape(*lead, h, d)
+            a2 = self.parameters[..., h * d :].reshape(*lead, k, h)
             return a1, a2
-        return (self.parameters.reshape(self.widths[-1], self.widths[0])
+        return (self.parameters.reshape(*lead, self.widths[-1], self.widths[0])
                 if self.architecture == "linear"
-                else self.parameters.reshape(self.widths))
+                else self.parameters.reshape(*lead, *self.widths))
 
     def forward(self, features: np.ndarray | None) -> np.ndarray:
         """Scores for all vertices; `features` is ignored by the table model."""
         if self.architecture == "table":
-            return self.parameters.reshape(self.widths)
+            return self.parameters.reshape(self.parameters.shape[:-1] + self.widths)
         if features is None:
             raise DomainError(f"{self.architecture} model needs input features")
         x = np.asarray(features, dtype=float)
         if self.architecture == "linear":
-            return x @ self._unpack().T
+            return x @ self._unpack().swapaxes(-1, -2)
         a1, a2 = self._unpack()
-        return np.tanh(x @ a1.T) @ a2.T
+        return np.tanh(x @ a1.swapaxes(-1, -2)) @ a2.swapaxes(-1, -2)
 
     def backward(self, features: np.ndarray | None, gscores: np.ndarray) -> np.ndarray:
-        """Gradient with respect to the flat parameters, given the gradient
+        """Gradient with respect to the parameters, given the gradient
         `gscores` of a loss with respect to the scores `forward(features)`."""
         if self.architecture == "table":
-            return gscores.ravel()
+            return gscores.ravel() if self.parameters.ndim == 1 else gscores.reshape(self.parameters.shape)
         if features is None:
             raise DomainError(f"{self.architecture} model needs input features")
         x = np.asarray(features, dtype=float)
+        gt = gscores.swapaxes(-1, -2)
         if self.architecture == "linear":
-            return (gscores.T @ x).ravel()
+            return (gt @ x).reshape(self.parameters.shape)
         a1, a2 = self._unpack()
-        hidden = np.tanh(x @ a1.T)
-        ga2 = gscores.T @ hidden
+        hidden = np.tanh(x @ a1.swapaxes(-1, -2))
+        ga2 = gt @ hidden
         gpre = (gscores @ a2) * (1.0 - hidden**2)
-        ga1 = gpre.T @ x
-        return np.concatenate([ga1.ravel(), ga2.ravel()])
+        ga1 = gpre.swapaxes(-1, -2) @ x
+        lead = self.parameters.shape[:-1]
+        return np.concatenate([ga1.reshape(*lead, -1), ga2.reshape(*lead, -1)], axis=-1)
 
     def prediction(self, features: np.ndarray | None = None) -> Prediction:
         return Prediction(scores=self.forward(features))
@@ -439,39 +446,67 @@ def check_gradient(model: StudentModel, objective, coords: int, seed: int) -> fl
 
 
 def _project_rows(model: StudentModel, features, b_f: float) -> None:
-    """Clip per-vertex squared row norms to b_f (table model rescales its rows;
-    parametric models rescale all parameters by the worst violation)."""
-    scores = model.forward(features)
-    sqn = np.sum(scores**2, axis=1)
-    if model.architecture == "table":
-        factor = np.minimum(1.0, np.sqrt(b_f / np.maximum(sqn, 1e-300)))
-        model.parameters = (scores * factor[:, None]).ravel()
-    else:
-        worst = float(sqn.max())
-        if worst > b_f:
-            model.parameters *= math.sqrt(b_f / worst)
+    """Clip per-vertex squared row norms to b_f: a table rescales each row above it, a parametric model (each
+    member of a stack) all parameters by its worst row.  What was above is rescaled until it is not (a rescale
+    can round up, and tanh is not linear in the scale): by sqrt(b_f / norm) again, and by an ulp at least."""
+    table = model.architecture == "table"
+    sqn = np.sum(model.forward(features) ** 2, axis=-1)
+    worst = sqn.ravel() if table else sqn.reshape(-1, sqn.shape[-1]).max(axis=-1)  # each table row, or member
+    over = worst > b_f
+    if not over.any():
+        return
+    units = model.parameters.reshape(len(worst), -1).copy()
+    base, worst = units[over], worst[over]
+    factor = np.sqrt(b_f / worst)
+    while True:
+        scaled = base * factor[:, None]
+        sqn = np.sum((scaled if table else StudentModel(model.architecture, model.widths, scaled).forward(features))
+                     ** 2, axis=-1)
+        worst = sqn if table else sqn.max(axis=-1)
+        still = worst > b_f
+        if not still.any():
+            break
+        factor[still] = np.minimum(np.nextafter(factor[still], 0.0), factor[still] * np.sqrt(b_f / worst[still]))
+    units[over] = scaled
+    model.parameters = units.reshape(model.parameters.shape)
 
 
-def descend(model: StudentModel, step_loss, check, opt: OptimizerConfig, features=None) -> None:
-    """Momentum descent on the model's parameters in place, the training loop of `rkdlab rkd` and
-    `rkdlab ssl`: after a gradient check of `check`, one fixed batch's objective, step i descends on
-    step_loss(i) = (loss, parameter gradient), stops at a non-finite loss or one above
-    DIVERGENCE_CAP, and projects rows to squared norm opt.b_f when that is set."""
-    worst = check_gradient(model, check, GRAD_CHECK_COORDS, opt.seed)
+def verify_gradient(model: StudentModel, objective, seed: int) -> None:
+    """Raise NumericError unless objective passes check_gradient on GRAD_CHECK_COORDS coordinates."""
+    worst = check_gradient(model, objective, GRAD_CHECK_COORDS, seed)
     if worst >= GRAD_CHECK_REL_TOL:
         raise NumericError(f"gradient check failed: relative error {worst:.3e} >= 1e-4")
+
+
+def descend(model: StudentModel, step_loss, opt: OptimizerConfig, features=None) -> list:
+    """Momentum descent in place on a stack of students (one student is a stack of one), the training loop of
+    `rkdlab rkd` and `rkdlab ssl`: step i descends on step_loss(i, members) = (the losses of `members`, the
+    students left, and their parameter gradients) and projects rows to squared norm opt.b_f when set.  A loss
+    non-finite or above DIVERGENCE_CAP takes its student out; returns per student None or that divergence."""
     velocity = np.zeros_like(model.parameters)
-    losses = []
+    members = list(range(len(model.parameters) if model.parameters.ndim == 2 else 1))
+    traces = [[] for _ in members]
+    errors = [None] * len(members)
     for step in range(opt.iterations):
-        loss, grad = step_loss(step)
-        losses.append(loss)
-        if not math.isfinite(loss) or loss > DIVERGENCE_CAP:
-            raise TrainingDivergedError(f"loss {loss!r} at step {step}", trace=losses)
+        losses, grad = step_loss(step, members)
+        diverged = False
+        for i, loss in zip(members, losses):
+            traces[i].append(loss)
+            if not math.isfinite(loss) or loss > DIVERGENCE_CAP:
+                errors[i] = TrainingDivergedError(f"loss {loss!r} at step {step}", trace=traces[i])
+                diverged = True
+        if diverged:
+            keep = [j for j, i in enumerate(members) if errors[i] is None]
+            members = [members[j] for j in keep]
+            if not members:
+                break
+            model.parameters, velocity, grad = model.parameters[keep], velocity[keep], grad[keep]
         velocity *= opt.momentum
         velocity -= opt.step_size * grad
         model.parameters += velocity
         if opt.b_f is not None:
             _project_rows(model, features, opt.b_f)
+    return errors
 
 
 def train_student(
@@ -506,22 +541,25 @@ def train_student(
             return _PairLoss(a, b, weights, kmat[a, b])
 
     pair_loss = next_batch()
+    verify_gradient(model, pair_loss.objective(features), opt.seed)
     trace = None if trace_out is None else _LossTrace(g, trace_out)
 
-    def step_loss(step):
+    def step_loss(step, members):
         nonlocal pair_loss
         pair_loss = next_batch()
         scores = model.forward(features)
         loss, gscores = pair_loss(scores)
         if trace is not None:
             trace.add(step, loss, scores)
-        return loss, model.backward(features, gscores)
+        return (loss,), model.backward(features, gscores)
 
     try:
-        descend(model, step_loss, pair_loss.objective(features), opt, features)
+        (diverged,) = descend(model, step_loss, opt, features)
     finally:
         if trace is not None:
             trace.flush()
+    if diverged is not None:
+        raise diverged
 
     pred = model.prediction(features)
     pop = population_rkd_loss(pred, g)

@@ -8,9 +8,11 @@ vertices, and embeds the clustering-error audits in the result.  Identical
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import inspect
+import itertools
 import math
 import numbers
 import time
@@ -29,7 +31,7 @@ from .dac_expansion import (
     split_chain_augmentation,
     theorem5_check,
 )
-from .errors import InvalidConfigError, TrainingDivergedError
+from .errors import InvalidConfigError, RkdlabError, TrainingDivergedError
 from .graph_core import (
     PopulationGraph,
     build_sbm,
@@ -53,9 +55,9 @@ from .spectral_rkd import (
     StudentModel,
     _PairTable,
     descend,
-    is_integer,
     population_rkd_loss,
     spectral_decompose,
+    verify_gradient,
 )
 from .teacher_kernel import KernelSpec, TeacherEmbedding, kernel_matrix, spectral_teacher_embedding
 
@@ -67,9 +69,10 @@ def _parameters(reader) -> tuple:
     return {p.name: p.annotation for p in params}, tuple(p.name for p in params if p.default is p.empty)
 
 
-# what a config value of a parameter annotated float, float | None or bool must be (a bool is not a number)
+# what a config value of a parameter annotated float, int (either or None) or bool must be (a bool is not a number)
 _VALUE_TYPES = {"float": (numbers.Real, "a number"), "float | None": ((numbers.Real, type(None)), "a number or null"),
-                "bool": (bool, "true or false")}
+                "int": (numbers.Integral, "an integer"), "bool": (bool, "true or false"),
+                "int | None": ((numbers.Integral, type(None)), "an integer or null")}
 
 
 def _check_section(prefix: str, section: dict, reader, own=(), supplied=()) -> dict:
@@ -233,8 +236,6 @@ def sbm_graph(num_classes: int, sizes, p_in: float, p_out: float, seed: int, laz
 def shifted_cosine_kernel(g, dim: int | None = None, noise: float = 0.0, seed: int = 0) -> KernelSpec:
     """Spectral teacher features of `dim` dimensions (None: K), with Gaussian noise of scale `noise`."""
     dim = g.num_classes if dim is None else dim
-    if not is_integer(dim):
-        raise InvalidConfigError(f"kernel.dim={dim!r} must be an integer")
     return KernelSpec.shifted_cosine(spectral_teacher_embedding(g, dim, float(noise), int(seed)))
 
 
@@ -249,8 +250,6 @@ def iid_labels(g: PopulationGraph, budget: int, seed: int, require_coverage: boo
 
 
 def coreset_greedy_labels(g: PopulationGraph, kernel, budget: int, seed: int, epsilon: float = 0.1) -> LabeledSet:
-    if not is_integer(budget):
-        raise InvalidConfigError(f"labels.budget={budget!r} must be an integer")
     return make_labeled(g, stochastic_greedy(kernel, g, budget, float(epsilon), seed), "coreset_greedy", seed)
 
 
@@ -293,89 +292,115 @@ def spectral_clustering_prediction(g: PopulationGraph, seed: int) -> Prediction:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = z - z.max(axis=-1, keepdims=True)
+    # the ufunc reductions behind ndarray.max and .sum, without their Python wrappers
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
-@dataclass(frozen=True)
-class CombinedLossReport:
-    total: float
-    cross_entropy: float
-    dac: float
-    rkd: float
-    confident_count: int
-    grad: np.ndarray = field(repr=False, compare=False)
+def _top_probability(z: np.ndarray) -> np.ndarray:
+    """`_softmax(z).max(axis=-1)` as the same floats: a row's largest term exp(0) is 1, and a divide keeps order."""
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return 1.0 / np.add.reduce(e, axis=-1)
 
 
-def combined_loss(
-    model: StudentModel,
-    features: np.ndarray | None,
-    labeled: LabeledSet,
-    weak_strong_pairs,
-    rkd_pairs,
-    kmat: np.ndarray,
-    weights: LossWeights,
-) -> CombinedLossReport:
-    """CE + lambda_dac * consistency + lambda_rkd * pairwise relational loss.
+def _run_sums(values: np.ndarray, counts: list) -> np.ndarray:
+    """The `.sum()` of each run of `values`, runs of the given lengths end to end (a row sum adds alike;
+    np.add.reduceat adds sequentially, `.sum()` pairwise from 8 terms up, and padding regroups terms)."""
+    if len(set(counts)) == 1:
+        return values.reshape(len(counts), counts[0]).sum(axis=-1)
+    ends = itertools.accumulate(counts)
+    return np.array([values[end - count:end].sum() for count, end in zip(counts, ends)])
 
-    weak_strong_pairs: (x_weak, x_strong) vertex pairs for the unlabeled set.
-    Low-confidence weak views (below tau_dac at temperature T) are discarded;
-    an empty confident set makes the consistency term 0.
 
-    One forward pass yields both the loss terms and `grad`, the analytic
-    gradient of `total` with respect to the model parameters; pseudo-labels
-    are treated as constants.
-    """
-    scores = model.forward(features)
-    gscores = np.zeros_like(scores)
-    lam_dac, lam_rkd = weights.lambda_dac, weights.lambda_rkd
+class _CombinedLoss:
+    """CE + lambda_dac * consistency + lambda_rkd * pairwise relational loss of each student of a stack (each with
+    its own labeled set, views and pairs) and the analytic gradient of each total, from one forward pass (pseudo-
+    labels are constants); weak views below tau_dac at temperature T are discarded, and none kept makes the
+    consistency term 0.  The stack's scores are one array of S |X| rows: row-wise work on all rows at once, each
+    member's sums on its own run, and one `bincount` whose bins take their terms in the order of one student's
+    `np.add.at` scatters (CE, DAC, relational a-ends, b-ends), so each member gets the floats of a stack of one."""
 
-    # each softmax block minus its one-hot targets is the score gradient of its
-    # CE; a mean is written as sum / count, the same reduction and divide
-    ce = 0.0
-    verts = labeled.vertices()
-    if len(verts):
-        probs = _softmax(scores[verts])
-        rows, classes = np.arange(len(verts)), labeled.classes()
-        ce = float(-np.log(np.maximum(probs[rows, classes], 1e-300)).sum() / len(verts))
-        probs[rows, classes] -= 1.0
-        probs /= len(verts)
-        np.add.at(gscores, verts, probs)
+    def __init__(self, labeled, kmat: np.ndarray, weights: LossWeights):
+        self.kmat, self.weights = kmat, weights
+        self.offsets = np.arange(len(labeled)) * len(kmat)  # of each member's rows
+        self.label_counts = [len(one.vertices()) for one in labeled]
+        self.label_rows = np.concatenate([one.vertices() + off for one, off in zip(labeled, self.offsets)])
+        self.label_pick = (np.arange(len(self.label_rows)), np.concatenate([one.classes() for one in labeled]))
+        self.label_divisors = np.repeat(self.label_counts, self.label_counts)[:, None]
+        self.label_means = np.maximum(self.label_counts, 1)
 
-    dac = 0.0
-    kept = 0
-    if weak_strong_pairs is not None and len(weak_strong_pairs) and lam_dac > 0:
-        ws = np.asarray(weak_strong_pairs, dtype=int)
-        weak = scores[ws[:, 0]]
-        confident = _softmax(weak / weights.temperature).max(axis=1) >= weights.tau_dac
-        kept = int(np.count_nonzero(confident))
-        if kept:
-            pseudo = weak[confident].argmax(axis=1)
+    def __call__(self, model: StudentModel, features, weak_strong_pairs, rkd_pairs) -> tuple:
+        """(each member's loss row: total, cross_entropy, dac, rkd, confident count; the stack's parameter
+        gradients), given lists of each member's (weak, strong) pairs and its R relational pairs (each list or None)."""
+        scores = model.forward(features)
+        K = scores.shape[-1]
+        flat = scores.reshape(-1, K)
+        count = len(self.offsets)
+        lam_dac, lam_rkd = self.weights.lambda_dac, self.weights.lambda_rkd
+        dac = rkd = [0.0] * count
+        kept = [0] * count
+
+        # each softmax block minus its one-hot targets is the score gradient of
+        # its CE; a mean is written as sum / count, the same reduction and divide
+        probs = _softmax(flat[self.label_rows])
+        ce = _run_sums(-np.log(np.maximum(probs[self.label_pick], 1e-300)), self.label_counts) / self.label_means
+        probs[self.label_pick] -= 1.0
+        probs /= self.label_divisors
+        rows, blocks = [self.label_rows], [probs]  # the score rows of the gradient terms, and the terms
+
+        if weak_strong_pairs is not None and lam_dac > 0:
+            ws, _ = self._rows(weak_strong_pairs)
+            weak = flat[ws[:, 0]]
+            confident = _top_probability(weak / self.weights.temperature) >= self.weights.tau_dac
             strong = ws[confident, 1]
-            strong_probs = _softmax(scores[strong])
-            rows = np.arange(kept)
-            dac = float(-np.log(np.maximum(strong_probs[rows, pseudo], 1e-300)).sum() / kept)
-            strong_probs[rows, pseudo] -= 1.0
-            strong_probs *= lam_dac
-            strong_probs /= kept
-            np.add.at(gscores, strong, strong_probs)
+            if len(strong):
+                if count == 1:
+                    kept = [len(strong)]
+                    means = share = len(strong)
+                else:
+                    share = np.bincount(strong // len(self.kmat), minlength=count)  # a row // |X| is its member
+                    kept, means, share = share.tolist(), np.maximum(share, 1), np.repeat(share, share)[:, None]
+                probs = _softmax(flat[strong])
+                pick = (np.arange(len(strong)), weak[confident].argmax(axis=1))  # the pseudo-labels
+                dac = (_run_sums(-np.log(np.maximum(probs[pick], 1e-300)), kept) / means).tolist()
+                probs[pick] -= 1.0
+                probs *= lam_dac
+                probs /= share
+                rows.append(strong)
+                blocks.append(probs)
 
-    rkd = 0.0
-    if rkd_pairs is not None and len(rkd_pairs) and lam_rkd > 0:
-        pr = np.asarray(rkd_pairs, dtype=int)
-        a, b = pr[:, 0], pr[:, 1]
-        sa, sb = scores[a], scores[b]
-        resid = (sa * sb).sum(axis=1) - kmat[a, b]
-        rkd = float((resid**2).sum() / len(pr))
-        coef = ((2.0 * lam_rkd / len(pr)) * resid)[:, None]
-        np.add.at(gscores, a, coef * sb)
-        np.add.at(gscores, b, coef * sa)
+        if rkd_pairs is not None and lam_rkd > 0:
+            ends, pairs = self._rows(rkd_pairs)
+            num_pairs = len(rkd_pairs[0])
+            sa, sb = flat[ends[:, 0]], flat[ends[:, 1]]
+            resid = (sa * sb).sum(axis=-1) - self.kmat[pairs[:, 0], pairs[:, 1]]
+            rkd = ((resid**2).reshape(count, num_pairs).sum(axis=-1) / num_pairs).tolist()
+            coef = ((2.0 * lam_rkd / num_pairs) * resid)[:, None]
+            rows += [ends[:, 0], ends[:, 1]]
+            blocks += [coef * sb, coef * sa]
 
-    total = ce + lam_dac * dac + lam_rkd * rkd
-    return CombinedLossReport(total=total, cross_entropy=ce, dac=dac, rkd=rkd, confident_count=kept,
-                              grad=model.backward(features, gscores))
+        codes = (np.concatenate(rows)[:, None] * K + np.arange(K)).ravel()
+        gscores = np.bincount(codes, weights=np.concatenate(blocks).ravel(), minlength=flat.size)
+        losses = [{"total": c + lam_dac * d + lam_rkd * r, "cross_entropy": c, "dac": d, "rkd": r, "confident": k}
+                  for c, d, r, k in zip(ce.tolist(), dac, rkd, kept)]
+        return losses, model.backward(features, gscores.reshape(scores.shape))
+
+    def _rows(self, vertex_pairs):
+        """(each member's vertex pairs as rows of the stack's scores, end to end; the vertex pairs, end to end)."""
+        if len(vertex_pairs) == 1:  # one member's rows need no layout
+            return vertex_pairs[0], vertex_pairs[0]
+        pairs = np.concatenate(vertex_pairs)
+        return pairs + np.repeat(self.offsets, [len(one) for one in vertex_pairs])[:, None], pairs
+
+    def objective(self, features, weak_strong_pairs, rkd_pairs):
+        """One member's total on one batch as an objective: a student -> (total, parameter gradient)."""
+        def at(model: StudentModel):
+            (row,), grad = self(model, features, [weak_strong_pairs], [rkd_pairs])
+            return row["total"], grad
+        return at
 
 
 @dataclass(frozen=True)
@@ -446,65 +471,102 @@ def build_student(g: PopulationGraph, points, seed: int, arch: str = "table", in
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
-    """Train on the combined objective, evaluate transductively, audit, persist."""
-    t0 = time.perf_counter()
-    seed = cfg.seed if seed is None else seed
+    """Train on the combined objective, evaluate transductively, audit, persist:
+    the sweep of one seed (by default cfg.seed), whose divergence is raised."""
+    (result,) = _run_lockstep(cfg, [(cfg, cfg.seed if seed is None else seed)])
+    if isinstance(result, TrainingDivergedError):
+        raise result
+    return result
+
+
+# a seed set up to train, with the seconds its setup took and the loss rows of its steps
+_Seed = collections.namedtuple("_Seed", "cfg seed labeled unlabeled model views pairs rng setup_s losses")
+
+
+def _run_lockstep(cfg: ExperimentConfig, runs) -> list:
+    """The RunResult or TrainingDivergedError of each (config, seed) run of a sweep, persisted.  Fixtures are
+    built once; each seed in turn gets its labels, student and generator and gradient-checks step 0's batch (if
+    one raises, the seeds before it train and persist, then it propagates).  All step as one stack, each drawing
+    from its own generator, so each gets the bits of a run on its own.  A run's wall clock is its share: the
+    fixtures and the training loop, which all seeds share, plus its own setup and audits."""
+    start = time.perf_counter()
     g, points = build_graph_fixture(cfg)
     aug = build_augmentation_fixture(cfg, g, points)
     kernel = build_kernel_fixture(cfg, g, points)
     kmat = kernel_matrix(kernel, g)
-    labeled = acquire_labels(cfg, g, kernel, seed)
-
-    model, features = build_student(g, points, seed, **cfg.student)
-
-    opt = replace(cfg.opt, seed=seed)
-    rng = np.random.default_rng((seed, 1))
-    unlabeled = np.setdiff1d(np.arange(g.size), labeled.vertices())
-    pool = np.arange(g.size) if opt.recycle_labeled else unlabeled
-    if not len(pool):
-        raise InvalidConfigError("optimizer.recycle_labeled is false and every vertex is labeled: "
-                                 "the unlabeled training pool is empty")
-    views = _ViewTable.build(aug, pool)
-    pairs = _PairTable.build(pool, g.degrees()[pool] / g.degrees()[pool].sum())
+    opt = cfg.opt
     num_pairs = max(2, g.size) if opt.rkd_pairs is None else opt.rkd_pairs
+    tables = lambda pool: (_ViewTable.build(aug, pool),  # noqa: E731
+                           _PairTable.build(pool, g.degrees()[pool] / g.degrees()[pool].sum()))
+    shared = tables(np.arange(g.size)) if opt.recycle_labeled else None
 
-    losses = []
+    ready, failure = [], None
+    for run_cfg, seed in runs:
+        t0 = time.perf_counter()
+        try:
+            labeled = acquire_labels(cfg, g, kernel, seed)
+            model, features = build_student(g, points, seed, **cfg.student)
+            unlabeled = np.setdiff1d(np.arange(g.size), labeled.vertices())
+            if not (opt.recycle_labeled or len(unlabeled)):
+                raise InvalidConfigError("optimizer.recycle_labeled is false and every vertex is labeled: "
+                                         "the unlabeled training pool is empty")
+            views, pairs = shared or tables(unlabeled)
+            twin = np.random.default_rng((seed, 1))  # draws step 0's batch for the check
+            check = _CombinedLoss([labeled], kmat, cfg.loss_weights)
+            verify_gradient(model, check.objective(features, views.draw(twin), pairs.draw(twin, num_pairs)), seed)
+        except RkdlabError as exc:
+            failure = exc
+            break
+        ready.append(_Seed(run_cfg, seed, labeled, unlabeled, model, views, pairs, np.random.default_rng((seed, 1)),
+                           time.perf_counter() - t0, []))
 
-    def step_loss(step):
-        report = combined_loss(model, features, labeled, views.draw(rng), pairs.draw(rng, num_pairs), kmat,
-                               cfg.loss_weights)
-        losses.append({
-            "total": report.total, "cross_entropy": report.cross_entropy,
-            "dac": report.dac, "rkd": report.rkd, "confident": report.confident_count,
-        })
-        return report.total, report.grad
+    results = []
+    if ready:
+        first = ready[0].model
+        stack = StudentModel(first.architecture, first.widths, np.stack([s.model.parameters for s in ready]))
+        active, objective = [], None
 
-    twin = np.random.default_rng((seed, 1))  # draws step 0's batch for the check, leaving rng as it is
-    ws, rkd_pairs = views.draw(twin), pairs.draw(twin, num_pairs)
+        def step_loss(step, members):
+            nonlocal active, objective
+            if len(active) != len(members):  # at the first step, and when seeds leave
+                active = [ready[i] for i in members]
+                objective = _CombinedLoss([s.labeled for s in active], kmat, cfg.loss_weights)
+            ws = [s.views.draw(s.rng) for s in active]
+            pairs = [s.pairs.draw(s.rng, num_pairs) for s in active]
+            rows, grad = objective(stack, features, ws, pairs)
+            for s, row in zip(active, rows):
+                s.losses.append(row)
+            return [row["total"] for row in rows], grad
 
-    def check(student):
-        report = combined_loss(student, features, labeled, ws, rkd_pairs, kmat, cfg.loss_weights)
-        return report.total, report.grad
-
-    descend(model, step_loss, check, opt, features)
-
-    pred = model.prediction(features)
-    correct = pred.hard_labels()[unlabeled] == g.labels[unlabeled]
-    accuracy = float(np.mean(correct)) if len(unlabeled) else math.nan
-
-    audits = _audit_bundle(pred, g, aug)
-    result = RunResult(
-        config_hash=cfg.config_hash(),
-        accuracy=accuracy,
-        losses=losses,
-        audits=audits,
-        labeled=labeled,
-        model=model,
-        wall_clock=time.perf_counter() - t0,
-    )
-    if cfg.out_dir:
-        persist_run(cfg, result, seed)
-    return result
+        errors = descend(stack, step_loss, opt, features)
+        shared_s = time.perf_counter() - start - sum(s.setup_s for s in ready)
+        left = iter(range(len(ready)))  # the rows of the stack left after training
+        for s, error in zip(ready, errors):
+            t0 = time.perf_counter()
+            if error is not None:  # the record of a diverged run
+                if s.cfg.out_dir:
+                    Path(s.cfg.out_dir).mkdir(parents=True, exist_ok=True)
+                    jsonio.dump_canonical({"status": "diverged", "message": str(error), "loss_trace": error.trace},
+                                          Path(s.cfg.out_dir) / "failed_run.json")
+                results.append(error)
+                continue
+            model = StudentModel(stack.architecture, stack.widths, stack.parameters[next(left)])
+            pred = model.prediction(features)
+            correct = pred.hard_labels()[s.unlabeled] == g.labels[s.unlabeled]
+            results.append(RunResult(
+                config_hash=s.cfg.config_hash(),
+                accuracy=float(np.mean(correct)) if len(s.unlabeled) else math.nan,
+                losses=s.losses,
+                audits=_audit_bundle(pred, g, aug),
+                labeled=s.labeled,
+                model=model,
+                wall_clock=shared_s + s.setup_s + time.perf_counter() - t0,
+            ))
+            if s.cfg.out_dir:
+                persist_run(s.cfg, results[-1], s.seed)
+    if failure is not None:
+        raise failure
+    return results
 
 
 def _audit_bundle(pred: Prediction, g: PopulationGraph, aug: AugmentationMap) -> dict:
@@ -539,27 +601,10 @@ def persist_run(cfg: ExperimentConfig, result: RunResult, seed: int) -> None:
     jsonio.dump_csv(("iteration", *terms, "confident"), rows, out / "losses.csv")
 
 
-def persist_failure(out_dir, exc: TrainingDivergedError) -> Path:
-    """Write the record of a diverged run to out_dir/failed_run.json."""
-    path = Path(out_dir) / "failed_run.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    jsonio.dump_canonical({"status": "diverged", "message": str(exc), "loss_trace": exc.trace}, path)
-    return path
-
-
 def run_sweep(cfg: ExperimentConfig, seeds) -> list:
-    """Independent (config, seed) runs, one after another in the calling
-    process; results in seed order.  A seed whose training diverges gives
-    its TrainingDivergedError in place of a result (recorded by
-    persist_failure), and the remaining seeds still run."""
-    results = []
-    for seed in seeds:
-        out_dir = str(Path(cfg.out_dir) / f"seed_{seed}") if cfg.out_dir else None
-        sub = replace(cfg, seed=seed, out_dir=out_dir)
-        try:
-            results.append(run_experiment(sub))
-        except TrainingDivergedError as exc:
-            if sub.out_dir:
-                persist_failure(sub.out_dir, exc)
-            results.append(exc)
-    return results
+    """Independent (config, seed) runs in seed order, trained in lockstep (`_run_lockstep`) in the calling
+    process.  A seed whose training diverges gives its TrainingDivergedError in place of a result (recorded in
+    its failed_run.json), and the remaining seeds still run."""
+    runs = [(replace(cfg, seed=seed, out_dir=str(Path(cfg.out_dir) / f"seed_{seed}") if cfg.out_dir else None),
+             seed) for seed in seeds]
+    return _run_lockstep(cfg, runs)

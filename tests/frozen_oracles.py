@@ -3,14 +3,17 @@
 These are the loops that the stacked audit and the batched training loop in
 `rkdlab` replaced, kept verbatim in their arithmetic: one QR per rotation, one
 majority labeling and one skeleton per family member, and per training step
-two `np.add.at` scatters and one population-loss evaluation; and the SSL
-run's own momentum loop, from before it shared its loop with `train_student`.
+two `np.add.at` scatters and one population-loss evaluation; the SSL
+objective of one student as first fused into one pass; and the SSL run's own
+momentum loop, from before it shared its loop with `train_student`.
 The oracle tests require the library to give the same floats, labels,
 verdicts and errors.
 """
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -216,6 +219,66 @@ def train_student(model, g, kernel, opt, features=None, trace_out=None):
     return model, (pop, emp)
 
 
+# one student's loss terms on one batch, and the parameter gradient of the total
+LossReport = collections.namedtuple("LossReport", "total cross_entropy dac rkd confident_count grad")
+
+
+def _softmax(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def combined_loss(model, features, labeled, weak_strong_pairs, rkd_pairs, kmat, loss_cfg):
+    """The combined objective as first fused into one pass, kept verbatim as a
+    bit-for-bit oracle: later rewrites must return the same floats."""
+    scores = model.forward(features)
+    gscores = np.zeros_like(scores)
+    lam_dac = float(loss_cfg.get("lambda_dac", 1.0))
+    lam_rkd = float(loss_cfg.get("lambda_rkd", 0.0))
+    tau = float(loss_cfg.get("tau_dac", 0.95))
+    temp = float(loss_cfg.get("temperature", 1.0))
+
+    ce = 0.0
+    verts = labeled.vertices()
+    if len(verts):
+        probs = _softmax(scores[verts])
+        rows, classes = np.arange(len(verts)), labeled.classes()
+        ce = float(-np.log(np.maximum(probs[rows, classes], 1e-300)).mean())
+        probs[rows, classes] -= 1.0
+        np.add.at(gscores, verts, probs / len(verts))
+
+    dac = 0.0
+    kept = 0
+    if weak_strong_pairs is not None and len(weak_strong_pairs) and lam_dac > 0:
+        ws = np.asarray(weak_strong_pairs, dtype=int)
+        weak_probs = _softmax(scores[ws[:, 0]] / temp)
+        confident = weak_probs.max(axis=1) >= tau
+        kept = int(confident.sum())
+        if kept:
+            pseudo = np.argmax(scores[ws[confident, 0]], axis=1)
+            strong = ws[confident, 1]
+            strong_probs = _softmax(scores[strong])
+            rows = np.arange(kept)
+            dac = float(-np.log(np.maximum(strong_probs[rows, pseudo], 1e-300)).mean())
+            strong_probs[rows, pseudo] -= 1.0
+            np.add.at(gscores, strong, lam_dac * strong_probs / kept)
+
+    rkd = 0.0
+    if rkd_pairs is not None and len(rkd_pairs) and lam_rkd > 0:
+        pr = np.asarray(rkd_pairs, dtype=int)
+        a, b = pr[:, 0], pr[:, 1]
+        resid = np.sum(scores[a] * scores[b], axis=1) - kmat[a, b]
+        rkd = float(np.mean(resid**2))
+        coef = (2.0 * lam_rkd / len(pr)) * resid
+        np.add.at(gscores, a, coef[:, None] * scores[b])
+        np.add.at(gscores, b, coef[:, None] * scores[a])
+
+    total = ce + lam_dac * dac + lam_rkd * rkd
+    return LossReport(total=total, cross_entropy=ce, dac=dac, rkd=rkd, confident_count=kept,
+                      grad=model.backward(features, gscores))
+
+
 def ssl_train(cfg, seed):
     """The training loop of `run_experiment` with the run's fixtures, without
     a gradient check or row projection; returns (loss rows, parameters)."""
@@ -238,8 +301,8 @@ def ssl_train(cfg, seed):
     velocity = np.zeros_like(model.parameters)
     for step in range(opt.iterations):
         ws = views.draw(rng)
-        report = sh.combined_loss(model, features, labeled, ws, pairs.draw(rng, num_pairs), kmat,
-                                  cfg.loss_weights)
+        report = combined_loss(model, features, labeled, ws, pairs.draw(rng, num_pairs), kmat,
+                               dataclasses.asdict(cfg.loss_weights))
         if not math.isfinite(report.total) or report.total > sr.DIVERGENCE_CAP:
             raise TrainingDivergedError(f"combined loss {report.total!r} at step {step}",
                                         trace=[r["total"] for r in losses])

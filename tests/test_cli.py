@@ -399,6 +399,10 @@ BAD_CONFIGS = [
     ("string-b-f", _set("optimizer", b_f="0.5"), "optimizer.b_f"),
     ("int-lazy", _set("graph", lazy=1), "graph.lazy"),
     ("string-recycle-labeled", _set("optimizer", recycle_labeled="no"), "optimizer.recycle_labeled"),
+    ("fractional-parts", _set("augmentation", kind="split_chain", parts=2.5), "augmentation.parts"),
+    ("string-knn-k", _set("augmentation", kind="knn", k="3"), "augmentation.k"),
+    ("float-n-per-class", _set("labels", n_per_class=4.0), "labels.n_per_class"),
+    ("bool-kernel-dim", lambda cfg: cfg.update(kernel={"kind": "shifted_cosine", "dim": True}), "kernel.dim"),
     ("missing-file", None, None),
     ("malformed-json", '{"graph": ', None),
     ("top-level-list", "[1, 2]", None),
@@ -418,7 +422,7 @@ def test_bad_config_exits_1_naming_the_key_or_the_path(tmp_path, audit_config, c
     elif edit is not None:
         cfg = json.loads(audit_config.read_text())
         edit(cfg)
-        dump_canonical(cfg, path)
+        path.write_text(json.dumps(cfg, sort_keys=True))  # keeps a float such as 4.0 a float
     code = main([command, "--config", str(path), "--seed", "1", "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
@@ -449,6 +453,23 @@ def test_ssl_with_a_wrong_gradient_exits_1(tmp_path, audit_config, capsys, monke
     code = main(["ssl", "--config", str(audit_config), "--seed", "1", "--out", str(tmp_path / "out")])
     assert code == 1
     assert "gradient check failed" in capsys.readouterr().err
+
+
+def test_ssl_sweep_stops_at_the_first_seed_that_fails_before_training(tmp_path, capsys):
+    # 20 i.i.d. draws label all ten vertices at seed 2 only, which leaves it no
+    # training pool: seeds 1 and 3 train and are written, 2 and 4 are not
+    path = ab_config(tmp_path, graph={"n_per_class": 5, "separation": 1.5, "noise": 0.5, "seed": 5},
+                     optimizer={"iterations": 5, "recycle_labeled": False})
+    cfg = json.loads(path.read_text())
+    cfg.update(augmentation={"kind": "chain"}, labels={"strategy": "iid", "budget": 20})
+    dump_canonical(cfg, path)
+    assert main(["ssl", "--config", str(path), "--seed", "2", "--out", str(tmp_path / "single")]) == 1
+    single = capsys.readouterr().err
+    assert main(["ssl", "--config", str(path), "--sweep", "1,3,2,4", "--out", str(tmp_path / "sweep")]) == 1
+    assert capsys.readouterr().err == single and "unlabeled training pool is empty" in single
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == ["seed_1", "seed_3"]
+    for seed in (1, 3):
+        assert (tmp_path / "sweep" / f"seed_{seed}" / "run_result.json").exists()
 
 
 def test_ssl_with_empty_training_pool_exits_1(tmp_path, capsys):

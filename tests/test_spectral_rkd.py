@@ -450,6 +450,42 @@ class TestTrainingMatchesPerStepOracle:
         assert got[0] is NumericError
 
 
+class TestRowProjection:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rows_end_at_or_below_the_cap(self, data):
+        arch = data.draw(st.sampled_from(["table", "linear", "mlp"]), label="arch")
+        n, K = data.draw(st.integers(1, 12), label="n"), data.draw(st.integers(1, 4), label="K")
+        members = data.draw(st.sampled_from([None, 1, 3]), label="stack")  # None: a single student
+        widths = {"table": (n, K), "linear": (3, K), "mlp": (3, 4, K)}[arch]
+        count = StudentModel.parameter_count(arch, widths) * (members or 1)
+        values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=count, max_size=count), label="values")
+        scale = data.draw(st.floats(1e-3, 1e3), label="scale")
+        b_f = data.draw(st.floats(1e-6, 1e3), label="b_f")
+        parameters = scale * np.array(values).reshape(-1 if members is None else (members, -1))
+        features = None if arch == "table" else np.random.default_rng(n).standard_normal((n, 3))
+        model = StudentModel(arch, widths, parameters)
+        before = model.forward(features)
+        spectral_rkd._project_rows(model, features, b_f)
+        after = model.forward(features)
+        norms = np.sum(after**2, axis=-1)
+        assert norms.max() <= b_f
+        within = np.sum(before**2, axis=-1) <= b_f
+        if arch == "table":  # rows within the cap are kept as they are
+            assert np.array_equal(after[within], before[within])
+        else:  # and so are students within it
+            kept = within.all(axis=-1)
+            assert np.array_equal(model.parameters[kept], parameters[kept])
+
+    def test_one_rescale_can_round_above_the_cap(self):
+        rows = np.random.default_rng(0).standard_normal((32000, 2))
+        once = rows * np.sqrt(0.05 / np.sum(rows**2, axis=1))[:, None]
+        assert np.count_nonzero(np.sum(once**2, axis=1) > 0.05) > 1000
+        model = StudentModel("table", rows.shape, rows.ravel())
+        spectral_rkd._project_rows(model, None, 0.05)
+        assert np.sum(model.forward(None) ** 2, axis=1).max() <= 0.05
+
+
 class TestGradientCheckFloor:
     def test_tiny_gradient_on_a_sampled_batch_passes(self, tmp_path):
         # a coordinate's gradient of -6.7e-8 is within a few hundred times the

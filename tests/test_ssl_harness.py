@@ -2,6 +2,7 @@ import math
 import re
 import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,16 +33,15 @@ from rkdlab.label_acquisition import (
 )
 from rkdlab.spectral_rkd import DIVERGENCE_CAP, GRAD_CHECK_COORDS, OptimizerConfig, StudentModel, train_student
 from rkdlab.ssl_harness import (
-    CombinedLossReport,
     ExperimentConfig,
     LossWeights,
+    _CombinedLoss,
     _PairTable,
     _ViewTable,
     acquire_labels,
     build_augmentation_fixture,
     build_graph_fixture,
     build_kernel_fixture,
-    combined_loss,
     run_experiment,
     run_sweep,
     spectral_clustering_prediction,
@@ -269,10 +269,17 @@ class TestSectionKinds:
         ]
     ])
     def test_integer_keys_reject_other_values(self, section, kind, key, value):
-        # int() used to read 2.5 as 2 and "4" as 4
-        cfg = blob_config(**{"graph": SMALL_BLOBS, section: {**kind, key: value}})
+        # int() used to read 2.5 as 2 and "4" as 4; the config now rejects them when it loads
         with pytest.raises(InvalidConfigError, match=re.escape(f"{section}.{key}={value!r}")):
-            self.build(section, cfg, KernelSpec.graph_revealing())
+            blob_config(**{"graph": SMALL_BLOBS, section: {**kind, key: value}})
+
+
+def _evaluate(model, features, labeled, ws, pairs, kmat, weights):
+    """One student's loss row and parameter gradient: the objective on a stack of one."""
+    views = None if ws is None else [np.asarray(ws, dtype=int)]
+    pairs = None if pairs is None else [np.asarray(pairs, dtype=int)]
+    (row,), grad = _CombinedLoss([labeled], kmat, weights)(model, features, views, pairs)
+    return row, grad
 
 
 class TestCombinedLoss:
@@ -288,29 +295,29 @@ class TestCombinedLoss:
         cfg = {"lambda_dac": 0.0, "lambda_rkd": 0.0}
         ws = [(i, i) for i in range(g.size)]
         pairs = [(0, 1), (2, 3)]
-        rep = combined_loss(model, None, labeled, ws, pairs, kmat, LossWeights(**cfg))
-        assert rep.total == rep.cross_entropy
-        assert rep.dac == 0.0 and rep.rkd == 0.0
+        row, _ = _evaluate(model, None, labeled, ws, pairs, kmat, LossWeights(**cfg))
+        assert row["total"] == row["cross_entropy"]
+        assert row["dac"] == 0.0 and row["rkd"] == 0.0
 
     def test_confident_correct_model_has_tiny_loss(self):
         g, kmat, labeled = self.setup_fixture()
         scores = 20.0 * np.eye(2)[g.labels].astype(float)
         model = StudentModel("table", (g.size, 2), scores.ravel())
         ws = [(i, i) for i in range(g.size)]
-        rep = combined_loss(model, None, labeled, ws, None, kmat,
-                            LossWeights(lambda_dac=1.0, lambda_rkd=0.0, tau_dac=0.95))
-        assert rep.confident_count == g.size
-        assert rep.dac < 1e-8
-        assert rep.cross_entropy < 1e-8
+        row, _ = _evaluate(model, None, labeled, ws, None, kmat,
+                           LossWeights(lambda_dac=1.0, lambda_rkd=0.0, tau_dac=0.95))
+        assert row["confident"] == g.size
+        assert row["dac"] < 1e-8
+        assert row["cross_entropy"] < 1e-8
 
     def test_all_below_threshold_gives_zero_dac(self):
         g, kmat, labeled = self.setup_fixture()
         model = StudentModel("table", (g.size, 2), np.zeros(g.size * 2))
         ws = [(i, i) for i in range(g.size)]
-        rep = combined_loss(model, None, labeled, ws, None, kmat,
-                            LossWeights(lambda_dac=1.0, lambda_rkd=0.0, tau_dac=0.95))
-        assert rep.confident_count == 0
-        assert rep.dac == 0.0
+        row, _ = _evaluate(model, None, labeled, ws, None, kmat,
+                           LossWeights(lambda_dac=1.0, lambda_rkd=0.0, tau_dac=0.95))
+        assert row["confident"] == 0
+        assert row["dac"] == 0.0
 
     def test_hand_computed_vector(self):
         # two vertices, one class each; frozen arithmetic for every term
@@ -324,16 +331,16 @@ class TestCombinedLoss:
         ws = [(0, 1)]  # weak view vertex 0, strong view vertex 1
         pairs = [(0, 1)]
         cfg = {"lambda_dac": 1.0, "lambda_rkd": 0.5, "tau_dac": 0.8, "temperature": 1.0}
-        rep = combined_loss(model, None, labeled, ws, pairs, kmat, LossWeights(**cfg))
+        row, _ = _evaluate(model, None, labeled, ws, pairs, kmat, LossWeights(**cfg))
         ce = -math.log(math.exp(2.0) / (math.exp(2.0) + 1.0))
         conf = math.exp(2.0) / (math.exp(2.0) + 1.0)  # 0.881 >= 0.8 kept
         dac = -math.log(1.0 / (1.0 + math.e))  # strong logits [0,1], pseudo-label 0
         rkd = (0.0 - 2.0) ** 2  # f(0)^T f(1) = 0 vs kernel 2
         assert math.isclose(conf, 0.8807970779778823, rel_tol=1e-12)
-        assert math.isclose(rep.cross_entropy, ce, rel_tol=1e-12)
-        assert math.isclose(rep.dac, dac, rel_tol=1e-12)
-        assert math.isclose(rep.rkd, rkd, rel_tol=1e-12)
-        assert math.isclose(rep.total, ce + dac + 0.5 * rkd, rel_tol=1e-12)
+        assert math.isclose(row["cross_entropy"], ce, rel_tol=1e-12)
+        assert math.isclose(row["dac"], dac, rel_tol=1e-12)
+        assert math.isclose(row["rkd"], rkd, rel_tol=1e-12)
+        assert math.isclose(row["total"], ce + dac + 0.5 * rkd, rel_tol=1e-12)
 
     @pytest.mark.parametrize("arch", ["table", "linear", "mlp"])
     def test_gradient_matches_finite_differences(self, arch):
@@ -346,73 +353,17 @@ class TestCombinedLoss:
               for i in range(g.size)]
         pairs = [(0, 1), (2, 5), (3, 3), (6, 7)]
         cfg = {"lambda_dac": 1.0, "lambda_rkd": 0.3, "tau_dac": 0.2, "temperature": 1.0}
-        grad = combined_loss(model, feats, labeled, ws, pairs, kmat, LossWeights(**cfg)).grad
+        _, grad = _evaluate(model, feats, labeled, ws, pairs, kmat, LossWeights(**cfg))
         h = 1e-6
         idx = rng.choice(model.parameters.size, size=min(10, model.parameters.size), replace=False)
         for i in idx:
             probe = model.copy()
             probe.parameters[i] += h
-            up = combined_loss(probe, feats, labeled, ws, pairs, kmat, LossWeights(**cfg)).total
+            up = _evaluate(probe, feats, labeled, ws, pairs, kmat, LossWeights(**cfg))[0]["total"]
             probe.parameters[i] -= 2 * h
-            down = combined_loss(probe, feats, labeled, ws, pairs, kmat, LossWeights(**cfg)).total
+            down = _evaluate(probe, feats, labeled, ws, pairs, kmat, LossWeights(**cfg))[0]["total"]
             numeric = (up - down) / (2 * h)
             assert abs(numeric - grad[i]) <= 1e-4 * max(1.0, abs(numeric), abs(grad[i]))
-
-
-def _softmax_reference(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _combined_loss_reference(model, features, labeled, weak_strong_pairs, rkd_pairs, kmat, loss_cfg):
-    """The combined objective as first fused into one pass, kept verbatim as a
-    bit-for-bit oracle: later rewrites must return the same floats."""
-    scores = model.forward(features)
-    gscores = np.zeros_like(scores)
-    lam_dac = float(loss_cfg.get("lambda_dac", 1.0))
-    lam_rkd = float(loss_cfg.get("lambda_rkd", 0.0))
-    tau = float(loss_cfg.get("tau_dac", 0.95))
-    temp = float(loss_cfg.get("temperature", 1.0))
-
-    ce = 0.0
-    verts = labeled.vertices()
-    if len(verts):
-        probs = _softmax_reference(scores[verts])
-        rows, classes = np.arange(len(verts)), labeled.classes()
-        ce = float(-np.log(np.maximum(probs[rows, classes], 1e-300)).mean())
-        probs[rows, classes] -= 1.0
-        np.add.at(gscores, verts, probs / len(verts))
-
-    dac = 0.0
-    kept = 0
-    if weak_strong_pairs is not None and len(weak_strong_pairs) and lam_dac > 0:
-        ws = np.asarray(weak_strong_pairs, dtype=int)
-        weak_probs = _softmax_reference(scores[ws[:, 0]] / temp)
-        confident = weak_probs.max(axis=1) >= tau
-        kept = int(confident.sum())
-        if kept:
-            pseudo = np.argmax(scores[ws[confident, 0]], axis=1)
-            strong = ws[confident, 1]
-            strong_probs = _softmax_reference(scores[strong])
-            rows = np.arange(kept)
-            dac = float(-np.log(np.maximum(strong_probs[rows, pseudo], 1e-300)).mean())
-            strong_probs[rows, pseudo] -= 1.0
-            np.add.at(gscores, strong, lam_dac * strong_probs / kept)
-
-    rkd = 0.0
-    if rkd_pairs is not None and len(rkd_pairs) and lam_rkd > 0:
-        pr = np.asarray(rkd_pairs, dtype=int)
-        a, b = pr[:, 0], pr[:, 1]
-        resid = np.sum(scores[a] * scores[b], axis=1) - kmat[a, b]
-        rkd = float(np.mean(resid**2))
-        coef = (2.0 * lam_rkd / len(pr)) * resid
-        np.add.at(gscores, a, coef[:, None] * scores[b])
-        np.add.at(gscores, b, coef[:, None] * scores[a])
-
-    total = ce + lam_dac * dac + lam_rkd * rkd
-    return CombinedLossReport(total=total, cross_entropy=ce, dac=dac, rkd=rkd, confident_count=kept,
-                              grad=model.backward(features, gscores))
 
 
 class TestCombinedLossOracle:
@@ -438,15 +389,63 @@ class TestCombinedLossOracle:
             pairs = maker.integers(0, n // 2, size=(2 * n, 2))
             cfg = {"lambda_dac": float(maker.uniform(0.5, 2.0)), "lambda_rkd": lam_rkd,
                    "tau_dac": tau, "temperature": temp}
-            got = combined_loss(model, features, labeled, ws, pairs, kmat, LossWeights(**cfg))
-            want = _combined_loss_reference(model, features, labeled, ws, pairs, kmat, cfg)
-            for name in ("total", "cross_entropy", "dac", "rkd", "confident_count"):
-                assert getattr(got, name) == getattr(want, name), (trial, name)
-            np.testing.assert_array_equal(got.grad, want.grad)
-            kept = "none" if got.confident_count == 0 else "all" if got.confident_count == len(ws) else "some"
+            got, grad = _evaluate(model, features, labeled, ws, pairs, kmat, LossWeights(**cfg))
+            want = oracle.combined_loss(model, features, labeled, ws, pairs, kmat, cfg)
+            assert got == {"total": want.total, "cross_entropy": want.cross_entropy, "dac": want.dac,
+                           "rkd": want.rkd, "confident": want.confident_count}, trial
+            np.testing.assert_array_equal(grad, want.grad)
+            kept = "none" if got["confident"] == 0 else "all" if got["confident"] == len(ws) else "some"
             seen.add((kept, len(labeled.pairs) == 0, lam_rkd == 0.0))
         # none / some / all weak views kept, with and without labels and RKD term
         assert seen == {(k, e, z) for k in ("none", "some", "all") for e in (False, True) for z in (False, True)}
+
+
+SWEEP_SEEDS = (1, 3, 4)
+KNN = {"kind": "knn", "k": 2}  # every vertex has two partners, so each step draws strong views
+# config sections of the sweeps whose files must be those of their seeds run one at a time
+SWEEP_CASES = [
+    pytest.param({"student": {"arch": arch, "init_scale": 0.3, **({"hidden": 4} if arch == "mlp" else {})},
+                  "augmentation": augmentation, "loss": {"lambda_rkd": lambda_rkd}},
+                 id=f"{arch}-{augmentation['kind']}-rkd{lambda_rkd}")
+    for arch in ("table", "linear", "mlp")
+    for augmentation in ({"kind": "split_chain", "parts": 2}, KNN)
+    for lambda_rkd in (0.0, 0.3)
+] + [
+    pytest.param({"optimizer": {"b_f": 0.05}}, id="row-norm-cap"),
+    pytest.param({"student": {"arch": "linear", "init_scale": 0.3}, "optimizer": {"b_f": 0.05}},
+                 id="linear-row-norm-cap"),
+    pytest.param({"augmentation": KNN, "labels": {"strategy": "iid", "budget": 5},
+                  "optimizer": {"recycle_labeled": False}}, id="unlabeled-pool-iid"),
+]
+
+
+def _sweep_config(tmp_path, **sections):
+    """The config of the frozen-loop test at 30 steps, writing to tmp_path, with
+    the loss and optimizer `sections` updated key by key and the others replaced."""
+    base = {"graph": {"kind": "two_blobs", "n_per_class": 6, "separation": 3.0, "noise": 0.8, "bandwidth": 1.2,
+                      "seed": 2},
+            "student": {"arch": "table", "init_scale": 0.3},
+            "loss": {"lambda_dac": 1.0, "lambda_rkd": 0.001, "tau_dac": 0.6, "temperature": 1.0},
+            "labels": {"strategy": "uniform_per_class", "n_per_class": 2},
+            "optimizer": {"step_size": 0.1, "iterations": 30, "momentum": 0.9, "rkd_pairs": 8}}
+    for name, updates in sections.items():
+        base[name] = {**base[name], **updates} if name in ("loss", "optimizer") else updates
+    return blob_config(**base, out_dir=str(tmp_path))
+
+
+def _persisted(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.glob("seed_*/*")) if p.name != "timing.json"}
+
+
+def _single_runs(root: Path, cfg, seeds) -> list:
+    """Each seed run on its own, writing into the directory the sweep gave it, so
+    the config (and its hash in the report) is the same down to out_dir."""
+    runs = []
+    for seed in seeds:
+        single = replace(cfg, seed=seed, out_dir=str(root / f"seed_{seed}"))
+        shutil.rmtree(single.out_dir)
+        runs.append(run_experiment(single))
+    return runs
 
 
 class TestRunExperiment:
@@ -552,7 +551,7 @@ class TestRunExperiment:
                                      "b_f": 0.05})
         result = run_experiment(cfg)
         points = build_graph_fixture(cfg)[1] if arch != "table" else None
-        assert np.sum(result.model.forward(points) ** 2, axis=1).max() <= 0.05 * (1 + 1e-12)
+        assert np.sum(result.model.forward(points) ** 2, axis=1).max() <= 0.05
 
     def test_divergence_records_the_diverging_loss_as_rkd_does(self):
         g, _ = build_graph_fixture(blob_config())
@@ -567,26 +566,89 @@ class TestRunExperiment:
             assert not trace[-1] <= DIVERGENCE_CAP and all(loss <= DIVERGENCE_CAP for loss in trace[:-1])
             assert str(error) == f"loss {trace[-1]!r} at step {len(trace) - 1}"
 
-    def test_sweep_matches_individual_runs(self, tmp_path):
-        cfg = blob_config(optimizer={"step_size": 0.5, "iterations": 30, "momentum": 0.9},
+    def test_sweep_makes_one_forward_pass_per_step(self, monkeypatch):
+        calls = []
+        forward = StudentModel.forward
+
+        def counting(self, features):
+            calls.append(self.parameters.shape)
+            return forward(self, features)
+
+        monkeypatch.setattr(StudentModel, "forward", counting)
+        iterations = 25
+        run_sweep(blob_config(optimizer={"step_size": 0.5, "iterations": iterations, "momentum": 0.9,
+                                         "rkd_pairs": 16}), [1, 2, 3])
+        # one per training step for the whole (3, p) stack; per seed, the
+        # final prediction and the gradient check's loss and differences
+        assert calls.count((3, 32)) == iterations
+        assert len(calls) == iterations + 3 * (1 + 1 + 2 * GRAD_CHECK_COORDS)
+
+    @pytest.mark.parametrize("overrides", SWEEP_CASES)
+    def test_sweep_matches_individual_runs(self, tmp_path, overrides):
+        cfg = _sweep_config(tmp_path, **overrides)
+        swept = run_sweep(cfg, SWEEP_SEEDS)
+        swept_files = _persisted(tmp_path)
+        singles = _single_runs(tmp_path, cfg, SWEEP_SEEDS)
+        assert [repr(r.losses) for r in swept] == [repr(r.losses) for r in singles]
+        for one, other in zip(swept, singles):
+            assert np.array_equal(one.model.parameters, other.model.parameters)
+        assert len(swept_files) == 5 * len(SWEEP_SEEDS)
+        assert _persisted(tmp_path) == swept_files
+        assert max(row["confident"] for r in swept for row in r.losses) > 0  # DAC term in play
+        if not cfg.opt.recycle_labeled:  # training pools of different sizes
+            assert len({len(set(r.labeled.vertices().tolist())) for r in swept}) > 1
+
+    def test_diverging_seeds_leave_the_sweep_and_the_others_keep_their_bits(self, tmp_path):
+        # at this step size seeds 4 and 5 diverge, at steps 26 and 34, and 3 and 6 do not
+        cfg = blob_config(optimizer={"step_size": 1.0, "iterations": 40, "momentum": 0.9, "rkd_pairs": 16},
+                          loss={"lambda_dac": 1.0, "lambda_rkd": 0.3, "tau_dac": 0.95, "temperature": 1.0},
                           out_dir=str(tmp_path))
+        swept = run_sweep(cfg, [3, 4, 5, 6])
+        swept_files = _persisted(tmp_path)
+        assert [len(r.trace) if isinstance(r, TrainingDivergedError) else None for r in swept] == [None, 27, 35, None]
+        for seed, result in zip([3, 4, 5, 6], swept):
+            single = replace(cfg, seed=seed, out_dir=str(tmp_path / f"seed_{seed}"))
+            shutil.rmtree(single.out_dir)
+            if isinstance(result, TrainingDivergedError):
+                with pytest.raises(TrainingDivergedError) as error:
+                    run_experiment(single)
+                assert (str(error.value), error.value.trace) == (str(result), result.trace)
+            else:
+                assert repr(run_experiment(single).losses) == repr(result.losses)
+        assert {p.name for p in swept_files} == {"failed_run.json", "run_result.json", "audit_report.json",
+                                                 "losses.csv", "labels.csv", "config.json"}
+        assert _persisted(tmp_path) == swept_files
 
-        def persisted():
-            return {p.relative_to(tmp_path): p.read_bytes()
-                    for p in sorted(tmp_path.glob("seed_*/*")) if p.name != "timing.json"}
 
-        swept = run_sweep(cfg, [3, 4])
-        swept_files = persisted()
-        for s in (3, 4):
-            shutil.rmtree(tmp_path / f"seed_{s}")
-        # each single run writes into the directory the sweep gave its seed, so
-        # the config (and its hash in the report) is the same down to out_dir
-        singles = [run_experiment(blob_config(optimizer=cfg.optimizer, seed=s,
-                                              out_dir=str(tmp_path / f"seed_{s}")))
-                   for s in (3, 4)]
-        assert [r.accuracy for r in swept] == [r.accuracy for r in singles]
-        assert len(swept_files) == 2 * 5
-        assert persisted() == swept_files
+class TestStackedObjective:
+    @pytest.mark.parametrize("arch", ["table", "linear", "mlp"])
+    def test_each_member_gets_the_bits_of_its_own_evaluation(self, arch):
+        # members differ in label count, in number of views and in confident
+        # count, with runs both shorter and longer than pairwise summation's 8
+        g, points = build_two_blobs(6, separation=3.0, noise=0.8, bandwidth=1.0, seed=2)
+        kmat = kernel_matrix(KernelSpec.graph_revealing(), g)
+        n = g.size
+        maker = np.random.default_rng({"table": 10, "linear": 11, "mlp": 12}[arch])
+        widths = {"table": (n, 3), "linear": (2, 3), "mlp": (2, 5, 3)}[arch]
+        features = None if arch == "table" else points
+        for trial in range(16):
+            size = int(maker.integers(1, 5))
+            models = [StudentModel.initialize(arch, widths, seed=10 * trial + i, scale=float(maker.uniform(0.1, 3.0)))
+                      for i in range(size)]
+            labeled = [uniform_per_class_sample(g, int(maker.integers(1, 4)), seed=i) if maker.random() < 0.8
+                       else LabeledSet(pairs=(), strategy="manual", seed=0) for i in range(size)]
+            views = [np.stack([maker.integers(0, n, size=m), maker.integers(0, n // 2, size=m)], axis=1)
+                     for m in maker.integers(n // 2, n + 5, size=size)]
+            pairs = maker.integers(0, n // 2, size=(size, 2 * n, 2))
+            cfg = {"lambda_dac": float(maker.uniform(0.5, 2.0)), "lambda_rkd": (0.0, 0.3)[trial % 2],
+                   "tau_dac": (0.34, 0.5, 0.7)[trial % 3], "temperature": (1.0, 0.5)[trial // 3 % 2]}
+            stack = StudentModel(arch, widths, np.stack([m.parameters for m in models]))
+            rows, grad = _CombinedLoss(labeled, kmat, LossWeights(**cfg))(stack, features, views, pairs)
+            for i, model in enumerate(models):
+                want = oracle.combined_loss(model, features, labeled[i], views[i], pairs[i], kmat, cfg)
+                assert rows[i] == {"total": want.total, "cross_entropy": want.cross_entropy, "dac": want.dac,
+                                   "rkd": want.rkd, "confident": want.confident_count}, (trial, i)
+                np.testing.assert_array_equal(grad[i], want.grad)
 
 
 def _strong_views_oracle(aug, pool, rng):
