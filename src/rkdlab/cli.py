@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .errors import RkdlabError, TrainingDivergedError
+from .clustering_audit import theorem1_check, theorem4_check
+from .dac_expansion import estimate_c_expansion, expansion_implication_check, theorem5_check
+from .errors import RkdlabError, SizeLimitError, TrainingDivergedError
 from .graph_core import (
     build_two_blobs,
     inter_class_fraction,
@@ -25,6 +27,7 @@ from .graph_core import (
     save_graph,
     spectral_decompose,
 )
+from .label_acquisition import save_labeled
 from .spectral_rkd import (
     Prediction,
     population_minimizers,
@@ -79,10 +82,10 @@ def _cmd_spectra(args) -> int:
 def _cmd_rkd(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     g, points = build_graph_fixture(cfg)
-    kernel = build_kernel_fixture(cfg, g, points)
+    kmat = build_kernel_fixture(cfg, g, points)
     model, features = build_student(g, points, args.seed, **cfg.student)
     trace = []
-    trained, report = train_student(model, g, kernel, replace(cfg.opt, seed=args.seed), features=features,
+    trained, report = train_student(model, g, kmat, replace(cfg.opt, seed=args.seed), features=features,
                                     trace_out=trace)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -94,8 +97,6 @@ def _cmd_rkd(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    from .clustering_audit import theorem1_check, theorem4_check
-
     cfg = ExperimentConfig.from_file(args.config)
     g, _ = build_graph_fixture(cfg)
     K = g.num_classes
@@ -105,7 +106,7 @@ def _cmd_audit(args) -> int:
     dec = spectral_decompose(g)
     f0 = Prediction(scores=family[0])
     delta = max(population_rkd_loss(f0, g) - dec.residual_weights(K), 0.0)
-    thm4 = theorem4_check(f0, g, Delta=delta, K0=K)
+    thm4 = theorem4_check(f0, g, Delta=delta)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {"thm1": thm1.to_dict(), "thm4": thm4.to_dict()}
@@ -116,15 +117,12 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_dac(args) -> int:
-    from .dac_expansion import estimate_c_expansion, expansion_implication_check, theorem5_check
-    from .errors import SizeLimitError
-
     cfg = ExperimentConfig.from_file(args.config)
     g, points = build_graph_fixture(cfg)
     aug = build_augmentation_fixture(cfg, g, points)
     try:
         report = estimate_c_expansion(aug, g)
-        implication = expansion_implication_check(aug, g)
+        implication = expansion_implication_check(aug, g, report.c_hat)
         expansion = {"c_hat": report.c_hat, "checked_subsets": report.checked_subsets,
                      "exhaustive": report.exhaustive,
                      "expansion_implication": {str(k): v for k, v in implication["probes"].items()}}
@@ -154,12 +152,9 @@ def _cmd_dac(args) -> int:
 
 
 def _cmd_labels(args) -> int:
-    from .label_acquisition import save_labeled
-
     cfg = ExperimentConfig.from_file(args.config)
     g, points = build_graph_fixture(cfg)
-    kernel = build_kernel_fixture(cfg, g, points)
-    labeled = acquire_labels(cfg, g, kernel, args.seed)
+    labeled = acquire_labels(cfg, g, build_kernel_fixture(cfg, g, points), args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_labeled(labeled, out / "labels.csv")
@@ -190,7 +185,7 @@ def _cmd_ssl(args) -> int:
         print(f"ssl sweep seeds={seeds} accuracies={accs} -> {args.out}")
         return 1 if diverged else 0
     try:
-        result = run_experiment(cfg, seed=args.seed)
+        result = run_experiment(cfg if args.seed is None else replace(cfg, seed=args.seed))
     except TrainingDivergedError:
         print(f"error: training diverged, record at {Path(args.out) / 'failed_run.json'}", file=sys.stderr)
         return 1

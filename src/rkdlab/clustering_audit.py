@@ -269,8 +269,9 @@ def theorem1_check(f_family, g: PopulationGraph) -> AuditReport:
     )
 
 
-def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float, K0: int) -> AuditReport:
-    """Audit the empirical-minimizer clustering bound at a measured loss gap Delta."""
+def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float) -> AuditReport:
+    """Audit the empirical-minimizer clustering bound at a measured loss gap Delta, with the LP's K0 the
+    prediction's class count K."""
     dec = spectral_decompose(g)
     lam = dec.eigenvalues
     alpha = inter_class_fraction(g)
@@ -286,8 +287,6 @@ def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float, K0: int)
     )
     if K >= g.size:
         verdicts["thm4"] = "bound-undefined: K+1 exceeds |X|"
-    elif not 1 <= K0 <= K:
-        verdicts["thm4"] = f"bound-undefined: K0={K0} outside [1, K]"
     elif Delta < 0:
         verdicts["thm4"] = "bound-undefined: negative Delta"
     elif not Delta < (1.0 - lam[K - 1]) ** 2:
@@ -298,7 +297,7 @@ def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float, K0: int)
         verdicts["thm4"] = f"not-applicable: {skel.reason}"
     else:
         try:
-            lp_primal, lp_dual = lp_bound_oracle(lam, K, K0, Delta)
+            lp_primal, lp_dual = lp_bound_oracle(lam, K, K, Delta)
         except DomainError as exc:  # the closed-form dual's denominator
             verdicts["thm4"] = f"bound-undefined: {exc}"
         else:

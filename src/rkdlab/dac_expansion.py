@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
+from .clustering_audit import halves_condition, majority_label
 from .errors import DomainError, InvalidAugmentationError, InvalidConfigError, SizeLimitError
 from .graph_core import PopulationGraph
 from .spectral_rkd import Prediction, is_integer
@@ -268,8 +269,6 @@ def theorem5_check(f_family, aug: AugmentationMap, g: PopulationGraph):
     marker (the expansion argument only applies to qualifying minority sets).
     Returns (mu, bound, verdict_string).
     """
-    from .clustering_audit import halves_condition, majority_label
-
     if not f_family:
         raise DomainError("empty prediction family")
     try:
@@ -326,19 +325,18 @@ def constant_expansion_check(aug: AugmentationMap, g: PopulationGraph, q: float,
     return _expands(*_constant_expansion_masses(aug, g), q, xi)
 
 
-def expansion_implication_check(aug: AugmentationMap, g: PopulationGraph, xis=(0.05, 0.1, 0.2)) -> dict:
-    """Probe that c-expansion at the measured c_hat implies
+def expansion_implication_check(aug: AugmentationMap, g: PopulationGraph, c_hat: float, xis=(0.05, 0.1, 0.2)) -> dict:
+    """Probe that c-expansion at c_hat, the graph's estimate_c_expansion, implies
     (xi / (c_hat - 1), xi)-constant expansion for each probed xi.
 
     Not applicable (no probes, and a "reason") when c_hat <= 1 or when the
     graph is above the whole-graph cap of the constant-expansion check.  The
     probes share one enumeration of the graph's subsets.
     """
-    report = estimate_c_expansion(aug, g)
-    out = {"c_hat": report.c_hat, "probes": {}}
-    if report.c_hat <= 1.0:
+    out = {"probes": {}}
+    if c_hat <= 1.0:
         out["applicable"] = False
-        out["reason"] = f"c_hat={report.c_hat!r} <= 1"
+        out["reason"] = f"c_hat={c_hat!r} <= 1"
         return out
     if g.size > EXHAUSTIVE_SUBSET_CAP:
         out["applicable"] = False
@@ -348,7 +346,7 @@ def expansion_implication_check(aug: AugmentationMap, g: PopulationGraph, xis=(0
     masses = _constant_expansion_masses(aug, g)
     # probe marginally inside the feasible region so that attained-infimum
     # equalities in c_hat do not flip a strict comparison
-    c_eff = report.c_hat * (1.0 - 1e-9) if math.isfinite(report.c_hat) else C_HAT_CAP
+    c_eff = c_hat * (1.0 - 1e-9) if math.isfinite(c_hat) else C_HAT_CAP
     for xi in xis:
         q = xi / (c_eff - 1.0)
         out["probes"][xi] = _expands(*masses, q=q, xi=xi)

@@ -8,6 +8,7 @@ over finite families and the excess-risk Monte Carlo audit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -15,10 +16,12 @@ from functools import cached_property
 import numpy as np
 
 from . import jsonio
+from .clustering_audit import majority_label
 from .errors import DomainError, InvalidConfigError
 from .graph_core import PopulationGraph
 from .spectral_rkd import Prediction, is_integer
-from .teacher_kernel import kernel_matrix
+
+REDRAW_CAP = 100000
 
 
 @dataclass(frozen=True)
@@ -55,20 +58,26 @@ def save_labeled(labeled: LabeledSet, path) -> None:
 
 def iid_sample(g: PopulationGraph, n: int, seed: int, require_coverage: bool = False):
     """n i.i.d. degree-weighted labeled draws; optionally redraw until every
-    class is covered (at most 100000 redraws), counting rejections.  Returns
+    class is covered (`covering_draws`), counting rejections.  Returns
     (LabeledSet, rejections)."""
     if not (is_integer(n) and n >= 1):
         raise InvalidConfigError(f"labels.budget={n!r} must be an integer >= 1")
     rng = np.random.default_rng(seed)
-    deg = g.degrees()
-    rejections = 0
-    while True:
-        draws = rng.choice(g.size, size=n, p=deg)
-        if not require_coverage or len(np.unique(g.labels[draws])) == g.num_classes:
-            return make_labeled(g, draws, "iid", seed), rejections
-        rejections += 1
-        if rejections > 100000:
-            raise DomainError(f"no class-covering draw of size {n} in 100000 attempts")
+    if require_coverage:
+        draws, rejections = covering_draws(g, n, rng)
+    else:
+        draws, rejections = rng.choice(g.size, size=n, p=g.degrees()), 0
+    return make_labeled(g, draws, "iid", seed), rejections
+
+
+def covering_draws(g: PopulationGraph, n: int, rng: np.random.Generator):
+    """(the first of repeated n i.i.d. degree-weighted draws that covers every class, the draws rejected before
+    it); more than REDRAW_CAP rejections are a DomainError."""
+    for rejections in range(REDRAW_CAP + 1):
+        draws = rng.choice(g.size, size=n, p=g.degrees())
+        if len(np.unique(g.labels[draws])) == g.num_classes:
+            return draws, rejections
+    raise DomainError(f"no class-covering draw of size {n} in {REDRAW_CAP} attempts")
 
 
 def uniform_per_class_sample(g: PopulationGraph, n_per_class: int, seed: int) -> LabeledSet:
@@ -97,8 +106,6 @@ def check_non_degenerate(f: Prediction, g: PopulationGraph) -> NonDegeneracyRepo
     """Surjective predictions, nonempty majority clusters, and minority mass at
     most half the smallest admissible fraction: c0 = min_k P(cluster_k) over
     P(minority in cluster_k) must be >= 2."""
-    from .clustering_audit import majority_label
-
     maj = majority_label(f, g)
     reasons = []
     predicted_classes = set(maj.predicted.tolist())
@@ -125,8 +132,6 @@ def check_non_degenerate(f: Prediction, g: PopulationGraph) -> NonDegeneracyRepo
 
 def _cluster_wise_plan(f: Prediction, g: PopulationGraph, delta: float):
     """Validate non-degeneracy and the delta window; return (m, majority labeling)."""
-    from .clustering_audit import majority_label
-
     report = check_non_degenerate(f, g)
     if not report.ok:
         raise DomainError(f"prediction is degenerate: {'; '.join(report.reasons)}")
@@ -172,7 +177,7 @@ def coverage_rate(f: Prediction, g: PopulationGraph, delta: float, trials: int, 
 
 def mean_draws_to_cover(g: PopulationGraph, trials: int, seed: int) -> float:
     """Mean number of i.i.d. degree-weighted draws until every class appears
-    (at most 100000 per trial)."""
+    (at most REDRAW_CAP per trial)."""
     rng = np.random.default_rng(seed)
     deg = g.degrees()
     K = g.num_classes
@@ -182,8 +187,8 @@ def mean_draws_to_cover(g: PopulationGraph, trials: int, seed: int) -> float:
     step = 0
     block = 16
     while not done.all():
-        if step >= 100000:
-            raise DomainError("class coverage not reached within 100000 draws")
+        if step >= REDRAW_CAP:
+            raise DomainError(f"class coverage not reached within {REDRAW_CAP} draws")
         draws = rng.choice(g.size, size=(trials, block), p=deg)
         labels = g.labels[draws]
         for j in range(block):
@@ -199,24 +204,23 @@ def mean_draws_to_cover(g: PopulationGraph, trials: int, seed: int) -> float:
 # facility-location coresets
 
 
-def facility_location_value(selected, kernel, g: PopulationGraph) -> float:
+def facility_location_value(selected, kmat: np.ndarray) -> float:
     """sum over the population of the best kernel similarity to the selected set."""
     sel = sorted(set(int(v) for v in selected))
     if not sel:
         raise DomainError("selected set must be nonempty")
-    kmat = kernel if isinstance(kernel, np.ndarray) else kernel_matrix(kernel, g)
     return float(kmat[sel, :].max(axis=0).sum())
 
 
-def full_greedy(kernel, g: PopulationGraph, n: int):
+def full_greedy(kmat: np.ndarray, n: int):
     """Reference greedy maximizer; returns (selected list, marginal gains)."""
-    if not 1 <= n <= g.size:
+    size = len(kmat)
+    if not 1 <= n <= size:
         raise DomainError(f"need 1 <= n <= |X|, got n={n}")
-    kmat = kernel if isinstance(kernel, np.ndarray) else kernel_matrix(kernel, g)
     selected = []
     gains = []
-    best_cover = np.zeros(g.size)
-    remaining = set(range(g.size))
+    best_cover = np.zeros(size)
+    remaining = set(range(size))
     for _ in range(n):
         cand = np.array(sorted(remaining))
         margin = np.maximum(kmat[cand, :] - best_cover[None, :], 0.0).sum(axis=1)
@@ -228,23 +232,23 @@ def full_greedy(kernel, g: PopulationGraph, n: int):
     return selected, gains
 
 
-def stochastic_greedy(kernel, g: PopulationGraph, n: int, epsilon: float, seed: int):
+def stochastic_greedy(kmat: np.ndarray, n: int, epsilon: float, seed: int):
     """Greedy over uniformly sampled candidate pools of size ceil((|X|/n) log(1/eps)).
 
     Deterministic given the seed; with pools covering the whole remaining
     ground set it coincides with full greedy (identical tie-breaking by
     smallest vertex index).
     """
-    if not 1 <= n <= g.size:
+    size = len(kmat)
+    if not 1 <= n <= size:
         raise DomainError(f"need 1 <= n <= |X|, got n={n}")
     if not 0 < epsilon < 1:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
-    kmat = kernel if isinstance(kernel, np.ndarray) else kernel_matrix(kernel, g)
-    pool_size = math.ceil((g.size / n) * math.log(1.0 / epsilon))
+    pool_size = math.ceil((size / n) * math.log(1.0 / epsilon))
     rng = np.random.default_rng(seed)
     selected = []
-    best_cover = np.zeros(g.size)
-    remaining = set(range(g.size))
+    best_cover = np.zeros(size)
+    remaining = set(range(size))
     for _ in range(n):
         cand_all = np.array(sorted(remaining))
         if pool_size >= len(cand_all):
@@ -259,16 +263,13 @@ def stochastic_greedy(kernel, g: PopulationGraph, n: int, epsilon: float, seed: 
     return selected
 
 
-def exhaustive_best_subset(kernel, g: PopulationGraph, n: int):
+def exhaustive_best_subset(kmat: np.ndarray, n: int):
     """Optimal facility-location subset by exhaustive search (tiny fixtures only)."""
-    import itertools
-
-    if g.size > 12 or n > 3:
+    if len(kmat) > 12 or n > 3:
         raise DomainError("exhaustive search limited to |X| <= 12 and n <= 3")
-    kmat = kernel if isinstance(kernel, np.ndarray) else kernel_matrix(kernel, g)
     best_val = -math.inf
     best_set = None
-    for combo in itertools.combinations(range(g.size), n):
+    for combo in itertools.combinations(range(len(kmat)), n):
         val = float(kmat[list(combo), :].max(axis=0).sum())
         if val > best_val:
             best_val = val
@@ -342,26 +343,20 @@ def theorem3_check(
     """Monte Carlo frequency of excess-risk bound violations over label draws.
 
     Each trial draws n i.i.d. labels, discarding (and counting) draws that miss
-    a class; the ERM winner's excess population risk is compared to the bound.
+    a class (`covering_draws`); the ERM winner's excess population risk is compared to the bound.
     """
-    from .clustering_audit import majority_label
-
     mu = max(majority_label(f, g).minority_mass for f in family)
     bound = theorem3_bound(g.num_classes, n, mu, delta)
     pop_errors = np.array([population_error(f, g) for f in family])
     best_possible = float(pop_errors.min())
     err_table = np.stack([f.hard_labels() != g.labels for f in family]).astype(float)
     rng = np.random.default_rng(seed)
-    deg = g.degrees()
     failures = 0
     rejections = 0
     max_excess = 0.0
     for _ in range(trials):
-        while True:
-            draws = rng.choice(g.size, size=n, p=deg)
-            if len(np.unique(g.labels[draws])) == g.num_classes:
-                break
-            rejections += 1
+        draws, rejected = covering_draws(g, n, rng)
+        rejections += rejected
         emp = err_table[:, draws].mean(axis=1)
         winner = int(np.argmin(emp))
         excess = float(pop_errors[winner]) - best_possible

@@ -245,27 +245,22 @@ class _PopulationLoss:
         return matrix, _pair_expectations(scores, self.kmat, self.pair_weights)
 
 
-def empirical_rkd_loss(f: Prediction, pairs, kernel, g: PopulationGraph | None = None) -> float:
-    """Mean over sampled pairs of (f(x)^T f(x') - k(x, x'))^2.
-
-    `kernel` is a KernelSpec (materialized on g) or a precomputed kernel matrix.
-    """
+def empirical_rkd_loss(f: Prediction, pairs, kmat: np.ndarray) -> float:
+    """Mean over sampled pairs of (f(x)^T f(x') - k(x, x'))^2, k read from the kernel matrix."""
     pairs = np.asarray(pairs, dtype=int)
     if pairs.size == 0:
         raise DomainError("empty pair list")
     pairs = pairs.reshape(-1, 2)
-    kmat = kernel if isinstance(kernel, np.ndarray) else kernel_matrix(kernel, g)
     a, b = pairs[:, 0], pairs[:, 1]
     inner = np.sum(f.scores[a] * f.scores[b], axis=1)
     return float(np.mean((inner - kmat[a, b]) ** 2))
 
 
-def exact_pair_expectation(f: Prediction, kernel, g: PopulationGraph) -> float:
+def exact_pair_expectation(f: Prediction, kmat: np.ndarray, g: PopulationGraph) -> float:
     """Exhaustive weighted pairing: sum over ordered pairs of w_x w_x' (f^T f - k)^2.
 
     The independent oracle for unbiasedness of the sampled empirical loss.
     """
-    kmat = kernel if isinstance(kernel, np.ndarray) else kernel_matrix(kernel, g)
     deg = g.degrees()
     return float(_pair_expectations(f.scores[None], kmat, np.outer(deg, deg))[0])
 
@@ -512,19 +507,18 @@ def descend(model: StudentModel, step_loss, opt: OptimizerConfig, features=None)
 def train_student(
     model: StudentModel,
     g: PopulationGraph,
-    kernel,
+    kmat: np.ndarray,
     opt: OptimizerConfig,
     features: np.ndarray | None = None,
     trace_out: list | None = None,
 ):
-    """Gradient descent on the empirical RKD loss; returns (model, RkdLossReport).
+    """Gradient descent on the empirical RKD loss to the kernel matrix kmat; returns (model, RkdLossReport).
 
     opt.sampler: "exhaustive" trains on all ordered pairs weighted by w_x w_x'
     (the population objective); an integer m resamples m i.i.d. pairs per step,
     after one batch drawn for the gradient check.  Pass a list as trace_out to
     collect (iteration, empirical_loss, population_loss) rows.
     """
-    kmat = kernel if isinstance(kernel, np.ndarray) else kernel_matrix(kernel, g)
     model = model.copy()
     rng = np.random.default_rng(opt.seed)
 

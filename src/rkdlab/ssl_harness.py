@@ -208,7 +208,7 @@ def _read(name: str, section: dict):
         "kernel": ("kind", None, ("g", "points"), {
             "graph_revealing": KernelSpec.graph_revealing, "shifted_cosine": shifted_cosine_kernel,
             "rbf": rbf_kernel}),
-        "labels": ("strategy", "uniform_per_class", ("g", "kernel", "seed"), {
+        "labels": ("strategy", "uniform_per_class", ("g", "kmat", "seed"), {
             "uniform_per_class": uniform_per_class_sample, "iid": iid_labels,
             "coreset_greedy": coreset_greedy_labels, "cluster_wise": cluster_wise_labels}),
     }[name]
@@ -249,8 +249,9 @@ def iid_labels(g: PopulationGraph, budget: int, seed: int, require_coverage: boo
     return iid_sample(g, budget, seed, require_coverage)[0]
 
 
-def coreset_greedy_labels(g: PopulationGraph, kernel, budget: int, seed: int, epsilon: float = 0.1) -> LabeledSet:
-    return make_labeled(g, stochastic_greedy(kernel, g, budget, float(epsilon), seed), "coreset_greedy", seed)
+def coreset_greedy_labels(g: PopulationGraph, kmat: np.ndarray, budget: int, seed: int,
+                          epsilon: float = 0.1) -> LabeledSet:
+    return make_labeled(g, stochastic_greedy(kmat, budget, float(epsilon), seed), "coreset_greedy", seed)
 
 
 def cluster_wise_labels(g: PopulationGraph, seed: int, delta: float = 0.1) -> LabeledSet:
@@ -267,12 +268,15 @@ def build_augmentation_fixture(cfg: ExperimentConfig, g: PopulationGraph, points
     return _build("augmentation", cfg.augmentation, g=g, points=points)
 
 
-def build_kernel_fixture(cfg: ExperimentConfig, g: PopulationGraph, points) -> KernelSpec:
-    return _build("kernel", cfg.kernel, g=g, points=points)
+def build_kernel_fixture(cfg: ExperimentConfig, g: PopulationGraph, points) -> np.ndarray:
+    """The |X| x |X| matrix of the config's teacher kernel on g, read-only like the graph's arrays."""
+    kmat = kernel_matrix(_build("kernel", cfg.kernel, g=g, points=points), g)
+    kmat.flags.writeable = False
+    return kmat
 
 
-def acquire_labels(cfg: ExperimentConfig, g: PopulationGraph, kernel, seed: int) -> LabeledSet:
-    return _build("labels", cfg.labels, g=g, kernel=kernel, seed=seed)
+def acquire_labels(cfg: ExperimentConfig, g: PopulationGraph, kmat: np.ndarray, seed: int) -> LabeledSet:
+    return _build("labels", cfg.labels, g=g, kmat=kmat, seed=seed)
 
 
 def spectral_clustering_prediction(g: PopulationGraph, seed: int) -> Prediction:
@@ -470,30 +474,31 @@ def build_student(g: PopulationGraph, points, seed: int, arch: str = "table", in
     return model, features
 
 
-def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
+def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Train on the combined objective, evaluate transductively, audit, persist:
-    the sweep of one seed (by default cfg.seed), whose divergence is raised."""
-    (result,) = _run_lockstep(cfg, [(cfg, cfg.seed if seed is None else seed)])
+    the sweep of cfg alone, whose divergence is raised."""
+    (result,) = _run_lockstep([cfg])
     if isinstance(result, TrainingDivergedError):
         raise result
     return result
 
 
 # a seed set up to train, with the seconds its setup took and the loss rows of its steps
-_Seed = collections.namedtuple("_Seed", "cfg seed labeled unlabeled model views pairs rng setup_s losses")
+_Seed = collections.namedtuple("_Seed", "cfg labeled unlabeled model views pairs rng setup_s losses")
 
 
-def _run_lockstep(cfg: ExperimentConfig, runs) -> list:
-    """The RunResult or TrainingDivergedError of each (config, seed) run of a sweep, persisted.  Fixtures are
-    built once; each seed in turn gets its labels, student and generator and gradient-checks step 0's batch (if
-    one raises, the seeds before it train and persist, then it propagates).  All step as one stack, each drawing
-    from its own generator, so each gets the bits of a run on its own.  A run's wall clock is its share: the
-    fixtures and the training loop, which all seeds share, plus its own setup and audits."""
+def _run_lockstep(cfgs) -> list:
+    """The RunResult or TrainingDivergedError of each run of a sweep, given as configs that differ only in seed
+    and out_dir, persisted.  Fixtures are built once, from the first; each seed in turn gets its labels, student
+    and generator and gradient-checks step 0's batch (if one raises, the seeds before it train and persist, then
+    it propagates).  All step as one stack, each drawing from its own generator, so each gets the bits of a run
+    on its own.  A run's wall clock is its share: the fixtures and the training loop, which all seeds share,
+    plus its own setup and audits."""
     start = time.perf_counter()
+    cfg = cfgs[0]
     g, points = build_graph_fixture(cfg)
     aug = build_augmentation_fixture(cfg, g, points)
-    kernel = build_kernel_fixture(cfg, g, points)
-    kmat = kernel_matrix(kernel, g)
+    kmat = build_kernel_fixture(cfg, g, points)
     opt = cfg.opt
     num_pairs = max(2, g.size) if opt.rkd_pairs is None else opt.rkd_pairs
     tables = lambda pool: (_ViewTable.build(aug, pool),  # noqa: E731
@@ -501,10 +506,11 @@ def _run_lockstep(cfg: ExperimentConfig, runs) -> list:
     shared = tables(np.arange(g.size)) if opt.recycle_labeled else None
 
     ready, failure = [], None
-    for run_cfg, seed in runs:
+    for run_cfg in cfgs:
+        seed = run_cfg.seed
         t0 = time.perf_counter()
         try:
-            labeled = acquire_labels(cfg, g, kernel, seed)
+            labeled = acquire_labels(run_cfg, g, kmat, seed)
             model, features = build_student(g, points, seed, **cfg.student)
             unlabeled = np.setdiff1d(np.arange(g.size), labeled.vertices())
             if not (opt.recycle_labeled or len(unlabeled)):
@@ -517,7 +523,7 @@ def _run_lockstep(cfg: ExperimentConfig, runs) -> list:
         except RkdlabError as exc:
             failure = exc
             break
-        ready.append(_Seed(run_cfg, seed, labeled, unlabeled, model, views, pairs, np.random.default_rng((seed, 1)),
+        ready.append(_Seed(run_cfg, labeled, unlabeled, model, views, pairs, np.random.default_rng((seed, 1)),
                            time.perf_counter() - t0, []))
 
     results = []
@@ -563,7 +569,7 @@ def _run_lockstep(cfg: ExperimentConfig, runs) -> list:
                 wall_clock=shared_s + s.setup_s + time.perf_counter() - t0,
             ))
             if s.cfg.out_dir:
-                persist_run(s.cfg, results[-1], s.seed)
+                persist_run(s.cfg, results[-1])
     if failure is not None:
         raise failure
     return results
@@ -575,7 +581,7 @@ def _audit_bundle(pred: Prediction, g: PopulationGraph, aug: AugmentationMap) ->
     thm1 = theorem1_check([pred], g)
     dec = spectral_decompose(g)
     delta = population_rkd_loss(pred, g) - dec.residual_weights(K)
-    thm4 = theorem4_check(pred, g, Delta=max(delta, 0.0), K0=K)
+    thm4 = theorem4_check(pred, g, Delta=max(delta, 0.0))
     bundle = {
         "thm1": {"verdict": thm1.verdicts["thm1"], "mu": thm1.mu, "bound": thm1.bound_thm1},
         "thm4": {
@@ -588,7 +594,7 @@ def _audit_bundle(pred: Prediction, g: PopulationGraph, aug: AugmentationMap) ->
     return bundle
 
 
-def persist_run(cfg: ExperimentConfig, result: RunResult, seed: int) -> None:
+def persist_run(cfg: ExperimentConfig, result: RunResult) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jsonio.dump_canonical(result.report_dict(), out / "run_result.json")
@@ -602,9 +608,9 @@ def persist_run(cfg: ExperimentConfig, result: RunResult, seed: int) -> None:
 
 
 def run_sweep(cfg: ExperimentConfig, seeds) -> list:
-    """Independent (config, seed) runs in seed order, trained in lockstep (`_run_lockstep`) in the calling
+    """Independent runs of cfg at each seed, in seed order, trained in lockstep (`_run_lockstep`) in the calling
     process.  A seed whose training diverges gives its TrainingDivergedError in place of a result (recorded in
     its failed_run.json), and the remaining seeds still run."""
-    runs = [(replace(cfg, seed=seed, out_dir=str(Path(cfg.out_dir) / f"seed_{seed}") if cfg.out_dir else None),
-             seed) for seed in seeds]
-    return _run_lockstep(cfg, runs)
+    cfgs = [replace(cfg, seed=seed, out_dir=str(Path(cfg.out_dir) / f"seed_{seed}") if cfg.out_dir else None)
+            for seed in seeds]
+    return _run_lockstep(cfgs)

@@ -284,9 +284,8 @@ def ssl_train(cfg, seed):
     a gradient check or row projection; returns (loss rows, parameters)."""
     g, points = sh.build_graph_fixture(cfg)
     aug = sh.build_augmentation_fixture(cfg, g, points)
-    kernel = sh.build_kernel_fixture(cfg, g, points)
-    kmat = kernel_matrix(kernel, g)
-    labeled = sh.acquire_labels(cfg, g, kernel, seed)
+    kmat = sh.build_kernel_fixture(cfg, g, points)
+    labeled = sh.acquire_labels(cfg, g, kmat, seed)
     model, features = sh.build_student(g, points, seed, **cfg.student)
 
     opt = cfg.opt

@@ -21,6 +21,7 @@ from rkdlab.clustering_audit import (
 )
 from rkdlab.dac_expansion import (
     chain_augmentation,
+    estimate_c_expansion,
     expansion_implication_check,
     make_augmentation,
     theorem5_check,
@@ -102,7 +103,7 @@ def test_criterion_01_unbiasedness():
     for g in small_fixture_pool(20, max_size=10):
         assert g.size <= 10
         f = Prediction(scores=0.5 * rng.standard_normal((g.size, 2)))
-        kern = KernelSpec.graph_revealing()
+        kern = kernel_matrix(KernelSpec.graph_revealing(), g)
         exact = exact_pair_expectation(f, kern, g)
         population = population_rkd_loss(f, g)
         worst = max(worst, abs(exact - population))
@@ -203,10 +204,10 @@ def test_criterion_05_empirical_bound_lp_and_trained_students():
         g = lazy_graph(build_sbm(2, [5, 5], 0.9, 0.06, seed=seed))
         model = StudentModel.initialize("table", (g.size, 2), seed=seed + 500)
         trained, rep = train_student(
-            model, g, KernelSpec.graph_revealing(),
+            model, g, kernel_matrix(KernelSpec.graph_revealing(), g),
             OptimizerConfig(step_size=0.3, iterations=2500, seed=seed, momentum=0.9),
         )
-        audit = theorem4_check(trained.prediction(), g, Delta=max(rep.gap, 0.0), K0=2)
+        audit = theorem4_check(trained.prediction(), g, Delta=max(rep.gap, 0.0))
         if audit.verdicts["thm4"] == "pass":
             audited += 1
         elif audit.verdicts["thm4"] == "fail":
@@ -293,7 +294,7 @@ def test_criterion_07_expansion_bound():
         results.append((name, v))
         if v == "pass" and bound > 0:
             ratios[name] = mu / bound
-        probes = expansion_implication_check(aug, g)
+        probes = expansion_implication_check(aug, g, estimate_c_expansion(aug, g).c_hat)
         if probes["applicable"]:
             results.append((name + "-lemma-e2", all(probes["probes"].values())))
     bad = [r for r in results if r[1] not in ("pass", True)]
@@ -383,15 +384,15 @@ def test_criterion_10_stochastic_greedy():
         kern = KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0)
         kmat = kernel_matrix(kern, g)
         for n in (1, 2, 3):
-            _, opt = exhaustive_best_subset(kmat, g, n)
+            _, opt = exhaustive_best_subset(kmat, n)
             for eps in (0.1, 0.3):
                 for greedy_seed in range(3):
-                    picked = stochastic_greedy(kmat, g, n, epsilon=eps, seed=greedy_seed)
-                    value = facility_location_value(picked, kmat, g)
+                    picked = stochastic_greedy(kmat, n, epsilon=eps, seed=greedy_seed)
+                    value = facility_location_value(picked, kmat)
                     worst_margin = min(worst_margin, value - (1.0 - 1.0 / math.e - eps) * opt)
                     cases += 1
-            full, _ = full_greedy(kmat, g, n)
-            if stochastic_greedy(kmat, g, n, epsilon=1e-9, seed=0) == full:
+            full, _ = full_greedy(kmat, n)
+            if stochastic_greedy(kmat, n, epsilon=1e-9, seed=0) == full:
                 exact_matches += 1
     elapsed = time.time() - t0
     verdict(10, worst_margin >= -1e-12 and exact_matches == 12 and elapsed < 10.0,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rkdlab
+from rkdlab import cli, dac_expansion
 from rkdlab.cli import build_parser, main
 from rkdlab.graph_core import load_graph, save_graph
 from rkdlab.jsonio import dump_canonical
@@ -165,6 +166,21 @@ def test_dac_subcommand(tmp_path, audit_config):
     assert "expansion_implication_skipped" not in report
 
 
+def test_dac_enumerates_c_expansion_for_its_report_and_for_theorem5(tmp_path, audit_config, monkeypatch):
+    # the implication probes read the report's c_hat instead of enumerating a third time
+    calls = []
+    estimate = dac_expansion.estimate_c_expansion
+
+    def counting(aug, g):
+        calls.append(g.size)
+        return estimate(aug, g)
+
+    monkeypatch.setattr(dac_expansion, "estimate_c_expansion", counting)
+    monkeypatch.setattr(cli, "estimate_c_expansion", counting)
+    assert main(["dac", "--config", str(audit_config), "--out", str(tmp_path / "dac")]) == 0
+    assert calls == [10, 10]
+
+
 def ab_config(tmp_path, **sections):
     """The 32-vertex A/B config (two blobs, split_chain parts 4, table student,
     400 steps) with sections replaced key by key."""
@@ -283,6 +299,19 @@ def test_ssl_and_report_subcommands(tmp_path, audit_config):
     assert code == 0
     summary = json.loads((tmp_path / "runs" / "report.json").read_text())
     assert len(summary["runs"]) == 1
+
+
+def test_ssl_seed_is_the_recorded_seed(tmp_path, audit_config, monkeypatch):
+    # --seed 3 on a seed-7 config writes what --sweep 3 writes for seed 3, config and hash included
+    written = {}
+    runs = {"single": ["--seed", "3", "--out", "out/seed_3"], "sweep": ["--sweep", "3", "--out", "out"]}
+    for name, flags in runs.items():
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(["ssl", "--config", str(audit_config), *flags]) == 0
+        written[name] = {p.name: p.read_bytes() for p in Path("out/seed_3").iterdir() if p.name != "timing.json"}
+    assert written["single"] == written["sweep"]
+    assert json.loads(written["single"]["config.json"])["seed"] == 3
 
 
 def test_ssl_sweep(tmp_path, audit_config):

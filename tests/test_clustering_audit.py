@@ -39,7 +39,7 @@ from rkdlab.spectral_rkd import (
     random_rotations,
     train_student,
 )
-from rkdlab.teacher_kernel import KernelSpec
+from rkdlab.teacher_kernel import KernelSpec, kernel_matrix
 
 from conftest import hand_graph
 
@@ -156,7 +156,7 @@ class TestTheorem1:
 class TestTheorem4:
     def test_zero_delta_reduces_to_theorem1(self, sbm_pair):
         f = exact_population_minimizer(sbm_pair, 2)
-        r4 = theorem4_check(f, sbm_pair, Delta=0.0, K0=2)
+        r4 = theorem4_check(f, sbm_pair, Delta=0.0)
         r1 = theorem1_check([f], sbm_pair)
         assert r4.verdicts["thm4"] == "pass"
         assert math.isclose(r4.bound_thm4, r1.bound_thm1, rel_tol=1e-12)
@@ -167,7 +167,7 @@ class TestTheorem4:
         # closed-form dual was -0 below the LP optimum 1
         g = hand_graph(np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1), [0, 0, 1, 1], 2)
         f = Prediction(scores=np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 2.0]]))
-        audit = theorem4_check(f, g, Delta=0.0, K0=3)
+        audit = theorem4_check(f, g, Delta=0.0)
         assert audit.verdicts["thm4"].startswith("bound-undefined: (1 - lambda_K0)^2=0.25")
         assert "(1 - lambda_K+1)^2=0.99" in audit.verdicts["thm4"]
         assert audit.bound_thm4 is None and audit.lp_dual is None
@@ -176,12 +176,12 @@ class TestTheorem4:
         g = lazy_graph(build_sbm(2, [5, 5], 0.9, 0.05, seed=21))
         model = StudentModel.initialize("table", (g.size, 2), seed=3)
         trained, report = train_student(
-            model, g, KernelSpec.graph_revealing(),
+            model, g, kernel_matrix(KernelSpec.graph_revealing(), g),
             OptimizerConfig(step_size=0.3, iterations=3000, seed=0, momentum=0.9),
         )
         pred = trained.prediction()
         delta = max(report.gap, 0.0)
-        audit = theorem4_check(pred, g, Delta=delta, K0=2)
+        audit = theorem4_check(pred, g, Delta=delta)
         assert audit.verdicts["thm4"] in ("pass", "not-applicable: skeleton matrix rank-deficient",
                                           "not-applicable: prediction not surjective")
         if audit.verdicts["thm4"] == "pass":
@@ -191,7 +191,7 @@ class TestTheorem4:
         f = exact_population_minimizer(sbm_pair, 2)
         dec = spectral_decompose(sbm_pair)
         too_big = (1.0 - dec.eigenvalues[1]) ** 2 + 1.0
-        report = theorem4_check(f, sbm_pair, Delta=too_big, K0=2)
+        report = theorem4_check(f, sbm_pair, Delta=too_big)
         assert report.verdicts["thm4"].startswith("bound-undefined")
         assert report.bound_thm4 is None
 

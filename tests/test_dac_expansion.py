@@ -329,10 +329,10 @@ class TestConstantExpansion:
             fixtures.append((g, chain_augmentation(g)))
         probed = set()
         for g, aug in fixtures:
-            result = expansion_implication_check(aug, g, xis=(0.01, 0.05, 0.1, 0.2, 0.4))
+            c_hat = estimate_c_expansion(aug, g).c_hat
+            result = expansion_implication_check(aug, g, c_hat, xis=(0.01, 0.05, 0.1, 0.2, 0.4))
             if not result["applicable"]:
                 continue
-            c_hat = result["c_hat"]
             c_eff = c_hat * (1.0 - 1e-9) if math.isfinite(c_hat) else C_HAT_CAP
             for xi, got in result["probes"].items():
                 assert got == constant_expansion_check(aug, g, q=xi / (c_eff - 1.0), xi=xi)
@@ -341,6 +341,7 @@ class TestConstantExpansion:
 
     def test_implication_probes_pass_on_expanding_fixture(self):
         g = uniform_graph([0] * 6 + [1] * 6)
-        result = expansion_implication_check(chain_augmentation(g), g)
+        aug = chain_augmentation(g)
+        result = expansion_implication_check(aug, g, estimate_c_expansion(aug, g).c_hat)
         assert result["applicable"]
         assert all(result["probes"].values())

@@ -6,6 +6,7 @@ import pytest
 from rkdlab.errors import DomainError, InvalidConfigError
 from rkdlab.graph_core import PopulationGraph, build_sbm, build_two_blobs, lazy_graph
 from rkdlab.label_acquisition import (
+    REDRAW_CAP,
     check_non_degenerate,
     cluster_wise_sample,
     coverage_rate,
@@ -24,7 +25,7 @@ from rkdlab.label_acquisition import (
     uniform_per_class_sample,
 )
 from rkdlab.spectral_rkd import Prediction
-from rkdlab.teacher_kernel import KernelSpec
+from rkdlab.teacher_kernel import KernelSpec, kernel_matrix
 
 from conftest import hand_graph
 
@@ -139,14 +140,14 @@ class TestFacilityLocation:
         g, points = two_blobs
         from rkdlab.teacher_kernel import TeacherEmbedding
 
-        kern = KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0)
-        value = facility_location_value(range(g.size), kern, g)
+        kern = kernel_matrix(KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0), g)
+        value = facility_location_value(range(g.size), kern)
         assert math.isclose(value, float(g.size), rel_tol=1e-12)
 
     def test_identical_points_symmetric_singletons(self):
         g = uniform_graph([0, 0, 1])
         kmat = np.ones((3, 3))
-        vals = [facility_location_value([i], kmat, g) for i in range(3)]
+        vals = [facility_location_value([i], kmat) for i in range(3)]
         assert len(set(vals)) == 1
 
     def test_matches_double_loop_oracle(self, sbm_pair):
@@ -154,16 +155,16 @@ class TestFacilityLocation:
         kmat = (kmat + kmat.T) / 2
         selected = [1, 4, 7]
         oracle = sum(max(kmat[i, j] for i in selected) for j in range(sbm_pair.size))
-        assert math.isclose(facility_location_value(selected, kmat, sbm_pair), oracle, rel_tol=1e-12)
+        assert math.isclose(facility_location_value(selected, kmat), oracle, rel_tol=1e-12)
 
     def test_empty_selection_rejected(self, sbm_pair):
         with pytest.raises(DomainError):
-            facility_location_value([], KernelSpec.graph_revealing(), sbm_pair)
+            facility_location_value([], kernel_matrix(KernelSpec.graph_revealing(), sbm_pair))
 
     def test_monotone_in_selection(self, sbm_pair):
         kmat = np.abs(np.random.default_rng(1).random((sbm_pair.size, sbm_pair.size)))
-        v1 = facility_location_value([0], kmat, sbm_pair)
-        v2 = facility_location_value([0, 3], kmat, sbm_pair)
+        v1 = facility_location_value([0], kmat)
+        v2 = facility_location_value([0, 3], kmat)
         assert v2 >= v1
 
 
@@ -172,38 +173,38 @@ class TestGreedy:
         g, points = two_blobs
         from rkdlab.teacher_kernel import TeacherEmbedding
 
-        kern = KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0)
-        _, gains = full_greedy(kern, g, g.size)
+        kern = kernel_matrix(KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0), g)
+        _, gains = full_greedy(kern, g.size)
         assert all(gains[i] >= gains[i + 1] - 1e-12 for i in range(len(gains) - 1))
 
     def test_selecting_everything(self, sbm_pair):
         kmat = np.ones((sbm_pair.size, sbm_pair.size))
-        picked = stochastic_greedy(kmat, sbm_pair, sbm_pair.size, epsilon=0.5, seed=0)
+        picked = stochastic_greedy(kmat, sbm_pair.size, epsilon=0.5, seed=0)
         assert sorted(picked) == list(range(sbm_pair.size))
 
     def test_epsilon_to_zero_matches_full_greedy(self, two_blobs):
         g, points = two_blobs
         from rkdlab.teacher_kernel import TeacherEmbedding
 
-        kern = KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0)
-        stoch = stochastic_greedy(kern, g, 4, epsilon=1e-9, seed=3)
-        full, _ = full_greedy(kern, g, 4)
+        kern = kernel_matrix(KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0), g)
+        stoch = stochastic_greedy(kern, 4, epsilon=1e-9, seed=3)
+        full, _ = full_greedy(kern, 4)
         assert stoch == full
 
     def test_near_optimality_on_exhaustive_fixture(self):
         g, points = build_two_blobs(5, separation=5.0, noise=0.4, bandwidth=1.0, seed=6)
         from rkdlab.teacher_kernel import TeacherEmbedding
 
-        kern = KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0)
-        _, opt = exhaustive_best_subset(kern, g, 2)
+        kern = kernel_matrix(KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0), g)
+        _, opt = exhaustive_best_subset(kern, 2)
         for seed in range(5):
-            picked = stochastic_greedy(kern, g, 2, epsilon=0.2, seed=seed)
-            value = facility_location_value(picked, kern, g)
+            picked = stochastic_greedy(kern, 2, epsilon=0.2, seed=seed)
+            value = facility_location_value(picked, kern)
             assert value >= (1.0 - 1.0 / math.e - 0.2) * opt - 1e-12
 
     def test_invalid_epsilon(self, sbm_pair):
         with pytest.raises(DomainError):
-            stochastic_greedy(np.ones((sbm_pair.size, sbm_pair.size)), sbm_pair, 2, epsilon=0.0, seed=0)
+            stochastic_greedy(np.ones((sbm_pair.size, sbm_pair.size)), 2, epsilon=0.0, seed=0)
 
 
 class TestErm:
@@ -239,6 +240,14 @@ class TestTheorem3:
         report = theorem3_check([onehot(sbm_pair)], sbm_pair, n=10, trials=200, delta=0.2, seed=0)
         assert report.failures == 0
         assert report.max_excess == 0.0
+
+    def test_redraws_stop_at_the_cap(self):
+        # class 1 holds mass 1e-12: a covering draw of n = 2 is practically
+        # never found, and the redraws end at the cap iid_sample shares
+        w = np.diag([1.0, 1.0, 1.0, 3e-12])
+        g = PopulationGraph(vertices=(0, 1, 2, 3), weights=w / w.sum(), labels=[0, 0, 0, 1], num_classes=2)
+        with pytest.raises(DomainError, match=f"no class-covering draw of size 2 in {REDRAW_CAP} attempts"):
+            theorem3_check([onehot(g)], g, n=2, trials=5, delta=0.2, seed=0)
 
     def test_budget_below_classes_rejected(self, sbm_pair):
         with pytest.raises(InvalidConfigError):

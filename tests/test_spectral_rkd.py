@@ -85,7 +85,7 @@ class TestEmpiricalLoss:
     def test_exhaustive_weighted_equals_population(self):
         g = lazy_graph(build_sbm(2, [3, 3], 0.9, 0.2, seed=2))
         f = Prediction(scores=np.random.default_rng(0).standard_normal((6, 2)) * 0.3)
-        kern = KernelSpec.graph_revealing()
+        kern = kernel_matrix(KernelSpec.graph_revealing(), g)
         assert math.isclose(
             exact_pair_expectation(f, kern, g), population_rkd_loss(f, g), abs_tol=1e-9
         )
@@ -93,7 +93,7 @@ class TestEmpiricalLoss:
     def test_empty_pairs_rejected(self, sbm_pair):
         f = Prediction(scores=np.zeros((sbm_pair.size, 2)))
         with pytest.raises(DomainError):
-            empirical_rkd_loss(f, [], KernelSpec.graph_revealing(), sbm_pair)
+            empirical_rkd_loss(f, [], kernel_matrix(KernelSpec.graph_revealing(), sbm_pair))
 
 
 class TestExactMinimizer:
@@ -199,7 +199,7 @@ class TestTraining:
         floor = spectral_decompose(g).residual_weights(2)
         model = StudentModel.initialize("table", (8, 2), seed=1)
         _, report = train_student(
-            model, g, KernelSpec.graph_revealing(),
+            model, g, kernel_matrix(KernelSpec.graph_revealing(), g),
             OptimizerConfig(step_size=0.3, iterations=3000, seed=0, momentum=0.9),
         )
         assert abs(report.population_loss - floor) < 1e-3
@@ -208,7 +208,7 @@ class TestTraining:
     def test_zero_iterations_returns_input_model(self, sbm_pair):
         model = StudentModel.initialize("table", (sbm_pair.size, 2), seed=2)
         trained, _ = train_student(
-            model, sbm_pair, KernelSpec.graph_revealing(),
+            model, sbm_pair, kernel_matrix(KernelSpec.graph_revealing(), sbm_pair),
             OptimizerConfig(step_size=0.1, iterations=0, seed=0),
         )
         assert np.array_equal(trained.parameters, model.parameters)
@@ -218,7 +218,7 @@ class TestTraining:
         target = exact_population_minimizer(g, 2)
         model = StudentModel.initialize("linear", (2, 2), seed=4)
         _, report = train_student(
-            model, g, KernelSpec.graph_revealing(),
+            model, g, kernel_matrix(KernelSpec.graph_revealing(), g),
             OptimizerConfig(step_size=0.2, iterations=5000, seed=0, momentum=0.9),
             features=target.scores,
         )
@@ -228,7 +228,7 @@ class TestTraining:
         # B_k = sup k(x, x'), read off the kernel matrix the run trains on
         model = StudentModel.initialize("table", (sbm_pair.size, 2), seed=2)
         _, report = train_student(
-            model, sbm_pair, KernelSpec.graph_revealing(),
+            model, sbm_pair, kernel_matrix(KernelSpec.graph_revealing(), sbm_pair),
             OptimizerConfig(step_size=0.1, iterations=0, seed=0),
         )
         assert report.b_k == float(kernel_matrix(KernelSpec.graph_revealing(), sbm_pair).max())
@@ -237,7 +237,7 @@ class TestTraining:
         model = StudentModel.initialize("table", (sbm_pair.size, 2), seed=0)
         with pytest.raises(TrainingDivergedError) as err:
             train_student(
-                model, sbm_pair, KernelSpec.graph_revealing(),
+                model, sbm_pair, kernel_matrix(KernelSpec.graph_revealing(), sbm_pair),
                 OptimizerConfig(step_size=500.0, iterations=200, seed=0),
             )
         assert len(err.value.trace) > 0
@@ -246,7 +246,7 @@ class TestTraining:
         g = lazy_graph(build_sbm(2, [4, 4], 0.9, 0.1, seed=3))
         model = StudentModel.initialize("table", (8, 2), seed=1)
         trained, report = train_student(
-            model, g, KernelSpec.graph_revealing(),
+            model, g, kernel_matrix(KernelSpec.graph_revealing(), g),
             OptimizerConfig(step_size=0.3, iterations=500, seed=0, momentum=0.9, b_f=0.5),
         )
         assert report.b_f <= 0.5 + 1e-9
@@ -254,7 +254,7 @@ class TestTraining:
     def test_pair_sampler_mode_trains(self, sbm_pair):
         model = StudentModel.initialize("table", (sbm_pair.size, 2), seed=1)
         trained, report = train_student(
-            model, sbm_pair, KernelSpec.graph_revealing(),
+            model, sbm_pair, kernel_matrix(KernelSpec.graph_revealing(), sbm_pair),
             OptimizerConfig(step_size=0.1, iterations=400, seed=0, momentum=0.5, sampler=64),
         )
         zero = population_rkd_loss(Prediction(scores=np.zeros((sbm_pair.size, 2))), sbm_pair)
@@ -337,7 +337,7 @@ def test_gap_bound_audits_empirical_minimizers(sbm_pair):
     # of the empirical winner stays below the complexity-driven bound
     rng = np.random.default_rng(14)
     family = [exact_population_minimizer(sbm_pair, 2, random_rotation(2, rng)) for _ in range(6)]
-    kern = KernelSpec.graph_revealing()
+    kern = kernel_matrix(KernelSpec.graph_revealing(), sbm_pair)
     kmat_bound = float(np.max(
         sbm_pair.weights / np.outer(sbm_pair.degrees(), sbm_pair.degrees())
     ))
@@ -350,7 +350,7 @@ def test_gap_bound_audits_empirical_minimizers(sbm_pair):
     failures = 0
     for trial in range(50):
         pairs = draw_pairs(sbm_pair, N // 2, np.random.default_rng((15, trial)))
-        emp = [empirical_rkd_loss(f, pairs, kern, sbm_pair) for f in family]
+        emp = [empirical_rkd_loss(f, pairs, kern) for f in family]
         winner = int(np.argmin(emp))
         if pop_losses[winner] - pop_losses.min() > bound:
             failures += 1
@@ -360,12 +360,12 @@ def test_gap_bound_audits_empirical_minimizers(sbm_pair):
 def test_variance_shrinks_with_more_pairs(sbm_pair):
     # concentration of the sampled empirical loss as the pair budget grows
     f = exact_population_minimizer(sbm_pair, 2)
-    kern = KernelSpec.graph_revealing()
+    kern = kernel_matrix(KernelSpec.graph_revealing(), sbm_pair)
     variances = []
     for n_pairs in (10, 40, 160):
         rng = np.random.default_rng(42)
         vals = [
-            empirical_rkd_loss(f, draw_pairs(sbm_pair, n_pairs, rng), kern, sbm_pair)
+            empirical_rkd_loss(f, draw_pairs(sbm_pair, n_pairs, rng), kern)
             for _ in range(200)
         ]
         variances.append(float(np.var(vals, ddof=1)))
@@ -391,7 +391,8 @@ def _outcome(train, model, g, opt, features):
     rows = []
     with np.errstate(all="ignore"):  # the diverging runs overflow on both sides
         try:
-            trained, _ = train(model, g, KernelSpec.graph_revealing(), opt, features=features, trace_out=rows)
+            trained, _ = train(model, g, kernel_matrix(KernelSpec.graph_revealing(), g), opt, features=features,
+                               trace_out=rows)
         except (TrainingDivergedError, NumericError, InvalidConfigError) as exc:
             return None, rows, (type(exc), str(exc), getattr(exc, "trace", None))
     return trained.parameters, rows, None
@@ -495,7 +496,7 @@ class TestGradientCheckFloor:
         g = lazy_graph(build_sbm(2, [6, 6], 0.9, 0.1, seed=4))
         model = StudentModel.initialize("table", (12, 2), seed=1, scale=0.05)
         opt = OptimizerConfig(seed=1, step_size=0.4, iterations=1, momentum=0.9, sampler=16)
-        train_student(model, g, KernelSpec.graph_revealing(), opt)
+        train_student(model, g, kernel_matrix(KernelSpec.graph_revealing(), g), opt)
 
     def test_one_percent_error_above_the_floor_fails(self):
         g = lazy_graph(build_sbm(2, [3, 3], 0.9, 0.2, seed=2))

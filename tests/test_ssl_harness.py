@@ -1,6 +1,7 @@
 import math
 import re
 import shutil
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -201,7 +202,7 @@ KIND_CASES = [
     ("labels", {"strategy": "iid", "budget": 2}, {"require_coverage": False},
      lambda fx, s: iid_sample(fx.g, 2, fx.seed, s.get("require_coverage", True))[0]),
     ("labels", {"strategy": "coreset_greedy", "budget": 4}, {"epsilon": 0.3},
-     lambda fx, s: make_labeled(fx.g, stochastic_greedy(fx.kernel, fx.g, 4, s.get("epsilon", 0.1), fx.seed),
+     lambda fx, s: make_labeled(fx.g, stochastic_greedy(fx.kmat, 4, s.get("epsilon", 0.1), fx.seed),
                                 "coreset_greedy", fx.seed)),
     ("labels", {"strategy": "cluster_wise"}, {"delta": 0.5},
      lambda fx, s: cluster_wise_sample(spectral_clustering_prediction(fx.g, fx.seed), fx.g,
@@ -214,7 +215,7 @@ class TestSectionKinds:
     names builds, with the defaults a config gets."""
 
     @staticmethod
-    def build(section, cfg, kernel):
+    def build(section, cfg, kmat):
         g, points = build_graph_fixture(cfg)
         if section == "graph":
             return g, points
@@ -222,7 +223,7 @@ class TestSectionKinds:
             return build_augmentation_fixture(cfg, g, points)
         if section == "kernel":
             return build_kernel_fixture(cfg, g, points)
-        return acquire_labels(cfg, g, kernel, cfg.seed)
+        return acquire_labels(cfg, g, kmat, cfg.seed)
 
     @pytest.mark.parametrize("full", [False, True], ids=["required", "all-keys"])
     @pytest.mark.parametrize("section,required,optional,expected", [
@@ -235,11 +236,12 @@ class TestSectionKinds:
         files = {"graph": tmp_path / "graph.json", "augmentation": tmp_path / "augmentation.json"}
         save_graph(build_sbm(2, [3, 3], 1.0, 0.0, 1), files["graph"])
         save_augmentation(chain_augmentation(g), files["augmentation"])
-        fx = SimpleNamespace(g=g, points=points, files=files, kernel=KernelSpec.graph_revealing(), seed=7)
+        fx = SimpleNamespace(g=g, points=points, files=files, kmat=kernel_matrix(KernelSpec.graph_revealing(), g),
+                             seed=7)
         spec = {**required, **(optional if full else {})}
         if "path" in spec:
             spec["path"] = str(files[section])
-        got = self.build(section, blob_config(**{"graph": SMALL_BLOBS, section: spec}), fx.kernel)
+        got = self.build(section, blob_config(**{"graph": SMALL_BLOBS, section: spec}), fx.kmat)
         want = expected(fx, spec)
         if section == "graph":
             (got_g, got_points), (want_g, want_points) = got, want
@@ -248,8 +250,7 @@ class TestSectionKinds:
             assert np.array_equal(got_g.labels, want_g.labels)
             assert (got_points is None and want_points is None) or np.array_equal(got_points, want_points)
         elif section == "kernel":
-            assert got.variant == want.variant
-            assert np.array_equal(kernel_matrix(got, g), kernel_matrix(want, g))
+            assert np.array_equal(got, kernel_matrix(want, g)) and not got.flags.writeable
         else:
             assert got == want
 
@@ -559,8 +560,8 @@ class TestRunExperiment:
         with pytest.raises(TrainingDivergedError) as ssl_error:
             run_experiment(blob_config(optimizer=diverging))
         with pytest.raises(TrainingDivergedError) as rkd_error:
-            train_student(StudentModel.initialize("table", (g.size, 2), seed=7), g, KernelSpec.graph_revealing(),
-                          OptimizerConfig(seed=7, **diverging))
+            train_student(StudentModel.initialize("table", (g.size, 2), seed=7), g,
+                          kernel_matrix(KernelSpec.graph_revealing(), g), OptimizerConfig(seed=7, **diverging))
         for error in (ssl_error.value, rkd_error.value):
             trace = error.trace
             assert not trace[-1] <= DIVERGENCE_CAP and all(loss <= DIVERGENCE_CAP for loss in trace[:-1])
@@ -582,6 +583,25 @@ class TestRunExperiment:
         # final prediction and the gradient check's loss and differences
         assert calls.count((3, 32)) == iterations
         assert len(calls) == iterations + 3 * (1 + 1 + 2 * GRAD_CHECK_COORDS)
+
+    def test_sweep_builds_its_kernel_matrix_once(self, monkeypatch):
+        # the fixture's matrix reaches every seed's coreset labels; the audits'
+        # graph-revealing kernel is a different variant and is not counted
+        variants = []
+
+        def counting(spec, g):
+            variants.append(spec.variant)
+            return kernel_matrix(spec, g)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("rkdlab") and getattr(module, "kernel_matrix", None) is kernel_matrix:
+                monkeypatch.setattr(module, "kernel_matrix", counting)
+        cfg = blob_config(kernel={"kind": "rbf", "bandwidth": 1.0},
+                          labels={"strategy": "coreset_greedy", "budget": 4},
+                          optimizer={"step_size": 0.5, "iterations": 5, "momentum": 0.9, "rkd_pairs": 16})
+        results = run_sweep(cfg, [1, 2])
+        assert variants.count("rbf") == 1
+        assert results[0].labeled.strategy == "coreset_greedy" and len(results) == 2
 
     @pytest.mark.parametrize("overrides", SWEEP_CASES)
     def test_sweep_matches_individual_runs(self, tmp_path, overrides):
