@@ -6,9 +6,9 @@
 
 Runs each op of ``benchmarks.workloads.all_reference_ops()``, then each sweep of
 ``sweep_ops()`` (paths the benchmark does not take: knn views, parametric
-students, a training pool without the labeled vertices, a row-norm cap), in
-this process through ``rkdlab.cli.main``, importing ``rkdlab`` from ``<root>/src`` and the
-workloads from ``<root>/benchmarks`` (``--root`` defaults to the checkout
+students, a training pool without the labeled vertices, a row-norm cap,
+diverging seeds), in this process through ``rkdlab.cli.main``, importing
+``rkdlab`` from ``<root>/src`` and the workloads from ``<root>/benchmarks`` (``--root`` defaults to the checkout
 holding this script).  For each op key it records the exit status, standard
 output, standard error, and the sha256 of every file the op wrote except those
 holding wall-clock time.  Ops run in a scratch working directory on the
@@ -51,8 +51,10 @@ SWEEP_SEEDS = (1, 2, 5)
 def sweep_ops(workloads) -> list:
     """``ssl --sweep 1,2,5`` ops on the 32-vertex A/B blobs (graph seed 5): knn
     views (k 3) for the table, linear and mlp students, each with the labeled
-    vertices in the training pool and, with i.i.d. labels, without them; and
-    the table student under a row-norm cap."""
+    vertices in the training pool and, with i.i.d. labels, without them; the
+    table student under a row-norm cap; knn views without a relational term;
+    and 45 steps at step size 2 and relational weight 0.3, where seeds 2 and 5
+    diverge (at steps 35 and 42) and seed 1 trains to the end."""
     made = []
     for arch in ("table", "linear", "mlp"):
         for recycle in (True, False):
@@ -64,6 +66,12 @@ def sweep_ops(workloads) -> list:
     capped = workloads.ab_config(16, 0.001, 5)
     capped["optimizer"]["b_f"] = 0.05
     made.append(("b_f=0.05", capped))
+    no_pairs = workloads.ab_config(16, 0.0, 5)
+    no_pairs["augmentation"] = {"kind": "knn", "k": 3}
+    made.append(("knn3|lambda_rkd=0", no_pairs))
+    diverging = workloads.ab_config(16, 0.3, 5)
+    diverging["optimizer"].update(step_size=2.0, iterations=45)
+    made.append(("diverging|iterations=45", diverging))
     return [(workloads.Op(f"ssl-sweep|{name}", "ssl", f"sweep_{i}.json", SWEEP_SEEDS, "run_result.json"),
              {f"sweep_{i}.json": cfg}) for i, (name, cfg) in enumerate(made)]
 

@@ -154,7 +154,7 @@ def _cmd_dac(args) -> int:
 def _cmd_labels(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     g, points = build_graph_fixture(cfg)
-    labeled = acquire_labels(cfg, g, build_kernel_fixture(cfg, g, points), args.seed)
+    labeled = acquire_labels(cfg, g, build_kernel_fixture(cfg, g, points, relational=False), args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_labeled(labeled, out / "labels.csv")

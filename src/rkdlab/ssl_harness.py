@@ -268,9 +268,14 @@ def build_augmentation_fixture(cfg: ExperimentConfig, g: PopulationGraph, points
     return _build("augmentation", cfg.augmentation, g=g, points=points)
 
 
-def build_kernel_fixture(cfg: ExperimentConfig, g: PopulationGraph, points) -> np.ndarray:
-    """The |X| x |X| matrix of the config's teacher kernel on g, read-only like the graph's arrays."""
-    kmat = kernel_matrix(_build("kernel", cfg.kernel, g=g, points=points), g)
+def build_kernel_fixture(cfg: ExperimentConfig, g: PopulationGraph, points, relational: bool = True):
+    """The |X| x |X| matrix of the config's teacher kernel on g, read-only like the graph's arrays, when a
+    relational term or the label reader takes it, else None (the kernel itself is built, so its errors raise)."""
+    spec = _build("kernel", cfg.kernel, g=g, points=points)
+    labels_reader, _ = _read("labels", cfg.labels)
+    if not (relational or "kmat" in _parameters(labels_reader)[0]):
+        return None
+    kmat = kernel_matrix(spec, g)
     kmat.flags.writeable = False
     return kmat
 
@@ -327,22 +332,23 @@ class _CombinedLoss:
     member's sums on its own run, and one `bincount` whose bins take their terms in the order of one student's
     `np.add.at` scatters (CE, DAC, relational a-ends, b-ends), so each member gets the floats of a stack of one."""
 
-    def __init__(self, labeled, kmat: np.ndarray, weights: LossWeights):
-        self.kmat, self.weights = kmat, weights
-        self.offsets = np.arange(len(labeled)) * len(kmat)  # of each member's rows
+    def __init__(self, labeled, size: int, weights: LossWeights):
+        self.size, self.weights = size, weights
+        offsets = np.arange(len(labeled)) * size  # of each member's rows
         self.label_counts = [len(one.vertices()) for one in labeled]
-        self.label_rows = np.concatenate([one.vertices() + off for one, off in zip(labeled, self.offsets)])
+        self.label_rows = np.concatenate([one.vertices() + off for one, off in zip(labeled, offsets)])
         self.label_pick = (np.arange(len(self.label_rows)), np.concatenate([one.classes() for one in labeled]))
         self.label_divisors = np.repeat(self.label_counts, self.label_counts)[:, None]
         self.label_means = np.maximum(self.label_counts, 1)
 
-    def __call__(self, model: StudentModel, features, weak_strong_pairs, rkd_pairs) -> tuple:
+    def __call__(self, model: StudentModel, features, views, ends, targets) -> tuple:
         """(each member's loss row: total, cross_entropy, dac, rkd, confident count; the stack's parameter
-        gradients), given lists of each member's (weak, strong) pairs and its R relational pairs (each list or None)."""
+        gradients), given the members' (weak, strong) views and their R relational pairs each, as score rows
+        end to end in member order (`_lay_out`), and the kernel values of those pairs (views or ends None)."""
         scores = model.forward(features)
         K = scores.shape[-1]
         flat = scores.reshape(-1, K)
-        count = len(self.offsets)
+        count = len(self.label_counts)
         lam_dac, lam_rkd = self.weights.lambda_dac, self.weights.lambda_rkd
         dac = rkd = [0.0] * count
         kept = [0] * count
@@ -355,17 +361,16 @@ class _CombinedLoss:
         probs /= self.label_divisors
         rows, blocks = [self.label_rows], [probs]  # the score rows of the gradient terms, and the terms
 
-        if weak_strong_pairs is not None and lam_dac > 0:
-            ws, _ = self._rows(weak_strong_pairs)
-            weak = flat[ws[:, 0]]
+        if views is not None and lam_dac > 0:
+            weak = flat[views[:, 0]]
             confident = _top_probability(weak / self.weights.temperature) >= self.weights.tau_dac
-            strong = ws[confident, 1]
+            strong = views[confident, 1]
             if len(strong):
                 if count == 1:
                     kept = [len(strong)]
                     means = share = len(strong)
                 else:
-                    share = np.bincount(strong // len(self.kmat), minlength=count)  # a row // |X| is its member
+                    share = np.bincount(strong // self.size, minlength=count)  # a row // |X| is its member
                     kept, means, share = share.tolist(), np.maximum(share, 1), np.repeat(share, share)[:, None]
                 probs = _softmax(flat[strong])
                 pick = (np.arange(len(strong)), weak[confident].argmax(axis=1))  # the pseudo-labels
@@ -376,11 +381,10 @@ class _CombinedLoss:
                 rows.append(strong)
                 blocks.append(probs)
 
-        if rkd_pairs is not None and lam_rkd > 0:
-            ends, pairs = self._rows(rkd_pairs)
-            num_pairs = len(rkd_pairs[0])
+        if ends is not None and lam_rkd > 0:
+            num_pairs = len(ends) // count
             sa, sb = flat[ends[:, 0]], flat[ends[:, 1]]
-            resid = (sa * sb).sum(axis=-1) - self.kmat[pairs[:, 0], pairs[:, 1]]
+            resid = (sa * sb).sum(axis=-1) - targets
             rkd = ((resid**2).reshape(count, num_pairs).sum(axis=-1) / num_pairs).tolist()
             coef = ((2.0 * lam_rkd / num_pairs) * resid)[:, None]
             rows += [ends[:, 0], ends[:, 1]]
@@ -392,17 +396,10 @@ class _CombinedLoss:
                   for c, d, r, k in zip(ce.tolist(), dac, rkd, kept)]
         return losses, model.backward(features, gscores.reshape(scores.shape))
 
-    def _rows(self, vertex_pairs):
-        """(each member's vertex pairs as rows of the stack's scores, end to end; the vertex pairs, end to end)."""
-        if len(vertex_pairs) == 1:  # one member's rows need no layout
-            return vertex_pairs[0], vertex_pairs[0]
-        pairs = np.concatenate(vertex_pairs)
-        return pairs + np.repeat(self.offsets, [len(one) for one in vertex_pairs])[:, None], pairs
-
-    def objective(self, features, weak_strong_pairs, rkd_pairs):
+    def objective(self, features, views, ends, targets):
         """One member's total on one batch as an objective: a student -> (total, parameter gradient)."""
         def at(model: StudentModel):
-            (row,), grad = self(model, features, [weak_strong_pairs], [rkd_pairs])
+            (row,), grad = self(model, features, views, ends, targets)
             return row["total"], grad
         return at
 
@@ -455,6 +452,47 @@ class _ViewTable:
         return pairs
 
 
+class _Block(collections.namedtuple("_Block", "views ends targets")):
+    """Some training steps' batches as arrays over those steps: (weak, strong) views (steps, P, 2), relational
+    pairs (steps, R, 2) and their kernel values (steps, R), the last two None without a relational term.  A
+    seed's block holds vertices; a laid-out block (`_lay_out`) holds score rows of the stack."""
+
+    def step(self, i: int) -> tuple:
+        return tuple(None if a is None else a[i] for a in self)
+
+    def after(self, i: int) -> "_Block":
+        return _Block(*(None if a is None else a[i:] for a in self))
+
+
+def _draw_block(views: _ViewTable, pairs: _PairTable, rng: np.random.Generator, num_pairs: int, kmat,
+                steps: int) -> _Block:
+    """A seed's batches of its next `steps` steps, drawn from rng as one views.draw then pairs.draw per step
+    would, with the values of kmat, the relational term's kernel matrix (None: no term), at each pair.  When the
+    views draw nothing, the pairs are all that reads the generator: the block's pairs are one draw of all their
+    uniforms, and no pair is drawn without a relational term."""
+    if not len(views.counts):
+        ws = np.broadcast_to(views.fixed, (steps, *views.fixed.shape))
+        ends = None if kmat is None else pairs.draw(rng, steps * num_pairs).reshape(steps, num_pairs, 2)
+    else:
+        drawn = [(views.draw(rng), pairs.draw(rng, num_pairs)) for _ in range(steps)]
+        ws = np.stack([w for w, _ in drawn])
+        ends = None if kmat is None else np.stack([p for _, p in drawn])
+    return _Block(ws, ends, None if ends is None else kmat[ends[..., 0], ends[..., 1]])
+
+
+def _lay_out(blocks, size: int) -> _Block:
+    """The members' blocks (of equal steps) as one block of the stack's score rows: each step's views, and its
+    pairs with their kernel values, end to end in member order, member i's vertices offset by i |X|."""
+    if len(blocks) == 1:  # one member's rows need no layout
+        return blocks[0]
+    offsets = range(0, len(blocks) * size, size)
+    rows = lambda arrays: np.concatenate([a + off for a, off in zip(arrays, offsets)], axis=1)  # noqa: E731
+    views, ends, targets = zip(*blocks)
+    if ends[0] is None:
+        return _Block(rows(views), None, None)
+    return _Block(rows(views), rows(ends), np.concatenate(targets, axis=1))
+
+
 def build_student(g: PopulationGraph, points, seed: int, arch: str = "table", init_scale: float = 0.1,
                   hidden: int = 8):
     """Returns (model, features): the student a config's student section
@@ -483,29 +521,33 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     return result
 
 
-# a seed set up to train, with the seconds its setup took and the loss rows of its steps
-_Seed = collections.namedtuple("_Seed", "cfg labeled unlabeled model views pairs rng setup_s losses")
+# a seed set up to train: its block draw (steps -> _Block), the seconds its setup took and the loss rows of its steps
+_Seed = collections.namedtuple("_Seed", "cfg labeled unlabeled model draw setup_s losses")
+
+# the training steps whose batches a seed draws at once, and whose stacked rows are laid out at once
+BLOCK_STEPS = 16
 
 
 def _run_lockstep(cfgs) -> list:
     """The RunResult or TrainingDivergedError of each run of a sweep, given as configs that differ only in seed
     and out_dir, persisted.  Fixtures are built once, from the first; each seed in turn gets its labels, student
-    and generator and gradient-checks step 0's batch (if one raises, the seeds before it train and persist, then
-    it propagates).  All step as one stack, each drawing from its own generator, so each gets the bits of a run
-    on its own.  A run's wall clock is its share: the fixtures and the training loop, which all seeds share,
-    plus its own setup and audits."""
+    and generator, draws its first block of BLOCK_STEPS steps and gradient-checks step 0's batch (if one raises,
+    the seeds before it train and persist, then it propagates).  All step as one stack, each drawing its blocks
+    from its own generator, so each gets the bits of a run on its own; the stack's rows are laid out once a
+    block, and again for the rest of it when seeds leave.  A run's wall clock is its share: the fixtures and
+    the training loop, which all seeds share, plus its own setup and audits."""
     start = time.perf_counter()
     cfg = cfgs[0]
     g, points = build_graph_fixture(cfg)
     aug = build_augmentation_fixture(cfg, g, points)
-    kmat = build_kernel_fixture(cfg, g, points)
-    opt = cfg.opt
+    opt, relational = cfg.opt, cfg.loss_weights.lambda_rkd > 0
+    kmat = build_kernel_fixture(cfg, g, points, relational=relational)
     num_pairs = max(2, g.size) if opt.rkd_pairs is None else opt.rkd_pairs
     tables = lambda pool: (_ViewTable.build(aug, pool),  # noqa: E731
                            _PairTable.build(pool, g.degrees()[pool] / g.degrees()[pool].sum()))
     shared = tables(np.arange(g.size)) if opt.recycle_labeled else None
 
-    ready, failure = [], None
+    ready, blocks, failure = [], [], None
     for run_cfg in cfgs:
         seed = run_cfg.seed
         t0 = time.perf_counter()
@@ -516,30 +558,36 @@ def _run_lockstep(cfgs) -> list:
             if not (opt.recycle_labeled or len(unlabeled)):
                 raise InvalidConfigError("optimizer.recycle_labeled is false and every vertex is labeled: "
                                          "the unlabeled training pool is empty")
-            views, pairs = shared or tables(unlabeled)
-            twin = np.random.default_rng((seed, 1))  # draws step 0's batch for the check
-            check = _CombinedLoss([labeled], kmat, cfg.loss_weights)
-            verify_gradient(model, check.objective(features, views.draw(twin), pairs.draw(twin, num_pairs)), seed)
+            draw = functools.partial(_draw_block, *(shared or tables(unlabeled)), np.random.default_rng((seed, 1)),
+                                     num_pairs, kmat if relational else None)
+            block = draw(max(1, min(BLOCK_STEPS, opt.iterations)))  # a run of no steps checks step 0 too
+            check = _CombinedLoss([labeled], g.size, cfg.loss_weights)
+            verify_gradient(model, check.objective(features, *block.step(0)), seed)
         except RkdlabError as exc:
             failure = exc
             break
-        ready.append(_Seed(run_cfg, labeled, unlabeled, model, views, pairs, np.random.default_rng((seed, 1)),
-                           time.perf_counter() - t0, []))
+        ready.append(_Seed(run_cfg, labeled, unlabeled, model, draw, time.perf_counter() - t0, []))
+        blocks.append(block)
 
     results = []
     if ready:
         first = ready[0].model
         stack = StudentModel(first.architecture, first.widths, np.stack([s.model.parameters for s in ready]))
-        active, objective = [], None
+        active, objective, laid, base = [], None, None, 0
 
         def step_loss(step, members):
-            nonlocal active, objective
+            nonlocal active, objective, laid, base
+            at = step % BLOCK_STEPS
+            if step and not at:  # each seed left draws its next block
+                for i in members:
+                    blocks[i] = ready[i].draw(min(BLOCK_STEPS, opt.iterations - step))
             if len(active) != len(members):  # at the first step, and when seeds leave
                 active = [ready[i] for i in members]
-                objective = _CombinedLoss([s.labeled for s in active], kmat, cfg.loss_weights)
-            ws = [s.views.draw(s.rng) for s in active]
-            pairs = [s.pairs.draw(s.rng, num_pairs) for s in active]
-            rows, grad = objective(stack, features, ws, pairs)
+                objective = _CombinedLoss([s.labeled for s in active], g.size, cfg.loss_weights)
+                laid = None
+            if not at or laid is None:
+                laid, base = _lay_out([blocks[i].after(at) for i in members], g.size), at
+            rows, grad = objective(stack, features, *laid.step(at - base))
             for s, row in zip(active, rows):
                 s.losses.append(row)
             return [row["total"] for row in rows], grad
@@ -602,9 +650,10 @@ def persist_run(cfg: ExperimentConfig, result: RunResult) -> None:
     jsonio.dump_canonical({"wall_clock_seconds": result.wall_clock}, out / "timing.json")
     cfg.save(out / "config.json")
     save_labeled(result.labeled, out / "labels.csv")
-    terms = ("total", "cross_entropy", "dac", "rkd")
-    rows = [(f"{i}", *(f"{row[t]:.17g}" for t in terms), f"{row['confident']}") for i, row in enumerate(result.losses)]
-    jsonio.dump_csv(("iteration", *terms, "confident"), rows, out / "losses.csv")
+    rows = [("%d,%.17g,%.17g,%.17g,%.17g,%d" % (i, row["total"], row["cross_entropy"], row["dac"], row["rkd"],
+                                               row["confident"]),)  # the whole row as one field
+            for i, row in enumerate(result.losses)]
+    jsonio.dump_csv(("iteration", "total", "cross_entropy", "dac", "rkd", "confident"), rows, out / "losses.csv")
 
 
 def run_sweep(cfg: ExperimentConfig, seeds) -> list:

@@ -34,15 +34,21 @@ from rkdlab.label_acquisition import (
 )
 from rkdlab.spectral_rkd import DIVERGENCE_CAP, GRAD_CHECK_COORDS, OptimizerConfig, StudentModel, train_student
 from rkdlab.ssl_harness import (
+    BLOCK_STEPS,
     ExperimentConfig,
     LossWeights,
+    RunResult,
+    _Block,
     _CombinedLoss,
     _PairTable,
     _ViewTable,
+    _draw_block,
+    _lay_out,
     acquire_labels,
     build_augmentation_fixture,
     build_graph_fixture,
     build_kernel_fixture,
+    persist_run,
     run_experiment,
     run_sweep,
     spectral_clustering_prediction,
@@ -277,9 +283,10 @@ class TestSectionKinds:
 
 def _evaluate(model, features, labeled, ws, pairs, kmat, weights):
     """One student's loss row and parameter gradient: the objective on a stack of one."""
-    views = None if ws is None else [np.asarray(ws, dtype=int)]
-    pairs = None if pairs is None else [np.asarray(pairs, dtype=int)]
-    (row,), grad = _CombinedLoss([labeled], kmat, weights)(model, features, views, pairs)
+    views = None if ws is None else np.asarray(ws, dtype=int)
+    pairs = None if pairs is None else np.asarray(pairs, dtype=int)
+    targets = None if pairs is None else kmat[pairs[:, 0], pairs[:, 1]]
+    (row,), grad = _CombinedLoss([labeled], len(kmat), weights)(model, features, views, pairs, targets)
     return row, grad
 
 
@@ -519,7 +526,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("arch", ["table", "linear", "mlp"])
     @pytest.mark.parametrize("lambda_rkd", [0.0, 0.3])
     @pytest.mark.parametrize("augmentation", [{"kind": "split_chain", "parts": 2}, {"kind": "knn", "k": 2}])
-    @pytest.mark.parametrize("iterations", [0, 1, 40])
+    # 2 B + 3 steps cross two block boundaries and end mid-block
+    @pytest.mark.parametrize("iterations", [0, 1, 2 * BLOCK_STEPS + 3, 40])
     def test_training_matches_the_frozen_loop(self, arch, lambda_rkd, augmentation, iterations):
         # knn gives every vertex two partners, so each step draws strong views
         cfg = blob_config(
@@ -566,6 +574,56 @@ class TestRunExperiment:
             trace = error.trace
             assert not trace[-1] <= DIVERGENCE_CAP and all(loss <= DIVERGENCE_CAP for loss in trace[:-1])
             assert str(error) == f"loss {trace[-1]!r} at step {len(trace) - 1}"
+
+    @pytest.mark.parametrize("step_size, seeds, diverged", [
+        (1.5, [1, 3, 4, 6], [19, None, 30, None]),  # seed 1 leaves at step 18, seed 4 at step 29
+        (1.4, [1, 2, 4, 8], [19, None, 33, 33]),  # seeds 4 and 8 leave at step 32, the third block's first
+    ])
+    def test_seeds_leaving_mid_sweep_keep_the_frozen_loop_bits(self, step_size, seeds, diverged):
+        # knn views draw every step; 2 B + 5 steps end mid-block
+        cfg = blob_config(augmentation={"kind": "knn", "k": 2},
+                          loss={"lambda_dac": 1.0, "lambda_rkd": 0.3, "tau_dac": 0.95, "temperature": 1.0},
+                          optimizer={"step_size": step_size, "iterations": 2 * BLOCK_STEPS + 5, "momentum": 0.9,
+                                     "rkd_pairs": 16})
+        swept = run_sweep(cfg, seeds)
+        assert [len(r.trace) if isinstance(r, TrainingDivergedError) else None for r in swept] == diverged
+        assert min(d for d in diverged if d) > BLOCK_STEPS
+        for seed, result in zip(seeds, swept):
+            if isinstance(result, TrainingDivergedError):
+                with pytest.raises(TrainingDivergedError) as error:
+                    oracle.ssl_train(replace(cfg, seed=seed), seed)
+                assert error.value.trace == result.trace[:-1]
+                assert str(error.value) == f"combined loss {result.trace[-1]!r} at step {len(result.trace) - 1}"
+            else:
+                want_losses, want_parameters = oracle.ssl_train(replace(cfg, seed=seed), seed)
+                assert repr(result.losses) == repr(want_losses)
+                assert np.array_equal(result.model.parameters, want_parameters)
+
+    @pytest.mark.parametrize("lambda_rkd, strategy, builds", [
+        (0.0, {"strategy": "uniform_per_class", "n_per_class": 4}, 0),
+        (0.0, {"strategy": "coreset_greedy", "budget": 4}, 1),
+        (0.001, {"strategy": "uniform_per_class", "n_per_class": 4}, 1),
+    ])
+    def test_kernel_matrix_is_built_only_when_read(self, monkeypatch, lambda_rkd, strategy, builds):
+        variants = []
+
+        def counting(spec, g):
+            variants.append(spec.variant)
+            return kernel_matrix(spec, g)
+
+        monkeypatch.setattr(sys.modules["rkdlab.ssl_harness"], "kernel_matrix", counting)
+        cfg = blob_config(kernel={"kind": "rbf", "bandwidth": 1.0}, labels=strategy,
+                          loss={"lambda_dac": 1.0, "lambda_rkd": lambda_rkd, "tau_dac": 0.95, "temperature": 1.0},
+                          optimizer={"step_size": 0.5, "iterations": 5, "momentum": 0.9, "rkd_pairs": 16})
+        run_sweep(cfg, [1, 2])
+        assert variants == ["rbf"] * builds
+        g, points = build_graph_fixture(cfg)
+        labels_only = build_kernel_fixture(cfg, g, points, relational=False)
+        assert (labels_only is None) == (strategy["strategy"] != "coreset_greedy")
+        # the kernel is still built, so a kernel the fixture cannot make still fails the run
+        sbm = {"kind": "sbm", "num_classes": 2, "sizes": [6, 6], "p_in": 0.9, "p_out": 0.05, "seed": 3}
+        with pytest.raises(InvalidConfigError, match="rbf kernel needs point coordinates"):
+            run_experiment(replace(cfg, graph=sbm))
 
     def test_sweep_makes_one_forward_pass_per_step(self, monkeypatch):
         calls = []
@@ -663,7 +721,9 @@ class TestStackedObjective:
             cfg = {"lambda_dac": float(maker.uniform(0.5, 2.0)), "lambda_rkd": (0.0, 0.3)[trial % 2],
                    "tau_dac": (0.34, 0.5, 0.7)[trial % 3], "temperature": (1.0, 0.5)[trial // 3 % 2]}
             stack = StudentModel(arch, widths, np.stack([m.parameters for m in models]))
-            rows, grad = _CombinedLoss(labeled, kmat, LossWeights(**cfg))(stack, features, views, pairs)
+            blocks = [_Block(v[None], p[None], kmat[p[:, 0], p[:, 1]][None]) for v, p in zip(views, pairs)]
+            batch = _lay_out(blocks, n).step(0)
+            rows, grad = _CombinedLoss(labeled, n, LossWeights(**cfg))(stack, features, *batch)
             for i, model in enumerate(models):
                 want = oracle.combined_loss(model, features, labeled[i], views[i], pairs[i], kmat, cfg)
                 assert rows[i] == {"total": want.total, "cross_entropy": want.cross_entropy, "dac": want.dac,
@@ -730,6 +790,53 @@ class TestViewSampling:
         np.testing.assert_array_equal(first, _strong_views_oracle(aug, np.arange(4), rng))
 
 
+class TestBlockDraws:
+    @pytest.mark.parametrize("augmentation", [{"kind": "split_chain", "parts": 2}, {"kind": "knn", "k": 2}])
+    @pytest.mark.parametrize("relational", [False, True])
+    def test_block_is_the_step_by_step_draw(self, augmentation, relational):
+        cfg = blob_config(augmentation=augmentation)
+        g, points = build_graph_fixture(cfg)
+        kmat = kernel_matrix(KernelSpec.graph_revealing(), g)
+        pool = np.arange(1, g.size, 2)
+        views = _ViewTable.build(build_augmentation_fixture(cfg, g, points), pool)
+        pairs = _PairTable.build(pool, g.degrees()[pool] / g.degrees()[pool].sum())
+        fast, slow = np.random.default_rng(4), np.random.default_rng(4)
+        for steps in (1, 5, BLOCK_STEPS):
+            block = _draw_block(views, pairs, fast, 7, kmat if relational else None, steps)
+            for i in range(steps):
+                ws, ends, targets = block.step(i)
+                np.testing.assert_array_equal(ws, views.draw(slow))
+                if relational or len(views.counts):  # pairs keep the draws in step order
+                    drawn = pairs.draw(slow, 7)
+                if relational:
+                    np.testing.assert_array_equal(ends, drawn)
+                    np.testing.assert_array_equal(targets, kmat[drawn[:, 0], drawn[:, 1]])
+                else:
+                    assert ends is None and targets is None
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_views_that_draw_nothing_without_pairs_leave_the_generator(self):
+        cfg = blob_config(augmentation={"kind": "split_chain", "parts": 2})
+        g, points = build_graph_fixture(cfg)
+        pool = np.arange(g.size)
+        views = _ViewTable.build(build_augmentation_fixture(cfg, g, points), pool)
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        block = _draw_block(views, _PairTable.build(pool, g.degrees()), rng, 7, None, BLOCK_STEPS)
+        assert rng.bit_generator.state == before
+        assert block.views.shape == (BLOCK_STEPS, g.size, 2) and block.views.strides[0] == 0  # no copies
+
+    def test_layout_offsets_each_member_by_its_position(self):
+        size = 5
+        blocks = [_Block(np.full((3, m, 2), m), np.full((3, 2, 2), m), np.full((3, 2), float(m))) for m in (1, 2, 4)]
+        laid = _lay_out([b.after(1) for b in blocks], size)
+        views, ends, targets = laid.step(1)
+        np.testing.assert_array_equal(views[:, 0], [1, 2 + 5, 2 + 5, 4 + 10, 4 + 10, 4 + 10, 4 + 10])
+        np.testing.assert_array_equal(ends[:, 1], [1, 1, 2 + 5, 2 + 5, 4 + 10, 4 + 10])
+        np.testing.assert_array_equal(targets, [1.0, 1.0, 2.0, 2.0, 4.0, 4.0])
+        assert len(laid.views) == 2
+
+
 class TestPairDraws:
     def test_cdf_draw_matches_generator_choice(self):
         maker = np.random.default_rng(11)
@@ -746,6 +853,24 @@ class TestPairDraws:
                 expected = pool[slow.choice(len(pool), size=2 * num_pairs, p=weights)].reshape(num_pairs, 2)
                 np.testing.assert_array_equal(table.draw(fast, num_pairs), expected)
             assert fast.bit_generator.state == slow.bit_generator.state
+
+
+class TestPersistedLosses:
+    def test_loss_rows_are_the_shortest_round_trip_text(self, tmp_path):
+        edge = [5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1 - 2**-53, 1.0, 1 + 2**-52, 0.1, 1 / 3, 123.0, 2.0**53,
+                1e22, 1.7976931348623157e308, 0.0, math.inf]
+        losses = [{"total": edge[i], "cross_entropy": edge[-1 - i], "dac": edge[(3 * i) % len(edge)],
+                   "rkd": edge[(5 * i + 1) % len(edge)], "confident": 7 * i} for i in range(len(edge))]
+        cfg = blob_config(out_dir=str(tmp_path))
+        model = StudentModel.initialize("table", (2, 2), seed=0)
+        unlabeled = LabeledSet(pairs=(), strategy="manual", seed=0)
+        persist_run(cfg, RunResult("hash", 0.5, losses, {}, unlabeled, model, 0.0))
+        terms = ("total", "cross_entropy", "dac", "rkd")
+        want = ["iteration," + ",".join(terms) + ",confident"]
+        want += [",".join([f"{i}", *(f"{row[t]:.17g}" for t in terms), f"{row['confident']}"])
+                 for i, row in enumerate(losses)]
+        assert (tmp_path / "losses.csv").read_bytes() == ("\r\n".join(want) + "\r\n").encode()
+        assert all(text in "\n".join(want) for text in ("4.9406564584124654e-324", "1.7976931348623157e+308", ",inf,"))
 
 
 class TestCanonicalJson:
