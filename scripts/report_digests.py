@@ -7,9 +7,10 @@
 Runs each op of ``benchmarks.workloads.all_reference_ops()``, then each sweep of
 ``sweep_ops()`` (paths the benchmark does not take: knn views, parametric
 students, a training pool without the labeled vertices, a row-norm cap,
-diverging seeds), in this process through ``rkdlab.cli.main``, importing
-``rkdlab`` from ``<root>/src`` and the workloads from ``<root>/benchmarks`` (``--root`` defaults to the checkout
-holding this script).  For each op key it records the exit status, standard
+diverging seeds, a softmax temperature other than 1, three classes), in this
+process through ``rkdlab.cli.main``, importing ``rkdlab`` from ``<root>/src``
+and the workloads from ``<root>/benchmarks`` (``--root`` defaults to the
+checkout holding this script).  For each op key it records the exit status, standard
 output, standard error, and the sha256 of every file the op wrote except those
 holding wall-clock time.  Ops run in a scratch working directory on the
 relative paths ``inputs`` and ``out``, which also reach the reports (an SSL
@@ -53,8 +54,10 @@ def sweep_ops(workloads) -> list:
     views (k 3) for the table, linear and mlp students, each with the labeled
     vertices in the training pool and, with i.i.d. labels, without them; the
     table student under a row-norm cap; knn views without a relational term;
-    and 45 steps at step size 2 and relational weight 0.3, where seeds 2 and 5
-    diverge (at steps 35 and 42) and seed 1 trains to the end."""
+    45 steps at step size 2 and relational weight 0.3, where seeds 2 and 5
+    diverge (at steps 35 and 42) and seed 1 trains to the end; weak views kept
+    at temperature 0.5 and threshold 0.6; and the table student on a 32-vertex
+    3-class lazy SBM (graph seed 5), for more than two classes."""
     made = []
     for arch in ("table", "linear", "mlp"):
         for recycle in (True, False):
@@ -72,6 +75,13 @@ def sweep_ops(workloads) -> list:
     diverging = workloads.ab_config(16, 0.3, 5)
     diverging["optimizer"].update(step_size=2.0, iterations=45)
     made.append(("diverging|iterations=45", diverging))
+    tempered = workloads.ab_config(16, 0.001, 5)
+    tempered["loss"].update(temperature=0.5, tau_dac=0.6)
+    made.append(("temperature=0.5|tau_dac=0.6", tempered))
+    three = workloads.ab_config(16, 0.001, 5)
+    three["graph"] = {"kind": "sbm", "num_classes": 3, "sizes": [11, 11, 10], "p_in": 0.9, "p_out": 0.05, "seed": 5,
+                      "lazy": True}
+    made.append(("sbm3|table", three))
     return [(workloads.Op(f"ssl-sweep|{name}", "ssl", f"sweep_{i}.json", SWEEP_SEEDS, "run_result.json"),
              {f"sweep_{i}.json": cfg}) for i, (name, cfg) in enumerate(made)]
 

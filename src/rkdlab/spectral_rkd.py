@@ -276,24 +276,41 @@ class _PairTable:
     """Relational-pair endpoints drawn from a vertex pool with fixed
     probabilities, built once per run.
 
-    `cdf` is the normalised cumulative table that
-    `Generator.choice(len(pool), p=weights)` builds on every call; searching it
-    with the same uniforms gives the same indices and leaves the generator in
-    the same state, without choice's per-call validation of `p`.
+    A uniform u draws index `cdf.searchsorted(u, side="right")`, with `cdf` the
+    normalised cumulative table that `Generator.choice(len(pool), p=weights)`
+    builds on every call: the same uniforms give the same indices and leave the
+    generator in the same state, without choice's per-call validation of `p`.
+    The search starts from a guide table.  `starts[j]` counts the cdf entries
+    at or below j / B, for B = len(starts) a power of two at least twice the
+    pool, so u's index is starts[floor(u B)] (u B is exact) plus the entries of
+    its bucket at or below u.  A branch-free binary search counts those with
+    the power-of-two `probes` into `cdf`, padded with +inf past its end.  They
+    are as many as the bits of the most entries in one bucket: one for
+    near-even weights, at most log2 |pool| + 1 however skewed the weights are.
     """
 
     pool: np.ndarray
     cdf: np.ndarray
+    starts: np.ndarray
+    probes: tuple
 
     @classmethod
     def build(cls, pool: np.ndarray, weights: np.ndarray) -> "_PairTable":
         cdf = np.asarray(weights, dtype=float).cumsum()
         cdf /= cdf[-1]
-        return cls(pool=pool, cdf=cdf)
+        buckets = 1 << (2 * len(cdf) - 1).bit_length()
+        starts = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
+        width = int(np.diff(starts).max()).bit_length()
+        return cls(pool=pool, cdf=np.concatenate([cdf, np.full(1 << width, np.inf)]), starts=starts[:-1],
+                   probes=tuple(1 << k for k in reversed(range(width))))
 
     def draw(self, rng: np.random.Generator, num_pairs: int) -> np.ndarray:
         """num_pairs (a, b) pairs, 2 * num_pairs endpoints drawn in row order."""
-        return self.pool[self.cdf.searchsorted(rng.random(2 * num_pairs), side="right")].reshape(num_pairs, 2)
+        u = rng.random(2 * num_pairs)
+        at = self.starts[(u * len(self.starts)).astype(np.intp)]
+        for probe in self.probes:
+            at += probe * (self.cdf[at + (probe - 1)] <= u)
+        return self.pool[at].reshape(num_pairs, 2)
 
 
 def draw_pairs(g: PopulationGraph, num_pairs: int, rng: np.random.Generator) -> np.ndarray:

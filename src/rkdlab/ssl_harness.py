@@ -300,71 +300,96 @@ def spectral_clustering_prediction(g: PopulationGraph, seed: int) -> Prediction:
 # the combined objective
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    # the ufunc reductions behind ndarray.max and .sum, without their Python wrappers
-    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
+# np.add.reduce adds a row of fewer terms in order, as adding its columns in turn does; from this many, pairwise
+PAIRWISE_TERMS = 8
 
 
-def _top_probability(z: np.ndarray) -> np.ndarray:
-    """`_softmax(z).max(axis=-1)` as the same floats: a row's largest term exp(0) is 1, and a divide keeps order."""
-    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+def _row_sums(z: np.ndarray) -> np.ndarray:
+    """np.add.reduce(z, axis=-1) as the same floats: for rows of fewer than PAIRWISE_TERMS terms, z's columns
+    added in turn, a fraction of a reduction's cost on rows this short."""
+    if z.shape[-1] >= PAIRWISE_TERMS:
+        return np.add.reduce(z, axis=-1)
+    total = z[..., 0]
+    for k in range(1, z.shape[-1]):
+        total = total + z[..., k]
+    return total
+
+
+def _exp_sums(z: np.ndarray) -> tuple:
+    """(exp(z - each row's max), each row's sum of it): a softmax of z's rows before its divide.  The max is
+    np.maximum of z's columns, exactly a reduction's max at a fraction of its cost on a few classes."""
+    top = z[:, 0]
+    for k in range(1, z.shape[1]):
+        top = np.maximum(top, z[:, k])
+    e = z - top[:, None]
     np.exp(e, out=e)
-    return 1.0 / np.add.reduce(e, axis=-1)
+    return e, _row_sums(e)
 
 
 def _run_sums(values: np.ndarray, counts: list) -> np.ndarray:
     """The `.sum()` of each run of `values`, runs of the given lengths end to end (a row sum adds alike;
     np.add.reduceat adds sequentially, `.sum()` pairwise from 8 terms up, and padding regroups terms)."""
     if len(set(counts)) == 1:
-        return values.reshape(len(counts), counts[0]).sum(axis=-1)
+        return np.add.reduce(values.reshape(len(counts), counts[0]), axis=-1)
     ends = itertools.accumulate(counts)
-    return np.array([values[end - count:end].sum() for count, end in zip(counts, ends)])
+    return np.array([np.add.reduce(values[end - count:end]) for count, end in zip(counts, ends)])
 
 
 class _CombinedLoss:
     """CE + lambda_dac * consistency + lambda_rkd * pairwise relational loss of each student of a stack (each with
     its own labeled set, views and pairs) and the analytic gradient of each total, from one forward pass (pseudo-
     labels are constants); weak views below tau_dac at temperature T are discarded, and none kept makes the
-    consistency term 0.  The stack's scores are one array of S |X| rows: row-wise work on all rows at once, each
-    member's sums on its own run, and one `bincount` whose bins take their terms in the order of one student's
-    `np.add.at` scatters (CE, DAC, relational a-ends, b-ends), so each member gets the floats of a stack of one."""
+    consistency term 0.  The stack's scores are one array of S |X| rows, each row quantity computed once on all of
+    them: one softmax, whose label rows CE reads and whose strong rows DAC reads, and whose 1 / row sum is a weak
+    view's confidence at T = 1 (its top probability, exp(0) / sum); at other T the confidence is 1 / row sum of
+    the rows of scores / T.  Each member's sums run on its own terms, and one `bincount` gives each bin its terms in
+    the order of one student's `np.add.at` scatters (CE, DAC, relational a-ends, b-ends), so each member gets the
+    floats of a stack of one.  The label rows' scatter codes and one-hot targets are built once here, the
+    relational ends' once a block (`_lay_out`), and a step builds only those of its confident strong rows."""
 
-    def __init__(self, labeled, size: int, weights: LossWeights):
-        self.size, self.weights = size, weights
-        offsets = np.arange(len(labeled)) * size  # of each member's rows
+    def __init__(self, labeled, shape: tuple, weights: LossWeights):
+        """`labeled`: each member's labeled set; `shape`: a member's scores' shape, (|X|, K)."""
+        (self.size, K), self.weights = shape, weights
+        self.num_classes = K
+        self.score_codes = np.arange(len(labeled) * self.size * K).reshape(-1, K)  # a score's bincount code: its index
+        offsets = np.arange(len(labeled)) * self.size  # of each member's rows
         self.label_counts = [len(one.vertices()) for one in labeled]
         self.label_rows = np.concatenate([one.vertices() + off for one, off in zip(labeled, offsets)])
-        self.label_pick = (np.arange(len(self.label_rows)), np.concatenate([one.classes() for one in labeled]))
+        classes = np.concatenate([one.classes() for one in labeled])
+        self.label_picks = np.arange(0, len(classes) * K, K) + classes  # in the label rows' scores, flat
+        self.label_targets = np.eye(K)[classes]
+        self.label_codes = self.score_codes.take(self.label_rows, axis=0).ravel()
         self.label_divisors = np.repeat(self.label_counts, self.label_counts)[:, None]
         self.label_means = np.maximum(self.label_counts, 1)
 
-    def __call__(self, model: StudentModel, features, views, ends, targets) -> tuple:
+    def __call__(self, model: StudentModel, features, views, ends, targets, codes) -> tuple:
         """(each member's loss row: total, cross_entropy, dac, rkd, confident count; the stack's parameter
-        gradients), given the members' (weak, strong) views and their R relational pairs each, as score rows
-        end to end in member order (`_lay_out`), and the kernel values of those pairs (views or ends None)."""
+        gradients), given one step of a laid-out block (`_lay_out`): the members' weak and strong views and the a-
+        and b-ends of their R relational pairs each, as score rows end to end in member order, the kernel values of
+        those pairs and the ends' scatter codes (ends, targets and codes None without a relational term)."""
         scores = model.forward(features)
-        K = scores.shape[-1]
+        K = self.num_classes
         flat = scores.reshape(-1, K)
         count = len(self.label_counts)
-        lam_dac, lam_rkd = self.weights.lambda_dac, self.weights.lambda_rkd
+        lam_dac, lam_rkd, temperature = self.weights.lambda_dac, self.weights.lambda_rkd, self.weights.temperature
         dac = rkd = [0.0] * count
         kept = [0] * count
+        exps, sums = _exp_sums(flat)
+        probs = exps / sums[:, None]
 
         # each softmax block minus its one-hot targets is the score gradient of
         # its CE; a mean is written as sum / count, the same reduction and divide
-        probs = _softmax(flat[self.label_rows])
-        ce = _run_sums(-np.log(np.maximum(probs[self.label_pick], 1e-300)), self.label_counts) / self.label_means
-        probs[self.label_pick] -= 1.0
-        probs /= self.label_divisors
-        rows, blocks = [self.label_rows], [probs]  # the score rows of the gradient terms, and the terms
+        block = probs.take(self.label_rows, axis=0)
+        ce = _run_sums(-np.log(np.maximum(block.take(self.label_picks), 1e-300)), self.label_counts) / self.label_means
+        block -= self.label_targets
+        block /= self.label_divisors
+        blocks, scattered = [block], [self.label_codes]  # the gradient terms, and the codes of their scores
 
         if views is not None and lam_dac > 0:
-            weak = flat[views[:, 0]]
-            confident = _top_probability(weak / self.weights.temperature) >= self.weights.tau_dac
-            strong = views[confident, 1]
+            weak, strong = views
+            top = 1.0 / (sums if temperature == 1.0 else _exp_sums(flat / temperature)[1])
+            confident = top.take(weak) >= self.weights.tau_dac
+            strong = strong[confident]
             if len(strong):
                 if count == 1:
                     kept = [len(strong)]
@@ -372,34 +397,34 @@ class _CombinedLoss:
                 else:
                     share = np.bincount(strong // self.size, minlength=count)  # a row // |X| is its member
                     kept, means, share = share.tolist(), np.maximum(share, 1), np.repeat(share, share)[:, None]
-                probs = _softmax(flat[strong])
-                pick = (np.arange(len(strong)), weak[confident].argmax(axis=1))  # the pseudo-labels
-                dac = (_run_sums(-np.log(np.maximum(probs[pick], 1e-300)), kept) / means).tolist()
-                probs[pick] -= 1.0
-                probs *= lam_dac
-                probs /= share
-                rows.append(strong)
-                blocks.append(probs)
+                block = probs.take(strong, axis=0)
+                pseudo = flat.take(weak[confident], axis=0).argmax(axis=1)
+                picks = np.arange(0, len(strong) * K, K) + pseudo
+                dac = (_run_sums(-np.log(np.maximum(block.take(picks), 1e-300)), kept) / means).tolist()
+                block.ravel()[picks] -= 1.0
+                block *= lam_dac
+                block /= share
+                blocks.append(block)
+                scattered.append(self.score_codes.take(strong, axis=0).ravel())
 
         if ends is not None and lam_rkd > 0:
-            num_pairs = len(ends) // count
-            sa, sb = flat[ends[:, 0]], flat[ends[:, 1]]
-            resid = (sa * sb).sum(axis=-1) - targets
-            rkd = ((resid**2).reshape(count, num_pairs).sum(axis=-1) / num_pairs).tolist()
-            coef = ((2.0 * lam_rkd / num_pairs) * resid)[:, None]
-            rows += [ends[:, 0], ends[:, 1]]
-            blocks += [coef * sb, coef * sa]
+            num_pairs = ends.shape[1] // count
+            sides = flat.take(ends, axis=0)  # the a-ends' score rows, then the b-ends'
+            resid = _row_sums(sides[0] * sides[1]) - targets
+            rkd = (np.add.reduce((resid**2).reshape(count, num_pairs), axis=-1) / num_pairs).tolist()
+            sides *= ((2.0 * lam_rkd / num_pairs) * resid)[:, None]
+            blocks += [sides[1], sides[0]]  # an a-end's term is coef * its b-end's scores, and vice versa
+            scattered.append(codes)
 
-        codes = (np.concatenate(rows)[:, None] * K + np.arange(K)).ravel()
-        gscores = np.bincount(codes, weights=np.concatenate(blocks).ravel(), minlength=flat.size)
+        gscores = np.bincount(np.concatenate(scattered), weights=np.concatenate(blocks).ravel(), minlength=flat.size)
         losses = [{"total": c + lam_dac * d + lam_rkd * r, "cross_entropy": c, "dac": d, "rkd": r, "confident": k}
                   for c, d, r, k in zip(ce.tolist(), dac, rkd, kept)]
         return losses, model.backward(features, gscores.reshape(scores.shape))
 
-    def objective(self, features, views, ends, targets):
-        """One member's total on one batch as an objective: a student -> (total, parameter gradient)."""
+    def objective(self, features, views, ends, targets, codes):
+        """One member's total on one laid-out step as an objective: a student -> (total, parameter gradient)."""
         def at(model: StudentModel):
-            (row,), grad = self(model, features, views, ends, targets)
+            (row,), grad = self(model, features, views, ends, targets, codes)
             return row["total"], grad
         return at
 
@@ -452,16 +477,27 @@ class _ViewTable:
         return pairs
 
 
-class _Block(collections.namedtuple("_Block", "views ends targets")):
-    """Some training steps' batches as arrays over those steps: (weak, strong) views (steps, P, 2), relational
-    pairs (steps, R, 2) and their kernel values (steps, R), the last two None without a relational term.  A
-    seed's block holds vertices; a laid-out block (`_lay_out`) holds score rows of the stack."""
+class _Steps:
+    """Arrays over some training steps, each None or indexed by step first."""
+
+    __slots__ = ()
 
     def step(self, i: int) -> tuple:
         return tuple(None if a is None else a[i] for a in self)
 
-    def after(self, i: int) -> "_Block":
-        return _Block(*(None if a is None else a[i:] for a in self))
+    def after(self, i: int):
+        return type(self)(*(None if a is None else a[i:] for a in self))
+
+
+class _Block(_Steps, collections.namedtuple("_Block", "views ends targets")):
+    """A seed's batches of some training steps, as vertices: (weak, strong) views (steps, P, 2), relational
+    pairs (steps, R, 2) and their kernel values (steps, R), the last two None without a relational term."""
+
+
+class _Rows(_Steps, collections.namedtuple("_Rows", "views ends targets codes")):
+    """The members' blocks laid out as score rows of the stack (`_lay_out`): weak then strong views (steps, 2,
+    S P), a-ends then b-ends (steps, 2, S R), their kernel values (steps, S R) and their scatter codes (steps,
+    2 S R K), each member's end to end in member order; the last three None without a relational term."""
 
 
 def _draw_block(views: _ViewTable, pairs: _PairTable, rng: np.random.Generator, num_pairs: int, kmat,
@@ -480,17 +516,20 @@ def _draw_block(views: _ViewTable, pairs: _PairTable, rng: np.random.Generator, 
     return _Block(ws, ends, None if ends is None else kmat[ends[..., 0], ends[..., 1]])
 
 
-def _lay_out(blocks, size: int) -> _Block:
-    """The members' blocks (of equal steps) as one block of the stack's score rows: each step's views, and its
-    pairs with their kernel values, end to end in member order, member i's vertices offset by i |X|."""
-    if len(blocks) == 1:  # one member's rows need no layout
-        return blocks[0]
+def _lay_out(blocks, shape: tuple) -> _Rows:
+    """The members' blocks (of equal steps) as the stack's score rows, given a member's scores' shape (|X|, K):
+    member i's vertices offset by i |X|, each step's weak views, strong views, a-ends and b-ends contiguous, and
+    the ends' scatter codes."""
+    size, K = shape
     offsets = range(0, len(blocks) * size, size)
-    rows = lambda arrays: np.concatenate([a + off for a, off in zip(arrays, offsets)], axis=1)  # noqa: E731
+    rows = lambda arrays: np.concatenate([a.transpose(0, 2, 1) + off for a, off in zip(arrays, offsets)],  # noqa: E731
+                                         axis=2)
     views, ends, targets = zip(*blocks)
     if ends[0] is None:
-        return _Block(rows(views), None, None)
-    return _Block(rows(views), rows(ends), np.concatenate(targets, axis=1))
+        return _Rows(rows(views), None, None, None)
+    ends = rows(ends)
+    codes = (ends.reshape(len(ends), -1, 1) * K + np.arange(K)).reshape(len(ends), -1)
+    return _Rows(rows(views), ends, np.concatenate(targets, axis=1), codes)
 
 
 def build_student(g: PopulationGraph, points, seed: int, arch: str = "table", init_scale: float = 0.1,
@@ -543,6 +582,7 @@ def _run_lockstep(cfgs) -> list:
     opt, relational = cfg.opt, cfg.loss_weights.lambda_rkd > 0
     kmat = build_kernel_fixture(cfg, g, points, relational=relational)
     num_pairs = max(2, g.size) if opt.rkd_pairs is None else opt.rkd_pairs
+    shape = (g.size, g.num_classes)  # of a student's scores
     tables = lambda pool: (_ViewTable.build(aug, pool),  # noqa: E731
                            _PairTable.build(pool, g.degrees()[pool] / g.degrees()[pool].sum()))
     shared = tables(np.arange(g.size)) if opt.recycle_labeled else None
@@ -561,8 +601,8 @@ def _run_lockstep(cfgs) -> list:
             draw = functools.partial(_draw_block, *(shared or tables(unlabeled)), np.random.default_rng((seed, 1)),
                                      num_pairs, kmat if relational else None)
             block = draw(max(1, min(BLOCK_STEPS, opt.iterations)))  # a run of no steps checks step 0 too
-            check = _CombinedLoss([labeled], g.size, cfg.loss_weights)
-            verify_gradient(model, check.objective(features, *block.step(0)), seed)
+            check = _CombinedLoss([labeled], shape, cfg.loss_weights)
+            verify_gradient(model, check.objective(features, *_lay_out([block], shape).step(0)), seed)
         except RkdlabError as exc:
             failure = exc
             break
@@ -583,10 +623,10 @@ def _run_lockstep(cfgs) -> list:
                     blocks[i] = ready[i].draw(min(BLOCK_STEPS, opt.iterations - step))
             if len(active) != len(members):  # at the first step, and when seeds leave
                 active = [ready[i] for i in members]
-                objective = _CombinedLoss([s.labeled for s in active], g.size, cfg.loss_weights)
+                objective = _CombinedLoss([s.labeled for s in active], shape, cfg.loss_weights)
                 laid = None
             if not at or laid is None:
-                laid, base = _lay_out([blocks[i].after(at) for i in members], g.size), at
+                laid, base = _lay_out([blocks[i].after(at) for i in members], shape), at
             rows, grad = objective(stack, features, *laid.step(at - base))
             for s, row in zip(active, rows):
                 s.losses.append(row)

@@ -35,6 +35,7 @@ from rkdlab.label_acquisition import (
 from rkdlab.spectral_rkd import DIVERGENCE_CAP, GRAD_CHECK_COORDS, OptimizerConfig, StudentModel, train_student
 from rkdlab.ssl_harness import (
     BLOCK_STEPS,
+    PAIRWISE_TERMS,
     ExperimentConfig,
     LossWeights,
     RunResult,
@@ -43,7 +44,9 @@ from rkdlab.ssl_harness import (
     _PairTable,
     _ViewTable,
     _draw_block,
+    _exp_sums,
     _lay_out,
+    _row_sums,
     acquire_labels,
     build_augmentation_fixture,
     build_graph_fixture,
@@ -283,11 +286,28 @@ class TestSectionKinds:
 
 def _evaluate(model, features, labeled, ws, pairs, kmat, weights):
     """One student's loss row and parameter gradient: the objective on a stack of one."""
-    views = None if ws is None else np.asarray(ws, dtype=int)
-    pairs = None if pairs is None else np.asarray(pairs, dtype=int)
-    targets = None if pairs is None else kmat[pairs[:, 0], pairs[:, 1]]
-    (row,), grad = _CombinedLoss([labeled], len(kmat), weights)(model, features, views, pairs, targets)
+    pairs = None if pairs is None else np.asarray(pairs, dtype=int)[None]
+    targets = None if pairs is None else kmat[pairs[..., 0], pairs[..., 1]]
+    block = _Block(np.asarray(ws, dtype=int)[None], pairs, targets)  # a block of one step
+    shape = (len(kmat), model.widths[-1])
+    (row,), grad = _CombinedLoss([labeled], shape, weights)(model, features, *_lay_out([block], shape).step(0))
     return row, grad
+
+
+class TestRowReductions:
+    @pytest.mark.parametrize("classes", range(1, 2 * PAIRWISE_TERMS))
+    def test_rows_reduce_to_the_floats_of_numpys_reductions(self, classes):
+        # column adds below PAIRWISE_TERMS classes, a row reduction from there on
+        maker = np.random.default_rng(classes)
+        for _ in range(40):
+            z = maker.standard_normal((int(maker.integers(1, 300)), classes))
+            z *= 10.0 ** maker.integers(-3, 4, size=z.shape)
+            assert _row_sums(z).tobytes() == np.add.reduce(z, axis=-1).tobytes()
+            assert _row_sums(z[None]).tobytes() == np.add.reduce(z[None], axis=-1).tobytes()
+            exps, sums = _exp_sums(z)
+            want = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+            assert exps.tobytes() == want.tobytes()
+            assert sums.tobytes() == np.add.reduce(want, axis=-1).tobytes()
 
 
 class TestCombinedLoss:
@@ -381,12 +401,14 @@ class TestCombinedLossOracle:
         kmat = kernel_matrix(KernelSpec.graph_revealing(), g)
         n = g.size
         maker = np.random.default_rng({"table": 0, "linear": 1, "mlp": 2}[arch])
-        widths = {"table": (n, 3), "linear": (2, 3), "mlp": (2, 5, 3)}[arch]
         features = None if arch == "table" else points
         labeled_sets = [uniform_per_class_sample(g, 2, seed=4),
                         LabeledSet(pairs=(), strategy="manual", seed=0)]
-        seen = set()
-        for trial in range(48):
+        seen, seen_wide = set(), set()
+        for trial in range(64):
+            # numpy adds a row of 3 classes in order and one of 8 pairwise
+            classes = 3 if trial < 48 else 8
+            widths = {"table": (n, classes), "linear": (2, classes), "mlp": (2, 5, classes)}[arch]
             # tau 0.34 keeps every weak view of a 3-class student, tau 1.0 none
             temp, tau = [(1.0, 0.34), (0.5, 0.9), (1.0, 1.0), (2.0, 0.6)][trial % 4]
             lam_rkd = (0.0, 0.3)[trial // 4 % 2]
@@ -403,9 +425,13 @@ class TestCombinedLossOracle:
                            "rkd": want.rkd, "confident": want.confident_count}, trial
             np.testing.assert_array_equal(grad, want.grad)
             kept = "none" if got["confident"] == 0 else "all" if got["confident"] == len(ws) else "some"
-            seen.add((kept, len(labeled.pairs) == 0, lam_rkd == 0.0))
+            if classes == 3:
+                seen.add((kept, len(labeled.pairs) == 0, lam_rkd == 0.0))
+            else:
+                seen_wide.add(kept)
         # none / some / all weak views kept, with and without labels and RKD term
         assert seen == {(k, e, z) for k in ("none", "some", "all") for e in (False, True) for z in (False, True)}
+        assert {"none", "some"} <= seen_wide
 
 
 SWEEP_SEEDS = (1, 3, 4)
@@ -707,9 +733,12 @@ class TestStackedObjective:
         kmat = kernel_matrix(KernelSpec.graph_revealing(), g)
         n = g.size
         maker = np.random.default_rng({"table": 10, "linear": 11, "mlp": 12}[arch])
-        widths = {"table": (n, 3), "linear": (2, 3), "mlp": (2, 5, 3)}[arch]
         features = None if arch == "table" else points
-        for trial in range(16):
+        wide_kept = []  # the confident counts of the 8-class members, over their numbers of views
+        for trial in range(24):
+            # numpy adds a row of 3 classes in order and one of 8 pairwise
+            classes = 3 if trial < 16 else 8
+            widths = {"table": (n, classes), "linear": (2, classes), "mlp": (2, 5, classes)}[arch]
             size = int(maker.integers(1, 5))
             models = [StudentModel.initialize(arch, widths, seed=10 * trial + i, scale=float(maker.uniform(0.1, 3.0)))
                       for i in range(size)]
@@ -722,13 +751,16 @@ class TestStackedObjective:
                    "tau_dac": (0.34, 0.5, 0.7)[trial % 3], "temperature": (1.0, 0.5)[trial // 3 % 2]}
             stack = StudentModel(arch, widths, np.stack([m.parameters for m in models]))
             blocks = [_Block(v[None], p[None], kmat[p[:, 0], p[:, 1]][None]) for v, p in zip(views, pairs)]
-            batch = _lay_out(blocks, n).step(0)
-            rows, grad = _CombinedLoss(labeled, n, LossWeights(**cfg))(stack, features, *batch)
+            batch = _lay_out(blocks, (n, classes)).step(0)
+            rows, grad = _CombinedLoss(labeled, (n, classes), LossWeights(**cfg))(stack, features, *batch)
             for i, model in enumerate(models):
                 want = oracle.combined_loss(model, features, labeled[i], views[i], pairs[i], kmat, cfg)
                 assert rows[i] == {"total": want.total, "cross_entropy": want.cross_entropy, "dac": want.dac,
                                    "rkd": want.rkd, "confident": want.confident_count}, (trial, i)
                 np.testing.assert_array_equal(grad[i], want.grad)
+                if classes == 8:
+                    wide_kept.append(rows[i]["confident"] / len(views[i]))
+        assert any(0 < share < 1 for share in wide_kept)  # some, not all, weak views kept
 
 
 def _strong_views_oracle(aug, pool, rng):
@@ -829,11 +861,13 @@ class TestBlockDraws:
     def test_layout_offsets_each_member_by_its_position(self):
         size = 5
         blocks = [_Block(np.full((3, m, 2), m), np.full((3, 2, 2), m), np.full((3, 2), float(m))) for m in (1, 2, 4)]
-        laid = _lay_out([b.after(1) for b in blocks], size)
-        views, ends, targets = laid.step(1)
-        np.testing.assert_array_equal(views[:, 0], [1, 2 + 5, 2 + 5, 4 + 10, 4 + 10, 4 + 10, 4 + 10])
-        np.testing.assert_array_equal(ends[:, 1], [1, 1, 2 + 5, 2 + 5, 4 + 10, 4 + 10])
+        laid = _lay_out([b.after(1) for b in blocks], (size, 3))
+        views, ends, targets, codes = laid.step(1)
+        np.testing.assert_array_equal(views[0], [1, 2 + 5, 2 + 5, 4 + 10, 4 + 10, 4 + 10, 4 + 10])
+        np.testing.assert_array_equal(ends[1], [1, 1, 2 + 5, 2 + 5, 4 + 10, 4 + 10])
         np.testing.assert_array_equal(targets, [1.0, 1.0, 2.0, 2.0, 4.0, 4.0])
+        # the scatter codes of the a-ends then the b-ends, each row's K = 3 scores in turn
+        np.testing.assert_array_equal(codes, (3 * ends[..., None] + [0, 1, 2]).ravel())
         assert len(laid.views) == 2
 
 
@@ -853,6 +887,39 @@ class TestPairDraws:
                 expected = pool[slow.choice(len(pool), size=2 * num_pairs, p=weights)].reshape(num_pairs, 2)
                 np.testing.assert_array_equal(table.draw(fast, num_pairs), expected)
             assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("n", [40, 2048])
+    def test_skewed_weights_and_a_large_pool_draw_what_choice_draws(self, n):
+        maker = np.random.default_rng(n)
+        for trial in range(4):
+            # degrees over seven decades, a third of them a cluster of tiny weights within one guide bucket
+            degrees = maker.uniform(0.5, 1.0, size=n) * 10.0 ** maker.integers(0, 7, size=n)
+            degrees[maker.choice(n, size=n // 3, replace=False)] = 1e-9 * maker.uniform(1.0, 2.0, size=n // 3)
+            pool = np.arange(n) if trial % 2 else np.sort(maker.choice(n, size=n - 7, replace=False))
+            weights = degrees[pool] / degrees[pool].sum()
+            table = _PairTable.build(pool, weights)
+            assert len(table.probes) <= len(pool).bit_length() + 1  # the search stays a bisection
+            fast, slow = np.random.default_rng(trial), np.random.default_rng(trial)
+            for num_pairs in (1, 64, 1024):
+                expected = pool[slow.choice(len(pool), size=2 * num_pairs, p=weights)].reshape(num_pairs, 2)
+                np.testing.assert_array_equal(table.draw(fast, num_pairs), expected)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_uniforms_on_bucket_edges_and_cdf_entries_find_the_searchsorted_index(self):
+        maker = np.random.default_rng(3)
+        for n in (1, 2, 5, 33):
+            weights = maker.uniform(0.0, 1.0, size=n) * (maker.random(n) < 0.7)  # zero weights repeat cdf entries
+            weights[-1] += 0.5
+            table = _PairTable.build(np.arange(n), weights)
+            cdf = weights.cumsum() / weights.cumsum()[-1]
+            buckets = len(table.starts)
+            edges = np.arange(buckets) / buckets
+            u = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0), cdf[:-1],
+                                np.nextafter(cdf[:-1], 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+            u = u[(u >= 0.0) & (u < 1.0)]
+            u = np.concatenate([u, u[: len(u) % 2]])  # an even count, for whole pairs
+            stub = SimpleNamespace(random=lambda size: u[:size])
+            np.testing.assert_array_equal(table.draw(stub, len(u) // 2).ravel(), cdf.searchsorted(u, side="right"))
 
 
 class TestPersistedLosses:
