@@ -30,8 +30,8 @@ from .graph_core import (
 from .label_acquisition import save_labeled
 from .spectral_rkd import (
     Prediction,
+    population_loss_gap,
     population_minimizers,
-    population_rkd_loss,
     random_rotations,
     save_checkpoint,
     save_loss_trace,
@@ -103,9 +103,8 @@ def _cmd_audit(args) -> int:
     rotations = random_rotations(K, cfg.audit_tolerances.audit_rotations, np.random.default_rng(args.seed))
     family = population_minimizers(g, K, rotations)
     thm1 = theorem1_check(family, g)
-    dec = spectral_decompose(g)
     f0 = Prediction(scores=family[0])
-    delta = max(population_rkd_loss(f0, g) - dec.residual_weights(K), 0.0)
+    delta = max(population_loss_gap(f0, g)[1], 0.0)
     thm4 = theorem4_check(f0, g, Delta=delta)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -138,14 +137,14 @@ def _cmd_dac(args) -> int:
         flips = rng.random(g.size) < 0.1
         noisy = np.where(flips, (g.labels + 1) % g.num_classes, g.labels)
         family.append(Prediction(scores=np.eye(g.num_classes)[noisy].astype(float)))
-    mu, bound, verdict = theorem5_check(family, aug, g)
+    c_hat = expansion["c_hat"]
+    mu, bound, verdict = theorem5_check(family, aug, g, c_hat)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     jsonio.dump_canonical(
         {**expansion, "thm5": {"mu": mu, "bound": bound, "verdict": verdict}},
         out / "dac_report.json",
     )
-    c_hat = expansion["c_hat"]
     c_text = "n/a" if c_hat is None else f"{c_hat:.6g}"
     print(f"dac c_hat={c_text} thm5={verdict} -> {out / 'dac_report.json'}")
     return 0 if verdict == "pass" else 1

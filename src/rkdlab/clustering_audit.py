@@ -4,8 +4,7 @@ The central object is the majority labeling: each predicted cluster is
 relabeled by its most probable ground-truth class, and the clustering error
 is the probability mass of vertices whose majority label disagrees with the
 truth.  The audits check the population bound (inter-class mass over the
-spectral gap), the empirical bound with its linear-programming dual, and the
-supporting identities and counter-example formulas.
+spectral gap) and the empirical bound with its linear-programming dual.
 """
 
 from __future__ import annotations
@@ -18,14 +17,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InvalidConfigError, NumericError, SizeLimitError
-from .graph_core import PopulationGraph, inter_class_fraction, laplacian, spectral_decompose
+from .errors import DomainError, InvalidConfigError, NumericError
+from .graph_core import PopulationGraph, inter_class_fraction, spectral_decompose
 from .spectral_rkd import Prediction, is_integer
 
 VERDICT_SLACK = 1e-9
 LP_AGREEMENT_TOL = 1e-9
 RANK_TOL = 1e-10
-LP_ENUMERATION_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -131,18 +129,6 @@ def majority_labels(scores: np.ndarray, g: PopulationGraph, predicted: np.ndarra
         )
         for r in range(R)
     ]
-
-
-def label_boundary_mass(g: PopulationGraph) -> float:
-    """sum_k y_k^T L y_k for the degree-scaled one-hot truth; equals the
-    inter-class weight fraction exactly."""
-    lap = laplacian(g)
-    sd = np.sqrt(g.degrees())
-    total = 0.0
-    for k in range(g.num_classes):
-        yk = sd * (g.labels == k)
-        total += float(yk @ lap @ yk)
-    return total
 
 
 def halves_condition(maj: MajorityLabeling, g: PopulationGraph) -> bool:
@@ -392,46 +378,6 @@ def lp_lagrangian_dual(lambdas, K: int, Delta: float) -> Fraction:
     return min(value(mu) for mu in [Fraction(0), *(1 / d for d in breakpoints)])
 
 
-def lp_primal_enumerate(lambdas, K: int, Delta: float) -> Fraction:
-    """Exact brute vertex enumeration (test oracle, |lambdas| <= LP_ENUMERATION_CAP).
-
-    A vertex has at most two coordinates strictly inside (0, 1).  The sum row
-    n - K is an integer, so either none is (n - K coordinates at 1 within the
-    budget), or exactly two are, sharing one unit of mass on the binding
-    budget row.
-    """
-    costs, budget, n = _lp_data(lambdas, K, Delta)
-    if n > LP_ENUMERATION_CAP:
-        raise SizeLimitError(f"{n} variables exceed the enumeration cap {LP_ENUMERATION_CAP}")
-    exact = [Fraction(x) for x in costs.tolist()]
-    # one power of two turns every cost and the budget into an integer
-    scale = max(x.denominator for x in [*exact, budget])
-    c = [int(x * scale) for x in exact]
-    cap = int(budget * scale)
-    best = None
-    for free in itertools.chain([()], itertools.combinations(range(n), 2)):
-        if free and c[free[0]] == c[free[1]]:
-            continue  # two free coordinates of equal cost make no vertex
-        rest = [i for i in range(n) if i not in free]
-        for ones in itertools.combinations(rest, n - K - len(free) // 2):
-            spare = cap - sum(c[i] for i in ones)
-            value = sum(1 for i in ones if i < K)
-            if free:
-                i, j = free
-                # xi_i + xi_j = 1 and c_i xi_i + c_j xi_j = spare
-                xj = Fraction(spare - c[i], c[j] - c[i])
-                if not 0 < xj < 1:
-                    continue
-                value += (i < K) * (1 - xj) + (j < K) * xj
-            elif spare < 0:
-                continue
-            if best is None or value > best:
-                best = value
-    if best is None:
-        raise NumericError("internal error: enumeration found no feasible vertex")
-    return Fraction(best)
-
-
 def lp_dual_value(lambdas, K: int, K0: int, Delta: float) -> float:
     """Closed-form feasible dual value (1 + (K - K0) C_{K0}) Delta / gap, with
     gap = (1 - l_{K0})^2 - (1 - l_{K+1})^2, computed in the product form
@@ -463,44 +409,3 @@ def lp_bound_oracle(lambdas, K: int, K0: int, Delta: float):
         raise NumericError(f"weak duality violated: primal={primal!r} > dual={dual!r}")
     return primal, dual
 
-
-# ---------------------------------------------------------------------------
-# supporting identity and counter-example formulas
-
-
-def lemma_c1_check(f: Prediction, g: PopulationGraph):
-    """Return (minority mass, 2 max(beta^2/gamma^2, 1) min_Z ||Y - F Z||_F^2).
-
-    The right side is computed by least squares; rank-deficient F falls back to
-    the pseudo-inverse and is recorded by the caller via the skeleton report.
-    """
-    maj = majority_label(f, g)
-    skel = skeleton_and_margin(f, g, maj)
-    if not skel.applicable:
-        raise DomainError(f"margin preconditions not met: {skel.reason}")
-    sd = np.sqrt(g.degrees())
-    F = f.scores * sd[:, None]
-    Y = (np.eye(g.num_classes)[g.labels]) * sd[:, None]
-    Z, *_ = np.linalg.lstsq(F, Y, rcond=None)
-    rhs = 2.0 * margin_prefactor(skel.beta, skel.gamma) * float(np.linalg.norm(Y - F @ Z) ** 2)
-    lhs = maj.minority_mass
-    if lhs > rhs + VERDICT_SLACK:
-        raise NumericError(f"interpolation bound violated: {lhs!r} > {rhs!r}")
-    return lhs, rhs
-
-
-def example_c1_margin_check(beta: float, ce_loss: float) -> float:
-    """Margin lower bound from the weak-supervision cross-entropy window.
-
-    Defined for log(1 + exp(-sqrt(2) beta)) <= L < log(1 + exp(-beta)); equals
-    sqrt(2) beta at the lower endpoint.
-    """
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-    lo = math.log1p(math.exp(-math.sqrt(2.0) * beta))
-    hi = math.log1p(math.exp(-beta))
-    if not lo - 1e-12 <= ce_loss < hi:
-        raise DomainError(f"cross-entropy {ce_loss!r} outside [{lo!r}, {hi!r})")
-    gap = -math.log(math.expm1(ce_loss))
-    radicand = max(2.0 * beta**2 - gap**2, 0.0)
-    return gap - math.sqrt(radicand)

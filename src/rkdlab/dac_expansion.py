@@ -32,11 +32,10 @@ VERDICT_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class AugmentationMap:
-    """Per-vertex augmentation sets A(x); conforming maps satisfy x in A(x),
-    A(x) strictly larger than {x}, and A(x) inside x's ground-truth class."""
+    """Per-vertex augmentation sets A(x); `validate` checks x in A(x), A(x)
+    strictly larger than {x}, and A(x) inside x's ground-truth class."""
 
     sets: tuple
-    conforming: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(frozenset(int(v) for v in s) for s in self.sets))
@@ -51,16 +50,15 @@ class AugmentationMap:
         for x, aset in enumerate(self.sets):
             if x not in aset:
                 raise InvalidAugmentationError(f"vertex {x} missing from its own augmentation set")
-            if self.conforming and aset == {x}:
+            if aset == {x}:
                 raise InvalidAugmentationError(f"augmentation set of vertex {x} is the bare singleton")
             if any(g.labels[v] != g.labels[x] for v in aset):
                 raise InvalidAugmentationError(f"augmentation of vertex {x} crosses a class boundary")
 
 
-def make_augmentation(sets, g: PopulationGraph, strict: bool = True) -> AugmentationMap:
-    """Build and validate an augmentation map; strict=False admits singleton
-    sets for counter-example fixtures and marks the map non-conforming."""
-    aug = AugmentationMap(sets=tuple(sets), conforming=strict)
+def make_augmentation(sets, g: PopulationGraph) -> AugmentationMap:
+    """Build and validate an augmentation map."""
+    aug = AugmentationMap(sets=tuple(sets))
     aug.validate(g)
     return aug
 
@@ -111,32 +109,6 @@ def load_augmentation(path, g: PopulationGraph) -> AugmentationMap:
     """Load {"sets": [[...vertex ids...], ...]} aligned to graph vertex order."""
     data = jsonio.load(path)
     return make_augmentation(data["sets"], g)
-
-
-def save_augmentation(aug: AugmentationMap, path) -> None:
-    jsonio.dump_canonical({"sets": [sorted(s) for s in aug.sets]}, path)
-
-
-@dataclass(frozen=True)
-class NeighborhoodMap:
-    """NB(x) = {x' : A(x) and A(x') overlap}; symmetric and reflexive."""
-
-    members: tuple
-
-    def of_set(self, subset) -> frozenset:
-        out = set()
-        for x in subset:
-            out |= self.members[int(x)]
-        return frozenset(out)
-
-
-def neighborhoods(aug: AugmentationMap) -> NeighborhoodMap:
-    n = aug.size
-    members = []
-    for x in range(n):
-        ax = aug.sets[x]
-        members.append(frozenset(x2 for x2 in range(n) if ax & aug.sets[x2]))
-    return NeighborhoodMap(members=tuple(members))
 
 
 @dataclass(frozen=True)
@@ -262,8 +234,10 @@ def dac_error(f: Prediction, aug: AugmentationMap, g: PopulationGraph) -> float:
     return float(deg[bad].sum())
 
 
-def theorem5_check(f_family, aug: AugmentationMap, g: PopulationGraph):
-    """Audit mu(family) <= max(2 / (c - 1), 2) nu(family) under c-expansion.
+def theorem5_check(f_family, aug: AugmentationMap, g: PopulationGraph, c_hat: float | None):
+    """Audit mu(family) <= max(2 / (c - 1), 2) nu(family) under c-expansion,
+    with c = c_hat the caller's estimate_c_expansion(aug, g).c_hat, None when
+    that raised SizeLimitError (a component above the exhaustive cap).
 
     Members whose minority set exceeds half of some class are skipped with a
     marker (the expansion argument only applies to qualifying minority sets).
@@ -271,12 +245,10 @@ def theorem5_check(f_family, aug: AugmentationMap, g: PopulationGraph):
     """
     if not f_family:
         raise DomainError("empty prediction family")
-    try:
-        report = estimate_c_expansion(aug, g)
-    except SizeLimitError:
+    if c_hat is None:
         return math.nan, math.nan, "not-applicable: component above the exhaustive cap"
-    if report.c_hat <= 1.0:
-        return math.nan, math.nan, f"bound-undefined: c_hat={report.c_hat!r} <= 1"
+    if c_hat <= 1.0:
+        return math.nan, math.nan, f"bound-undefined: c_hat={c_hat!r} <= 1"
     mu = 0.0
     nu = 0.0
     audited = 0
@@ -289,7 +261,7 @@ def theorem5_check(f_family, aug: AugmentationMap, g: PopulationGraph):
         nu = max(nu, dac_error(f, aug, g))
     if audited == 0:
         return math.nan, math.nan, "not-applicable: every member skipped"
-    bound = max(2.0 / (report.c_hat - 1.0), 2.0) * nu
+    bound = max(2.0 / (c_hat - 1.0), 2.0) * nu
     verdict = "pass" if mu <= bound + VERDICT_SLACK else "fail"
     return mu, bound, verdict
 

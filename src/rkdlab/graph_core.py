@@ -1,4 +1,4 @@
-"""Population-induced graphs and their spectral/partition quantities.
+"""Population-induced graphs and their spectral quantities.
 
 A population graph is a finite weighted undirected graph whose edge weights
 double as the data distribution: the degree of a vertex is its sampling
@@ -8,25 +8,17 @@ probability, and the total weight mass is normalized to 1 at construction.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateGraphError,
-    DomainError,
-    InvalidConfigError,
-    NumericError,
-    SizeLimitError,
-)
+from .errors import DegenerateGraphError, InvalidConfigError, NumericError
 from . import jsonio
 
 TOTAL_MASS_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
-PARTITION_ENUMERATION_CAP = 14
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -193,83 +185,12 @@ def inter_class_fraction(g: PopulationGraph) -> float:
 
     Counted over ordered pairs, which makes it coincide exactly with the
     Laplacian quadratic form sum_k y_k^T L y_k of the degree-scaled one-hot
-    labels (see clustering_audit.label_boundary_mass).
+    labels (label_boundary_mass in tests/oracles.py, the test oracle of this
+    identity).
     """
     cross = float(g.weights[g.labels[:, None] != g.labels[None, :]].sum())
     total = float(g.weights.sum())
     return cross / total
-
-
-def conductance(g: PopulationGraph, subset) -> float:
-    """Dirichlet conductance of a nonempty proper vertex subset."""
-    idx = np.asarray(sorted(set(int(v) for v in subset)), dtype=int)
-    if len(idx) == 0 or len(idx) >= g.size:
-        raise DomainError("subset must be nonempty and proper")
-    mask = np.zeros(g.size, dtype=bool)
-    mask[idx] = True
-    boundary = float(g.weights[np.ix_(mask, ~mask)].sum())
-    volume = float(g.degrees()[mask].sum())
-    return boundary / volume
-
-
-def _restricted_growth_strings(n: int, k: int):
-    """Yield label vectors of set partitions of [n] into exactly k nonempty parts."""
-    labels = [0] * n
-
-    def rec(i: int, used: int):
-        if i == n:
-            if used == k:
-                yield tuple(labels)
-            return
-        # remaining slots must still allow reaching k parts
-        if used + (n - i) < k:
-            return
-        for c in range(min(used + 1, k)):
-            labels[i] = c
-            if c == used:
-                yield from rec(i + 1, used + 1)
-            else:
-                yield from rec(i + 1, used)
-
-    yield from rec(0, 0)
-
-
-def sparsest_k_partition(g: PopulationGraph, k: int):
-    """Exhaustive sparsest k-partition: minimize the max conductance over parts.
-
-    Returns (partition, phi_k) where partition is a tuple of k vertex-index
-    tuples.  Enumeration only; graphs above 14 vertices are rejected.
-    """
-    n = g.size
-    if n > PARTITION_ENUMERATION_CAP:
-        raise SizeLimitError(f"|X|={n} exceeds the enumeration cap {PARTITION_ENUMERATION_CAP}")
-    if not 2 <= k <= n:
-        raise DomainError(f"need 2 <= k <= |X|, got k={k}")
-    w = g.weights
-    deg = g.degrees()
-    best_phi = math.inf
-    best_parts = None
-    for assignment in _restricted_growth_strings(n, k):
-        lab = np.asarray(assignment)
-        phi_max = 0.0
-        for part in range(k):
-            mask = lab == part
-            volume = float(deg[mask].sum())
-            if volume <= 0:
-                phi_max = math.inf
-                break
-            boundary = float(w[np.ix_(mask, ~mask)].sum())
-            phi_max = max(phi_max, boundary / volume)
-            if phi_max >= best_phi:
-                break
-        if phi_max < best_phi:
-            best_phi = phi_max
-            best_parts = tuple(
-                tuple(int(i) for i in np.nonzero(lab == part)[0]) for part in range(k)
-            )
-    if best_parts is None:
-        raise NumericError("no feasible partition found")  # cannot happen for k <= n
-    return best_parts, best_phi
 
 
 def _normalize_weights(w: np.ndarray) -> np.ndarray:
@@ -386,36 +307,6 @@ def build_two_blobs(
         num_classes=2,
     )
     return graph, points
-
-
-def build_from_kernel(points, labels, kernel) -> PopulationGraph:
-    """Graph with weights proportional to pairwise similarities, diagonal included.
-
-    `kernel` is either a KernelSpec-like object exposing pairwise(points) or a
-    plain callable on point pairs.
-    """
-    pts = np.asarray(points, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if len(pts) != len(labels):
-        raise InvalidConfigError(f"{len(pts)} points vs {len(labels)} labels")
-    n = len(pts)
-    if hasattr(kernel, "pairwise"):
-        sim = np.asarray(kernel.pairwise(pts), dtype=float)
-    else:
-        sim = np.array([[float(kernel(pts[i], pts[j])) for j in range(n)] for i in range(n)])
-    if np.any(sim < 0):
-        raise DomainError("kernel produced a negative similarity")
-    sim = (sim + sim.T) / 2.0
-    if np.any(sim.sum(axis=1) == 0):
-        bad = int(np.argmin(sim.sum(axis=1)))
-        raise DegenerateGraphError(f"point {bad} has an all-zero similarity row")
-    weights = _normalize_weights(sim)
-    return PopulationGraph(
-        vertices=tuple(range(n)),
-        weights=weights,
-        labels=labels,
-        num_classes=int(labels.max()) + 1,
-    )
 
 
 def save_graph(g: PopulationGraph, path) -> None:

@@ -8,7 +8,6 @@ over finite families and the excess-risk Monte Carlo audit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -161,75 +160,8 @@ def cluster_wise_sample(f: Prediction, g: PopulationGraph, delta: float, seed: i
     return make_labeled(g, chosen, "cluster_wise", seed)
 
 
-def coverage_rate(f: Prediction, g: PopulationGraph, delta: float, trials: int, seed: int) -> float:
-    """Monte Carlo frequency of cluster-wise draws covering every class."""
-    m, maj = _cluster_wise_plan(f, g, delta)
-    rng = np.random.default_rng(seed)
-    K = g.num_classes
-    seen = np.zeros((trials, K), dtype=bool)
-    rows = np.repeat(np.arange(trials), m)
-    for k in range(K):
-        members = np.nonzero(maj.label == k)[0]
-        draws = rng.choice(members, size=(trials, m), replace=True)
-        seen[rows, g.labels[draws].ravel()] = True
-    return float(seen.all(axis=1).mean())
-
-
-def mean_draws_to_cover(g: PopulationGraph, trials: int, seed: int) -> float:
-    """Mean number of i.i.d. degree-weighted draws until every class appears
-    (at most REDRAW_CAP per trial)."""
-    rng = np.random.default_rng(seed)
-    deg = g.degrees()
-    K = g.num_classes
-    counts = np.zeros(trials, dtype=int)
-    done = np.zeros(trials, dtype=bool)
-    seen = np.zeros((trials, K), dtype=bool)
-    step = 0
-    block = 16
-    while not done.all():
-        if step >= REDRAW_CAP:
-            raise DomainError(f"class coverage not reached within {REDRAW_CAP} draws")
-        draws = rng.choice(g.size, size=(trials, block), p=deg)
-        labels = g.labels[draws]
-        for j in range(block):
-            step += 1
-            seen[np.arange(trials), labels[:, j]] = True
-            newly = seen.all(axis=1) & ~done
-            counts[newly] = step
-            done |= newly
-    return float(counts.mean())
-
-
 # ---------------------------------------------------------------------------
 # facility-location coresets
-
-
-def facility_location_value(selected, kmat: np.ndarray) -> float:
-    """sum over the population of the best kernel similarity to the selected set."""
-    sel = sorted(set(int(v) for v in selected))
-    if not sel:
-        raise DomainError("selected set must be nonempty")
-    return float(kmat[sel, :].max(axis=0).sum())
-
-
-def full_greedy(kmat: np.ndarray, n: int):
-    """Reference greedy maximizer; returns (selected list, marginal gains)."""
-    size = len(kmat)
-    if not 1 <= n <= size:
-        raise DomainError(f"need 1 <= n <= |X|, got n={n}")
-    selected = []
-    gains = []
-    best_cover = np.zeros(size)
-    remaining = set(range(size))
-    for _ in range(n):
-        cand = np.array(sorted(remaining))
-        margin = np.maximum(kmat[cand, :] - best_cover[None, :], 0.0).sum(axis=1)
-        pick = int(cand[int(np.argmax(margin))])
-        gains.append(float(margin.max()))
-        selected.append(pick)
-        remaining.discard(pick)
-        best_cover = np.maximum(best_cover, kmat[pick, :])
-    return selected, gains
 
 
 def stochastic_greedy(kmat: np.ndarray, n: int, epsilon: float, seed: int):
@@ -261,20 +193,6 @@ def stochastic_greedy(kmat: np.ndarray, n: int, epsilon: float, seed: int):
         remaining.discard(pick)
         best_cover = np.maximum(best_cover, kmat[pick, :])
     return selected
-
-
-def exhaustive_best_subset(kmat: np.ndarray, n: int):
-    """Optimal facility-location subset by exhaustive search (tiny fixtures only)."""
-    if len(kmat) > 12 or n > 3:
-        raise DomainError("exhaustive search limited to |X| <= 12 and n <= 3")
-    best_val = -math.inf
-    best_set = None
-    for combo in itertools.combinations(range(len(kmat)), n):
-        val = float(kmat[list(combo), :].max(axis=0).sum())
-        if val > best_val:
-            best_val = val
-            best_set = combo
-    return list(best_set), best_val
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,13 @@ def population_rkd_loss(f: Prediction, g: PopulationGraph) -> float:
     return _agreed(matrix_form, float(expectation_form))
 
 
+def population_loss_gap(f: Prediction, g: PopulationGraph) -> tuple:
+    """(population_rkd_loss(f, g), its gap over the rank-K floor residual_weights(K), K being f's class count):
+    the gap is 0 at the closed-form minimizers, and the floor is 0 for K >= |X|."""
+    loss = population_rkd_loss(f, g)
+    return loss, loss - spectral_decompose(g).residual_weights(f.num_classes)
+
+
 def _agreed(matrix_form: float, expectation_form: float) -> float:
     """The matrix form of the population loss, once its expectation form agrees."""
     if abs(matrix_form - expectation_form) > LOSS_AGREEMENT_TOL * max(1.0, matrix_form):
@@ -256,17 +263,9 @@ def empirical_rkd_loss(f: Prediction, pairs, kmat: np.ndarray) -> float:
     return float(np.mean((inner - kmat[a, b]) ** 2))
 
 
-def exact_pair_expectation(f: Prediction, kmat: np.ndarray, g: PopulationGraph) -> float:
-    """Exhaustive weighted pairing: sum over ordered pairs of w_x w_x' (f^T f - k)^2.
-
-    The independent oracle for unbiasedness of the sampled empirical loss.
-    """
-    deg = g.degrees()
-    return float(_pair_expectations(f.scores[None], kmat, np.outer(deg, deg))[0])
-
-
 def _pair_expectations(scores: np.ndarray, kmat: np.ndarray, pair_weights: np.ndarray) -> np.ndarray:
-    """exact_pair_expectation of each member of an (R, |X|, K) score stack."""
+    """The exhaustive weighted pairing sum over ordered pairs of w_x w_x' (f^T f - k)^2, the expectation of the
+    sampled empirical loss, of each member of an (R, |X|, K) score stack."""
     gram = scores @ scores.transpose(0, 2, 1)
     return (pair_weights * (gram - kmat) ** 2).reshape(len(scores), -1).sum(axis=1)
 
@@ -313,27 +312,15 @@ class _PairTable:
         return self.pool[at].reshape(num_pairs, 2)
 
 
-def draw_pairs(g: PopulationGraph, num_pairs: int, rng: np.random.Generator) -> np.ndarray:
-    """Consecutive disjoint pairs from an i.i.d. degree-weighted vertex draw."""
-    if num_pairs < 1:
-        raise DomainError("need at least one pair")
-    return _PairTable.build(np.arange(g.size), g.degrees()).draw(rng, num_pairs)
-
-
-def exact_population_minimizer(g: PopulationGraph, K: int, rotation: np.ndarray | None = None) -> Prediction:
-    """Closed-form population minimizer D^{-1/2} V_K diag(sqrt(1-lambda_i)) Q.
+def population_minimizers(g: PopulationGraph, K: int, rotations: np.ndarray | None = None) -> np.ndarray:
+    """The closed-form population minimizer D^{-1/2} V_K diag(sqrt(1-lambda_i)) Q
+    for each Q of an (R, K, K) stack of rotations (None: the identity alone),
+    as one (R, |X|, K) score array built from one unrotated base and one
+    stacked matmul.
 
     Requires 1 - lambda_i >= 0 for i <= K (guaranteed when the normalized
     adjacency is positive semi-definite); any orthogonal Q gives the same loss.
     """
-    stacked = None if rotation is None else np.asarray(rotation, dtype=float)[None]
-    return Prediction(scores=population_minimizers(g, K, stacked)[0])
-
-
-def population_minimizers(g: PopulationGraph, K: int, rotations: np.ndarray | None = None) -> np.ndarray:
-    """exact_population_minimizer for each Q of an (R, K, K) stack of
-    rotations (None: the identity alone), as one (R, |X|, K) score array
-    built from one unrotated base and one stacked matmul."""
     if not 1 <= K <= g.size:
         raise DomainError(f"need 1 <= K <= |X|, got K={K}")
     q = np.eye(K)[None] if rotations is None else np.asarray(rotations, dtype=float)
@@ -352,15 +339,10 @@ def population_minimizers(g: PopulationGraph, K: int, rotations: np.ndarray | No
     return scores
 
 
-def random_rotation(K: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish orthogonal matrix from the QR of a Gaussian draw."""
-    return random_rotations(K, 1, rng)[0]
-
-
 def random_rotations(K: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, K, K) stack of random_rotation draws from one Gaussian draw and
-    one stacked QR: the same matrices, and the same generator state after,
-    as count random_rotation calls."""
+    """(count, K, K) stack of Haar-ish orthogonal matrices, the QRs of one
+    Gaussian draw as one stacked QR: the same matrices, and the same
+    generator state after, as count QRs of a K x K draw each."""
     q, r = np.linalg.qr(rng.standard_normal((count, K, K)))
     return q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
 
@@ -573,14 +555,13 @@ def train_student(
         raise diverged
 
     pred = model.prediction(features)
-    pop = population_rkd_loss(pred, g)
+    pop, gap = population_loss_gap(pred, g)
     emp, _ = pair_loss(pred.scores)
-    floor = spectral_decompose(g).residual_weights(min(model.num_classes, g.size))
     b_f = float(np.max(np.sum(pred.scores**2, axis=1)))
     report = RkdLossReport(
         population_loss=pop,
         empirical_loss=float(emp),
-        gap=pop - floor,
+        gap=gap,
         b_f=b_f,
         b_k=float(kmat.max()),
     )
@@ -726,15 +707,6 @@ def save_checkpoint(model: StudentModel, seed: int, path) -> None:
         "seed": seed,
     }
     jsonio.dump_canonical(payload, path)
-
-
-def load_checkpoint(path) -> StudentModel:
-    data = jsonio.load(path)
-    return StudentModel(
-        architecture=data["architecture"],
-        widths=tuple(data["widths"]),
-        parameters=np.asarray(data["parameters"], dtype=float),
-    )
 
 
 def save_loss_trace(rows, path) -> None:

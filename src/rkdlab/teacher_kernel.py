@@ -2,8 +2,7 @@
 
 A teacher enters only through the pairwise kernel it induces.  The
 graph-revealing kernel k(x, x') = w_xx' / (w_x w_x') satisfies
-D^{1/2} K D^{1/2} = normalized adjacency exactly, which is the identity
-verified by verify_graph_revealing_identity.
+D^{1/2} K D^{1/2} = normalized adjacency exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidConfigError
-from .graph_core import PopulationGraph, normalized_adjacency, scaled_eigenvectors
+from .graph_core import PopulationGraph, scaled_eigenvectors
 
 
 @dataclass(frozen=True)
@@ -105,17 +104,6 @@ def kernel_matrix(spec: KernelSpec, g: PopulationGraph) -> np.ndarray:
     if feats.shape[0] != g.size:
         raise DomainError(f"embedding rows {feats.shape[0]} != |X| = {g.size}")
     return spec.pairwise(feats)
-
-
-def verify_graph_revealing_identity(g: PopulationGraph) -> float:
-    """Frobenius residual of D^{1/2} K D^{1/2} - normalized adjacency.
-
-    Zero (to machine precision) for the graph-revealing kernel of g itself.
-    """
-    kmat = kernel_matrix(KernelSpec.graph_revealing(), g)
-    sqrt_deg = np.sqrt(g.degrees())
-    lhs = kmat * np.outer(sqrt_deg, sqrt_deg)
-    return float(np.linalg.norm(lhs - normalized_adjacency(g)))
 
 
 def spectral_teacher_embedding(g: PopulationGraph, dim: int, noise: float = 0.0, seed: int = 0) -> TeacherEmbedding:

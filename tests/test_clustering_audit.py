@@ -10,14 +10,9 @@ import frozen_oracles as oracle
 from rkdlab import clustering_audit
 from rkdlab.clustering_audit import (
     LP_AGREEMENT_TOL,
-    LP_ENUMERATION_CAP,
-    example_c1_margin_check,
-    label_boundary_mass,
-    lemma_c1_check,
     lp_bound_oracle,
     lp_dual_value,
     lp_lagrangian_dual,
-    lp_primal_enumerate,
     lp_primal_greedy,
     majority_label,
     majority_labels,
@@ -33,15 +28,22 @@ from rkdlab.spectral_rkd import (
     OptimizerConfig,
     Prediction,
     StudentModel,
-    exact_population_minimizer,
     population_minimizers,
-    random_rotation,
     random_rotations,
     train_student,
 )
 from rkdlab.teacher_kernel import KernelSpec, kernel_matrix
 
 from conftest import hand_graph
+from oracles import (
+    LP_ENUMERATION_CAP,
+    exact_population_minimizer,
+    example_c1_margin_check,
+    label_boundary_mass,
+    lemma_c1_check,
+    lp_primal_enumerate,
+    random_rotation,
+)
 
 
 def onehot_prediction(g):

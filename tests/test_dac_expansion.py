@@ -7,6 +7,7 @@ from rkdlab.dac_expansion import (
     C_HAT_CAP,
     COMPONENT_SUBSET_CAP,
     MASS_TOL,
+    AugmentationMap,
     chain_augmentation,
     constant_expansion_check,
     dac_error,
@@ -14,8 +15,6 @@ from rkdlab.dac_expansion import (
     expansion_implication_check,
     load_augmentation,
     make_augmentation,
-    neighborhoods,
-    save_augmentation,
     theorem5_check,
 )
 from rkdlab.errors import DomainError, InvalidAugmentationError, SizeLimitError
@@ -23,6 +22,7 @@ from rkdlab.graph_core import PopulationGraph, build_sbm, lazy_graph
 from rkdlab.spectral_rkd import Prediction
 
 from conftest import hand_graph
+from oracles import neighborhoods, save_augmentation
 
 
 def uniform_graph(labels):
@@ -41,11 +41,6 @@ class TestAugmentationValidation:
         with pytest.raises(InvalidAugmentationError, match="singleton"):
             make_augmentation([{0}, {1, 0}, {2, 3}, {3, 2}], g)
 
-    def test_singleton_allowed_in_nonconforming_mode(self):
-        g = uniform_graph([0, 0, 1, 1])
-        aug = make_augmentation([{0}, {1, 0}, {2, 3}, {3, 2}], g, strict=False)
-        assert not aug.conforming
-
     def test_class_crossing_rejected(self):
         g = uniform_graph([0, 0, 1, 1])
         with pytest.raises(InvalidAugmentationError, match="class boundary"):
@@ -57,6 +52,12 @@ class TestAugmentationValidation:
         save_augmentation(aug, tmp_path / "aug.json")
         loaded = load_augmentation(tmp_path / "aug.json", g)
         assert loaded.sets == aug.sets
+
+    def test_loaded_singleton_rejected(self, tmp_path):
+        g = uniform_graph([0, 0, 1, 1])
+        save_augmentation(AugmentationMap(({0}, {1, 0}, {2, 3}, {3, 2})), tmp_path / "aug.json")
+        with pytest.raises(InvalidAugmentationError, match="singleton"):
+            load_augmentation(tmp_path / "aug.json", g)
 
 
 class TestNeighborhoods:
@@ -211,7 +212,7 @@ def random_class_invariant_map(rng):
                     sets[x] = {x}
                 else:
                     sets[x] = {x, peers[(i + 1) % len(peers)]} | {v for v in peers if rng.random() < 0.2}
-    return g, make_augmentation(sets, g, strict=False)
+    return g, AugmentationMap(sets)  # singleton sets too: not a map make_augmentation accepts
 
 
 class TestCExpansionOracle:
@@ -252,7 +253,7 @@ class TestTheorem5:
         g = uniform_graph([0] * 6 + [1] * 6)
         aug = chain_augmentation(g)
         f = Prediction(scores=np.eye(2)[g.labels].astype(float))
-        mu, bound, verdict = theorem5_check([f], aug, g)
+        mu, bound, verdict = theorem5_check([f], aug, g, estimate_c_expansion(aug, g).c_hat)
         assert verdict == "pass"
         assert mu == 0.0 and bound == 0.0
 
@@ -261,7 +262,7 @@ class TestTheorem5:
         aug = chain_augmentation(g)
         scores = np.eye(2)[g.labels].astype(float)
         scores[2] = [0.0, 1.0]
-        mu, bound, verdict = theorem5_check([Prediction(scores=scores)], aug, g)
+        mu, bound, verdict = theorem5_check([Prediction(scores=scores)], aug, g, estimate_c_expansion(aug, g).c_hat)
         assert verdict == "pass"
         assert mu <= bound + 1e-9
 
@@ -276,7 +277,7 @@ class TestTheorem5:
         nus = [dac_error(f, aug, g) for f in fam]
         assert nus[0] < nus[1]
         c_hat = estimate_c_expansion(aug, g).c_hat
-        mu, bound, verdict = theorem5_check(fam, aug, g)
+        mu, bound, verdict = theorem5_check(fam, aug, g, c_hat)
         assert bound == max(2.0 / (c_hat - 1.0), 2.0) * max(nus)
         assert verdict == "pass"
 
@@ -289,22 +290,52 @@ class TestTheorem5:
             flips = rng.random(g.size) < 0.12
             scores = np.eye(2)[np.where(flips, 1 - g.labels, g.labels)].astype(float)
             fam.append(Prediction(scores=scores))
-        mu, bound, verdict = theorem5_check(fam, aug, g)
+        mu, bound, verdict = theorem5_check(fam, aug, g, estimate_c_expansion(aug, g).c_hat)
         assert verdict in ("pass", "not-applicable: every member skipped")
 
     def test_component_above_cap_is_marker(self):
         g = uniform_graph([0] * 21 + [1] * 3)
         f = Prediction(scores=np.eye(2)[g.labels].astype(float))
-        mu, bound, verdict = theorem5_check([f], chain_augmentation(g), g)
+        aug = chain_augmentation(g)
+        with pytest.raises(SizeLimitError):
+            estimate_c_expansion(aug, g)
+        mu, bound, verdict = theorem5_check([f], aug, g, None)
         assert verdict == "not-applicable: component above the exhaustive cap"
         assert math.isnan(mu) and math.isnan(bound)
+
+    def test_bound_reads_the_callers_c_hat(self):
+        g = uniform_graph([0] * 6 + [1] * 6)
+        aug = chain_augmentation(g)
+        scores = np.eye(2)[g.labels].astype(float)
+        scores[2] = [0.0, 1.0]
+        f = Prediction(scores=scores)
+        nu = dac_error(f, aug, g)
+        for c_hat in (estimate_c_expansion(aug, g).c_hat, 1.5, 1.25, 3.0):
+            mu, bound, verdict = theorem5_check([f], aug, g, c_hat)
+            assert bound == max(2.0 / (c_hat - 1.0), 2.0) * nu
+            assert verdict == "pass"
+
+    def test_callers_c_hat_at_most_one_is_marker(self):
+        g = uniform_graph([0] * 6 + [1] * 6)
+        aug = chain_augmentation(g)
+        f = Prediction(scores=np.eye(2)[g.labels].astype(float))
+        mu, bound, verdict = theorem5_check([f], aug, g, 1.0)
+        assert verdict == "bound-undefined: c_hat=1.0 <= 1"
+        assert math.isnan(mu) and math.isnan(bound)
+
+    def test_empty_family_rejected_with_or_without_a_c_hat(self):
+        g = uniform_graph([0] * 6 + [1] * 6)
+        aug = chain_augmentation(g)
+        for c_hat in (estimate_c_expansion(aug, g).c_hat, None):
+            with pytest.raises(DomainError, match="empty"):
+                theorem5_check([], aug, g, c_hat)
 
     def test_failed_expansion_is_marker(self):
         g = uniform_graph([0, 0, 0, 0, 1, 1])
         sets = [{0, 1}, {1, 0}, {2, 3}, {3, 2}, {4, 5}, {5, 4}]
         aug = make_augmentation(sets, g)
         f = Prediction(scores=np.eye(2)[g.labels].astype(float))
-        mu, bound, verdict = theorem5_check([f], aug, g)
+        mu, bound, verdict = theorem5_check([f], aug, g, estimate_c_expansion(aug, g).c_hat)
         assert verdict.startswith("bound-undefined")
 
 

@@ -9,14 +9,9 @@ from rkdlab.label_acquisition import (
     REDRAW_CAP,
     check_non_degenerate,
     cluster_wise_sample,
-    coverage_rate,
     erm_zero_one,
-    exhaustive_best_subset,
-    facility_location_value,
-    full_greedy,
     iid_sample,
     make_labeled,
-    mean_draws_to_cover,
     population_error,
     save_labeled,
     stochastic_greedy,
@@ -28,6 +23,13 @@ from rkdlab.spectral_rkd import Prediction
 from rkdlab.teacher_kernel import KernelSpec, kernel_matrix
 
 from conftest import hand_graph
+from oracles import (
+    coverage_rate,
+    exhaustive_best_subset,
+    facility_location_value,
+    full_greedy,
+    mean_draws_to_cover,
+)
 
 
 def uniform_graph(labels):

@@ -29,15 +29,11 @@ from rkdlab.spectral_rkd import (
     StudentModel,
     check_gradient,
     dnn_rademacher_bound,
-    draw_pairs,
     empirical_rkd_loss,
     estimate_rademacher,
-    exact_pair_expectation,
-    exact_population_minimizer,
-    load_checkpoint,
+    population_loss_gap,
     population_minimizers,
     population_rkd_loss,
-    random_rotation,
     random_rotations,
     save_checkpoint,
     theorem2_gap_bound,
@@ -46,6 +42,13 @@ from rkdlab.spectral_rkd import (
 from rkdlab.teacher_kernel import KernelSpec, kernel_matrix
 
 from conftest import hand_graph
+from oracles import (
+    draw_pairs,
+    exact_pair_expectation,
+    exact_population_minimizer,
+    load_checkpoint,
+    random_rotation,
+)
 
 
 class TestPopulationLoss:
@@ -68,6 +71,42 @@ class TestPopulationLoss:
     def test_dimension_mismatch(self, sbm_pair):
         with pytest.raises(DomainError):
             population_rkd_loss(Prediction(scores=np.zeros((3, 2))), sbm_pair)
+
+
+class TestPopulationLossGap:
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    def test_loss_and_its_excess_over_the_rank_k_floor(self, sbm_pair, K):
+        f = Prediction(scores=np.random.default_rng(K).normal(size=(sbm_pair.size, K)))
+        loss = population_rkd_loss(f, sbm_pair)
+        assert population_loss_gap(f, sbm_pair) == (loss, loss - spectral_decompose(sbm_pair).residual_weights(K))
+
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    def test_gap_vanishes_at_the_closed_form_minimizers(self, sbm_pair, K):
+        for scores in population_minimizers(sbm_pair, K, random_rotations(K, 3, np.random.default_rng(K))):
+            assert abs(population_loss_gap(Prediction(scores=scores), sbm_pair)[1]) <= 1e-8
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_floor_is_zero_from_as_many_classes_as_vertices(self, sbm_pair, extra):
+        K = sbm_pair.size + extra
+        loss, gap = population_loss_gap(Prediction(scores=np.random.default_rng(7).normal(size=(sbm_pair.size, K))),
+                                        sbm_pair)
+        assert gap == loss
+
+    def test_gap_is_never_negative(self, sbm_pair):
+        # Eckart-Young: no rank-K D^{1/2} F F^T D^{1/2} is closer to the PSD Wbar than its top-K part
+        rng = np.random.default_rng(3)
+        for K in (1, 2, 3):
+            for _ in range(20):
+                f = Prediction(scores=rng.normal(scale=rng.uniform(0.05, 1.0), size=(sbm_pair.size, K)))
+                assert population_loss_gap(f, sbm_pair)[1] >= -1e-12
+
+    def test_train_student_reports_the_gap_of_its_final_prediction(self, sbm_pair):
+        trained, report = train_student(
+            StudentModel.initialize("table", (sbm_pair.size, 3), seed=5), sbm_pair,
+            kernel_matrix(KernelSpec.graph_revealing(), sbm_pair),
+            OptimizerConfig(step_size=0.2, iterations=50, seed=0, momentum=0.5),
+        )
+        assert (report.population_loss, report.gap) == population_loss_gap(trained.prediction(), sbm_pair)
 
 
 class TestEmpiricalLoss:

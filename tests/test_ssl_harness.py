@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import shutil
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 
 import frozen_oracles as oracle
 
+from rkdlab.clustering_audit import majority_label
 from rkdlab.dac_expansion import (
     AugmentationMap,
     chain_augmentation,
+    dac_error,
+    estimate_c_expansion,
     load_augmentation,
     make_augmentation,
-    save_augmentation,
 )
 from rkdlab.errors import InvalidConfigError, NumericError, TrainingDivergedError
 from rkdlab.graph_core import build_sbm, build_two_blobs, lazy_graph, load_graph, save_graph
@@ -32,7 +35,14 @@ from rkdlab.label_acquisition import (
     stochastic_greedy,
     uniform_per_class_sample,
 )
-from rkdlab.spectral_rkd import DIVERGENCE_CAP, GRAD_CHECK_COORDS, OptimizerConfig, StudentModel, train_student
+from rkdlab.spectral_rkd import (
+    DIVERGENCE_CAP,
+    GRAD_CHECK_COORDS,
+    OptimizerConfig,
+    Prediction,
+    StudentModel,
+    train_student,
+)
 from rkdlab.ssl_harness import (
     BLOCK_STEPS,
     PAIRWISE_TERMS,
@@ -57,6 +67,8 @@ from rkdlab.ssl_harness import (
     spectral_clustering_prediction,
 )
 from rkdlab.teacher_kernel import KernelSpec, TeacherEmbedding, kernel_matrix, spectral_teacher_embedding
+
+from oracles import save_augmentation
 
 
 def blob_config(**overrides):
@@ -687,6 +699,33 @@ class TestRunExperiment:
         assert variants.count("rbf") == 1
         assert results[0].labeled.strategy == "coreset_greedy" and len(results) == 2
 
+    @pytest.mark.parametrize("n_per_class, verdict", [
+        (8, "pass"), (21, "not-applicable: component above the exhaustive cap")])
+    def test_sweep_enumerates_c_expansion_once(self, monkeypatch, n_per_class, verdict):
+        # every seed's theorem 5 audit reads the sweep's one report, or its cap
+        calls = []
+
+        def counting(aug, g):
+            calls.append(g.size)
+            return estimate_c_expansion(aug, g)
+
+        monkeypatch.setattr(sys.modules["rkdlab.ssl_harness"], "estimate_c_expansion", counting)
+        graph = {"kind": "two_blobs", "n_per_class": n_per_class, "separation": 4.0, "noise": 0.5,
+                 "bandwidth": 1.2, "seed": 5}
+        results = run_sweep(blob_config(graph=graph, optimizer={"step_size": 0.5, "iterations": 5,
+                                                                "momentum": 0.9, "rkd_pairs": 16}), [1, 2, 3])
+        assert calls == [2 * n_per_class]
+        assert [r.audits["thm5"]["verdict"] for r in results] == [verdict] * 3
+
+    def test_sweep_of_diverged_seeds_enumerates_nothing(self, monkeypatch):
+        # no seed is audited, so nothing reads a c-expansion report
+        calls = []
+        monkeypatch.setattr(sys.modules["rkdlab.ssl_harness"], "estimate_c_expansion", lambda aug, g: calls.append(g.size))
+        diverging = {"step_size": 500.0, "iterations": 50, "momentum": 0.9}
+        results = run_sweep(blob_config(optimizer=diverging), [1, 2])
+        assert [type(r) for r in results] == [TrainingDivergedError] * 2
+        assert calls == []
+
     @pytest.mark.parametrize("overrides", SWEEP_CASES)
     def test_sweep_matches_individual_runs(self, tmp_path, overrides):
         cfg = _sweep_config(tmp_path, **overrides)
@@ -722,6 +761,33 @@ class TestRunExperiment:
         assert {p.name for p in swept_files} == {"failed_run.json", "run_result.json", "audit_report.json",
                                                  "losses.csv", "labels.csv", "config.json"}
         assert _persisted(tmp_path) == swept_files
+
+
+@functools.cache
+def _three_class_students():
+    """(graph, augmentation, trained score tables) of a tiny three-class sweep of three seeds, whose every
+    score row has one largest entry."""
+    cfg = blob_config(graph={"kind": "sbm", "num_classes": 3, "sizes": [5, 5, 5], "p_in": 0.9, "p_out": 0.2,
+                             "seed": 3},
+                      labels={"strategy": "uniform_per_class", "n_per_class": 1},
+                      optimizer={"step_size": 0.5, "iterations": 20, "momentum": 0.9, "rkd_pairs": 16})
+    g, points = build_graph_fixture(cfg)
+    students = [r.model.prediction().scores for r in run_sweep(cfg, [1, 2, 3])]
+    assert all(((s == s.max(axis=1, keepdims=True)).sum(axis=1) == 1).all() for s in students)
+    return g, build_augmentation_fixture(cfg, g, points), students
+
+
+class TestTrainedPredictions:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_clustering_and_consistency_errors_ignore_the_order_of_the_classes(self, data):
+        # permuting a prediction's K columns renames its clusters and moves no vertex between them
+        g, aug, students = _three_class_students()
+        scores = data.draw(st.sampled_from(students), label="student")
+        order = data.draw(st.permutations(range(g.num_classes)), label="column order")
+        f, permuted = Prediction(scores=scores), Prediction(scores=scores[:, order])
+        assert majority_label(permuted, g).minority_mass == majority_label(f, g).minority_mass
+        assert dac_error(permuted, aug, g) == dac_error(f, aug, g)
 
 
 class TestStackedObjective:
@@ -786,7 +852,7 @@ class TestViewSampling:
             for x in range(n):
                 members = {x} | set(maker.integers(0, n, size=int(maker.integers(0, 5))).tolist())
                 sets.append({x} if maker.random() < 0.25 else members)
-            aug = make_augmentation(sets, g, strict=False)
+            aug = AugmentationMap(sets)
             pool = (np.arange(n) if trial % 2 else
                     np.sort(maker.choice(n, size=max(1, n // 2), replace=False)))
             table = _ViewTable.build(aug, pool)
@@ -799,7 +865,7 @@ class TestViewSampling:
         from conftest import hand_graph
 
         g = hand_graph(np.ones((3, 3)) - np.eye(3), [0, 0, 0], 1)
-        aug = make_augmentation([{0}, {1}, {2}], g, strict=False)
+        aug = AugmentationMap([{0}, {1}, {2}])
         rng = np.random.default_rng(1)
         before = rng.bit_generator.state
         pairs = _ViewTable.build(aug, np.arange(3)).draw(rng)
@@ -811,7 +877,7 @@ class TestViewSampling:
         from conftest import hand_graph
 
         g = hand_graph(np.ones((4, 4)) - np.eye(4), [0, 0, 0, 0], 1)
-        aug = make_augmentation([{0, 1}, {1, 2}, {2, 3}, {3, 0}], g, strict=False)
+        aug = AugmentationMap([{0, 1}, {1, 2}, {2, 3}, {3, 0}])
         table = _ViewTable.build(aug, np.arange(4))
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state

@@ -10,10 +10,10 @@ from rkdlab.teacher_kernel import (
     TeacherEmbedding,
     kernel_matrix,
     spectral_teacher_embedding,
-    verify_graph_revealing_identity,
 )
 
 from conftest import hand_graph
+from oracles import verify_graph_revealing_identity
 
 
 class TestKernelMatrix:

@@ -1,5 +1,6 @@
 """Every top-level import of an rkdlab module is used in that module, imports
-sit at the top level, and every private top-level name is read in the package.
+sit at the top level, every private top-level name is read in the package,
+and every top-level name is reached from the command or the package exports.
 
 A stdlib stand-in for a linter's unused-import rule: parse each module of
 src/rkdlab (the package __init__, which re-exports, is exempt) and require
@@ -10,7 +11,11 @@ no cycle; the one left defers scipy.cluster.vq, which takes longer to import
 than all of rkdlab.cli and only cluster-wise labels use.  A private name (one
 leading underscore) that a module binds at its top level, by a def, a class or
 an assignment, must be read as a name or an attribute in some module of the
-package: one that nothing reads is dead code.
+package: one that nothing reads is dead code.  A stricter rule keeps the
+package to what runs: each top-level name of a module must be reached from
+`rkdlab.cli.main` (the `rkdlab` command) or from a name that the package
+`__init__` imports (its library API), following the package names that each
+reached definition reads.  Code that only tests call lives in tests/.
 """
 
 import ast
@@ -64,10 +69,11 @@ def test_only_the_kmeans_import_is_nested():
     assert {name: modules for name, modules in found.items() if modules} == {"ssl_harness.py": ["scipy.cluster.vq"]}
 
 
-def private_names(source: str) -> dict:
-    """{name: line} of each private name a module binds at its top level (dunder names are not private)."""
+def top_level_bindings(tree: ast.Module) -> dict:
+    """{name: defining statement} of each name a module binds at its top level by a def, a class or an
+    assignment, dunder names left out."""
     bound = {}
-    for node in ast.parse(source).body:
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -76,8 +82,14 @@ def private_names(source: str) -> dict:
                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
         else:
             continue
-        bound.update((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+        bound.update((name, node) for name in names if not name.startswith("__"))
     return bound
+
+
+def private_names(source: str) -> dict:
+    """{name: line} of each private name a module binds at its top level (dunder names are not private)."""
+    return {name: node.lineno for name, node in top_level_bindings(ast.parse(source)).items()
+            if name.startswith("_")}
 
 
 def names_read(source: str) -> set:
@@ -106,3 +118,85 @@ def test_detector_flags_an_unread_private_name():
 
 def test_every_private_top_level_name_is_read():
     assert unread_private_names({path.name: path.read_text() for path in PACKAGE}) == []
+
+
+def unreached_names(sources: dict, entry: tuple) -> list:
+    """Each top-level name of the modules in sources ({module: text}, the package's own "__init__" among them)
+    that neither the entry (module, name) nor a name the __init__ imports reaches, as module: name (line N).
+
+    A reached definition reaches each package name it reads: a name it binds at the top level or imports
+    relatively (`from .m import n`, followed to the module that defines it) and an attribute of a package
+    module it imports (`from . import m` then `m.n`).  A reached class reaches everything its body reads.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    bindings = {module: top_level_bindings(tree) for module, tree in trees.items()}
+    imported = {module: {alias.asname or alias.name: (node.module or alias.name, node.module and alias.name)
+                         for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+                         for alias in node.names}
+                for module, tree in trees.items()}
+
+    def resolve(module: str, name: str):
+        """(defining module, name), (module, None) for a package module, or None outside the package."""
+        if name in bindings.get(module, {}):
+            return module, name
+        if name not in imported.get(module, {}):
+            return None
+        target, attr = imported[module][name]
+        return (target, None) if attr is None else resolve(target, attr)
+
+    def reads(module: str, node: ast.AST):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                yield resolve(module, n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                held = resolve(module, n.value.id)
+                if held and held[1] is None:
+                    yield resolve(held[0], n.attr)
+
+    todo = [entry, *(resolve("__init__", name) for name in imported.get("__init__", {}))]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key and key[1] is not None and key not in reached:
+            reached.add(key)
+            todo.extend(reads(key[0], bindings[key[0]][key[1]]))
+    return sorted(f"{module}: {name} (line {node.lineno})" for module, bound in bindings.items()
+                  if module != "__init__" for name, node in bound.items() if (module, name) not in reached)
+
+
+def test_detector_flags_an_unreached_name():
+    sources = {
+        "__init__": "from .b import exported\n",
+        "cli": "from . import a\nfrom .a import helper as h\ndef main():\n    return h() + a.LIMIT\n",
+        "a": "LIMIT = 1\ndef helper():\n    return _inner()\ndef _inner():\n    return 2\n"
+             "def unused():\n    return helper()\nclass Dead:\n    pass\n",
+        "b": "from .a import LIMIT\nimport numpy as np\ndef exported():\n    return np.ones(LIMIT)\n"
+             "def orphan():\n    return exported()\n",
+    }
+    assert unreached_names(sources, ("cli", "main")) == ["a: Dead (line 8)", "a: unused (line 6)",
+                                                        "b: orphan (line 5)"]
+
+
+def test_detector_follows_aliases_and_re_exports_to_the_defining_module():
+    sources = {
+        "__init__": "from .b import shown as public\n",
+        "cli": "from .b import relay\ndef main():\n    return relay()\n",
+        "a": "def relay():\n    return 1\ndef shown():\n    return 2\ndef hidden():\n    return 3\n",
+        "b": "from .a import relay, shown\nfrom .a import hidden as _h\n",
+    }
+    assert unreached_names(sources, ("cli", "main")) == ["a: hidden (line 5)"]
+
+
+def test_detector_reaches_what_a_class_body_reads_and_nothing_outside_the_package():
+    sources = {
+        "__init__": "",
+        "cli": "from . import a\nfrom numpy import helper\ndef main():\n    return a.Model().run() + helper()\n",
+        "a": "from .b import scale\nclass Model:\n    def run(self):\n        return scale(_BASE)\n"
+             "_BASE = 2\ndef helper():\n    return 0\n",
+        "b": "def scale(x):\n    return x\nSTEP = 1\n",
+    }
+    assert unreached_names(sources, ("cli", "main")) == ["a: helper (line 6)", "b: STEP (line 3)"]
+
+
+def test_every_top_level_name_is_reached_from_the_command_or_the_exports():
+    assert unreached_names({path.stem: path.read_text() for path in PACKAGE}, ("cli", "main")) == []
