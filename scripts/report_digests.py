@@ -7,7 +7,8 @@
 Runs each op of ``benchmarks.workloads.all_reference_ops()``, then each sweep of
 ``sweep_ops()`` (paths the benchmark does not take: knn views, parametric
 students, a training pool without the labeled vertices, a row-norm cap,
-diverging seeds, a softmax temperature other than 1, three classes), in this
+diverging seeds, a softmax temperature other than 1, three classes) and its
+two single-seed runs at |X| = 32 (knn views, and a seed that diverges), in this
 process through ``rkdlab.cli.main``, importing ``rkdlab`` from ``<root>/src``
 and the workloads from ``<root>/benchmarks`` (``--root`` defaults to the
 checkout holding this script).  For each op key it records the exit status, standard
@@ -47,6 +48,9 @@ def load(root: Path):
 
 
 SWEEP_SEEDS = (1, 2, 5)
+# sweeps that also run as one `--seed` run, at the seed that diverges in the diverging sweep
+SINGLE_RUNS = ("knn3|table|recycle=True", "diverging|iterations=45")
+SINGLE_SEED = 2
 
 
 def sweep_ops(workloads) -> list:
@@ -57,7 +61,11 @@ def sweep_ops(workloads) -> list:
     45 steps at step size 2 and relational weight 0.3, where seeds 2 and 5
     diverge (at steps 35 and 42) and seed 1 trains to the end; weak views kept
     at temperature 0.5 and threshold 0.6; and the table student on a 32-vertex
-    3-class lazy SBM (graph seed 5), for more than two classes."""
+    3-class lazy SBM (graph seed 5), for more than two classes.  The knn table
+    config with the labeled vertices in the pool and the diverging config also
+    run as single ``ssl --seed 2`` runs (seed 2 diverges at step 35), the only
+    one-seed runs at this size: every other single-seed op is a |X| = 2048
+    reference op."""
     made = []
     for arch in ("table", "linear", "mlp"):
         for recycle in (True, False):
@@ -82,8 +90,12 @@ def sweep_ops(workloads) -> list:
     three["graph"] = {"kind": "sbm", "num_classes": 3, "sizes": [11, 11, 10], "p_in": 0.9, "p_out": 0.05, "seed": 5,
                       "lazy": True}
     made.append(("sbm3|table", three))
-    return [(workloads.Op(f"ssl-sweep|{name}", "ssl", f"sweep_{i}.json", SWEEP_SEEDS, "run_result.json"),
-             {f"sweep_{i}.json": cfg}) for i, (name, cfg) in enumerate(made)]
+    sweeps = [(workloads.Op(f"ssl-sweep|{name}", "ssl", f"sweep_{i}.json", SWEEP_SEEDS, "run_result.json"),
+               {f"sweep_{i}.json": cfg}) for i, (name, cfg) in enumerate(made)]
+    singles = [(workloads.Op(f"ssl-single|{name}|seed={SINGLE_SEED}", "ssl", f"sweep_{i}.json", (SINGLE_SEED,),
+                             "run_result.json"), {f"sweep_{i}.json": cfg})
+               for i, (name, cfg) in enumerate(made) if name in SINGLE_RUNS]
+    return sweeps + singles
 
 
 def digest_op(cli, workloads, op, inputs: Path, out: Path) -> dict:

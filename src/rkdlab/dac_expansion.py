@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .clustering_audit import halves_condition, majority_label
+from .clustering_audit import VERDICT_SLACK, halves_condition, majority_label
 from .errors import DomainError, InvalidAugmentationError, InvalidConfigError, SizeLimitError
 from .graph_core import PopulationGraph
 from .spectral_rkd import Prediction, is_integer
@@ -27,7 +27,6 @@ EXHAUSTIVE_SUBSET_CAP = 18  # whole-graph enumeration (constant expansion)
 COMPONENT_SUBSET_CAP = 20  # per-NB-component enumeration (c-expansion)
 C_HAT_CAP = 1e18
 MASS_TOL = 1e-12
-VERDICT_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,13 +63,8 @@ def make_augmentation(sets, g: PopulationGraph) -> AugmentationMap:
 
 
 def chain_augmentation(g: PopulationGraph) -> AugmentationMap:
-    """A(x) = {x, next vertex in x's class} cyclically within each class."""
-    sets = [None] * g.size
-    for k in range(g.num_classes):
-        members = [int(v) for v in g.class_members(k)]
-        for i, v in enumerate(members):
-            sets[v] = {v, members[(i + 1) % len(members)]}
-    return AugmentationMap(sets=tuple(sets))
+    """A(x) = {x, next vertex in x's class} cyclically within each class: the split chain of one part."""
+    return split_chain_augmentation(g, 1)
 
 
 def split_chain_augmentation(g: PopulationGraph, parts: int = 2) -> AugmentationMap:

@@ -148,11 +148,9 @@ def spectral_decompose(g: PopulationGraph) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:
         cond = float(np.linalg.cond(lap))
         raise NumericError(f"eigensolver failed to converge (cond={cond:.3e})") from exc
-    for i in range(vecs.shape[1]):
-        col = vecs[:, i]
-        nz = np.nonzero(np.abs(col) > 1e-10)[0]
-        if len(nz) and col[nz[0]] < 0:
-            vecs[:, i] = -col
+    above = np.abs(vecs) > 1e-10
+    first = (above.argmax(axis=0), np.arange(vecs.shape[1]))  # each column's first entry above 1e-10, if any
+    vecs *= np.where(above[first] & (vecs[first] < 0), -1.0, 1.0)  # a product with +-1 is exact
     recon = (vecs * lam) @ vecs.T
     err = float(np.linalg.norm(recon - lap))
     if err > RECONSTRUCTION_TOL:
@@ -276,6 +274,15 @@ def lazy_graph(g: PopulationGraph) -> PopulationGraph:
     return PopulationGraph(vertices=g.vertices, weights=w, labels=g.labels, num_classes=g.num_classes)
 
 
+def gaussian_similarity(points: np.ndarray, bandwidth: float) -> np.ndarray:
+    """exp(-||p - p'||^2 / (2 bandwidth^2)) of every pair of rows, roundoff below 0 taken as 0: the rbf kernel, and
+    the two-blob weights before normalization.  The cross term is the two-blob fixture's general matmul (2 p) @ p.T:
+    numpy's p @ p.T, a symmetric rank-k update, rounds some entries apart when the row count is not a multiple of 8."""
+    sq = np.sum(points**2, axis=1)
+    dist2 = np.maximum(sq[:, None] + sq[None, :] - (2.0 * points) @ points.T, 0.0)
+    return np.exp(-dist2 / (2.0 * bandwidth**2))
+
+
 def build_two_blobs(
     n_per_class: int,
     separation: float = 4.0,
@@ -285,8 +292,8 @@ def build_two_blobs(
 ):
     """Two Gaussian blobs in the plane with a Gaussian-similarity graph.
 
-    Returns (graph, points).  The similarity matrix is positive semi-definite,
-    so the induced normalized adjacency is as well.
+    Returns (graph, points).  The weights are the rbf kernel's similarity,
+    which is positive semi-definite, so the normalized adjacency is as well.
     """
     if n_per_class < 1:
         raise InvalidConfigError("need at least one point per blob")
@@ -297,12 +304,9 @@ def build_two_blobs(
         centers[1] + noise * rng.standard_normal((n_per_class, 2)),
     ])
     labels = np.repeat([0, 1], n_per_class)
-    sq = np.sum(points**2, axis=1)
-    dist2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * points @ points.T, 0.0)
-    sim = np.exp(-dist2 / (2.0 * bandwidth**2))
     graph = PopulationGraph(
         vertices=tuple(range(len(points))),
-        weights=_normalize_weights(sim),
+        weights=_normalize_weights(gaussian_similarity(points, bandwidth)),
         labels=labels,
         num_classes=2,
     )

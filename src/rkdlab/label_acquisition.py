@@ -9,7 +9,7 @@ over finite families and the excess-risk Monte Carlo audit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from . import jsonio
 from .clustering_audit import majority_label
 from .errors import DomainError, InvalidConfigError
-from .graph_core import PopulationGraph
+from .graph_core import PopulationGraph, _freeze
 from .spectral_rkd import Prediction, is_integer
 
 REDRAW_CAP = 100000
@@ -41,8 +41,7 @@ class LabeledSet:
     def _columns(self) -> tuple:
         """(vertices, classes) as read-only arrays, built once per set."""
         table = np.array(self.pairs, dtype=int).reshape(-1, 2)
-        table.flags.writeable = False
-        return table[:, 0], table[:, 1]
+        return _freeze(table[:, 0]), _freeze(table[:, 1])
 
 
 def make_labeled(g: PopulationGraph, vertices, strategy: str, seed: int) -> LabeledSet:
@@ -234,9 +233,6 @@ class Theorem3Report:
     rejections: int
     vacuous: bool
     max_excess: float
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def theorem3_bound(K: int, n: int, mu: float, delta: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import DomainError, InvalidConfigError, NotPsdError, NumericError, TrainingDivergedError
-from .graph_core import PopulationGraph, normalized_adjacency, scaled_eigenvectors, spectral_decompose
+from .graph_core import PopulationGraph, _freeze, normalized_adjacency, scaled_eigenvectors, spectral_decompose
 from .teacher_kernel import KernelSpec, kernel_matrix
 
 LOSS_AGREEMENT_TOL = 1e-9
@@ -38,9 +38,7 @@ class Prediction:
             raise InvalidConfigError(f"scores must be 2-D, got shape {s.shape}")
         if not np.all(np.isfinite(s)):
             raise InvalidConfigError("non-finite prediction score")
-        s = np.ascontiguousarray(s)
-        s.flags.writeable = False
-        object.__setattr__(self, "scores", s)
+        object.__setattr__(self, "scores", _freeze(s))
 
     @property
     def num_classes(self) -> int:
@@ -49,14 +47,6 @@ class Prediction:
     def hard_labels(self) -> np.ndarray:
         """Deterministic argmax labels (first maximal index)."""
         return np.argmax(self.scores, axis=1)
-
-    def hard_labels_stochastic(self, rng: np.random.Generator) -> np.ndarray:
-        """Argmax with uniform tie-breaking among entries within 1e-9 of the row max."""
-        out = np.empty(self.scores.shape[0], dtype=int)
-        for i, row in enumerate(self.scores):
-            ties = np.nonzero(row >= row.max() - 1e-9)[0]
-            out[i] = ties[0] if len(ties) == 1 else rng.choice(ties)
-        return out
 
 
 @dataclass
@@ -136,7 +126,7 @@ class StudentModel:
         """Gradient with respect to the parameters, given the gradient
         `gscores` of a loss with respect to the scores `forward(features)`."""
         if self.architecture == "table":
-            return gscores.ravel() if self.parameters.ndim == 1 else gscores.reshape(self.parameters.shape)
+            return gscores.reshape(self.parameters.shape)
         if features is None:
             raise DomainError(f"{self.architecture} model needs input features")
         x = np.asarray(features, dtype=float)

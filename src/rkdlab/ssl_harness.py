@@ -35,6 +35,7 @@ from .dac_expansion import (
 from .errors import InvalidConfigError, RkdlabError, SizeLimitError, TrainingDivergedError
 from .graph_core import (
     PopulationGraph,
+    _freeze,
     build_sbm,
     build_two_blobs,
     lazy_graph,
@@ -275,9 +276,7 @@ def build_kernel_fixture(cfg: ExperimentConfig, g: PopulationGraph, points, rela
     labels_reader, _ = _read("labels", cfg.labels)
     if not (relational or "kmat" in _parameters(labels_reader)[0]):
         return None
-    kmat = kernel_matrix(spec, g)
-    kmat.flags.writeable = False
-    return kmat
+    return _freeze(kernel_matrix(spec, g))
 
 
 def acquire_labels(cfg: ExperimentConfig, g: PopulationGraph, kmat: np.ndarray, seed: int) -> LabeledSet:
@@ -391,12 +390,8 @@ class _CombinedLoss:
             confident = top.take(weak) >= self.weights.tau_dac
             strong = strong[confident]
             if len(strong):
-                if count == 1:
-                    kept = [len(strong)]
-                    means = share = len(strong)
-                else:
-                    share = np.bincount(strong // self.size, minlength=count)  # a row // |X| is its member
-                    kept, means, share = share.tolist(), np.maximum(share, 1), np.repeat(share, share)[:, None]
+                share = np.bincount(strong // self.size, minlength=count)  # a row // |X| is its member
+                kept, means, share = share.tolist(), np.maximum(share, 1), np.repeat(share, share)[:, None]
                 block = probs.take(strong, axis=0)
                 pseudo = flat.take(weak[confident], axis=0).argmax(axis=1)
                 picks = np.arange(0, len(strong) * K, K) + pseudo
@@ -457,9 +452,8 @@ class _ViewTable:
         fixed = np.stack([pool, pool], axis=1)
         single = counts == 1
         fixed[single, 1] = flat[starts[single]]
-        fixed.flags.writeable = False
         rows = np.flatnonzero(counts > 1)
-        return cls(fixed=fixed, rows=rows, flat=flat, starts=starts[rows], counts=counts[rows])
+        return cls(fixed=_freeze(fixed), rows=rows, flat=flat, starts=starts[rows], counts=counts[rows])
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """(weak, strong) pairs: the weak view is the vertex itself, the strong
@@ -467,11 +461,8 @@ class _ViewTable:
 
         One draw per vertex with two or more partners, in pool order.  A draw
         from a single value consumes no randomness, so skipping the vertices
-        with one partner leaves the generator where drawing them would; with
-        none left to draw, `fixed` itself (read-only) is returned.
+        with one partner leaves the generator where drawing them would.
         """
-        if not len(self.counts):
-            return self.fixed
         pairs = self.fixed.copy()
         pairs[self.rows, 1] = self.flat[self.starts + rng.integers(self.counts)]
         return pairs
@@ -484,9 +475,6 @@ class _Steps:
 
     def step(self, i: int) -> tuple:
         return tuple(None if a is None else a[i] for a in self)
-
-    def after(self, i: int):
-        return type(self)(*(None if a is None else a[i:] for a in self))
 
 
 class _Block(_Steps, collections.namedtuple("_Block", "views ends targets")):
@@ -573,7 +561,7 @@ def _run_lockstep(cfgs) -> list:
     and generator, draws its first block of BLOCK_STEPS steps and gradient-checks step 0's batch (if one raises,
     the seeds before it train and persist, then it propagates).  All step as one stack, each drawing its blocks
     from its own generator, so each gets the bits of a run on its own; the stack's rows are laid out once a
-    block, and again for the rest of it when seeds leave.  The c-expansion of the augmentation, which every
+    block, and again, whole, when seeds leave.  The c-expansion of the augmentation, which every
     seed's theorem 5 audit reads, is enumerated once after training.  A run's wall clock is its share: the
     fixtures, the training loop and that enumeration, which all seeds share, plus its own setup and audits."""
     start = time.perf_counter()
@@ -614,10 +602,10 @@ def _run_lockstep(cfgs) -> list:
     if ready:
         first = ready[0].model
         stack = StudentModel(first.architecture, first.widths, np.stack([s.model.parameters for s in ready]))
-        active, objective, laid, base = [], None, None, 0
+        active, objective, laid = [], None, None
 
         def step_loss(step, members):
-            nonlocal active, objective, laid, base
+            nonlocal active, objective, laid
             at = step % BLOCK_STEPS
             if step and not at:  # each seed left draws its next block
                 for i in members:
@@ -627,8 +615,8 @@ def _run_lockstep(cfgs) -> list:
                 objective = _CombinedLoss([s.labeled for s in active], shape, cfg.loss_weights)
                 laid = None
             if not at or laid is None:
-                laid, base = _lay_out([blocks[i].after(at) for i in members], shape), at
-            rows, grad = objective(stack, features, *laid.step(at - base))
+                laid = _lay_out([blocks[i] for i in members], shape)
+            rows, grad = objective(stack, features, *laid.step(at))
             for s, row in zip(active, rows):
                 s.losses.append(row)
             return [row["total"] for row in rows], grad

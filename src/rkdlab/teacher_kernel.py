@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidConfigError
-from .graph_core import PopulationGraph, scaled_eigenvectors
+from .graph_core import PopulationGraph, _freeze, gaussian_similarity, scaled_eigenvectors
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,7 @@ class TeacherEmbedding:
             raise InvalidConfigError(f"features shape {feats.shape} inconsistent with dim={self.dim}")
         if not np.all(np.isfinite(feats)):
             raise InvalidConfigError("non-finite teacher feature")
-        feats = np.ascontiguousarray(feats)
-        feats.flags.writeable = False
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "features", _freeze(feats))
 
     @classmethod
     def from_arrays(cls, features) -> "TeacherEmbedding":
@@ -86,10 +84,7 @@ class KernelSpec:
             unit = pts / norms[:, None]
             return 1.0 + unit @ unit.T
         if self.variant == "rbf":
-            sq = np.sum(pts**2, axis=1)
-            dist2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-            np.maximum(dist2, 0.0, out=dist2)
-            return np.exp(-dist2 / (2.0 * self.bandwidth**2))
+            return gaussian_similarity(pts, self.bandwidth)
         raise DomainError("graph_revealing kernel is evaluated on a graph, not raw points")
 
 

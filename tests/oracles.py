@@ -2,9 +2,10 @@
 
 Brute-force and closed-form oracles of the library's quantities: the exact
 LP vertex enumeration, the C.1 interpolation-bound and margin-formula checks,
-the Laplacian form of the inter-class fraction, the neighborhood relation of
-an augmentation map, the facility-location optimum and full greedy, the
-coupon-collector coverage checks and the graph-revealing identity.  Beside
+argmax labels with random tie-breaking, the Laplacian form of the inter-class
+fraction, the neighborhood relation of an augmentation map, the
+facility-location optimum and full greedy, the coupon-collector coverage
+checks and the graph-revealing identity.  Beside
 them sit the one-member forms of stacked library functions (one minimizer,
 one rotation, one pair draw, one pair expectation) and the file readers of
 what the commands write.  No command reaches any of them.
@@ -119,6 +120,15 @@ def lemma_c1_check(f: Prediction, g: PopulationGraph):
     if lhs > rhs + VERDICT_SLACK:
         raise NumericError(f"interpolation bound violated: {lhs!r} > {rhs!r}")
     return lhs, rhs
+
+
+def hard_labels_stochastic(f: Prediction, rng: np.random.Generator) -> np.ndarray:
+    """f's argmax labels with uniform tie-breaking among entries within 1e-9 of the row max."""
+    out = np.empty(f.scores.shape[0], dtype=int)
+    for i, row in enumerate(f.scores):
+        ties = np.nonzero(row >= row.max() - 1e-9)[0]
+        out[i] = ties[0] if len(ties) == 1 else rng.choice(ties)
+    return out
 
 
 def example_c1_margin_check(beta: float, ce_loss: float) -> float:

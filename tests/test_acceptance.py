@@ -58,6 +58,7 @@ from oracles import (
     exhaustive_best_subset,
     facility_location_value,
     full_greedy,
+    hard_labels_stochastic,
     label_boundary_mass,
     mean_draws_to_cover,
     random_rotation,
@@ -231,7 +232,7 @@ def test_criterion_06_rotation_pitfall_and_margin_formula():
     f = exact_population_minimizer(g, 2, q45)
     masses = np.empty(10000)
     for t in range(10000):
-        labels = f.hard_labels_stochastic(np.random.default_rng((6, t)))
+        labels = hard_labels_stochastic(f, np.random.default_rng((6, t)))
         masses[t] = majority_label(f, g, predicted=labels).minority_mass
     mean_mu = float(masses.mean())
 

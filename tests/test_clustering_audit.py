@@ -39,6 +39,7 @@ from oracles import (
     LP_ENUMERATION_CAP,
     exact_population_minimizer,
     example_c1_margin_check,
+    hard_labels_stochastic,
     label_boundary_mass,
     lemma_c1_check,
     lp_primal_enumerate,
@@ -195,6 +196,87 @@ class TestTheorem4:
         too_big = (1.0 - dec.eigenvalues[1]) ** 2 + 1.0
         report = theorem4_check(f, sbm_pair, Delta=too_big)
         assert report.verdicts["thm4"].startswith("bound-undefined")
+        assert report.bound_thm4 is None
+
+
+def _lazy_triangles():
+    """Two classes of three vertices, in-class weight 1 and cross weight 1/4, made lazy.
+
+    Every degree is d = 2 + 3/4 = 11/4.  The normalized adjacency's
+    eigenvalues are 1, (2 - 3/4) / d and -1/d four times, so the lazy
+    Laplacian (1 - eigenvalue) / 2 has lambda = 0, 3/11 and 15/22 four times.
+    The cross mass is 9/4 of 6 d: alpha = 3/22.
+    """
+    labels = np.repeat([0, 1], 3)
+    w = np.where(labels[:, None] == labels[None, :], 1.0, 0.25)
+    np.fill_diagonal(w, 0.0)
+    return lazy_graph(hand_graph(w, labels, 2))
+
+
+# Vertex 2 (class 0) lands in the class-1 cluster and is the one minority
+# vertex.  The skeleton is vertices 0 and 3, diag(3, 4): beta = 4.  Class 0's
+# margin is 3 - f(2)_0 = 3, class 1 has no competitor: gamma = 3.
+PINNED_SCORES = np.array([[3.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 4.0], [0.0, 2.0], [0.0, 2.0]])
+
+
+class TestTheorem4PinnedValues:
+    """Theorem 4's bound on a fixture worked out by hand, K = K0 = 2, Delta = 1/2.
+
+    The LP's costs (1 - lambda)^2 are 1 and 64/121 on the head and 49/484 on
+    the four tail coordinates.  Delta = 1/2 lies between (1 - lambda_3)^2 =
+    49/484 and (1 - lambda_2)^2 = 256/484.  The closed-form dual is Delta over
+    (256 - 49)/484: 242/207.  The primal moves one unit of head mass at slope
+    207/484, which spends 207/484 of the budget, then the rest at slope 1 -
+    49/484: 1 + (242 - 207)/435 = 94/87.
+    """
+
+    def audit(self, delta=0.5):
+        return theorem4_check(Prediction(scores=PINNED_SCORES), _lazy_triangles(), Delta=delta)
+
+    def test_fixture_quantities(self):
+        g = _lazy_triangles()
+        np.testing.assert_allclose(spectral_decompose(g).eigenvalues, [0.0, 3 / 11] + [15 / 22] * 4, atol=1e-14)
+        assert inter_class_fraction(g) == pytest.approx(3 / 22, rel=1e-14)
+        report = self.audit()
+        assert (report.beta, report.gamma) == pytest.approx((4.0, 3.0), rel=1e-14)
+        assert report.mu == pytest.approx(1 / 6, rel=1e-14)
+
+    def test_margin_prefactor_squares_the_ratio(self):
+        assert margin_prefactor(4.0, 3.0) == pytest.approx(16 / 9, rel=1e-15)
+        assert margin_prefactor(1.0, 2.0) == 1.0
+        assert margin_prefactor(5.0, math.inf) == 1.0
+
+    def test_bound_adds_the_dual_not_the_primal(self):
+        report = self.audit()
+        assert report.lp_primal == pytest.approx(94 / 87, rel=1e-12)
+        assert report.lp_dual == pytest.approx(242 / 207, rel=1e-12)
+        # 2 (beta / gamma)^2 (alpha / lambda_3 + dual), alpha / lambda_3 = 1/5
+        assert report.bound_thm4 == pytest.approx(2 * 16 / 9 * (1 / 5 + 242 / 207), rel=1e-12)
+        assert report.verdicts["thm4"] == "pass"
+
+    def test_delta_is_guarded_by_lambda_k_not_lambda_k_plus_1(self):
+        assert self.audit(0.5).bound_thm4 is not None  # above (1 - lambda_3)^2, below (1 - lambda_2)^2
+        report = self.audit(0.53)  # above (1 - lambda_2)^2 = 0.5289...
+        assert report.verdicts["thm4"] == "bound-undefined: Delta=0.53 >= (1 - lambda_K)^2"
+        assert report.bound_thm4 is None
+
+    def test_negative_delta_is_bound_undefined(self):
+        report = self.audit(-1e-3)
+        assert report.verdicts["thm4"] == "bound-undefined: negative Delta"
+        assert report.bound_thm4 is None and report.lp_dual is None
+
+    def test_k_plus_1_above_the_vertex_count_is_bound_undefined(self, path3):
+        report = theorem4_check(Prediction(scores=np.eye(3)), path3, Delta=0.0)
+        assert report.verdicts["thm4"] == "bound-undefined: K+1 exceeds |X|"
+        assert report.bound_thm4 is None
+
+    def test_a_third_zero_eigenvalue_is_bound_undefined(self):
+        # three disjoint pairs: lambda = 0, 0, 0, 1, 1, 1 once lazy, so lambda_3 ~ 0 with K = 2
+        pairs = np.kron(np.eye(3), np.ones((2, 2)) - np.eye(2))
+        g = lazy_graph(hand_graph(pairs, [0, 0, 1, 1, 1, 1], 2))
+        scores = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        report = theorem4_check(Prediction(scores=scores), g, Delta=0.1)
+        assert report.verdicts["thm4"] == "bound-undefined: lambda_{K+1} ~ 0"
         assert report.bound_thm4 is None
 
 
@@ -407,7 +489,7 @@ class TestBoundaryMassIdentity:
         f = exact_population_minimizer(disconnected_blocks, 2, q)
         masses = []
         for t in range(300):
-            labels = f.hard_labels_stochastic(np.random.default_rng((9, t)))
+            labels = hard_labels_stochastic(f, np.random.default_rng((9, t)))
             masses.append(majority_label(f, disconnected_blocks, predicted=labels).minority_mass)
         assert np.mean(masses) >= 0.25 - 0.05
 

@@ -46,6 +46,11 @@ class TestAugmentationValidation:
         with pytest.raises(InvalidAugmentationError, match="class boundary"):
             make_augmentation([{0, 2}, {1, 0}, {2, 3}, {3, 2}], g)
 
+    def test_chain_links_each_vertex_to_the_next_of_its_class(self):
+        # interleaved classes, and class 2 of one vertex, whose set is its bare self
+        aug = chain_augmentation(uniform_graph([1, 0, 2, 1, 0, 1]))
+        assert aug.sets == ({0, 3}, {1, 4}, {2}, {3, 5}, {4, 1}, {5, 0})
+
     def test_file_round_trip(self, tmp_path):
         g = uniform_graph([0, 0, 1, 1])
         aug = chain_augmentation(g)

@@ -185,6 +185,15 @@ class TestSpectralDecompose:
             nz = np.nonzero(np.abs(col) > 1e-10)[0]
             assert col[nz[0]] > 0
 
+    def test_sign_convention_negates_whole_columns_of_eigh(self, sbm_pair, disconnected_blocks, path3):
+        for g in (sbm_pair, disconnected_blocks, path3):
+            _, vecs = np.linalg.eigh(laplacian(g))
+            got = spectral_decompose(g).eigenvectors
+            for i in range(g.size):  # the rule one column at a time, as the reference
+                col = vecs[:, i]
+                lead = col[np.nonzero(np.abs(col) > 1e-10)[0][0]]
+                assert np.array_equal(got[:, i], -col if lead < 0 else col)
+
     def test_trace_identity(self, sbm_pair):
         dec = spectral_decompose(sbm_pair)
         wbar = normalized_adjacency(sbm_pair)

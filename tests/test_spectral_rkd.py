@@ -223,6 +223,20 @@ class TestStudentModel:
         table = StudentModel.initialize("table", (4, 2), seed=0)
         assert np.array_equal(table.forward(None), table.parameters.reshape(4, 2))
 
+    def test_table_prediction_keeps_its_scores_when_the_parameters_move(self):
+        table = StudentModel.initialize("table", (4, 2), seed=0)
+        pred = table.prediction()
+        before = pred.scores.copy()
+        table.parameters += 1.0  # forward is a view of the live parameters
+        assert np.array_equal(pred.scores, before) and not pred.scores.flags.writeable
+
+    def test_prediction_of_one_stack_row_keeps_its_scores(self):
+        stack = np.random.default_rng(1).standard_normal((3, 4, 2))
+        pred = Prediction(scores=stack[1])
+        before = pred.scores.copy()
+        stack += 1.0
+        assert np.array_equal(pred.scores, before) and not pred.scores.flags.writeable
+
     def test_checkpoint_round_trip(self, tmp_path):
         model = StudentModel.initialize("mlp", (2, 4, 3), seed=5)
         save_checkpoint(model, seed=5, path=tmp_path / "ckpt.json")

@@ -881,11 +881,10 @@ class TestViewSampling:
         table = _ViewTable.build(aug, np.arange(4))
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        first, second = table.draw(rng), table.draw(rng)
-        np.testing.assert_array_equal(first, [[0, 1], [1, 2], [2, 3], [3, 0]])
-        assert second is first and not first.flags.writeable  # no copy, no rng call
-        assert rng.bit_generator.state == before
-        np.testing.assert_array_equal(first, _strong_views_oracle(aug, np.arange(4), rng))
+        np.testing.assert_array_equal(table.fixed, [[0, 1], [1, 2], [2, 3], [3, 0]])
+        assert not len(table.counts) and not table.fixed.flags.writeable  # nothing left to draw
+        np.testing.assert_array_equal(table.fixed, _strong_views_oracle(aug, np.arange(4), rng))
+        assert rng.bit_generator.state == before  # a draw from one partner reads no randomness
 
 
 class TestBlockDraws:
@@ -927,14 +926,14 @@ class TestBlockDraws:
     def test_layout_offsets_each_member_by_its_position(self):
         size = 5
         blocks = [_Block(np.full((3, m, 2), m), np.full((3, 2, 2), m), np.full((3, 2), float(m))) for m in (1, 2, 4)]
-        laid = _lay_out([b.after(1) for b in blocks], (size, 3))
-        views, ends, targets, codes = laid.step(1)
+        laid = _lay_out(blocks, (size, 3))
+        views, ends, targets, codes = laid.step(2)
         np.testing.assert_array_equal(views[0], [1, 2 + 5, 2 + 5, 4 + 10, 4 + 10, 4 + 10, 4 + 10])
         np.testing.assert_array_equal(ends[1], [1, 1, 2 + 5, 2 + 5, 4 + 10, 4 + 10])
         np.testing.assert_array_equal(targets, [1.0, 1.0, 2.0, 2.0, 4.0, 4.0])
         # the scatter codes of the a-ends then the b-ends, each row's K = 3 scores in turn
         np.testing.assert_array_equal(codes, (3 * ends[..., None] + [0, 1, 2]).ravel())
-        assert len(laid.views) == 2
+        assert len(laid.views) == 3
 
 
 class TestPairDraws:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rkdlab.errors import DomainError, InvalidConfigError
-from rkdlab.graph_core import normalized_adjacency
+from rkdlab.graph_core import build_two_blobs, normalized_adjacency
 from rkdlab.teacher_kernel import (
     KernelSpec,
     TeacherEmbedding,
@@ -35,6 +35,14 @@ class TestKernelMatrix:
         g = hand_graph(np.ones((3, 3)), [0, 0, 1], 2)
         kmat = kernel_matrix(KernelSpec.rbf(emb, bandwidth=0.7), g)
         assert np.allclose(kmat, 1.0)
+
+    @pytest.mark.parametrize("n_per_class", [7, 8])
+    def test_two_blob_weights_are_the_normalized_rbf_kernel(self, n_per_class):
+        # 14 points: a row count that is not a multiple of 8, where numpy's
+        # p @ p.T (a syrk) and a general matmul round a few entries apart
+        g, points = build_two_blobs(n_per_class, bandwidth=0.5, seed=n_per_class)
+        kmat = kernel_matrix(KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 0.5), g)
+        assert np.array_equal(g.weights, kmat / kmat.sum())
 
     def test_zero_vector_rejected_for_cosine(self):
         with pytest.raises(DomainError, match="zero feature"):

@@ -15,7 +15,9 @@ package: one that nothing reads is dead code.  A stricter rule keeps the
 package to what runs: each top-level name of a module must be reached from
 `rkdlab.cli.main` (the `rkdlab` command) or from a name that the package
 `__init__` imports (its library API), following the package names that each
-reached definition reads.  Code that only tests call lives in tests/.
+reached definition reads.  Within a class, each method other than a dunder
+must be read by name (as a variable or an attribute) somewhere in the package.
+Code that only tests call lives in tests/.
 """
 
 import ast
@@ -200,3 +202,28 @@ def test_detector_reaches_what_a_class_body_reads_and_nothing_outside_the_packag
 
 def test_every_top_level_name_is_reached_from_the_command_or_the_exports():
     assert unreached_names({path.stem: path.read_text() for path in PACKAGE}, ("cli", "main")) == []
+
+
+def unread_methods(sources: dict) -> list:
+    """Each method of a class in the sources ({file: text}), dunder methods left out, whose name none of them
+    reads, as file: Class.method (line N)."""
+    read = set().union(*map(names_read, sources.values()))
+    return sorted(f"{file}: {cls.name}.{node.name} (line {node.lineno})" for file, source in sources.items()
+                  for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in read)
+
+
+def test_detector_flags_an_unread_method():
+    sources = {
+        "a.py": "class Model:\n    def __init__(self):\n        self.size = self.measure()\n"
+                "    def measure(self):\n        return 1\n    @property\n    def area(self):\n        return 2\n"
+                "    def unused(self):\n        return 3\n    class Inner:\n        def hidden(self):\n"
+                "            return 4\n",
+        "b.py": "from a import Model\nprint(Model().area)\n",
+    }
+    assert unread_methods(sources) == ["a.py: Inner.hidden (line 12)", "a.py: Model.unused (line 9)"]
+
+
+def test_every_method_is_read_by_name():
+    assert unread_methods({path.name: path.read_text() for path in PACKAGE}) == []
