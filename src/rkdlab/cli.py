@@ -108,7 +108,7 @@ def _cmd_audit(args) -> int:
     thm4 = theorem4_check(f0, g, Delta=delta)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {"thm1": thm1.to_dict(), "thm4": thm4.to_dict()}
+    payload = {"thm1": vars(thm1), "thm4": vars(thm4)}  # a report's fields, uncopied (asdict deep-copies)
     jsonio.dump_canonical(payload, out / "audit_report.json")
     verdicts = [thm1.verdicts.get("thm1"), thm4.verdicts.get("thm4")]
     print(f"audit verdicts thm1={verdicts[0]} thm4={verdicts[1]} -> {out / 'audit_report.json'}")

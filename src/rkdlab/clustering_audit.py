@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -76,39 +76,29 @@ class AuditReport:
     lp_primal: float | None
     lp_dual: float | None
     verdicts: dict
-    skipped: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    skipped: tuple
 
 
-def majority_label(f: Prediction, g: PopulationGraph, predicted: np.ndarray | None = None) -> MajorityLabeling:
+def majority_label(f: Prediction, g: PopulationGraph) -> MajorityLabeling:
     """Relabel each predicted cluster by its heaviest ground-truth class.
 
     Conditional class weights are degree-proportional; ties go to the smallest
-    class index and are recorded.  `predicted` overrides the deterministic
-    argmax (used by the stochastic tie-breaking mode).
+    class index and are recorded.
     """
-    stacked = None if predicted is None else np.asarray(predicted)[None]
-    return majority_labels(f.scores[None], g, stacked)[0]
+    return majority_labels(f.scores[None], g)[0]
 
 
-def majority_labels(scores: np.ndarray, g: PopulationGraph, predicted: np.ndarray | None = None) -> list:
+def majority_labels(scores: np.ndarray, g: PopulationGraph) -> list:
     """majority_label of each member of an (R, |X|, K) score stack, at once.
 
     Class masses come from one bincount over (member, cluster, class) codes
     weighted by degree, which sums each cluster's vertices of a class in
-    ascending order from zero, as a per-cluster scatter does.  `predicted`,
-    (R, |X|) labels in [0, K), overrides the argmax.
+    ascending order from zero, as a per-cluster scatter does.
     """
-    R, _, K = scores.shape
-    if predicted is None:
-        predicted = np.argmax(scores, axis=2)
-    predicted = np.asarray(predicted, dtype=int)
-    if predicted.shape != (R, g.size):
-        raise DomainError("predicted labels misaligned with the vertex set")
-    if np.any((predicted < 0) | (predicted >= K)):
-        raise DomainError(f"predicted labels outside [0, {K})")
+    R, n, K = scores.shape
+    if n != g.size:
+        raise DomainError(f"prediction rows {n} != |X| = {g.size}")
+    predicted = np.argmax(scores, axis=2)
     C = g.num_classes
     deg = g.degrees()
     cluster = np.arange(R)[:, None] * K + predicted
@@ -141,18 +131,15 @@ def halves_condition(maj: MajorityLabeling, g: PopulationGraph) -> bool:
     return True
 
 
-def skeleton_and_margin(
-    f: Prediction, g: PopulationGraph, maj: MajorityLabeling | None = None
-) -> SkeletonReport:
-    """Skeleton s_k = argmax of f(.)_k over non-minority vertices, with the
-    spectral bound beta and per-class margins against minority competitors.
+def skeleton_and_margin(f: Prediction, g: PopulationGraph, maj: MajorityLabeling) -> SkeletonReport:
+    """Skeleton s_k = argmax of f(.)_k over non-minority vertices, given f's
+    majority labeling maj, with the spectral bound beta and per-class margins
+    against minority competitors.
 
     Not-applicable (never an exception) when the minority halves condition
     fails, a skeleton entry predicts the wrong class, the skeleton matrix is
     rank-deficient, or the margin is non-positive.
     """
-    if maj is None:
-        maj = majority_label(f, g)
     return skeletons_and_margins(f.scores[None], g, [maj])[0]
 
 

@@ -291,9 +291,9 @@ def constant_expansion_check(aug: AugmentationMap, g: PopulationGraph, q: float,
     return _expands(*_constant_expansion_masses(aug, g), q, xi)
 
 
-def expansion_implication_check(aug: AugmentationMap, g: PopulationGraph, c_hat: float, xis=(0.05, 0.1, 0.2)) -> dict:
+def expansion_implication_check(aug: AugmentationMap, g: PopulationGraph, c_hat: float) -> dict:
     """Probe that c-expansion at c_hat, the graph's estimate_c_expansion, implies
-    (xi / (c_hat - 1), xi)-constant expansion for each probed xi.
+    (xi / (c_hat - 1), xi)-constant expansion at xi = 0.05, 0.1 and 0.2.
 
     Not applicable (no probes, and a "reason") when c_hat <= 1 or when the
     graph is above the whole-graph cap of the constant-expansion check.  The
@@ -313,7 +313,7 @@ def expansion_implication_check(aug: AugmentationMap, g: PopulationGraph, c_hat:
     # probe marginally inside the feasible region so that attained-infimum
     # equalities in c_hat do not flip a strict comparison
     c_eff = c_hat * (1.0 - 1e-9) if math.isfinite(c_hat) else C_HAT_CAP
-    for xi in xis:
+    for xi in (0.05, 0.1, 0.2):
         q = xi / (c_eff - 1.0)
         out["probes"][xi] = _expands(*masses, q=q, xi=xi)
     return out

@@ -120,10 +120,7 @@ class SpectralDecomposition:
 
 def normalized_adjacency(g: PopulationGraph) -> np.ndarray:
     """D^{-1/2} W D^{-1/2}; symmetric with entries w_xx' / sqrt(w_x w_x')."""
-    deg = g.degrees()
-    if (deg <= 0).any():
-        raise DegenerateGraphError("zero-degree vertex")
-    inv_sqrt = 1.0 / np.sqrt(deg)
+    inv_sqrt = 1.0 / np.sqrt(g.degrees())
     return g.weights * np.outer(inv_sqrt, inv_sqrt)
 
 
@@ -297,6 +294,8 @@ def build_two_blobs(
     """
     if n_per_class < 1:
         raise InvalidConfigError("need at least one point per blob")
+    if not bandwidth > 0:
+        raise InvalidConfigError(f"graph.bandwidth={bandwidth!r} must be positive")
     rng = np.random.default_rng(seed)
     centers = np.array([[-separation / 2.0, 0.0], [separation / 2.0, 0.0]])
     points = np.vstack([

@@ -51,8 +51,6 @@ def _encode(obj, level: int) -> str:
     # numpy scalars and arrays come through here
     if hasattr(obj, "tolist"):
         return _encode(obj.tolist(), level)
-    if hasattr(obj, "item"):
-        return _encode(obj.item(), level)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

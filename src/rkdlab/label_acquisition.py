@@ -54,8 +54,8 @@ def save_labeled(labeled: LabeledSet, path) -> None:
                     [(f"{v}", f"{c}", labeled.strategy, f"{labeled.seed}") for v, c in labeled.pairs], path)
 
 
-def iid_sample(g: PopulationGraph, n: int, seed: int, require_coverage: bool = False):
-    """n i.i.d. degree-weighted labeled draws; optionally redraw until every
+def iid_sample(g: PopulationGraph, n: int, seed: int, require_coverage: bool):
+    """n i.i.d. degree-weighted labeled draws; with require_coverage, redraw until every
     class is covered (`covering_draws`), counting rejections.  Returns
     (LabeledSet, rejections)."""
     if not (is_integer(n) and n >= 1):

@@ -24,6 +24,7 @@ GRAD_CHECK_REL_TOL = 1e-4
 GRAD_CHECK_COORDS = 10
 DIVERGENCE_CAP = 1e6
 TRACE_BLOCK_BYTES = 1 << 18
+ARCHITECTURES = ("table", "linear", "mlp")  # the students StudentModel builds, and a config's student.arch
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class StudentModel:
     parameters: np.ndarray
 
     def __post_init__(self):
-        if self.architecture not in ("table", "linear", "mlp"):
+        if self.architecture not in ARCHITECTURES:
             raise InvalidConfigError(f"unknown architecture {self.architecture!r}")
         self.widths = tuple(int(w) for w in self.widths)
         expect = self.parameter_count(self.architecture, self.widths)
@@ -89,10 +90,6 @@ class StudentModel:
         h = widths[1]
         return widths[0] * h + h * widths[2]
 
-    @property
-    def num_classes(self) -> int:
-        return self.widths[-1]
-
     @classmethod
     def initialize(cls, architecture: str, widths, seed: int, scale: float = 0.1) -> "StudentModel":
         rng = np.random.default_rng(seed)
@@ -100,15 +97,14 @@ class StudentModel:
         return cls(architecture, tuple(widths), scale * rng.standard_normal(count))
 
     def _unpack(self):
+        """The weight matrices of a parametric student: linear's (K, d), mlp's (h, d) and (K, h)."""
         lead = self.parameters.shape[:-1]
-        if self.architecture == "mlp":
-            d, h, k = self.widths
-            a1 = self.parameters[..., : h * d].reshape(*lead, h, d)
-            a2 = self.parameters[..., h * d :].reshape(*lead, k, h)
-            return a1, a2
-        return (self.parameters.reshape(*lead, self.widths[-1], self.widths[0])
-                if self.architecture == "linear"
-                else self.parameters.reshape(*lead, *self.widths))
+        if self.architecture == "linear":
+            return self.parameters.reshape(*lead, self.widths[-1], self.widths[0])
+        d, h, k = self.widths
+        a1 = self.parameters[..., : h * d].reshape(*lead, h, d)
+        a2 = self.parameters[..., h * d :].reshape(*lead, k, h)
+        return a1, a2
 
     def forward(self, features: np.ndarray | None) -> np.ndarray:
         """Scores for all vertices; `features` is ignored by the table model."""
@@ -323,10 +319,7 @@ def population_minimizers(g: PopulationGraph, K: int, rotations: np.ndarray | No
         raise NotPsdError(
             f"1 - lambda_{int(np.argmax(head)) + 1} < 0: normalized adjacency is not PSD on the top-K block"
         )
-    scores = scaled_eigenvectors(g, K, q)
-    if not np.all(np.isfinite(scores)):
-        raise InvalidConfigError("non-finite prediction score")
-    return scores
+    return scaled_eigenvectors(g, K, q)
 
 
 def random_rotations(K: int, count: int, rng: np.random.Generator) -> np.ndarray:

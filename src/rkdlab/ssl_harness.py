@@ -52,6 +52,7 @@ from .label_acquisition import (
     uniform_per_class_sample,
 )
 from .spectral_rkd import (
+    ARCHITECTURES,
     OptimizerConfig,
     Prediction,
     StudentModel,
@@ -143,6 +144,8 @@ class ExperimentConfig:
         tolerances = _check_section("tolerances.", self.tolerances, AuditTolerances)
         object.__setattr__(self, "audit_tolerances", AuditTolerances(**tolerances))
         _check_section("student.", self.student, build_student, supplied=("g", "points", "seed"))
+        if "arch" in self.student and self.student["arch"] not in ARCHITECTURES:
+            raise InvalidConfigError(f"unknown student.arch {self.student['arch']!r}")
         for name in ("graph", "augmentation", "kernel", "labels"):
             _read(name, getattr(self, name))
 
@@ -237,13 +240,15 @@ def sbm_graph(num_classes: int, sizes, p_in: float, p_out: float, seed: int, laz
 def shifted_cosine_kernel(g, dim: int | None = None, noise: float = 0.0, seed: int = 0) -> KernelSpec:
     """Spectral teacher features of `dim` dimensions (None: K), with Gaussian noise of scale `noise`."""
     dim = g.num_classes if dim is None else dim
+    if not 1 <= dim <= g.size:
+        raise InvalidConfigError(f"kernel.dim={dim!r} must be in [1, |X| = {g.size}]")
     return KernelSpec.shifted_cosine(spectral_teacher_embedding(g, dim, float(noise), int(seed)))
 
 
 def rbf_kernel(points, bandwidth: float) -> KernelSpec:
     if points is None:
         raise InvalidConfigError("rbf kernel needs point coordinates")
-    return KernelSpec.rbf(TeacherEmbedding.from_arrays(points), float(bandwidth))
+    return KernelSpec.rbf(TeacherEmbedding(points), float(bandwidth))
 
 
 def iid_labels(g: PopulationGraph, budget: int, seed: int, require_coverage: bool = True) -> LabeledSet:
@@ -468,24 +473,23 @@ class _ViewTable:
         return pairs
 
 
-class _Steps:
-    """Arrays over some training steps, each None or indexed by step first."""
+class _Block(collections.namedtuple("_Block", "views ends targets")):
+    """A seed's batches of some training steps, as vertices: (weak, strong) views (steps, P, 2), relational
+    pairs (steps, R, 2) and their kernel values (steps, R), the last two None without a relational term."""
+
+    __slots__ = ()
+
+
+class _Rows(collections.namedtuple("_Rows", "views ends targets codes")):
+    """The members' blocks laid out as score rows of the stack (`_lay_out`): weak then strong views (steps, 2,
+    S P), a-ends then b-ends (steps, 2, S R), their kernel values (steps, S R) and their scatter codes (steps,
+    2 S R K), each member's end to end in member order; the last three None without a relational term."""
 
     __slots__ = ()
 
     def step(self, i: int) -> tuple:
+        """Step i's arrays, each None or indexed by step first."""
         return tuple(None if a is None else a[i] for a in self)
-
-
-class _Block(_Steps, collections.namedtuple("_Block", "views ends targets")):
-    """A seed's batches of some training steps, as vertices: (weak, strong) views (steps, P, 2), relational
-    pairs (steps, R, 2) and their kernel values (steps, R), the last two None without a relational term."""
-
-
-class _Rows(_Steps, collections.namedtuple("_Rows", "views ends targets codes")):
-    """The members' blocks laid out as score rows of the stack (`_lay_out`): weak then strong views (steps, 2,
-    S P), a-ends then b-ends (steps, 2, S R), their kernel values (steps, S R) and their scatter codes (steps,
-    2 S R K), each member's end to end in member order; the last three None without a relational term."""
 
 
 def _draw_block(views: _ViewTable, pairs: _PairTable, rng: np.random.Generator, num_pairs: int, kmat,
@@ -524,17 +528,15 @@ def build_student(g: PopulationGraph, points, seed: int, arch: str = "table", in
                   hidden: int = 8):
     """Returns (model, features): the student a config's student section
     describes, initialized from `seed`, and the per-vertex inputs it reads
-    (None for the table student)."""
+    (None for the table student).  `arch`, one of ARCHITECTURES, is checked when the config loads."""
     if arch == "table":
         widths, features = (g.size, g.num_classes), None
-    elif arch in ("linear", "mlp"):
-        if points is None:
-            raise InvalidConfigError(f"{arch} student needs point coordinates from the graph fixture")
+    elif points is None:
+        raise InvalidConfigError(f"{arch} student needs point coordinates from the graph fixture")
+    else:
         features = points
         widths = ((points.shape[1], g.num_classes) if arch == "linear"
                   else (points.shape[1], int(hidden), g.num_classes))
-    else:
-        raise InvalidConfigError(f"unknown architecture {arch!r}")
     model = StudentModel.initialize(arch, widths, seed=seed, scale=float(init_scale))
     return model, features
 

@@ -20,20 +20,14 @@ class TeacherEmbedding:
     """Per-vertex teacher feature vectors, one row per vertex."""
 
     features: np.ndarray
-    dim: int
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 2 or feats.shape[1] != self.dim:
-            raise InvalidConfigError(f"features shape {feats.shape} inconsistent with dim={self.dim}")
+        if feats.ndim != 2:
+            raise InvalidConfigError(f"features must be 2-D, got shape {feats.shape}")
         if not np.all(np.isfinite(feats)):
             raise InvalidConfigError("non-finite teacher feature")
         object.__setattr__(self, "features", _freeze(feats))
-
-    @classmethod
-    def from_arrays(cls, features) -> "TeacherEmbedding":
-        feats = np.asarray(features, dtype=float)
-        return cls(features=feats, dim=feats.shape[1])
 
 
 @dataclass(frozen=True)
@@ -74,42 +68,33 @@ class KernelSpec:
     def rbf(cls, embedding: TeacherEmbedding, bandwidth: float) -> "KernelSpec":
         return cls(variant="rbf", embedding=embedding, bandwidth=bandwidth)
 
-    def pairwise(self, points) -> np.ndarray:
-        """Pairwise kernel values over arbitrary feature rows (embedding variants only)."""
-        pts = np.asarray(points, dtype=float)
-        if self.variant == "shifted_cosine":
-            norms = np.linalg.norm(pts, axis=1)
-            if np.any(norms == 0):
-                raise DomainError("shifted_cosine is undefined on a zero feature vector")
-            unit = pts / norms[:, None]
-            return 1.0 + unit @ unit.T
-        if self.variant == "rbf":
-            return gaussian_similarity(pts, self.bandwidth)
-        raise DomainError("graph_revealing kernel is evaluated on a graph, not raw points")
-
 
 def kernel_matrix(spec: KernelSpec, g: PopulationGraph) -> np.ndarray:
-    """Materialize the |X| x |X| kernel matrix of `spec` on g's vertex set."""
+    """Materialize the |X| x |X| kernel matrix of `spec` on g's vertex set: the one
+    evaluation of each variant (a zero shifted_cosine feature row is rejected when
+    the spec is built)."""
     if spec.variant == "graph_revealing":
         deg = g.degrees()
-        if (deg <= 0).any():
-            raise DomainError("graph-revealing kernel needs positive degrees")
         return g.weights / np.outer(deg, deg)
     feats = spec.embedding.features
     if feats.shape[0] != g.size:
         raise DomainError(f"embedding rows {feats.shape[0]} != |X| = {g.size}")
-    return spec.pairwise(feats)
+    if spec.variant == "rbf":
+        return gaussian_similarity(feats, spec.bandwidth)
+    unit = feats / np.linalg.norm(feats, axis=1)[:, None]
+    return 1.0 + unit @ unit.T
 
 
-def spectral_teacher_embedding(g: PopulationGraph, dim: int, noise: float = 0.0, seed: int = 0) -> TeacherEmbedding:
+def spectral_teacher_embedding(g: PopulationGraph, dim: int, noise: float, seed: int) -> TeacherEmbedding:
     """Synthetic teacher features: scaled Laplacian eigenvectors of a teacher graph.
 
     The leading `dim` eigenvectors, scaled by sqrt(1 - lambda_i) and unscaled by
-    D^{1/2}, optionally perturbed by Gaussian noise to model a shifted teacher.
+    D^{1/2}, perturbed by Gaussian noise of scale `noise` drawn from `seed`
+    (none at 0) to model a shifted teacher.
     """
     feats = scaled_eigenvectors(g, dim)
     if noise > 0:
         rng = np.random.default_rng(seed)
         feats = feats + noise * rng.standard_normal(feats.shape)
-    return TeacherEmbedding.from_arrays(feats)
+    return TeacherEmbedding(feats)
 

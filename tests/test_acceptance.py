@@ -13,7 +13,7 @@ from rkdlab.clustering_audit import (
     lp_dual_value,
     lp_lagrangian_dual,
     lp_primal_greedy,
-    majority_label,
+    majority_labels,
     theorem1_check,
     theorem4_check,
 )
@@ -230,10 +230,9 @@ def test_criterion_06_rotation_pitfall_and_margin_formula():
     g = build_sbm(2, [4, 4], p_in=1.0, p_out=0.0, seed=7)
     q45 = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
     f = exact_population_minimizer(g, 2, q45)
-    masses = np.empty(10000)
-    for t in range(10000):
-        labels = hard_labels_stochastic(f, np.random.default_rng((6, t)))
-        masses[t] = majority_label(f, g, predicted=labels).minority_mass
+    # one-hot scores of the tie-broken labels, whose argmax is those labels
+    labels = np.stack([hard_labels_stochastic(f, np.random.default_rng((6, t))) for t in range(10000)])
+    masses = np.array([maj.minority_mass for maj in majority_labels(np.eye(2)[labels], g)])
     mean_mu = float(masses.mean())
 
     margin_errs = [
@@ -385,7 +384,7 @@ def test_criterion_10_stochastic_greedy():
     cases = 0
     for seed in range(4):
         g, points = build_two_blobs(5, separation=4.0 + seed, noise=0.4, bandwidth=1.0, seed=seed)
-        kern = KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0)
+        kern = KernelSpec.rbf(TeacherEmbedding(points), 1.0)
         kmat = kernel_matrix(kern, g)
         for n in (1, 2, 3):
             _, opt = exhaustive_best_subset(kmat, n)

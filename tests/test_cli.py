@@ -10,7 +10,7 @@ import pytest
 import rkdlab
 from rkdlab import cli, dac_expansion
 from rkdlab.cli import build_parser, main
-from rkdlab.graph_core import load_graph, save_graph
+from rkdlab.graph_core import build_two_blobs, load_graph, save_graph
 from rkdlab.jsonio import dump_canonical
 from rkdlab.spectral_rkd import StudentModel
 from rkdlab.ssl_harness import sbm_graph
@@ -73,6 +73,36 @@ def test_graph_sbm_file_is_the_config_readers_graph(tmp_path, lazy):
     assert main(["graph", "--gen", "sbm", *flags, "--seed", "5", "--out", str(out)]) == 0
     save_graph(sbm_graph(3, [3, 4, 2], 0.8, 0.1, 5, lazy=lazy), want)
     assert out.read_bytes() == want.read_bytes()
+
+
+def test_graph_two_blobs_file_is_build_two_blobs_graph(tmp_path):
+    out, want = tmp_path / "cli.json", tmp_path / "library.json"
+    assert main(["graph", "--gen", "two-blobs", "--n-per", "4", "--seed", "5", "--out", str(out)]) == 0
+    save_graph(build_two_blobs(4, seed=5)[0], want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+# (case, the graph file's JSON document, what the error names)
+BAD_GRAPH_FILES = [
+    ("edge-outside", {"vertices": [0, 1, 2], "num_classes": 2, "labels": [0, 0, 1],
+                      "edges": [[0, 1, 1.0], [1, 3, 1.0]]}, "edge (1, 3) outside vertex range"),
+    ("reversed-edge", {"vertices": [0, 1, 2], "num_classes": 2, "labels": [0, 0, 1],
+                       "edges": [[1, 0, 1.0], [0, 2, 1.0]]}, "edge (1, 0) outside vertex range or i > j"),
+    ("zero-mass", {"vertices": [0, 1], "num_classes": 2, "labels": [0, 1], "edges": [[0, 1, 0.0]]},
+     "zero total weight"),
+    ("no-edges", {"vertices": [0, 1], "num_classes": 2, "labels": [0, 1], "edges": []}, "zero total weight"),
+    ("short-labels", {"vertices": [0, 1, 2], "num_classes": 2, "labels": [0, 1],
+                      "edges": [[0, 1, 1.0], [1, 2, 1.0]]}, "labels shape (2,) != (3,)"),
+]
+
+
+@pytest.mark.parametrize("case,document,named", BAD_GRAPH_FILES, ids=[row[0] for row in BAD_GRAPH_FILES])
+def test_bad_graph_file_exits_1_naming_the_fault(tmp_path, capsys, case, document, named):
+    path = tmp_path / "g.json"
+    dump_canonical(document, path)
+    assert main(["spectra", "--graph", str(path), "--out", str(tmp_path / "spec")]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err, err
 
 
 def test_graph_generation_writes_disconnected_fixture(tmp_path, capsys):
@@ -379,8 +409,20 @@ def _set(section, **values):
     return lambda cfg: cfg[section].update(values)
 
 
+def _set_blobs(**values):
+    """A two-blob graph section of 4 points per blob, with values replaced."""
+    return lambda cfg: cfg.update(graph={"kind": "two_blobs", "n_per_class": 4, "separation": 4.0, "noise": 0.6,
+                                         "bandwidth": 1.2, "seed": 5, **values})
+
+
+def _set_cosine(**values):
+    """A shifted_cosine kernel section with the given keys."""
+    return lambda cfg: cfg.update(kernel={"kind": "shifted_cosine", **values})
+
+
 # (case, edit of the audit_config document or the file's raw text, the key
-# stderr must name); every error but split_chain's parts also names the file
+# or fault stderr must name); every error but a BUILD_TIME case's also names
+# the file
 BAD_CONFIGS = [
     ("optimizer.iteration", _rename("optimizer", "iterations", "iteration"), "optimizer.iteration"),
     ("loss.lambda_rk", _rename("loss", "lambda_rkd", "lambda_rk"), "loss.lambda_rk"),
@@ -415,13 +457,10 @@ BAD_CONFIGS = [
     ("labels.seed", _set("labels", seed=3), "labels.seed"),
     ("iid-without-budget", lambda cfg: cfg.update(labels={"strategy": "iid"}), "labels.budget"),
     ("file-without-path", _set("augmentation", kind="file"), "augmentation.path"),
-    ("string-kernel-noise", lambda cfg: cfg.update(kernel={"kind": "shifted_cosine", "noise": "x"}),
-     "kernel.noise"),
+    ("string-kernel-noise", _set_cosine(noise="x"), "kernel.noise"),
     ("string-init-scale", _set("student", init_scale="x"), "student.init_scale"),
     ("string-tau", _set("loss", tau_dac="x"), "loss.tau_dac"),
-    ("string-graph-noise", lambda cfg: cfg.update(graph={"kind": "two_blobs", "n_per_class": 4, "separation": 4.0,
-                                                         "noise": "0.6", "bandwidth": 1.2, "seed": 5}),
-     "graph.noise"),
+    ("string-graph-noise", _set_blobs(noise="0.6"), "graph.noise"),
     ("string-momentum", _set("optimizer", momentum="x"), "optimizer.momentum"),
     ("bool-step-size", _set("optimizer", step_size=True), "optimizer.step_size"),
     ("bool-lambda-rkd", _set("loss", lambda_rkd=True), "loss.lambda_rkd"),
@@ -431,17 +470,49 @@ BAD_CONFIGS = [
     ("fractional-parts", _set("augmentation", kind="split_chain", parts=2.5), "augmentation.parts"),
     ("string-knn-k", _set("augmentation", kind="knn", k="3"), "augmentation.k"),
     ("float-n-per-class", _set("labels", n_per_class=4.0), "labels.n_per_class"),
-    ("bool-kernel-dim", lambda cfg: cfg.update(kernel={"kind": "shifted_cosine", "dim": True}), "kernel.dim"),
+    ("bool-kernel-dim", _set_cosine(dim=True), "kernel.dim"),
+    ("zero-step-size", _set("optimizer", step_size=0), "optimizer.step_size"),
+    ("negative-step-size", _set("optimizer", step_size=-0.5), "optimizer.step_size"),
+    ("zero-temperature", _set("loss", temperature=0.0), "loss.temperature"),
+    ("unknown-arch", _set("student", arch="cnn"), "student.arch"),
+    ("zero-budget", lambda cfg: cfg.update(labels={"strategy": "iid", "budget": 0}), "labels.budget"),
+    ("zero-n-per-class", _set("labels", n_per_class=0), "labels.n_per_class"),
+    ("sbm-size-count", _set("graph", sizes=[10]), "expected 2 block sizes, got 1"),
+    ("zero-blob-size", _set_blobs(n_per_class=0), "at least one point per blob"),
+    ("zero-bandwidth", _set_blobs(bandwidth=0.0), "graph.bandwidth"),
+    ("negative-bandwidth", _set_blobs(bandwidth=-1.2), "graph.bandwidth"),
+    ("negative-kernel-dim", _set_cosine(dim=-1), "kernel.dim"),
+    ("zero-kernel-dim", _set_cosine(dim=0), "kernel.dim"),
+    ("kernel-dim-above-size", _set_cosine(dim=11), "kernel.dim"),  # |X| + 1
+    ("knn-without-points", _set("augmentation", kind="knn"), "knn augmentation needs point coordinates"),
     ("missing-file", None, None),
     ("malformed-json", '{"graph": ', None),
     ("top-level-list", "[1, 2]", None),
 ]
 
 
+# the commands that read a case's value, where not rkd, ssl and audit
+COMMANDS = {
+    "zero-parts": ("dac", "ssl"),
+    "knn-without-points": ("dac", "ssl"),
+    "zero-budget": ("labels", "ssl"),
+    "zero-n-per-class": ("labels", "ssl"),
+    "negative-kernel-dim": ("rkd", "ssl"),
+    "zero-kernel-dim": ("rkd", "ssl"),
+    "kernel-dim-above-size": ("rkd", "ssl"),
+    "unknown-arch": ("rkd", "ssl", "audit", "dac", "labels"),
+}
+# the cases rejected when a command builds what a section describes, not when
+# it loads the config, whose errors therefore do not name the file
+BUILD_TIME = {"zero-parts", "knn-without-points", "zero-budget", "zero-n-per-class", "sbm-size-count",
+              "zero-blob-size", "zero-bandwidth", "negative-bandwidth", "negative-kernel-dim", "zero-kernel-dim",
+              "kernel-dim-above-size"}
+
+
 @pytest.mark.parametrize("case,edit,named,command", [
     pytest.param(case, edit, named, command, id=f"{case}-{command}")
     for case, edit, named in BAD_CONFIGS
-    for command in (("dac", "ssl") if case == "zero-parts" else ("rkd", "ssl", "audit"))
+    for command in COMMANDS.get(case, ("rkd", "ssl", "audit"))
 ])
 def test_bad_config_exits_1_naming_the_key_or_the_path(tmp_path, audit_config, capsys, case, edit, named,
                                                         command):
@@ -458,8 +529,17 @@ def test_bad_config_exits_1_naming_the_key_or_the_path(tmp_path, audit_config, c
     assert "Traceback" not in err, err
     if named:
         assert named in err, err
-    if case != "zero-parts":  # parts is read when the augmentation is built
+    if case not in BUILD_TIME:
         assert str(path) in err, err
+
+
+def test_shifted_cosine_kernel_takes_every_eigenvector(tmp_path, audit_config):
+    # kernel.dim may be |X| = 10; the kernel is then the shifted cosine of the full spectral embedding
+    cfg = json.loads(audit_config.read_text())
+    cfg["kernel"] = {"kind": "shifted_cosine", "dim": 10}
+    path = tmp_path / "dim.json"
+    dump_canonical(cfg, path)
+    assert main(["rkd", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "rkd")]) == 0
 
 
 def test_rkd_and_ssl_share_the_optimizer_defaults(tmp_path, audit_config):

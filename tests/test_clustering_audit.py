@@ -52,6 +52,10 @@ def onehot_prediction(g):
 
 
 class TestMajorityLabel:
+    def test_scores_must_have_a_row_per_vertex(self, sbm_pair):
+        with pytest.raises(DomainError, match=r"prediction rows 3 != \|X\| = 10"):
+            majority_label(Prediction(scores=np.ones((3, 2))), sbm_pair)
+
     def test_correct_onehot_has_zero_minority(self, sbm_pair):
         maj = majority_label(onehot_prediction(sbm_pair), sbm_pair)
         assert maj.minority_mass == 0.0
@@ -89,18 +93,23 @@ class TestMajorityLabel:
         assert max(mus) >= mus[0]
 
 
+def skeleton_of(f, g):
+    """skeleton_and_margin of f under its majority labeling."""
+    return skeleton_and_margin(f, g, majority_label(f, g))
+
+
 class TestSkeletonAndMargin:
     def test_surjective_onehot_has_unit_beta_gamma(self, sbm_pair):
         # flip one low-mass vertex so the minority competitor set is nonempty
         scores = onehot_prediction(sbm_pair).scores.copy()
         scores[0] = 1.0 - scores[0]
-        rep = skeleton_and_margin(Prediction(scores=scores), sbm_pair)
+        rep = skeleton_of(Prediction(scores=scores), sbm_pair)
         assert rep.applicable
         assert math.isclose(rep.beta, 1.0, abs_tol=1e-12)
         assert math.isclose(rep.gamma, 1.0, abs_tol=1e-12)
 
     def test_empty_minority_gives_infinite_margins(self, sbm_pair):
-        rep = skeleton_and_margin(onehot_prediction(sbm_pair), sbm_pair)
+        rep = skeleton_of(onehot_prediction(sbm_pair), sbm_pair)
         assert rep.applicable
         assert all(math.isinf(gk) for gk in rep.gammas)
         assert margin_prefactor(rep.beta, rep.gamma) == 1.0
@@ -108,14 +117,14 @@ class TestSkeletonAndMargin:
     def test_duplicate_rows_fail_rank(self):
         g = hand_graph(np.ones((4, 4)), [0, 0, 1, 1], 2)
         scores = np.array([[1.0, 0.5], [1.0, 0.5], [2.0, 1.0], [2.0, 1.0]])
-        rep = skeleton_and_margin(Prediction(scores=scores), g)
+        rep = skeleton_of(Prediction(scores=scores), g)
         assert not rep.rank_ok
         assert not rep.applicable
 
     def test_halves_violation_is_marker_not_exception(self):
         g = hand_graph(np.ones((4, 4)), [0, 0, 1, 1], 2)
         f = Prediction(scores=np.tile([1.0, 0.0], (4, 1)))  # everything one cluster
-        rep = skeleton_and_margin(f, g)
+        rep = skeleton_of(f, g)
         assert not rep.applicable
         assert "half" in rep.reason
 
@@ -150,9 +159,13 @@ class TestTheorem1:
             report = theorem1_check(fam, g)
             assert report.verdicts["thm1"] != "fail"
 
+    def test_empty_family_rejected(self, sbm_pair):
+        with pytest.raises(DomainError, match="empty prediction family"):
+            theorem1_check([], sbm_pair)
+
     def test_report_serializable(self, sbm_pair):
         report = theorem1_check([exact_population_minimizer(sbm_pair, 2)], sbm_pair)
-        payload = report.to_dict()
+        payload = vars(report)  # what rkdlab audit writes
         assert set(payload) >= {"mu", "alpha", "lambdas", "beta", "gamma", "verdicts"}
 
 
@@ -431,6 +444,31 @@ class TestLpOracle:
         with pytest.raises(DomainError):
             lp_primal_greedy([0.0, 0.2, 0.5], 1, Delta=2.0)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: lp_primal_greedy([0.0, 0.2, 0.5], 0, 0.0), "need 1 <= K < 3"),
+        (lambda: lp_lagrangian_dual([0.0, 0.2, 0.5], 3, 0.0), "need 1 <= K < 3"),
+        (lambda: lp_primal_greedy([0.0, 0.5, 0.2], 1, 0.0), "eigenvalues must be ascending"),
+        (lambda: lp_dual_value([0.0, 0.2, 0.5], 1, 0, 0.0), "need 1 <= K0 <= K, got K0=0"),
+        (lambda: lp_dual_value([0.0, 0.2, 0.5], 1, 2, 0.0), "need 1 <= K0 <= K, got K0=2"),
+    ], ids=["K-zero", "K-at-n", "descending", "K0-zero", "K0-above-K"])
+    def test_outside_the_domain_is_rejected(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+    def test_disagreeing_exact_solvers_raise(self, monkeypatch):
+        lam = [0.0, 0.2, 0.5, 0.9]
+        exact = lp_lagrangian_dual(lam, 1, 0.1)
+        monkeypatch.setattr(clustering_audit, "lp_lagrangian_dual", lambda *args: exact + Fraction(1, 10**30))
+        with pytest.raises(NumericError, match="LP solvers disagree"):
+            lp_bound_oracle(lam, 1, 1, 0.1)
+
+    def test_failed_weak_duality_raises(self, monkeypatch):
+        lam = [0.0, 0.2, 0.5, 0.9]
+        primal = float(lp_primal_greedy(lam, 1, 0.1))
+        monkeypatch.setattr(clustering_audit, "lp_dual_value", lambda *args: primal - 2 * LP_AGREEMENT_TOL)
+        with pytest.raises(NumericError, match="weak duality violated"):
+            lp_bound_oracle(lam, 1, 1, 0.1)
+
 
 class TestLemmaC1:
     def test_perfect_onehot_both_sides_zero(self, sbm_pair):
@@ -490,7 +528,9 @@ class TestBoundaryMassIdentity:
         masses = []
         for t in range(300):
             labels = hard_labels_stochastic(f, np.random.default_rng((9, t)))
-            masses.append(majority_label(f, disconnected_blocks, predicted=labels).minority_mass)
+            # one-hot scores of the tie-broken labels, whose argmax is those labels
+            onehot = Prediction(scores=np.eye(2)[labels])
+            masses.append(majority_label(onehot, disconnected_blocks).minority_mass)
         assert np.mean(masses) >= 0.25 - 0.05
 
 
@@ -515,7 +555,7 @@ def _check_stack_against_oracle(scores, g):
         # repr is exact for floats and treats the nan of a skipped member as equal
         assert repr(skel) == repr(oracle.skeleton_and_margin(f, g))
         _same_majority(majority_label(f, g), oracle.majority_label(f, g))
-        assert repr(skeleton_and_margin(f, g)) == repr(oracle.skeleton_and_margin(f, g))
+        assert repr(skeleton_and_margin(f, g, maj)) == repr(oracle.skeleton_and_margin(f, g))
     want = oracle.theorem1_check(family, g)
     assert repr(theorem1_check(scores, g)) == repr(want)
     assert repr(theorem1_check(family, g)) == repr(want)

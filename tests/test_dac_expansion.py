@@ -8,16 +8,18 @@ from rkdlab.dac_expansion import (
     COMPONENT_SUBSET_CAP,
     MASS_TOL,
     AugmentationMap,
+    EXHAUSTIVE_SUBSET_CAP,
     chain_augmentation,
     constant_expansion_check,
     dac_error,
     estimate_c_expansion,
     expansion_implication_check,
+    knn_augmentation,
     load_augmentation,
     make_augmentation,
     theorem5_check,
 )
-from rkdlab.errors import DomainError, InvalidAugmentationError, SizeLimitError
+from rkdlab.errors import DomainError, InvalidAugmentationError, InvalidConfigError, SizeLimitError
 from rkdlab.graph_core import PopulationGraph, build_sbm, lazy_graph
 from rkdlab.spectral_rkd import Prediction
 
@@ -63,6 +65,19 @@ class TestAugmentationValidation:
         save_augmentation(AugmentationMap(({0}, {1, 0}, {2, 3}, {3, 2})), tmp_path / "aug.json")
         with pytest.raises(InvalidAugmentationError, match="singleton"):
             load_augmentation(tmp_path / "aug.json", g)
+
+    def test_loaded_sets_must_cover_the_vertex_set(self, tmp_path):
+        save_augmentation(chain_augmentation(uniform_graph([0, 0, 1, 1])), tmp_path / "aug.json")
+        with pytest.raises(InvalidAugmentationError, match="4 augmentation sets for 6 vertices"):
+            load_augmentation(tmp_path / "aug.json", uniform_graph([0, 0, 0, 1, 1, 1]))
+
+    @pytest.mark.parametrize("points,k,message", [
+        (None, 2, "knn augmentation needs point coordinates"),
+        (np.zeros((4, 2)), 1.5, "augmentation.k=1.5 must be an integer"),
+    ], ids=["no-points", "fractional-k"])
+    def test_knn_arguments(self, points, k, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            knn_augmentation(uniform_graph([0, 0, 1, 1]), points, k)
 
 
 class TestNeighborhoods:
@@ -357,6 +372,11 @@ class TestConstantExpansion:
         aug = make_augmentation(sets, g)
         assert not constant_expansion_check(aug, g, q=0.1, xi=0.05)
 
+    def test_graph_above_the_whole_graph_cap_raises(self):
+        g = uniform_graph([0] * 10 + [1] * 9)
+        with pytest.raises(DomainError, match=f"19 exceeds the exhaustive cap {EXHAUSTIVE_SUBSET_CAP}"):
+            constant_expansion_check(chain_augmentation(g), g, q=0.1, xi=0.1)
+
     def test_shared_table_probes_match_per_probe_checks(self):
         rng = np.random.default_rng(3)
         fixtures = [random_class_invariant_map(rng) for _ in range(40)]
@@ -366,7 +386,7 @@ class TestConstantExpansion:
         probed = set()
         for g, aug in fixtures:
             c_hat = estimate_c_expansion(aug, g).c_hat
-            result = expansion_implication_check(aug, g, c_hat, xis=(0.01, 0.05, 0.1, 0.2, 0.4))
+            result = expansion_implication_check(aug, g, c_hat)
             if not result["applicable"]:
                 continue
             c_eff = c_hat * (1.0 - 1e-9) if math.isfinite(c_hat) else C_HAT_CAP

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rkdlab.errors import DegenerateGraphError, InvalidConfigError
+from rkdlab.errors import DegenerateGraphError, InvalidConfigError, NumericError
 from rkdlab.graph_core import (
     PopulationGraph,
     build_sbm,
@@ -41,6 +41,22 @@ class TestPopulationGraphInvariants:
         w = np.full((2, 2), 0.25)
         with pytest.raises(InvalidConfigError, match="empty class"):
             PopulationGraph(vertices=(0, 1), weights=w, labels=[0, 0], num_classes=2)
+
+    # (case, vertices, weights, labels, num_classes, what the error says)
+    MALFORMED = [
+        ("one-vertex", (0,), [[1.0]], [0], 1, "at least 2 vertices, got 1"),
+        ("weight-shape", (0, 1, 2), np.full((2, 2), 0.25), [0, 0, 1], 2, r"weight matrix shape \(2, 2\) != \(3, 3\)"),
+        ("label-shape", (0, 1), np.full((2, 2), 0.25), [[0, 1]], 2, r"labels shape \(1, 2\) != \(2,\)"),
+        ("negative-weight", (0, 1), [[0.6, -0.1], [-0.1, 0.6]], [0, 1], 2, "negative edge weight"),
+        ("no-classes", (0, 1), np.full((2, 2), 0.25), [0, 0], 0, "num_classes must be positive"),
+        ("label-outside", (0, 1), np.full((2, 2), 0.25), [0, 2], 2, r"label outside \[0, num_classes\)"),
+    ]
+
+    @pytest.mark.parametrize("case,vertices,weights,labels,num_classes,message", MALFORMED,
+                             ids=[row[0] for row in MALFORMED])
+    def test_rejects_malformed_arguments(self, case, vertices, weights, labels, num_classes, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            PopulationGraph(vertices=vertices, weights=np.asarray(weights), labels=labels, num_classes=num_classes)
 
     def test_weights_are_immutable(self, disconnected_blocks):
         with pytest.raises(ValueError):
@@ -106,6 +122,11 @@ class TestBuildSbm:
         with pytest.raises(DegenerateGraphError, match="100 attempts"):
             build_sbm(2, [1, 1], p_in=1.0, p_out=0.0, seed=0)
 
+    def test_one_vertex_class_is_connected(self):
+        # a class of one vertex has no edge inside it, and gets its degree from the other class
+        g = build_sbm(2, [1, 3], p_in=1.0, p_out=0.5, seed=0)
+        assert g.class_members(0).tolist() == [0] and g.degrees()[0] > 0
+
     def test_within_class_connectivity(self):
         for seed in range(8):
             g = build_sbm(2, [6, 6], p_in=0.4, p_out=0.05, seed=seed)
@@ -166,6 +187,30 @@ class TestSpectralDecompose:
         # char poly (1 - l)((1 - l)^2 - 1) has roots {0, 1, 2}
         dec = spectral_decompose(path3)
         assert np.allclose(dec.eigenvalues, [0.0, 1.0, 2.0], atol=1e-10)
+
+    @pytest.mark.parametrize("fault,message", [
+        ("no-convergence", r"eigensolver failed to converge \(cond="),
+        ("wrong-vectors", "eigen reconstruction error"),
+        ("lifted-smallest", "smallest Laplacian eigenvalue"),
+        ("lifted-largest", "largest Laplacian eigenvalue"),
+    ])
+    def test_eigensolver_faults_raise(self, monkeypatch, fault, message):
+        g = hand_graph([[0.0, 0.5], [0.5, 0.0]], [0, 1], 2)  # Laplacian spectrum {0, 2}
+        eigh = np.linalg.eigh
+
+        def faulty(a):
+            if fault == "no-convergence":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            lam, vecs = eigh(a)
+            if fault == "wrong-vectors":
+                return lam, vecs[:, ::-1].copy()
+            lam[0 if fault == "lifted-smallest" else -1] += 5e-9  # within the reconstruction tolerance
+            return lam, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", faulty)
+        with pytest.raises(NumericError, match=message):
+            spectral_decompose(g)
+        assert "_spectrum" not in g.__dict__  # a faulty spectrum is not kept
 
     def test_reconstruction_error(self):
         g = build_sbm(2, [5, 5], 0.9, 0.1, seed=3)

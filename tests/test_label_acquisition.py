@@ -142,7 +142,7 @@ class TestFacilityLocation:
         g, points = two_blobs
         from rkdlab.teacher_kernel import TeacherEmbedding
 
-        kern = kernel_matrix(KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0), g)
+        kern = kernel_matrix(KernelSpec.rbf(TeacherEmbedding(points), 1.0), g)
         value = facility_location_value(range(g.size), kern)
         assert math.isclose(value, float(g.size), rel_tol=1e-12)
 
@@ -175,7 +175,7 @@ class TestGreedy:
         g, points = two_blobs
         from rkdlab.teacher_kernel import TeacherEmbedding
 
-        kern = kernel_matrix(KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0), g)
+        kern = kernel_matrix(KernelSpec.rbf(TeacherEmbedding(points), 1.0), g)
         _, gains = full_greedy(kern, g.size)
         assert all(gains[i] >= gains[i + 1] - 1e-12 for i in range(len(gains) - 1))
 
@@ -188,7 +188,7 @@ class TestGreedy:
         g, points = two_blobs
         from rkdlab.teacher_kernel import TeacherEmbedding
 
-        kern = kernel_matrix(KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0), g)
+        kern = kernel_matrix(KernelSpec.rbf(TeacherEmbedding(points), 1.0), g)
         stoch = stochastic_greedy(kern, 4, epsilon=1e-9, seed=3)
         full, _ = full_greedy(kern, 4)
         assert stoch == full
@@ -197,7 +197,7 @@ class TestGreedy:
         g, points = build_two_blobs(5, separation=5.0, noise=0.4, bandwidth=1.0, seed=6)
         from rkdlab.teacher_kernel import TeacherEmbedding
 
-        kern = kernel_matrix(KernelSpec.rbf(TeacherEmbedding.from_arrays(points), 1.0), g)
+        kern = kernel_matrix(KernelSpec.rbf(TeacherEmbedding(points), 1.0), g)
         _, opt = exhaustive_best_subset(kern, 2)
         for seed in range(5):
             picked = stochastic_greedy(kern, 2, epsilon=0.2, seed=seed)
@@ -274,3 +274,23 @@ class TestTheorem3:
     def test_population_error_is_degree_weighted(self, sbm_pair):
         flipped = onehot(sbm_pair, (sbm_pair.labels + 1) % 2)
         assert math.isclose(population_error(flipped, sbm_pair), 1.0, abs_tol=1e-12)
+
+
+# (case, a call on the sbm_pair fixture, whose classes have 5 vertices each, what its DomainError says)
+OUT_OF_DOMAIN = [
+    ("class-below-budget", lambda g: uniform_per_class_sample(g, 6, seed=0), "class 0 has only 5 vertices for budget 6"),
+    ("degenerate-prediction", lambda g: cluster_wise_sample(onehot(g, np.zeros(g.size, dtype=int)), g, 0.5, seed=0),
+     "prediction is degenerate: prediction not surjective"),
+    ("empty-coreset", lambda g: stochastic_greedy(np.ones((g.size, g.size)), 0, 0.1, seed=0),
+     r"need 1 <= n <= \|X\|, got n=0"),
+    ("coreset-above-size", lambda g: stochastic_greedy(np.ones((g.size, g.size)), g.size + 1, 0.1, seed=0),
+     r"need 1 <= n <= \|X\|, got n=11"),
+    ("empty-erm-family", lambda g: erm_zero_one([], make_labeled(g, [0], "manual", 0)), "family must be nonempty"),
+    ("delta-at-one", lambda g: theorem3_bound(2, 4, 0.0, 1.0), r"delta must be in \(0, 1\)"),
+]
+
+
+@pytest.mark.parametrize("case,call,message", OUT_OF_DOMAIN, ids=[row[0] for row in OUT_OF_DOMAIN])
+def test_arguments_outside_the_domain_raise(sbm_pair, case, call, message):
+    with pytest.raises(DomainError, match=message):
+        call(sbm_pair)

@@ -576,3 +576,41 @@ class TestGradientCheckFloor:
 def test_integer_optimizer_keys_reject_other_types(field, value):
     with pytest.raises(InvalidConfigError, match=f"optimizer.{field}="):
         OptimizerConfig(seed=0, **{field: value})
+
+
+# (case, a call on the sbm_pair fixture, the error, what it says): library arguments outside their domain
+BAD_ARGUMENTS = [
+    ("1-d-scores", lambda g: Prediction(scores=np.ones(g.size)), InvalidConfigError,
+     r"scores must be 2-D, got shape \(10,\)"),
+    ("unknown-architecture", lambda g: StudentModel("cnn", (g.size, 2), np.zeros(2 * g.size)), InvalidConfigError,
+     "unknown architecture 'cnn'"),
+    ("linear-forward-without-features", lambda g: StudentModel.initialize("linear", (3, 2), seed=0).forward(None),
+     DomainError, "linear model needs input features"),
+    ("mlp-backward-without-features",
+     lambda g: StudentModel.initialize("mlp", (3, 4, 2), seed=0).backward(None, np.zeros((g.size, 2))),
+     DomainError, "mlp model needs input features"),
+    ("negative-population-loss", lambda g: spectral_rkd.RkdLossReport(-1e-3, 0.0, 0.0, 1.0, 1.0),
+     InvalidConfigError, "losses must be nonnegative"),
+    ("negative-empirical-loss", lambda g: spectral_rkd.RkdLossReport(0.0, -1e-3, 0.0, 1.0, 1.0),
+     InvalidConfigError, "losses must be nonnegative"),
+    ("zero-step-size", lambda g: OptimizerConfig(seed=0, step_size=0.0), InvalidConfigError,
+     "optimizer.step_size=0.0 must be positive"),
+    ("no-classes", lambda g: population_minimizers(g, 0), DomainError, r"need 1 <= K <= \|X\|, got K=0"),
+    ("more-classes-than-vertices", lambda g: population_minimizers(g, g.size + 1), DomainError,
+     r"need 1 <= K <= \|X\|, got K=11"),
+    ("empty-family", lambda g: estimate_rademacher([], g, 2, 10, seed=0), DomainError, "family must be nonempty"),
+    ("exact-enumeration-too-large",  # 10^4 draws times 2^8 sign matrices
+     lambda g: estimate_rademacher([np.zeros((g.size, 2))], g, 4, 1, seed=0, exact=True), DomainError,
+     "exact enumeration of 2560000 outcomes is too large"),
+    ("no-trials", lambda g: estimate_rademacher([np.zeros((g.size, 2))], g, 2, 0, seed=0), DomainError,
+     "trials must be >= 1"),
+    ("zero-b-f", lambda g: theorem2_gap_bound(0.0, 1.0, 0.1, 100, 0.5), DomainError,
+     "bounds and sample size must be positive"),
+    ("negative-rad", lambda g: theorem2_gap_bound(1.0, 1.0, -0.1, 100, 0.5), DomainError, "rad nonnegative"),
+]
+
+
+@pytest.mark.parametrize("case,call,error,message", BAD_ARGUMENTS, ids=[row[0] for row in BAD_ARGUMENTS])
+def test_library_arguments_outside_the_domain_raise(sbm_pair, case, call, error, message):
+    with pytest.raises(error, match=message):
+        call(sbm_pair)

@@ -216,7 +216,7 @@ KIND_CASES = [
     # the noise seed's default shows only under noise
     ("kernel", {"kind": "shifted_cosine", "noise": 0.1}, {"seed": 4}, _shifted_cosine_expected),
     ("kernel", {"kind": "rbf", "bandwidth": 1.5}, {},
-     lambda fx, s: KernelSpec.rbf(TeacherEmbedding.from_arrays(fx.points), 1.5)),
+     lambda fx, s: KernelSpec.rbf(TeacherEmbedding(fx.points), 1.5)),
     ("labels", {"n_per_class": 2}, {"strategy": "uniform_per_class"},
      lambda fx, s: uniform_per_class_sample(fx.g, 2, fx.seed)),
     # at seed 7 a budget of 2 covers both classes only after a redraw
@@ -901,7 +901,7 @@ class TestBlockDraws:
         for steps in (1, 5, BLOCK_STEPS):
             block = _draw_block(views, pairs, fast, 7, kmat if relational else None, steps)
             for i in range(steps):
-                ws, ends, targets = block.step(i)
+                ws, ends, targets = (None if a is None else a[i] for a in block)
                 np.testing.assert_array_equal(ws, views.draw(slow))
                 if relational or len(views.counts):  # pairs keep the draws in step order
                     drawn = pairs.draw(slow, 7)
@@ -1014,3 +1014,15 @@ class TestCanonicalJson:
     def test_non_finite_floats_become_strings(self):
         text = dumps_canonical({"x": math.inf, "y": -math.inf, "z": math.nan})
         assert '"inf"' in text and '"-inf"' in text and '"nan"' in text
+
+    def test_numpy_values_encode_as_their_python_values(self):
+        payload = {"f": np.float32(0.5), "i": np.int64(3), "b": np.bool_(True), "a": np.array([[1.5], [2.0]])}
+        assert dumps_canonical(payload) == dumps_canonical({"f": 0.5, "i": 3, "b": True, "a": [[1.5], [2.0]]})
+
+    @pytest.mark.parametrize("payload,message", [
+        ({1: 2}, "JSON object keys must be str, got <class 'int'>"),
+        ({"x": {1, 2}}, "cannot serialize <class 'set'>"),
+    ], ids=["int-key", "set"])
+    def test_unencodable_values_raise(self, payload, message):
+        with pytest.raises(TypeError, match=message):
+            dumps_canonical(payload)
