@@ -8,7 +8,10 @@ Runs each op of ``benchmarks.workloads.all_reference_ops()``, then each sweep of
 ``sweep_ops()`` (paths the benchmark does not take: knn views, parametric
 students, a training pool without the labeled vertices, a row-norm cap,
 diverging seeds, a softmax temperature other than 1, three classes) and its
-two single-seed runs at |X| = 32 (knn views, and a seed that diverges), in this
+two single-seed runs at |X| = 32 (knn views, and a seed that diverges), then
+the ``dac_ops()`` (``rkdlab dac`` where its reports say an enumeration did
+not run: an augmentation component above the c-expansion cap, and a graph
+above the whole-graph cap of the constant-expansion probes), in this
 process through ``rkdlab.cli.main``, importing ``rkdlab`` from ``<root>/src``
 and the workloads from ``<root>/benchmarks`` (``--root`` defaults to the
 checkout holding this script).  For each op key it records the exit status, standard
@@ -98,6 +101,18 @@ def sweep_ops(workloads) -> list:
     return sweeps + singles
 
 
+DAC_GRAPH_SEEDS = (0, 1)
+
+
+def dac_ops(workloads) -> list:
+    """``rkdlab dac`` on the benchmark's chain-augmented lazy two-block SBMs
+    at sizes [21, 21], whose class chains are NB components above the
+    c-expansion cap of 20 vertices, and [10, 10], whose c-expansion is
+    enumerated but whose 20 vertices are above the probes' whole-graph cap
+    of 18."""
+    return [workloads.dac_sbm_op(size, g) for size in (42, 20) for g in DAC_GRAPH_SEEDS]
+
+
 def digest_op(cli, workloads, op, inputs: Path, out: Path) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -119,7 +134,7 @@ def main(argv=None) -> int:
 
     target = args.out.resolve()
     cli, workloads = load(args.root.resolve())
-    ops = workloads.all_reference_ops() + sweep_ops(workloads)
+    ops = workloads.all_reference_ops() + sweep_ops(workloads) + dac_ops(workloads)
     configs = {}
     for _, cfgs in ops:
         configs.update(cfgs)

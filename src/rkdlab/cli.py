@@ -19,7 +19,7 @@ import numpy as np
 from . import jsonio
 from .clustering_audit import theorem1_check, theorem4_check
 from .dac_expansion import estimate_c_expansion, expansion_implication_check, theorem5_check
-from .errors import RkdlabError, SizeLimitError, TrainingDivergedError
+from .errors import RkdlabError, TrainingDivergedError
 from .graph_core import (
     build_two_blobs,
     inter_class_fraction,
@@ -119,26 +119,18 @@ def _cmd_dac(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     g, points = build_graph_fixture(cfg)
     aug = build_augmentation_fixture(cfg, g, points)
-    try:
-        report = estimate_c_expansion(aug, g)
-        implication = expansion_implication_check(aug, g, report.c_hat)
-        expansion = {"c_hat": report.c_hat, "checked_subsets": report.checked_subsets,
-                     "exhaustive": report.exhaustive,
-                     "expansion_implication": {str(k): v for k, v in implication["probes"].items()}}
-        if not implication["applicable"]:
-            expansion["expansion_implication_skipped"] = implication["reason"]
-    except SizeLimitError as exc:  # theorem5_check records the cap as its verdict
-        expansion = {"c_hat": None, "checked_subsets": 0, "exhaustive": False,
-                     "expansion_implication": {}, "expansion_implication_skipped": str(exc)}
-    # audit a family of lightly corrupted one-hot predictors (seeded flips)
+    report = estimate_c_expansion(aug, g)
+    implication = expansion_implication_check(aug, g, report)
+    expansion = {"c_hat": report.c_hat, "checked_subsets": report.checked_subsets, "exhaustive": report.exhaustive,
+                 "expansion_implication": {str(k): v for k, v in implication["probes"].items()}}
+    if not implication["applicable"]:
+        expansion["expansion_implication_skipped"] = implication["reason"]
+    # audit the one-hot truth and five lightly corrupted copies (seeded flips), as one stack
     rng = np.random.default_rng(args.seed)
-    family = [Prediction(scores=np.eye(g.num_classes)[g.labels].astype(float))]
-    for _ in range(5):
-        flips = rng.random(g.size) < 0.1
-        noisy = np.where(flips, (g.labels + 1) % g.num_classes, g.labels)
-        family.append(Prediction(scores=np.eye(g.num_classes)[noisy].astype(float)))
-    c_hat = expansion["c_hat"]
-    mu, bound, verdict = theorem5_check(family, aug, g, c_hat)
+    flips = np.stack([rng.random(g.size) < 0.1 for _ in range(5)])
+    labels = np.vstack([g.labels, np.where(flips, (g.labels + 1) % g.num_classes, g.labels)])
+    c_hat = report.c_hat
+    mu, bound, verdict = theorem5_check(np.eye(g.num_classes)[labels], aug, g, c_hat)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     jsonio.dump_canonical(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidConfigError, NumericError
 from .graph_core import PopulationGraph, inter_class_fraction, spectral_decompose
-from .spectral_rkd import Prediction, is_integer
+from .spectral_rkd import Prediction, family_scores, is_integer
 
 VERDICT_SLACK = 1e-9
 LP_AGREEMENT_TOL = 1e-9
@@ -131,22 +131,18 @@ def halves_condition(maj: MajorityLabeling, g: PopulationGraph) -> bool:
     return True
 
 
-def skeleton_and_margin(f: Prediction, g: PopulationGraph, maj: MajorityLabeling) -> SkeletonReport:
-    """Skeleton s_k = argmax of f(.)_k over non-minority vertices, given f's
-    majority labeling maj, with the spectral bound beta and per-class margins
-    against minority competitors.
+def skeletons_and_margins(scores: np.ndarray, g: PopulationGraph, majs) -> list:
+    """Skeletons and margins of each member f of an (R, |X|, K) score stack,
+    given its majority labelings: the skeleton s_k = argmax of f(.)_k over
+    non-minority vertices, with the spectral bound beta and per-class margins
+    against minority competitors.  Skeletons come from a masked argmax, the
+    skeleton matrices' singular values from one stacked svd, margins from a
+    masked max.
 
     Not-applicable (never an exception) when the minority halves condition
     fails, a skeleton entry predicts the wrong class, the skeleton matrix is
     rank-deficient, or the margin is non-positive.
     """
-    return skeletons_and_margins(f.scores[None], g, [maj])[0]
-
-
-def skeletons_and_margins(scores: np.ndarray, g: PopulationGraph, majs) -> list:
-    """skeleton_and_margin of each member of an (R, |X|, K) score stack, given
-    its majority labelings: skeletons by a masked argmax, the skeleton
-    matrices' singular values by one stacked svd, margins by a masked max."""
     R, _, K = scores.shape
     minority = np.stack([maj.minority_mask for maj in majs])
     predicted = np.stack([maj.predicted for maj in majs])
@@ -156,19 +152,14 @@ def skeletons_and_margins(scores: np.ndarray, g: PopulationGraph, majs) -> list:
     competitors = minority[:, :, None] & (predicted[:, :, None] != np.arange(K))
     top = np.take_along_axis(scores, skeleton[:, None, :], axis=1)[:, 0, :]
     margins = top - np.where(competitors, scores, -np.inf).max(axis=1)  # inf without competitors
-    empty = SkeletonReport(
-        skeleton=(), beta=math.nan, gammas=(), gamma=math.nan,
-        rank_ok=False, applicable=False, reason="",
-    )
     reports = []
     for r, maj in enumerate(majs):
         if not halves_condition(maj, g):
-            reports.append(_with_reason(empty, "minority mass exceeds half of some class"))
+            reason = "minority mass exceeds half of some class"
         elif minority[r].all():
-            reports.append(_with_reason(empty, "no non-minority vertices"))
+            reason = "no non-minority vertices"
         elif wrong[r].any():
-            bad = np.nonzero(wrong[r])[0].tolist()
-            reports.append(_with_reason(empty, f"skeleton vertex predicts the wrong class for k={bad}"))
+            reason = f"skeleton vertex predicts the wrong class for k={np.nonzero(wrong[r])[0].tolist()}"
         else:
             skel, gammas = tuple(skeleton[r].tolist()), tuple(margins[r].tolist())
             beta, gamma = float(svals[r, 0]), min(gammas)
@@ -180,12 +171,9 @@ def skeletons_and_margins(scores: np.ndarray, g: PopulationGraph, majs) -> list:
                                               f"non-positive margin {gamma}"))
             else:
                 reports.append(SkeletonReport(skel, beta, gammas, gamma, True, True, ""))
+            continue
+        reports.append(SkeletonReport((), math.nan, (), math.nan, False, False, reason))
     return reports
-
-
-def _with_reason(report: SkeletonReport, reason: str) -> SkeletonReport:
-    return SkeletonReport(report.skeleton, report.beta, report.gammas, report.gamma,
-                          report.rank_ok, False, reason)
 
 
 def margin_prefactor(beta: float, gamma: float) -> float:
@@ -198,13 +186,11 @@ def margin_prefactor(beta: float, gamma: float) -> float:
 def theorem1_check(f_family, g: PopulationGraph) -> AuditReport:
     """Audit mu(family) <= 2 max(beta^2/gamma^2, 1) alpha / lambda_{K+1}.
 
-    The family is a sequence of Predictions or an (R, |X|, K) score stack.
-    Members that violate the skeleton/margin preconditions are skipped with a
-    marker and excluded from mu, beta, gamma.
+    The family is read by `family_scores`.  Members that violate the
+    skeleton/margin preconditions are skipped with a marker and excluded from
+    mu, beta, gamma.
     """
-    if len(f_family) == 0:
-        raise DomainError("empty prediction family")
-    scores = f_family if isinstance(f_family, np.ndarray) else np.stack([f.scores for f in f_family])
+    scores = family_scores(f_family, g)
     dec = spectral_decompose(g)
     alpha = inter_class_fraction(g)
     K = scores.shape[2]
@@ -249,8 +235,9 @@ def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float) -> Audit
     lam = dec.eigenvalues
     alpha = inter_class_fraction(g)
     K = f_emp.num_classes
-    maj = majority_label(f_emp, g)
-    skel = skeleton_and_margin(f_emp, g, maj)
+    scores = f_emp.scores[None]
+    majs = majority_labels(scores, g)
+    (maj,), (skel,) = majs, skeletons_and_margins(scores, g, majs)
     verdicts = {}
     bound = None
     lp_primal = lp_dual = None

@@ -4,7 +4,8 @@ Augmentation sets live inside ground-truth classes; two vertices are
 neighbors when their augmentation sets overlap.  Expansion strength is the
 worst-case per-class growth factor of neighborhoods over small subsets.  It
 is exact: every subset of each connected component of the neighbor relation
-is enumerated (components of up to 20 vertices).  The constant-expansion
+is enumerated (components of up to 20 vertices; above that the estimate is a
+report with no c, not an exception).  The constant-expansion
 probes mix classes through the total mass, so they enumerate the subsets of
 the whole graph (up to 18 vertices).  Both build their subset tables by
 doubling.
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .clustering_audit import VERDICT_SLACK, halves_condition, majority_label
-from .errors import DomainError, InvalidAugmentationError, InvalidConfigError, SizeLimitError
+from .clustering_audit import VERDICT_SLACK, halves_condition, majority_labels
+from .errors import DomainError, InvalidAugmentationError, InvalidConfigError
 from .graph_core import PopulationGraph
-from .spectral_rkd import Prediction, is_integer
+from .spectral_rkd import family_scores, is_integer
 
 EXHAUSTIVE_SUBSET_CAP = 18  # whole-graph enumeration (constant expansion)
 COMPONENT_SUBSET_CAP = 20  # per-NB-component enumeration (c-expansion)
@@ -107,12 +108,14 @@ def load_augmentation(path, g: PopulationGraph) -> AugmentationMap:
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    """c_hat with the number of qualifying subsets checked; exhaustive is
-    always True (every estimate is an exact enumeration)."""
+    """c_hat with the number of qualifying subsets checked, by an exact
+    enumeration (exhaustive, no reason); or, above the enumeration cap, no
+    c_hat, nothing checked, and the reason."""
 
-    c_hat: float
+    c_hat: float | None
     checked_subsets: int
     exhaustive: bool
+    reason: str
 
 
 def _nb_components(aug: AugmentationMap) -> list:
@@ -189,17 +192,16 @@ def estimate_c_expansion(aug: AugmentationMap, g: PopulationGraph) -> ExpansionR
     least the smallest of them.  Every part is itself a qualifying subset
     (s_i <= s), and constrained wherever the whole is (nb_i <= nb), so the
     minimum over all subsets is reached inside one component.  Each component
-    C enumerates its 2^|C| subsets against its class total T_k; raises
-    SizeLimitError when a component has more than COMPONENT_SUBSET_CAP
-    vertices.  checked_subsets counts qualifying nonempty subsets per
-    component.
+    C enumerates its 2^|C| subsets against its class total T_k; when a
+    component has more than COMPONENT_SUBSET_CAP vertices, nothing is
+    enumerated and the report says so.  checked_subsets counts qualifying
+    nonempty subsets per component.
     """
     components = _nb_components(aug)
     largest = max(len(comp) for comp in components)
     if largest > COMPONENT_SUBSET_CAP:
-        raise SizeLimitError(
-            f"NB component of {largest} vertices exceeds the exhaustive cap {COMPONENT_SUBSET_CAP}"
-        )
+        return ExpansionReport(c_hat=None, checked_subsets=0, exhaustive=False, reason=(
+            f"NB component of {largest} vertices exceeds the exhaustive cap {COMPONENT_SUBSET_CAP}"))
     deg = g.degrees()
     totals = g.class_masses()
     c_hat = C_HAT_CAP
@@ -217,12 +219,12 @@ def estimate_c_expansion(aug: AugmentationMap, g: PopulationGraph) -> ExpansionR
         constrained = (s_mass > MASS_TOL) & (nb_mass < total - MASS_TOL)
         if constrained.any():
             c_hat = min(c_hat, float((nb_mass[constrained] / s_mass[constrained]).min()))
-    return ExpansionReport(c_hat=c_hat, checked_subsets=checked, exhaustive=True)
+    return ExpansionReport(c_hat=c_hat, checked_subsets=checked, exhaustive=True, reason="")
 
 
-def dac_error(f: Prediction, aug: AugmentationMap, g: PopulationGraph) -> float:
-    """Mass of vertices whose augmentation set crosses a predicted boundary."""
-    labels = f.hard_labels()
+def dac_error(labels: np.ndarray, aug: AugmentationMap, g: PopulationGraph) -> float:
+    """Mass of vertices whose augmentation set crosses a boundary of the
+    predicted hard labels."""
     deg = g.degrees()
     bad = np.array([any(labels[v] != labels[x] for v in aug.sets[x]) for x in range(g.size)])
     return float(deg[bad].sum())
@@ -230,15 +232,15 @@ def dac_error(f: Prediction, aug: AugmentationMap, g: PopulationGraph) -> float:
 
 def theorem5_check(f_family, aug: AugmentationMap, g: PopulationGraph, c_hat: float | None):
     """Audit mu(family) <= max(2 / (c - 1), 2) nu(family) under c-expansion,
-    with c = c_hat the caller's estimate_c_expansion(aug, g).c_hat, None when
-    that raised SizeLimitError (a component above the exhaustive cap).
+    with c = c_hat the caller's estimate_c_expansion(aug, g).c_hat, None above
+    the exhaustive cap.  The family is read by `family_scores` and labeled
+    once.
 
     Members whose minority set exceeds half of some class are skipped with a
     marker (the expansion argument only applies to qualifying minority sets).
     Returns (mu, bound, verdict_string).
     """
-    if not f_family:
-        raise DomainError("empty prediction family")
+    scores = family_scores(f_family, g)
     if c_hat is None:
         return math.nan, math.nan, "not-applicable: component above the exhaustive cap"
     if c_hat <= 1.0:
@@ -246,13 +248,12 @@ def theorem5_check(f_family, aug: AugmentationMap, g: PopulationGraph, c_hat: fl
     mu = 0.0
     nu = 0.0
     audited = 0
-    for f in f_family:
-        maj = majority_label(f, g)
+    for maj in majority_labels(scores, g):
         if not halves_condition(maj, g):
             continue
         audited += 1
         mu = max(mu, maj.minority_mass)
-        nu = max(nu, dac_error(f, aug, g))
+        nu = max(nu, dac_error(maj.predicted, aug, g))
     if audited == 0:
         return math.nan, math.nan, "not-applicable: every member skipped"
     bound = max(2.0 / (c_hat - 1.0), 2.0) * nu
@@ -291,29 +292,28 @@ def constant_expansion_check(aug: AugmentationMap, g: PopulationGraph, q: float,
     return _expands(*_constant_expansion_masses(aug, g), q, xi)
 
 
-def expansion_implication_check(aug: AugmentationMap, g: PopulationGraph, c_hat: float) -> dict:
-    """Probe that c-expansion at c_hat, the graph's estimate_c_expansion, implies
-    (xi / (c_hat - 1), xi)-constant expansion at xi = 0.05, 0.1 and 0.2.
+def expansion_implication_check(aug: AugmentationMap, g: PopulationGraph, report: ExpansionReport) -> dict:
+    """Probe that c-expansion at c_hat, from the graph's estimate_c_expansion
+    report, implies (xi / (c_hat - 1), xi)-constant expansion at xi = 0.05, 0.1
+    and 0.2.
 
-    Not applicable (no probes, and a "reason") when c_hat <= 1 or when the
-    graph is above the whole-graph cap of the constant-expansion check.  The
-    probes share one enumeration of the graph's subsets.
+    Not applicable (no probes, and a "reason") when the report has no c_hat,
+    when c_hat <= 1, or when the graph is above the whole-graph cap of the
+    constant-expansion check.  The probes share one enumeration of the graph's
+    subsets.
     """
-    out = {"probes": {}}
-    if c_hat <= 1.0:
-        out["applicable"] = False
-        out["reason"] = f"c_hat={c_hat!r} <= 1"
-        return out
-    if g.size > EXHAUSTIVE_SUBSET_CAP:
-        out["applicable"] = False
-        out["reason"] = f"|X|={g.size} above the whole-graph cap {EXHAUSTIVE_SUBSET_CAP}"
-        return out
-    out["applicable"] = True
-    masses = _constant_expansion_masses(aug, g)
-    # probe marginally inside the feasible region so that attained-infimum
-    # equalities in c_hat do not flip a strict comparison
-    c_eff = c_hat * (1.0 - 1e-9) if math.isfinite(c_hat) else C_HAT_CAP
-    for xi in (0.05, 0.1, 0.2):
-        q = xi / (c_eff - 1.0)
-        out["probes"][xi] = _expands(*masses, q=q, xi=xi)
-    return out
+    c_hat = report.c_hat
+    if c_hat is None:
+        reason = report.reason
+    elif c_hat <= 1.0:
+        reason = f"c_hat={c_hat!r} <= 1"
+    elif g.size > EXHAUSTIVE_SUBSET_CAP:
+        reason = f"|X|={g.size} above the whole-graph cap {EXHAUSTIVE_SUBSET_CAP}"
+    else:
+        masses = _constant_expansion_masses(aug, g)
+        # probe marginally inside the feasible region so that attained-infimum
+        # equalities in c_hat do not flip a strict comparison
+        c_eff = c_hat * (1.0 - 1e-9) if math.isfinite(c_hat) else C_HAT_CAP
+        probes = {xi: _expands(*masses, q=xi / (c_eff - 1.0), xi=xi) for xi in (0.05, 0.1, 0.2)}
+        return {"probes": probes, "applicable": True}
+    return {"probes": {}, "applicable": False, "reason": reason}

@@ -17,10 +17,6 @@ class DegenerateGraphError(RkdlabError):
     """A graph has a zero-degree vertex or otherwise cannot define a distribution."""
 
 
-class SizeLimitError(RkdlabError):
-    """An exhaustive routine was asked to run beyond its enumeration cap."""
-
-
 class NotPsdError(RkdlabError):
     """The normalized adjacency is not positive semi-definite where required."""
 

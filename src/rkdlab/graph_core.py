@@ -214,9 +214,9 @@ def build_sbm(
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) != num_classes:
-        raise InvalidConfigError(f"expected {num_classes} block sizes, got {len(sizes)}")
+        raise InvalidConfigError(f"graph.sizes={sizes!r} must hold {num_classes} block sizes, got {len(sizes)}")
     if any(s < 1 for s in sizes):
-        raise InvalidConfigError("every class must have at least one vertex")
+        raise InvalidConfigError(f"graph.sizes={sizes!r}: every class must have at least one vertex")
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise InvalidConfigError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
     n = sum(sizes)
@@ -293,7 +293,7 @@ def build_two_blobs(
     which is positive semi-definite, so the normalized adjacency is as well.
     """
     if n_per_class < 1:
-        raise InvalidConfigError("need at least one point per blob")
+        raise InvalidConfigError(f"graph.n_per_class={n_per_class!r} must be at least 1 (one point per blob)")
     if not bandwidth > 0:
         raise InvalidConfigError(f"graph.bandwidth={bandwidth!r} must be positive")
     rng = np.random.default_rng(seed)

@@ -15,10 +15,10 @@ from functools import cached_property
 import numpy as np
 
 from . import jsonio
-from .clustering_audit import majority_label
+from .clustering_audit import majority_label, majority_labels
 from .errors import DomainError, InvalidConfigError
 from .graph_core import PopulationGraph, _freeze
-from .spectral_rkd import Prediction, is_integer
+from .spectral_rkd import Prediction, family_scores, is_integer
 
 REDRAW_CAP = 100000
 
@@ -258,12 +258,19 @@ def theorem3_check(
 
     Each trial draws n i.i.d. labels, discarding (and counting) draws that miss
     a class (`covering_draws`); the ERM winner's excess population risk is compared to the bound.
+    The family is read by `family_scores` and labeled once.
     """
-    mu = max(majority_label(f, g).minority_mass for f in family)
+    scores = family_scores(family, g)
+    if not (is_integer(trials) and trials >= 1):
+        raise DomainError(f"trials={trials!r} must be an integer >= 1")
+    majs = majority_labels(scores, g)
+    mu = max(maj.minority_mass for maj in majs)
     bound = theorem3_bound(g.num_classes, n, mu, delta)
-    pop_errors = np.array([population_error(f, g) for f in family])
+    wrong = np.stack([maj.predicted != g.labels for maj in majs])
+    deg = g.degrees()
+    pop_errors = np.array([float(deg[w].sum()) for w in wrong])
     best_possible = float(pop_errors.min())
-    err_table = np.stack([f.hard_labels() != g.labels for f in family]).astype(float)
+    err_table = wrong.astype(float)
     rng = np.random.default_rng(seed)
     failures = 0
     rejections = 0

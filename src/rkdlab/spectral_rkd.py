@@ -8,7 +8,6 @@ sampled vertex pairs is an unbiased estimate of it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -605,48 +604,35 @@ class RademacherEstimate:
     value: float
     stderr: float
     trials: int
-    exact: bool
 
 
-def _family_scores(family) -> list[np.ndarray]:
-    out = []
-    for member in family:
-        out.append(member.scores if isinstance(member, Prediction) else np.asarray(member, float))
-    if not out:
-        raise DomainError("family must be nonempty")
-    return out
+def family_scores(family, g: PopulationGraph) -> np.ndarray:
+    """A prediction family as one float (R, |X|, K) score stack, from a sequence
+    of Predictions, a sequence of score arrays, or a stack: the one reader of
+    the theorem audits' families.  An empty family, members of different
+    shapes, a stack that is not 3-D, a row count other than |X| and a
+    non-finite score are DomainErrors."""
+    members = [f.scores if isinstance(f, Prediction) else np.asarray(f, dtype=float) for f in family]
+    if not members:
+        raise DomainError("empty prediction family")
+    shapes = sorted({m.shape for m in members})
+    if len(shapes) > 1:
+        raise DomainError(f"prediction family members of different shapes {shapes}")
+    scores = np.stack(members)
+    if scores.ndim != 3:
+        raise DomainError(f"prediction family of shape {scores.shape}, not (R, |X|, K)")
+    if scores.shape[1] != g.size:
+        raise DomainError(f"prediction rows {scores.shape[1]} != |X| = {g.size}")
+    if not np.isfinite(scores).all():
+        raise DomainError("non-finite prediction score")
+    return scores
 
 
-def estimate_rademacher(
-    family,
-    g: PopulationGraph,
-    N: int,
-    trials: int,
-    seed: int,
-    exact: bool = False,
-) -> RademacherEstimate:
-    """sup-over-family Rademacher average of vector-valued scores on N draws.
-
-    Monte Carlo over degree-weighted vertex draws and sign matrices; the exact
-    mode enumerates both (guarded to tiny N, K, |X|).
-    """
-    members = _family_scores(family)
-    K = members[0].shape[1]
-    if exact:
-        combos = g.size**N * 2 ** (N * K)
-        if combos > 2_000_000:
-            raise DomainError(f"exact enumeration of {combos} outcomes is too large")
-        deg = g.degrees()
-        total = 0.0
-        signs = list(itertools.product((-1.0, 1.0), repeat=N * K))
-        for draw in itertools.product(range(g.size), repeat=N):
-            p = float(np.prod(deg[list(draw)]))
-            acc = 0.0
-            for flat in signs:
-                rho = np.asarray(flat).reshape(N, K)
-                acc += max(float(np.sum(rho * m[list(draw), :])) / N for m in members)
-            total += p * acc / len(signs)
-        return RademacherEstimate(value=total, stderr=0.0, trials=len(signs), exact=True)
+def estimate_rademacher(family, g: PopulationGraph, N: int, trials: int, seed: int) -> RademacherEstimate:
+    """sup-over-family Rademacher average of vector-valued scores on N draws,
+    by Monte Carlo over degree-weighted vertex draws and sign matrices."""
+    members = family_scores(family, g)
+    K = members.shape[2]
     if trials < 1:
         raise DomainError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -657,7 +643,7 @@ def estimate_rademacher(
         rho = rng.choice((-1.0, 1.0), size=(N, K))
         vals[t] = max(float(np.sum(rho * m[draw, :])) / N for m in members)
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return RademacherEstimate(value=float(vals.mean()), stderr=stderr, trials=trials, exact=False)
+    return RademacherEstimate(value=float(vals.mean()), stderr=stderr, trials=trials)
 
 
 def dnn_rademacher_bound(p: int, K: int, B_X: float, B_F: float, N: int) -> float:

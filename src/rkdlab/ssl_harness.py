@@ -32,7 +32,7 @@ from .dac_expansion import (
     split_chain_augmentation,
     theorem5_check,
 )
-from .errors import InvalidConfigError, RkdlabError, SizeLimitError, TrainingDivergedError
+from .errors import InvalidConfigError, RkdlabError, TrainingDivergedError
 from .graph_core import (
     PopulationGraph,
     _freeze,
@@ -624,12 +624,8 @@ def _run_lockstep(cfgs) -> list:
             return [row["total"] for row in rows], grad
 
         errors = descend(stack, step_loss, opt, features)
-        c_hat = None  # theorem5_check records the exhaustive cap as its verdict
-        if any(error is None for error in errors):  # some seed is audited
-            try:
-                c_hat = estimate_c_expansion(aug, g).c_hat
-            except SizeLimitError:
-                pass
+        # None above the exhaustive cap, which theorem5_check records as its verdict, or when no seed is audited
+        c_hat = estimate_c_expansion(aug, g).c_hat if any(error is None for error in errors) else None
         shared_s = time.perf_counter() - start - sum(s.setup_s for s in ready)
         left = iter(range(len(ready)))  # the rows of the stack left after training
         for s, error in zip(ready, errors):

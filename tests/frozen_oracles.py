@@ -68,10 +68,10 @@ def skeleton_and_margin(f, g, maj=None):
         rank_ok=False, applicable=False, reason="",
     )
     if not ca.halves_condition(maj, g):
-        return ca._with_reason(empty, "minority mass exceeds half of some class")
+        return _with_reason(empty, "minority mass exceeds half of some class")
     candidates = np.nonzero(~maj.minority_mask)[0]
     if len(candidates) == 0:
-        return ca._with_reason(empty, "no non-minority vertices")
+        return _with_reason(empty, "no non-minority vertices")
     skeleton = []
     for k in range(K):
         col = f.scores[candidates, k]
@@ -79,7 +79,7 @@ def skeleton_and_margin(f, g, maj=None):
     predicted = maj.predicted
     if any(predicted[s] != k for k, s in enumerate(skeleton)):
         bad = [k for k, s in enumerate(skeleton) if predicted[s] != k]
-        return ca._with_reason(empty, f"skeleton vertex predicts the wrong class for k={bad}")
+        return _with_reason(empty, f"skeleton vertex predicts the wrong class for k={bad}")
     fs = f.scores[skeleton, :]
     svals = np.linalg.svd(fs, compute_uv=False)
     rank_ok = bool(svals[-1] > ca.RANK_TOL)
@@ -99,6 +99,11 @@ def skeleton_and_margin(f, g, maj=None):
         return ca.SkeletonReport(tuple(skeleton), beta, tuple(gammas), gamma, True, False,
                                  f"non-positive margin {gamma}")
     return ca.SkeletonReport(tuple(skeleton), beta, tuple(gammas), gamma, True, True, "")
+
+
+def _with_reason(report, reason):
+    return ca.SkeletonReport(report.skeleton, report.beta, report.gammas, report.gamma,
+                             report.rank_ok, False, reason)
 
 
 def theorem1_check(f_family, g):

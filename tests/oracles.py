@@ -5,10 +5,10 @@ LP vertex enumeration, the C.1 interpolation-bound and margin-formula checks,
 argmax labels with random tie-breaking, the Laplacian form of the inter-class
 fraction, the neighborhood relation of an augmentation map, the
 facility-location optimum and full greedy, the coupon-collector coverage
-checks and the graph-revealing identity.  Beside
-them sit the one-member forms of stacked library functions (one minimizer,
-one rotation, one pair draw, one pair expectation) and the file readers of
-what the commands write.  No command reaches any of them.
+checks, the graph-revealing identity and the exact Rademacher enumeration.
+Beside them sit the one-member forms of stacked library functions (one
+skeleton, one minimizer, one rotation, one pair draw, one pair expectation)
+and the file readers of what the commands write.  No command reaches any of them.
 """
 
 from __future__ import annotations
@@ -24,12 +24,14 @@ from rkdlab import jsonio
 from rkdlab.clustering_audit import (
     VERDICT_SLACK,
     _lp_data,
+    MajorityLabeling,
+    SkeletonReport,
     majority_label,
     margin_prefactor,
-    skeleton_and_margin,
+    skeletons_and_margins,
 )
 from rkdlab.dac_expansion import AugmentationMap
-from rkdlab.errors import DomainError, NumericError, SizeLimitError
+from rkdlab.errors import DomainError, NumericError
 from rkdlab.graph_core import PopulationGraph, laplacian, normalized_adjacency
 from rkdlab.label_acquisition import REDRAW_CAP, _cluster_wise_plan
 from rkdlab.spectral_rkd import (
@@ -37,6 +39,7 @@ from rkdlab.spectral_rkd import (
     StudentModel,
     _PairTable,
     _pair_expectations,
+    family_scores,
     population_minimizers,
     random_rotations,
 )
@@ -59,7 +62,7 @@ def lp_primal_enumerate(lambdas, K: int, Delta: float) -> Fraction:
     """
     costs, budget, n = _lp_data(lambdas, K, Delta)
     if n > LP_ENUMERATION_CAP:
-        raise SizeLimitError(f"{n} variables exceed the enumeration cap {LP_ENUMERATION_CAP}")
+        raise DomainError(f"{n} variables exceed the enumeration cap {LP_ENUMERATION_CAP}")
     exact = [Fraction(x) for x in costs.tolist()]
     # one power of two turns every cost and the budget into an integer
     scale = max(x.denominator for x in [*exact, budget])
@@ -99,6 +102,11 @@ def label_boundary_mass(g: PopulationGraph) -> float:
         yk = sd * (g.labels == k)
         total += float(yk @ lap @ yk)
     return total
+
+
+def skeleton_and_margin(f: Prediction, g: PopulationGraph, maj: MajorityLabeling) -> SkeletonReport:
+    """skeletons_and_margins of f alone, given its majority labeling maj."""
+    return skeletons_and_margins(f.scores[None], g, [maj])[0]
 
 
 def lemma_c1_check(f: Prediction, g: PopulationGraph):
@@ -285,6 +293,25 @@ def exact_pair_expectation(f: Prediction, kmat: np.ndarray, g: PopulationGraph) 
     """
     deg = g.degrees()
     return float(_pair_expectations(f.scores[None], kmat, np.outer(deg, deg))[0])
+
+
+def exact_rademacher(family, g: PopulationGraph, N: int) -> float:
+    """estimate_rademacher's sup-over-family Rademacher average, exactly: every
+    ordered draw of N vertices, weighted by its degree product, and every N x K
+    sign matrix (tiny N, K and |X| only)."""
+    members = family_scores(family, g)
+    K = members.shape[2]
+    deg = g.degrees()
+    total = 0.0
+    signs = list(itertools.product((-1.0, 1.0), repeat=N * K))
+    for draw in itertools.product(range(g.size), repeat=N):
+        p = float(np.prod(deg[list(draw)]))
+        acc = 0.0
+        for flat in signs:
+            rho = np.asarray(flat).reshape(N, K)
+            acc += max(float(np.sum(rho * m[list(draw), :])) / N for m in members)
+        total += p * acc / len(signs)
+    return total
 
 
 def draw_pairs(g: PopulationGraph, num_pairs: int, rng: np.random.Generator) -> np.ndarray:

@@ -297,7 +297,7 @@ def test_criterion_07_expansion_bound():
         results.append((name, v))
         if v == "pass" and bound > 0:
             ratios[name] = mu / bound
-        probes = expansion_implication_check(aug, g, estimate_c_expansion(aug, g).c_hat)
+        probes = expansion_implication_check(aug, g, estimate_c_expansion(aug, g))
         if probes["applicable"]:
             results.append((name + "-lemma-e2", all(probes["probes"].values())))
     bad = [r for r in results if r[1] not in ("pass", True)]

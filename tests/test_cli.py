@@ -477,8 +477,9 @@ BAD_CONFIGS = [
     ("unknown-arch", _set("student", arch="cnn"), "student.arch"),
     ("zero-budget", lambda cfg: cfg.update(labels={"strategy": "iid", "budget": 0}), "labels.budget"),
     ("zero-n-per-class", _set("labels", n_per_class=0), "labels.n_per_class"),
-    ("sbm-size-count", _set("graph", sizes=[10]), "expected 2 block sizes, got 1"),
-    ("zero-blob-size", _set_blobs(n_per_class=0), "at least one point per blob"),
+    ("sbm-size-count", _set("graph", sizes=[10]), "graph.sizes"),
+    ("sbm-empty-block", _set("graph", sizes=[0, 10]), "graph.sizes"),
+    ("zero-blob-size", _set_blobs(n_per_class=0), "graph.n_per_class"),
     ("zero-bandwidth", _set_blobs(bandwidth=0.0), "graph.bandwidth"),
     ("negative-bandwidth", _set_blobs(bandwidth=-1.2), "graph.bandwidth"),
     ("negative-kernel-dim", _set_cosine(dim=-1), "kernel.dim"),
@@ -505,7 +506,7 @@ COMMANDS = {
 # the cases rejected when a command builds what a section describes, not when
 # it loads the config, whose errors therefore do not name the file
 BUILD_TIME = {"zero-parts", "knn-without-points", "zero-budget", "zero-n-per-class", "sbm-size-count",
-              "zero-blob-size", "zero-bandwidth", "negative-bandwidth", "negative-kernel-dim", "zero-kernel-dim",
+              "sbm-empty-block", "zero-blob-size", "zero-bandwidth", "negative-bandwidth", "negative-kernel-dim", "zero-kernel-dim",
               "kernel-dim-above-size"}
 
 

@@ -17,7 +17,6 @@ from rkdlab.clustering_audit import (
     majority_label,
     majority_labels,
     margin_prefactor,
-    skeleton_and_margin,
     skeletons_and_margins,
     theorem1_check,
     theorem4_check,
@@ -44,6 +43,7 @@ from oracles import (
     lemma_c1_check,
     lp_primal_enumerate,
     random_rotation,
+    skeleton_and_margin,
 )
 
 

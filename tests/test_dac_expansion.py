@@ -19,7 +19,7 @@ from rkdlab.dac_expansion import (
     make_augmentation,
     theorem5_check,
 )
-from rkdlab.errors import DomainError, InvalidAugmentationError, InvalidConfigError, SizeLimitError
+from rkdlab.errors import DomainError, InvalidAugmentationError, InvalidConfigError
 from rkdlab.graph_core import PopulationGraph, build_sbm, lazy_graph
 from rkdlab.spectral_rkd import Prediction
 
@@ -151,16 +151,16 @@ class TestCExpansion:
         big_c = estimate_c_expansion(bigger, g).c_hat
         assert big_c >= small_c
 
-    def test_component_above_cap_raises(self):
+    def test_component_above_cap_is_a_report(self):
         g = lazy_graph(build_sbm(2, [21, 4], 0.9, 0.1, seed=0))
-        cap = f"21 vertices exceeds the exhaustive cap {COMPONENT_SUBSET_CAP}"
-        with pytest.raises(SizeLimitError, match=cap):
-            estimate_c_expansion(chain_augmentation(g), g)
+        report = estimate_c_expansion(chain_augmentation(g), g)
+        assert (report.c_hat, report.checked_subsets, report.exhaustive) == (None, 0, False)
+        assert report.reason == f"NB component of 21 vertices exceeds the exhaustive cap {COMPONENT_SUBSET_CAP}"
 
     def test_component_at_cap_is_enumerated(self):
         g = lazy_graph(build_sbm(2, [COMPONENT_SUBSET_CAP, 4], 0.9, 0.1, seed=0))
         report = estimate_c_expansion(chain_augmentation(g), g)
-        assert report.exhaustive
+        assert report.exhaustive and report.reason == ""
         assert 1.0 < report.c_hat < C_HAT_CAP
 
     def test_graph_above_whole_graph_cap_with_small_components(self):
@@ -255,7 +255,7 @@ class TestDacError:
         g = uniform_graph([0, 0, 0, 1, 1, 1])
         aug = chain_augmentation(g)
         f = Prediction(scores=np.eye(2)[g.labels].astype(float))
-        assert dac_error(f, aug, g) == 0.0
+        assert dac_error(f.hard_labels(), aug, g) == 0.0
 
     def test_single_crossing_vertex_mass(self):
         # only vertex 0 (mass 0.2) sees a disagreeing member in its own set
@@ -265,7 +265,7 @@ class TestDacError:
         aug = make_augmentation([{0, 1}, {1, 2}, {2, 1}, {3, 4}, {4, 3}], g)
         scores = np.eye(2)[[0, 1, 1, 1, 1]].astype(float)
         f = Prediction(scores=scores)
-        assert math.isclose(dac_error(f, aug, g), 0.2, abs_tol=1e-12)
+        assert math.isclose(dac_error(f.hard_labels(), aug, g), 0.2, abs_tol=1e-12)
 
 
 class TestTheorem5:
@@ -294,7 +294,7 @@ class TestTheorem5:
             scores = np.eye(2)[g.labels].astype(float)
             scores[flipped] = scores[flipped][:, ::-1]
             fam.append(Prediction(scores=scores))
-        nus = [dac_error(f, aug, g) for f in fam]
+        nus = [dac_error(f.hard_labels(), aug, g) for f in fam]
         assert nus[0] < nus[1]
         c_hat = estimate_c_expansion(aug, g).c_hat
         mu, bound, verdict = theorem5_check(fam, aug, g, c_hat)
@@ -317,9 +317,10 @@ class TestTheorem5:
         g = uniform_graph([0] * 21 + [1] * 3)
         f = Prediction(scores=np.eye(2)[g.labels].astype(float))
         aug = chain_augmentation(g)
-        with pytest.raises(SizeLimitError):
-            estimate_c_expansion(aug, g)
-        mu, bound, verdict = theorem5_check([f], aug, g, None)
+        report = estimate_c_expansion(aug, g)
+        assert (report.c_hat, report.checked_subsets, report.exhaustive) == (None, 0, False)
+        assert report.reason == f"NB component of 21 vertices exceeds the exhaustive cap {COMPONENT_SUBSET_CAP}"
+        mu, bound, verdict = theorem5_check([f], aug, g, report.c_hat)
         assert verdict == "not-applicable: component above the exhaustive cap"
         assert math.isnan(mu) and math.isnan(bound)
 
@@ -329,7 +330,7 @@ class TestTheorem5:
         scores = np.eye(2)[g.labels].astype(float)
         scores[2] = [0.0, 1.0]
         f = Prediction(scores=scores)
-        nu = dac_error(f, aug, g)
+        nu = dac_error(f.hard_labels(), aug, g)
         for c_hat in (estimate_c_expansion(aug, g).c_hat, 1.5, 1.25, 3.0):
             mu, bound, verdict = theorem5_check([f], aug, g, c_hat)
             assert bound == max(2.0 / (c_hat - 1.0), 2.0) * nu
@@ -385,8 +386,9 @@ class TestConstantExpansion:
             fixtures.append((g, chain_augmentation(g)))
         probed = set()
         for g, aug in fixtures:
-            c_hat = estimate_c_expansion(aug, g).c_hat
-            result = expansion_implication_check(aug, g, c_hat)
+            report = estimate_c_expansion(aug, g)
+            c_hat = report.c_hat
+            result = expansion_implication_check(aug, g, report)
             if not result["applicable"]:
                 continue
             c_eff = c_hat * (1.0 - 1e-9) if math.isfinite(c_hat) else C_HAT_CAP
@@ -398,6 +400,6 @@ class TestConstantExpansion:
     def test_implication_probes_pass_on_expanding_fixture(self):
         g = uniform_graph([0] * 6 + [1] * 6)
         aug = chain_augmentation(g)
-        result = expansion_implication_check(aug, g, estimate_c_expansion(aug, g).c_hat)
+        result = expansion_implication_check(aug, g, estimate_c_expansion(aug, g))
         assert result["applicable"]
         assert all(result["probes"].values())

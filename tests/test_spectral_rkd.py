@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import frozen_oracles as oracle
 from rkdlab import spectral_rkd
+from rkdlab.clustering_audit import theorem1_check
+from rkdlab.dac_expansion import chain_augmentation, estimate_c_expansion, theorem5_check
 from rkdlab.errors import (
     DomainError,
     InvalidConfigError,
@@ -23,6 +25,7 @@ from rkdlab.graph_core import (
     normalized_adjacency,
     spectral_decompose,
 )
+from rkdlab.label_acquisition import theorem3_check
 from rkdlab.spectral_rkd import (
     OptimizerConfig,
     Prediction,
@@ -46,6 +49,7 @@ from oracles import (
     draw_pairs,
     exact_pair_expectation,
     exact_population_minimizer,
+    exact_rademacher,
     load_checkpoint,
     random_rotation,
 )
@@ -339,15 +343,13 @@ class TestRademacher:
         g = hand_graph(np.ones((3, 3)), [0, 0, 1], 2)
         scores = np.array([[0.5, -0.2], [0.1, 0.3], [-0.4, 0.2]])
         fam = [Prediction(scores=scores), Prediction(scores=-scores)]
-        est = estimate_rademacher(fam, g, N=2, trials=1, seed=0, exact=True)
-        assert est.exact
-        assert 0.0 <= est.value <= 2 * float(np.abs(scores).max()) + 1e-12
+        value = exact_rademacher(fam, g, N=2)
+        assert 0.0 <= value <= 2 * float(np.abs(scores).max()) + 1e-12
 
     def test_singleton_family_centered(self):
         g = hand_graph(np.ones((3, 3)), [0, 0, 1], 2)
         scores = np.array([[0.5, -0.2], [0.1, 0.3], [-0.4, 0.2]])
-        exact = estimate_rademacher([Prediction(scores=scores)], g, N=2, trials=1, seed=0, exact=True)
-        assert abs(exact.value) < 1e-12
+        assert abs(exact_rademacher([Prediction(scores=scores)], g, N=2)) < 1e-12
         mc = estimate_rademacher([Prediction(scores=scores)], g, N=8, trials=400, seed=1)
         assert abs(mc.value) <= 3 * mc.stderr
 
@@ -598,10 +600,6 @@ BAD_ARGUMENTS = [
     ("no-classes", lambda g: population_minimizers(g, 0), DomainError, r"need 1 <= K <= \|X\|, got K=0"),
     ("more-classes-than-vertices", lambda g: population_minimizers(g, g.size + 1), DomainError,
      r"need 1 <= K <= \|X\|, got K=11"),
-    ("empty-family", lambda g: estimate_rademacher([], g, 2, 10, seed=0), DomainError, "family must be nonempty"),
-    ("exact-enumeration-too-large",  # 10^4 draws times 2^8 sign matrices
-     lambda g: estimate_rademacher([np.zeros((g.size, 2))], g, 4, 1, seed=0, exact=True), DomainError,
-     "exact enumeration of 2560000 outcomes is too large"),
     ("no-trials", lambda g: estimate_rademacher([np.zeros((g.size, 2))], g, 2, 0, seed=0), DomainError,
      "trials must be >= 1"),
     ("zero-b-f", lambda g: theorem2_gap_bound(0.0, 1.0, 0.1, 100, 0.5), DomainError,
@@ -614,3 +612,53 @@ BAD_ARGUMENTS = [
 def test_library_arguments_outside_the_domain_raise(sbm_pair, case, call, error, message):
     with pytest.raises(error, match=message):
         call(sbm_pair)
+
+
+# ---------------------------------------------------------------------------
+# the theorem audits' one calling convention: a family is one checked (R, |X|, K) stack (family_scores)
+
+
+def _family_audits(g):
+    """Each audit that reads a family, as a function of the family alone, on graph g."""
+    aug = chain_augmentation(g)
+    c_hat = estimate_c_expansion(aug, g).c_hat
+    return {
+        "theorem1": lambda family: theorem1_check(family, g),
+        "theorem3": lambda family: theorem3_check(family, g, n=4, trials=3, delta=0.2, seed=0),
+        "theorem5": lambda family: theorem5_check(family, aug, g, c_hat),
+        "rademacher": lambda family: estimate_rademacher(family, g, N=3, trials=4, seed=0),
+    }
+
+
+# (case, a family on the 10-vertex sbm_pair fixture, what its DomainError says)
+BAD_FAMILIES = [
+    ("empty", lambda g: [], "empty prediction family"),
+    ("ragged", lambda g: [np.zeros((g.size, 2)), np.zeros((g.size, 3))],
+     r"members of different shapes \[\(10, 2\), \(10, 3\)\]"),
+    ("2-d", lambda g: np.zeros((g.size, 2)), r"family of shape \(10, 2\), not \(R, \|X\|, K\)"),
+    ("wrong-row-count", lambda g: [np.zeros((3, 2))], r"prediction rows 3 != \|X\| = 10"),
+    ("nan-score", lambda g: [np.where(np.arange(g.size)[:, None] == 4, np.nan, np.eye(2)[g.labels])],
+     "non-finite prediction score"),
+]
+
+
+@pytest.mark.parametrize("audit", ["theorem1", "theorem3", "theorem5", "rademacher"])
+@pytest.mark.parametrize("case,family,message", BAD_FAMILIES, ids=[row[0] for row in BAD_FAMILIES])
+def test_every_family_audit_rejects_a_bad_family(sbm_pair, audit, case, family, message):
+    with pytest.raises(DomainError, match=message):
+        _family_audits(sbm_pair)[audit](family(sbm_pair))
+
+
+@pytest.mark.parametrize("audit", ["theorem1", "theorem3", "theorem5", "rademacher"])
+def test_a_list_of_predictions_and_its_stack_audit_alike(sbm_pair, audit):
+    rng = np.random.default_rng(4)
+    flips = [rng.random(sbm_pair.size) < p for p in (0.0, 0.1, 0.2, 0.4)]
+    stack = np.eye(2)[[np.where(flip, 1 - sbm_pair.labels, sbm_pair.labels) for flip in flips]]
+    stack += 0.01 * rng.standard_normal(stack.shape)  # distinct scores, so skeletons and margins are read
+    run = _family_audits(sbm_pair)[audit]
+    assert repr(run([Prediction(scores=s) for s in stack])) == repr(run(stack)) == repr(run(list(stack)))
+
+
+def test_theorem3_rejects_zero_trials(sbm_pair):
+    with pytest.raises(DomainError, match="trials=0 must be an integer >= 1"):
+        theorem3_check([np.eye(2)[sbm_pair.labels]], sbm_pair, n=4, trials=0, delta=0.2, seed=0)

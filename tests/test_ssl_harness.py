@@ -787,7 +787,7 @@ class TestTrainedPredictions:
         order = data.draw(st.permutations(range(g.num_classes)), label="column order")
         f, permuted = Prediction(scores=scores), Prediction(scores=scores[:, order])
         assert majority_label(permuted, g).minority_mass == majority_label(f, g).minority_mass
-        assert dac_error(permuted, aug, g) == dac_error(f, aug, g)
+        assert dac_error(permuted.hard_labels(), aug, g) == dac_error(f.hard_labels(), aug, g)
 
 
 class TestStackedObjective:
