@@ -361,6 +361,8 @@ class _PairLoss:
         self.class_first = (len(shape), *range(len(shape)))
         self.products = np.empty((*shape, K))
         self.resid = np.empty(shape)
+        self.weighted = np.empty(shape)
+        self.total = np.empty(())
         self.terms = np.empty((2, K, *shape))
 
     def __call__(self, scores: np.ndarray):
@@ -368,9 +370,11 @@ class _PairLoss:
         if self.codes is None:
             self._allocate(*scores.shape)
         fa, fb = scores[self.a], scores[self.b]
-        resid = np.multiply(fa, fb, out=self.products).sum(axis=-1, out=self.resid)
+        resid = np.add.reduce(np.multiply(fa, fb, out=self.products), axis=-1, out=self.resid)
         resid -= self.kvals
-        loss = float((self.u * resid**2).sum())
+        weighted = np.multiply(resid, resid, out=self.weighted)
+        weighted *= self.u
+        loss = float(np.add.reduce(weighted, axis=None, out=self.total))
         coef = self.twice_u * resid
         np.multiply(coef, fb.transpose(self.class_first), out=self.terms[0])
         np.multiply(coef, fa.transpose(self.class_first), out=self.terms[1])
@@ -564,33 +568,38 @@ class _LossTrace:
         self.population = _PopulationLoss(g)
         self.capacity = max(1, TRACE_BLOCK_BYTES // (8 * g.size * g.size))
         self.rows = rows
-        self.steps, self.losses = [], []  # of the kept scores
+        self.first, self.losses = 0, []  # the kept scores' first step, consecutive from it, and their losses
         self.block = None
 
     def add(self, step: int, loss: float, scores: np.ndarray) -> None:
         if self.block is None:
             self.block = np.empty((self.capacity, *scores.shape))
-        self.block[len(self.steps)] = scores
-        self.steps.append(step)
+        if not self.losses:
+            self.first = step
+        self.block[len(self.losses)] = scores
         self.losses.append(loss)
-        if len(self.steps) == self.capacity:
+        if len(self.losses) == self.capacity:
             self.flush()
 
     def flush(self) -> None:
         """Append the kept steps' rows; raise at the first step whose scores
         are not finite or whose loss forms disagree, after the rows before it;
         the kept steps are dropped either way."""
-        steps, losses = self.steps, self.losses
-        self.steps, self.losses = [], []
-        if not steps:
+        losses = self.losses
+        self.losses = []
+        if not losses:
             return
-        block = self.block[: len(steps)]
+        block = self.block[: len(losses)]
         finite = np.isfinite(block).all(axis=(1, 2))
         usable = len(block) if finite.all() else int(np.argmin(finite))
         if usable:
             matrix, expectation = self.population.forms(block[:usable])
-            for step, loss, m, e in zip(steps, losses, matrix, expectation.tolist()):
-                self.rows.append((step, loss, _agreed(m, e)))
+            forms = np.array(matrix)
+            apart = np.abs(forms - expectation) > LOSS_AGREEMENT_TOL * np.maximum(1.0, forms)
+            agreed = usable if not apart.any() else int(np.argmax(apart))  # _agreed's test on every step at once
+            self.rows.extend(zip(range(self.first, self.first + agreed), losses, matrix[:agreed]))
+            if agreed < usable:
+                _agreed(matrix[agreed], float(expectation[agreed]))  # raises: the forms disagree
         if usable < len(block):
             Prediction(scores=block[usable])  # raises: a non-finite score
 
@@ -633,8 +642,9 @@ def estimate_rademacher(family, g: PopulationGraph, N: int, trials: int, seed: i
     by Monte Carlo over degree-weighted vertex draws and sign matrices."""
     members = family_scores(family, g)
     K = members.shape[2]
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    for name, value in (("N", N), ("trials", trials)):
+        if not (is_integer(value) and value >= 1):
+            raise DomainError(f"{name}={value!r} must be an integer >= 1")
     rng = np.random.default_rng(seed)
     vals = np.empty(trials)
     deg = g.degrees()
@@ -681,4 +691,4 @@ def save_checkpoint(model: StudentModel, seed: int, path) -> None:
 def save_loss_trace(rows, path) -> None:
     """rows: iterable of (iteration, empirical_loss, population_loss)."""
     jsonio.dump_csv(("iteration", "empirical_loss", "population_loss"),
-                    [(f"{it}", f"{emp:.17g}", f"{pop:.17g}") for it, emp, pop in rows], path)
+                    [("%d,%.17g,%.17g" % row,) for row in rows], path)  # the whole row as one field

@@ -16,6 +16,7 @@ import itertools
 import math
 import numbers
 import time
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -293,11 +294,47 @@ def spectral_clustering_prediction(g: PopulationGraph, seed: int) -> Prediction:
 
     The standard rounding step for spectral embeddings; deterministic per seed.
     """
-    from scipy.cluster.vq import kmeans2
-
     K = g.num_classes
-    _, assignment = kmeans2(scaled_eigenvectors(g, K), K, seed=seed, minit="++")
-    return Prediction(scores=np.eye(K)[assignment].astype(float))
+    return Prediction(scores=np.eye(K)[_kmeans_labels(scaled_eigenvectors(g, K), K, seed)])
+
+
+# scipy's vq sums a distance's squared differences in turn below this many features, from it expands
+# |x - c|^2 = -2 x.c + |x|^2 + |c|^2 with one gemm
+VQ_GEMM_FEATURES = 5
+
+
+def _squared_distances(data: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """(|X|, len(centres)) squared Euclidean distances, each row's squared differences added in turn."""
+    diff = data[:, None, :] - centres[None, :, :]
+    return _in_turn(diff * diff)
+
+
+def _kmeans_labels(data: np.ndarray, K: int, seed: int) -> np.ndarray:
+    """The labels of scipy.cluster.vq.kmeans2(data, K, seed=seed, minit="++") as the same integers: k-means++
+    seeding (Arthur & Vassilvitskii 2007) from np.random.RandomState(seed), then kmeans2's 10 Lloyd rounds, each
+    label the first nearest centre and each centre its cluster's sum in vertex order over its count.  An empty
+    cluster keeps its centre and warns as kmeans2 does."""
+    rng = np.random.RandomState(seed)
+    n, d = data.shape
+    centres = np.empty((K, d))
+    centres[0] = data[rng.randint(n)]
+    for i in range(1, K):
+        d2 = _squared_distances(data, centres[:i]).min(axis=1)
+        centres[i] = data[np.searchsorted((d2 / d2.sum()).cumsum(), rng.uniform())]
+    for _ in range(10):
+        if d < VQ_GEMM_FEATURES:
+            labels = _squared_distances(data, centres).argmin(axis=1)
+        else:
+            gram = -2.0 * (data @ centres.T)
+            labels = ((gram + _in_turn(data * data)[:, None]) + _in_turn(centres * centres)).argmin(axis=1)
+        counts = np.bincount(labels, minlength=K)
+        sums = np.stack([np.bincount(labels, weights=column, minlength=K) for column in data.T], axis=1)
+        full = counts > 0
+        if not full.all():
+            warnings.warn("One of the clusters is empty. Re-run kmeans with a different initialization.",
+                          stacklevel=2)
+        centres = np.where(full[:, None], sums / np.maximum(counts, 1)[:, None], centres)
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +345,18 @@ def spectral_clustering_prediction(g: PopulationGraph, seed: int) -> Prediction:
 PAIRWISE_TERMS = 8
 
 
-def _row_sums(z: np.ndarray) -> np.ndarray:
-    """np.add.reduce(z, axis=-1) as the same floats: for rows of fewer than PAIRWISE_TERMS terms, z's columns
-    added in turn, a fraction of a reduction's cost on rows this short."""
-    if z.shape[-1] >= PAIRWISE_TERMS:
-        return np.add.reduce(z, axis=-1)
+def _in_turn(z: np.ndarray) -> np.ndarray:
+    """The sums of z's rows (its last axis), each row's terms added in turn from the first."""
     total = z[..., 0]
     for k in range(1, z.shape[-1]):
         total = total + z[..., k]
     return total
+
+
+def _row_sums(z: np.ndarray) -> np.ndarray:
+    """np.add.reduce(z, axis=-1) as the same floats: for rows of fewer than PAIRWISE_TERMS terms, z's columns
+    added in turn, a fraction of a reduction's cost on rows this short."""
+    return np.add.reduce(z, axis=-1) if z.shape[-1] >= PAIRWISE_TERMS else _in_turn(z)
 
 
 def _exp_sums(z: np.ndarray) -> tuple:

@@ -174,16 +174,26 @@ def test_ssl_sweep_records_each_diverged_seed_and_exits_1(tmp_path, audit_config
     assert "diverged for seed 7" in err and "diverged for seed 8" in err
 
 
-def test_audit_reaches_the_lp_without_loading_scipy_optimize(tmp_path, audit_config):
-    out = tmp_path / "audit"
-    argv = ["audit", "--config", str(audit_config), "--seed", "7", "--out", str(out)]
-    script = f"import sys; from rkdlab.cli import main; print(main({argv!r}), 'scipy.optimize' in sys.modules)"
+@pytest.mark.parametrize("command", ["audit", "dac", "rkd", "labels", "ssl"])
+def test_no_command_loads_scipy(tmp_path, audit_config, command):
+    # each command in a fresh interpreter; labels and ssl acquire cluster_wise labels, whose k-means is numpy's
+    if command in ("labels", "ssl"):
+        cfg = json.loads(audit_config.read_text())
+        cfg["labels"] = {"strategy": "cluster_wise", "delta": 0.1}
+        dump_canonical(cfg, audit_config)
+    out = tmp_path / command
+    argv = [command, "--config", str(audit_config), "--seed", "7", "--out", str(out)]
+    script = (f"import sys; from rkdlab.cli import main; code = main({argv!r}); "
+              "print(code, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     src = str(Path(rkdlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.split()[-2:] == ["0", "False"]
-    thm4 = json.loads((out / "audit_report.json").read_text())["thm4"]
-    assert thm4["verdicts"]["thm4"] == "pass" and thm4["lp_primal"] is not None
+    assert run.stdout.splitlines()[-1] == "0 []"
+    if command == "audit":  # the audit reaches thm4's LP, numpy's own simplex
+        thm4 = json.loads((out / "audit_report.json").read_text())["thm4"]
+        assert thm4["verdicts"]["thm4"] == "pass" and thm4["lp_primal"] is not None
+    if command in ("labels", "ssl"):
+        assert (out / "labels.csv").read_text().splitlines()[1].split(",")[2] == "cluster_wise"
 
 
 def test_dac_subcommand(tmp_path, audit_config):

@@ -601,7 +601,7 @@ BAD_ARGUMENTS = [
     ("more-classes-than-vertices", lambda g: population_minimizers(g, g.size + 1), DomainError,
      r"need 1 <= K <= \|X\|, got K=11"),
     ("no-trials", lambda g: estimate_rademacher([np.zeros((g.size, 2))], g, 2, 0, seed=0), DomainError,
-     "trials must be >= 1"),
+     "trials=0 must be an integer >= 1"),
     ("zero-b-f", lambda g: theorem2_gap_bound(0.0, 1.0, 0.1, 100, 0.5), DomainError,
      "bounds and sample size must be positive"),
     ("negative-rad", lambda g: theorem2_gap_bound(1.0, 1.0, -0.1, 100, 0.5), DomainError, "rad nonnegative"),
@@ -662,3 +662,19 @@ def test_a_list_of_predictions_and_its_stack_audit_alike(sbm_pair, audit):
 def test_theorem3_rejects_zero_trials(sbm_pair):
     with pytest.raises(DomainError, match="trials=0 must be an integer >= 1"):
         theorem3_check([np.eye(2)[sbm_pair.labels]], sbm_pair, n=4, trials=0, delta=0.2, seed=0)
+
+
+@pytest.mark.parametrize("N,trials,message", [
+    (0, 4, "N=0 must be"), (-1, 4, "N=-1 must be"), (2.5, 4, "N=2.5 must be"), (True, 4, "N=True must be"),
+    (2, -1, "trials=-1 must be"), (2, 2.5, "trials=2.5 must be"), (2, 4.0, "trials=4.0 must be"),
+])
+def test_rademacher_estimate_rejects_a_non_integer_or_non_positive_count(sbm_pair, N, trials, message):
+    # once ZeroDivisionError, ValueError and TypeError from numpy, now the check's own DomainError
+    with pytest.raises(DomainError, match=f"^{message} an integer >= 1$"):
+        estimate_rademacher([np.eye(2)[sbm_pair.labels]], sbm_pair, N, trials, seed=0)
+
+
+def test_rademacher_estimate_takes_numpy_integer_counts(sbm_pair):
+    family = [np.eye(2)[sbm_pair.labels]]
+    assert (estimate_rademacher(family, sbm_pair, np.int64(3), np.int64(5), seed=0)
+            == estimate_rademacher(family, sbm_pair, 3, 5, seed=0))

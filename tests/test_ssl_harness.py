@@ -4,6 +4,7 @@ import re
 import shutil
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,7 +26,7 @@ from rkdlab.dac_expansion import (
     make_augmentation,
 )
 from rkdlab.errors import InvalidConfigError, NumericError, TrainingDivergedError
-from rkdlab.graph_core import build_sbm, build_two_blobs, lazy_graph, load_graph, save_graph
+from rkdlab.graph_core import build_sbm, build_two_blobs, lazy_graph, load_graph, save_graph, scaled_eigenvectors
 from rkdlab.jsonio import dumps_canonical
 from rkdlab.label_acquisition import (
     LabeledSet,
@@ -55,6 +56,7 @@ from rkdlab.ssl_harness import (
     _ViewTable,
     _draw_block,
     _exp_sums,
+    _kmeans_labels,
     _lay_out,
     _row_sums,
     acquire_labels,
@@ -320,6 +322,58 @@ class TestRowReductions:
             want = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
             assert exps.tobytes() == want.tobytes()
             assert sums.tobytes() == np.add.reduce(want, axis=-1).tobytes()
+
+
+
+def _labels_and_warnings(kmeans, *args, **kwargs):
+    """(kmeans(*args, **kwargs)'s labels, the messages of every warning it raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = kmeans(*args, **kwargs)
+    labels = out[1] if isinstance(out, tuple) else out
+    return labels, [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+class TestKmeansPort:
+    """The port's labels are those of scipy's kmeans2 (the oracle, imported here only), and so are its
+    warnings: each Lloyd round that leaves a cluster empty warns once."""
+
+    @staticmethod
+    def agrees(data, K, seed):
+        from scipy.cluster.vq import kmeans2
+
+        want, want_warnings = _labels_and_warnings(kmeans2, data, K, seed=seed, minit="++")
+        got, got_warnings = _labels_and_warnings(_kmeans_labels, data, K, seed)
+        assert np.array_equal(got, want), (data.shape, K, seed)
+        assert got_warnings == want_warnings, (data.shape, K, seed)
+        return sum("clusters is empty" in w for w in got_warnings)
+
+    @pytest.mark.parametrize("graph_seed", [5, 6, 7, 8])
+    def test_blob_embeddings(self, graph_seed):
+        g, _ = build_two_blobs(256, 4.0, 0.6, 1.2, graph_seed)
+        data = scaled_eigenvectors(g, g.num_classes)
+        for seed in range(50):
+            self.agrees(data, g.num_classes, seed)
+
+    def test_three_class_sbm_embedding(self):
+        g = lazy_graph(build_sbm(3, [20, 24, 28], 0.6, 0.05, 3))
+        data = scaled_eigenvectors(g, 3)
+        for seed in range(50):
+            self.agrees(data, 3, seed)
+
+    @pytest.mark.parametrize("features", range(1, 9))
+    def test_rounded_arrays_with_ties_duplicates_and_empty_clusters(self, features):
+        # below 5 features kmeans2 adds squared differences in turn, from 5 on it expands them with a gemm
+        maker = np.random.default_rng(features)
+        empty_rounds = 0
+        for _ in range(120):
+            n = int(maker.integers(2, 60))
+            data = np.round(maker.standard_normal((n, features)), int(maker.integers(0, 3)))
+            if maker.random() < 0.3:
+                data = data[maker.integers(0, max(1, n // 3), n)]  # many duplicate rows
+            # more clusters than distinct rows seed a repeated centre (after a 0 / 0 warning), whose cluster empties
+            empty_rounds += self.agrees(data, int(maker.integers(1, min(n, 7) + 1)), int(maker.integers(0, 1000)))
+        assert empty_rounds > 0
 
 
 class TestCombinedLoss:

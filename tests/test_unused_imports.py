@@ -7,11 +7,10 @@ src/rkdlab (the package __init__, which re-exports, is exempt) and require
 every name bound by a module-level import statement, other than
 ``from __future__``, to be read somewhere in the module.  No rkdlab module
 imports another that imports it back, so an import inside a function guards
-no cycle; the one left defers scipy.cluster.vq, which takes longer to import
-than all of rkdlab.cli and only cluster-wise labels use.  A private name (one
-leading underscore) that a module binds at its top level, by a def, a class or
-an assignment, must be read as a name or an attribute in some module of the
-package: one that nothing reads is dead code.  A stricter rule keeps the
+no cycle, and none is left.  A private name (one leading underscore) that a
+module binds at its top level, by a def, a class or an assignment, must be
+read as a name or an attribute in some module of the package: one that
+nothing reads is dead code.  A stricter rule keeps the
 package to what runs: each top-level name of a module must be reached from
 `rkdlab.cli.main` (the `rkdlab` command) or from a name that the package
 `__init__` imports (its library API), following the package names that each
@@ -66,9 +65,9 @@ def test_detector_finds_a_nested_import():
     assert nested_imports(source) == [(3, "math"), (4, "x")]
 
 
-def test_only_the_kmeans_import_is_nested():
+def test_no_import_is_nested():
     found = {path.name: [module for _, module in nested_imports(path.read_text())] for path in MODULES}
-    assert {name: modules for name, modules in found.items() if modules} == {"ssl_harness.py": ["scipy.cluster.vq"]}
+    assert {name: modules for name, modules in found.items() if modules} == {}
 
 
 def top_level_bindings(tree: ast.Module) -> dict:
