@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidConfigError, NumericError
 from .graph_core import PopulationGraph, inter_class_fraction, spectral_decompose
-from .spectral_rkd import Prediction, family_scores, is_integer
+from .spectral_rkd import Prediction, family_scores, is_integer, population_loss_gap
 
 VERDICT_SLACK = 1e-9
 LP_AGREEMENT_TOL = 1e-9
@@ -48,42 +48,35 @@ class MajorityLabeling:
     minority_mask: np.ndarray
     minority_mass: float
     predicted: np.ndarray
-    ties: tuple
 
 
 @dataclass(frozen=True)
 class SkeletonReport:
-    """Per-class representative vertices with their boundedness and margins."""
+    """A member's spectral bound beta and least margin gamma over its skeleton
+    (None where no skeleton was found), and why it is not applicable ("" when
+    it is)."""
 
-    skeleton: tuple
-    beta: float
-    gammas: tuple
-    gamma: float
-    rank_ok: bool
+    beta: float | None
+    gamma: float | None
     applicable: bool
     reason: str
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    mu: float
-    alpha: float
-    lambdas: tuple
-    beta: float
-    gamma: float
-    bound_thm1: float | None
-    bound_thm4: float | None
-    lp_primal: float | None
-    lp_dual: float | None
-    verdicts: dict
-    skipped: tuple
+def audit_record(mu, bound, skip: str | None = None, **quantities) -> dict:
+    """The one record of a clustering-error audit (theorems 1, 4 and 5):
+    {"verdict", "mu", "bound", the theorem's own quantities}.  The verdict is
+    `skip`, the marker of a bound that was not checked, or else "pass" when
+    mu <= bound + VERDICT_SLACK and "fail" otherwise.  mu, bound and each
+    quantity are None where the theorem computed none."""
+    verdict = skip if skip is not None else ("pass" if mu <= bound + VERDICT_SLACK else "fail")
+    return {"verdict": verdict, "mu": mu, "bound": bound, **quantities}
 
 
 def majority_label(f: Prediction, g: PopulationGraph) -> MajorityLabeling:
     """Relabel each predicted cluster by its heaviest ground-truth class.
 
     Conditional class weights are degree-proportional; ties go to the smallest
-    class index and are recorded.
+    class index.
     """
     return majority_labels(f.scores[None], g)[0]
 
@@ -104,10 +97,7 @@ def majority_labels(scores: np.ndarray, g: PopulationGraph) -> list:
     cluster = np.arange(R)[:, None] * K + predicted
     weights = np.broadcast_to(deg, predicted.shape).ravel()
     masses = np.bincount((cluster * C + g.labels).ravel(), weights=weights, minlength=R * K * C)
-    masses = masses.reshape(R, K, C)
-    present = np.bincount(cluster.ravel(), minlength=R * K).reshape(R, K) > 0
-    tied = present & ((masses >= masses.max(axis=2, keepdims=True)).sum(axis=2) > 1)
-    label = np.take_along_axis(masses.argmax(axis=2), predicted, axis=1)
+    label = np.take_along_axis(masses.reshape(R, K, C).argmax(axis=2), predicted, axis=1)
     minority = label != g.labels
     return [
         MajorityLabeling(
@@ -115,7 +105,6 @@ def majority_labels(scores: np.ndarray, g: PopulationGraph) -> list:
             minority_mask=minority[r],
             minority_mass=float(deg[minority[r]].sum()),
             predicted=predicted[r],
-            ties=tuple(np.nonzero(tied[r])[0].tolist()),
         )
         for r in range(R)
     ]
@@ -161,18 +150,16 @@ def skeletons_and_margins(scores: np.ndarray, g: PopulationGraph, majs) -> list:
         elif wrong[r].any():
             reason = f"skeleton vertex predicts the wrong class for k={np.nonzero(wrong[r])[0].tolist()}"
         else:
-            skel, gammas = tuple(skeleton[r].tolist()), tuple(margins[r].tolist())
-            beta, gamma = float(svals[r, 0]), min(gammas)
+            beta, gamma = float(svals[r, 0]), min(margins[r].tolist())
             if not svals[r, -1] > RANK_TOL:
-                reports.append(SkeletonReport(skel, beta, gammas, gamma, False, False,
-                                              "skeleton matrix rank-deficient"))
+                reason = "skeleton matrix rank-deficient"
             elif not gamma > 0:
-                reports.append(SkeletonReport(skel, beta, gammas, gamma, True, False,
-                                              f"non-positive margin {gamma}"))
+                reason = f"non-positive margin {gamma}"
             else:
-                reports.append(SkeletonReport(skel, beta, gammas, gamma, True, True, ""))
+                reason = ""
+            reports.append(SkeletonReport(beta, gamma, not reason, reason))
             continue
-        reports.append(SkeletonReport((), math.nan, (), math.nan, False, False, reason))
+        reports.append(SkeletonReport(None, None, False, reason))
     return reports
 
 
@@ -183,90 +170,83 @@ def margin_prefactor(beta: float, gamma: float) -> float:
     return max(beta**2 / gamma**2, 1.0)
 
 
-def theorem1_check(f_family, g: PopulationGraph) -> AuditReport:
-    """Audit mu(family) <= 2 max(beta^2/gamma^2, 1) alpha / lambda_{K+1}.
+def _lambda_next(lam: np.ndarray, K: int):
+    """lambda_{K+1} of the ascending eigenvalues lam, None when K+1 exceeds their count |X|."""
+    return float(lam[K]) if K < len(lam) else None
+
+
+def theorem1_check(f_family, g: PopulationGraph) -> dict:
+    """Audit mu(family) <= 2 max(beta^2/gamma^2, 1) alpha / lambda_{K+1}, as an
+    audit_record with alpha, beta, gamma, lambda_next and skipped.
 
     The family is read by `family_scores`.  Members that violate the
-    skeleton/margin preconditions are skipped with a marker and excluded from
-    mu, beta, gamma.
+    skeleton/margin preconditions are skipped, listed as (index, reason), and
+    excluded from mu, beta, gamma (None when every member is skipped).
     """
     scores = family_scores(f_family, g)
-    dec = spectral_decompose(g)
+    lam_next = _lambda_next(spectral_decompose(g).eigenvalues, scores.shape[2])
     alpha = inter_class_fraction(g)
-    K = scores.shape[2]
     majs = majority_labels(scores, g)
-    mu = 0.0
-    beta = 0.0
-    gamma = math.inf
-    skipped = []
-    audited = 0
-    for idx, (maj, skel) in enumerate(zip(majs, skeletons_and_margins(scores, g, majs))):
-        if not skel.applicable:
-            skipped.append((idx, skel.reason))
-            continue
-        audited += 1
-        mu = max(mu, maj.minority_mass)
-        beta = max(beta, skel.beta)
-        gamma = min(gamma, skel.gamma)
-    verdicts = {}
-    bound = None
-    if K >= g.size:
-        verdicts["thm1"] = "bound-undefined: K+1 exceeds |X|"
+    skels = skeletons_and_margins(scores, g, majs)
+    audited = [(maj.minority_mass, skel) for maj, skel in zip(majs, skels) if skel.applicable]
+    mu = beta = gamma = bound = None
+    if audited:
+        mu = max(mass for mass, _ in audited)
+        beta = max(skel.beta for _, skel in audited)
+        gamma = min(skel.gamma for _, skel in audited)
+    if lam_next is None:
+        skip = "bound-undefined: K+1 exceeds |X|"
+    elif lam_next <= 1e-12:
+        skip = "bound-undefined: lambda_{K+1} ~ 0"
+    elif not audited:
+        skip = "not-applicable: every member skipped"
     else:
-        lam_next = float(dec.eigenvalues[K])
-        if lam_next <= 1e-12:
-            verdicts["thm1"] = "bound-undefined: lambda_{K+1} ~ 0"
-        elif audited == 0:
-            verdicts["thm1"] = "not-applicable: every member skipped"
-        else:
-            bound = 2.0 * margin_prefactor(beta, gamma) * alpha / lam_next
-            verdicts["thm1"] = "pass" if mu <= bound + VERDICT_SLACK else "fail"
-    return AuditReport(
-        mu=mu, alpha=alpha, lambdas=tuple(float(x) for x in dec.eigenvalues),
-        beta=beta, gamma=gamma, bound_thm1=bound, bound_thm4=None,
-        lp_primal=None, lp_dual=None, verdicts=verdicts, skipped=tuple(skipped),
-    )
+        skip, bound = None, 2.0 * margin_prefactor(beta, gamma) * alpha / lam_next
+    return audit_record(mu, bound, skip, alpha=alpha, beta=beta, gamma=gamma, lambda_next=lam_next,
+                        skipped=[(idx, skel.reason) for idx, skel in enumerate(skels) if not skel.applicable])
 
 
-def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float) -> AuditReport:
+def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float) -> dict:
     """Audit the empirical-minimizer clustering bound at a measured loss gap Delta, with the LP's K0 the
-    prediction's class count K."""
-    dec = spectral_decompose(g)
-    lam = dec.eigenvalues
-    alpha = inter_class_fraction(g)
+    prediction's class count K, as an audit_record with Delta, alpha, beta, gamma, lambda_next, lp_primal and
+    lp_dual."""
+    lam = spectral_decompose(g).eigenvalues
     K = f_emp.num_classes
+    lam_next = _lambda_next(lam, K)
+    alpha = inter_class_fraction(g)
     scores = f_emp.scores[None]
     majs = majority_labels(scores, g)
     (maj,), (skel,) = majs, skeletons_and_margins(scores, g, majs)
-    verdicts = {}
-    bound = None
-    lp_primal = lp_dual = None
-    base = dict(
-        mu=maj.minority_mass, alpha=alpha, lambdas=tuple(float(x) for x in lam),
-        beta=skel.beta, gamma=skel.gamma, bound_thm1=None,
-    )
-    if K >= g.size:
-        verdicts["thm4"] = "bound-undefined: K+1 exceeds |X|"
+    bound = lp_primal = lp_dual = skip = None
+    if lam_next is None:
+        skip = "bound-undefined: K+1 exceeds |X|"
     elif Delta < 0:
-        verdicts["thm4"] = "bound-undefined: negative Delta"
+        skip = "bound-undefined: negative Delta"
     elif not Delta < (1.0 - lam[K - 1]) ** 2:
-        verdicts["thm4"] = f"bound-undefined: Delta={Delta!r} >= (1 - lambda_K)^2"
-    elif lam[K] <= 1e-12:
-        verdicts["thm4"] = "bound-undefined: lambda_{K+1} ~ 0"
+        skip = f"bound-undefined: Delta={Delta!r} >= (1 - lambda_K)^2"
+    elif lam_next <= 1e-12:
+        skip = "bound-undefined: lambda_{K+1} ~ 0"
     elif not skel.applicable:
-        verdicts["thm4"] = f"not-applicable: {skel.reason}"
+        skip = f"not-applicable: {skel.reason}"
     else:
         try:
             lp_primal, lp_dual = lp_bound_oracle(lam, K, K, Delta)
         except DomainError as exc:  # the closed-form dual's denominator
-            verdicts["thm4"] = f"bound-undefined: {exc}"
+            skip = f"bound-undefined: {exc}"
         else:
-            bound = 2.0 * margin_prefactor(skel.beta, skel.gamma) * (alpha / lam[K] + lp_dual)
-            verdicts["thm4"] = "pass" if maj.minority_mass <= bound + VERDICT_SLACK else "fail"
-    return AuditReport(
-        bound_thm4=bound, lp_primal=lp_primal, lp_dual=lp_dual,
-        verdicts=verdicts, skipped=(), **base,
-    )
+            bound = 2.0 * margin_prefactor(skel.beta, skel.gamma) * (alpha / lam_next + lp_dual)
+    return audit_record(maj.minority_mass, bound, skip, Delta=Delta, alpha=alpha, beta=skel.beta,
+                        gamma=skel.gamma, lambda_next=lam_next, lp_primal=lp_primal, lp_dual=lp_dual)
+
+
+def clustering_audits(family, g: PopulationGraph) -> dict:
+    """{"thm1": theorem 1 on the family, "thm4": theorem 4 on its member 0 at
+    that member's population loss gap, clamped at 0}: the global-view audits
+    that `rkdlab audit` and `rkdlab ssl` write."""
+    scores = family_scores(family, g)
+    f0 = Prediction(scores=scores[0])
+    return {"thm1": theorem1_check(scores, g),
+            "thm4": theorem4_check(f0, g, Delta=max(population_loss_gap(f0, g)[1], 0.0))}
 
 
 # ---------------------------------------------------------------------------

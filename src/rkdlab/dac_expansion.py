@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .clustering_audit import VERDICT_SLACK, halves_condition, majority_labels
+from .clustering_audit import audit_record, halves_condition, majority_labels
 from .errors import DomainError, InvalidAugmentationError, InvalidConfigError
 from .graph_core import PopulationGraph
 from .spectral_rkd import family_scores, is_integer
@@ -230,35 +230,26 @@ def dac_error(labels: np.ndarray, aug: AugmentationMap, g: PopulationGraph) -> f
     return float(deg[bad].sum())
 
 
-def theorem5_check(f_family, aug: AugmentationMap, g: PopulationGraph, c_hat: float | None):
+def theorem5_check(f_family, aug: AugmentationMap, g: PopulationGraph, c_hat: float | None) -> dict:
     """Audit mu(family) <= max(2 / (c - 1), 2) nu(family) under c-expansion,
     with c = c_hat the caller's estimate_c_expansion(aug, g).c_hat, None above
-    the exhaustive cap.  The family is read by `family_scores` and labeled
-    once.
+    the exhaustive cap, as an audit_record with c_hat and nu (the family's
+    worst DAC error).  The family is read by `family_scores` and labeled once.
 
-    Members whose minority set exceeds half of some class are skipped with a
-    marker (the expansion argument only applies to qualifying minority sets).
-    Returns (mu, bound, verdict_string).
+    Members whose minority set exceeds half of some class are skipped (the
+    expansion argument only applies to qualifying minority sets).
     """
     scores = family_scores(f_family, g)
     if c_hat is None:
-        return math.nan, math.nan, "not-applicable: component above the exhaustive cap"
+        return audit_record(None, None, "not-applicable: component above the exhaustive cap", c_hat=c_hat, nu=None)
     if c_hat <= 1.0:
-        return math.nan, math.nan, f"bound-undefined: c_hat={c_hat!r} <= 1"
-    mu = 0.0
-    nu = 0.0
-    audited = 0
-    for maj in majority_labels(scores, g):
-        if not halves_condition(maj, g):
-            continue
-        audited += 1
-        mu = max(mu, maj.minority_mass)
-        nu = max(nu, dac_error(maj.predicted, aug, g))
-    if audited == 0:
-        return math.nan, math.nan, "not-applicable: every member skipped"
-    bound = max(2.0 / (c_hat - 1.0), 2.0) * nu
-    verdict = "pass" if mu <= bound + VERDICT_SLACK else "fail"
-    return mu, bound, verdict
+        return audit_record(None, None, f"bound-undefined: c_hat={c_hat!r} <= 1", c_hat=c_hat, nu=None)
+    audited = [maj for maj in majority_labels(scores, g) if halves_condition(maj, g)]
+    if not audited:
+        return audit_record(None, None, "not-applicable: every member skipped", c_hat=c_hat, nu=None)
+    mu = max(maj.minority_mass for maj in audited)
+    nu = max(dac_error(maj.predicted, aug, g) for maj in audited)
+    return audit_record(mu, max(2.0 / (c_hat - 1.0), 2.0) * nu, c_hat=c_hat, nu=nu)
 
 
 def _constant_expansion_masses(aug: AugmentationMap, g: PopulationGraph):

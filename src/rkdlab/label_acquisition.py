@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jsonio
-from .clustering_audit import majority_label, majority_labels
+from .clustering_audit import MajorityLabeling, majority_label, majority_labels
 from .errors import DomainError, InvalidConfigError
 from .graph_core import PopulationGraph, _freeze
 from .spectral_rkd import Prediction, family_scores, is_integer
@@ -98,6 +98,7 @@ class NonDegeneracyReport:
     c0: float
     ok: bool
     reasons: tuple
+    majority: MajorityLabeling  # the prediction's majority labeling, which the checks read
 
 
 def check_non_degenerate(f: Prediction, g: PopulationGraph) -> NonDegeneracyReport:
@@ -125,7 +126,7 @@ def check_non_degenerate(f: Prediction, g: PopulationGraph) -> NonDegeneracyRepo
     c0 = min(ratios) if ratios else 0.0
     if not reasons and c0 < 2:
         reasons.append(f"c0={c0} below 2")
-    return NonDegeneracyReport(m0=m0, c0=c0, ok=not reasons, reasons=tuple(reasons))
+    return NonDegeneracyReport(m0=m0, c0=c0, ok=not reasons, reasons=tuple(reasons), majority=maj)
 
 
 def _cluster_wise_plan(f: Prediction, g: PopulationGraph, delta: float):
@@ -141,7 +142,7 @@ def _cluster_wise_plan(f: Prediction, g: PopulationGraph, delta: float):
         m = 1
     else:
         m = max(1, math.ceil(math.log(2.0 * K / delta) / math.log(report.c0)))
-    return m, majority_label(f, g)
+    return m, report.majority
 
 
 def cluster_wise_sample(f: Prediction, g: PopulationGraph, delta: float, seed: int) -> LabeledSet:

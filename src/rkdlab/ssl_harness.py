@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .clustering_audit import AuditTolerances, theorem1_check, theorem4_check
+from .clustering_audit import AuditTolerances, clustering_audits
 from .dac_expansion import (
     AugmentationMap,
     chain_augmentation,
@@ -33,7 +33,7 @@ from .dac_expansion import (
     split_chain_augmentation,
     theorem5_check,
 )
-from .errors import InvalidConfigError, RkdlabError, TrainingDivergedError
+from .errors import DomainError, InvalidConfigError, RkdlabError, TrainingDivergedError
 from .graph_core import (
     PopulationGraph,
     _freeze,
@@ -59,7 +59,6 @@ from .spectral_rkd import (
     StudentModel,
     _PairTable,
     descend,
-    population_loss_gap,
     verify_gradient,
 )
 from .teacher_kernel import KernelSpec, TeacherEmbedding, kernel_matrix, spectral_teacher_embedding
@@ -313,13 +312,16 @@ def _kmeans_labels(data: np.ndarray, K: int, seed: int) -> np.ndarray:
     """The labels of scipy.cluster.vq.kmeans2(data, K, seed=seed, minit="++") as the same integers: k-means++
     seeding (Arthur & Vassilvitskii 2007) from np.random.RandomState(seed), then kmeans2's 10 Lloyd rounds, each
     label the first nearest centre and each centre its cluster's sum in vertex order over its count.  An empty
-    cluster keeps its centre and warns as kmeans2 does."""
+    cluster keeps its centre and warns as kmeans2 does.  Fewer than K distinct rows are a DomainError (where
+    kmeans2 divides 0 by 0 and seeds a repeated centre)."""
     rng = np.random.RandomState(seed)
     n, d = data.shape
     centres = np.empty((K, d))
     centres[0] = data[rng.randint(n)]
     for i in range(1, K):
         d2 = _squared_distances(data, centres[:i]).min(axis=1)
+        if d2.sum() == 0:
+            raise DomainError(f"k-means of {n} rows into K={K} clusters: fewer than {K} distinct rows")
         centres[i] = data[np.searchsorted((d2 / d2.sum()).cumsum(), rng.uniform())]
     for _ in range(10):
         if d < VQ_GEMM_FEATURES:
@@ -684,7 +686,7 @@ def _run_lockstep(cfgs) -> list:
                 config_hash=s.cfg.config_hash(),
                 accuracy=float(np.mean(correct)) if len(s.unlabeled) else math.nan,
                 losses=s.losses,
-                audits=_audit_bundle(pred, g, aug, c_hat),
+                audits={**clustering_audits([pred], g), "thm5": theorem5_check([pred], aug, g, c_hat)},
                 labeled=s.labeled,
                 model=model,
                 wall_clock=shared_s + s.setup_s + time.perf_counter() - t0,
@@ -694,24 +696,6 @@ def _run_lockstep(cfgs) -> list:
     if failure is not None:
         raise failure
     return results
-
-
-def _audit_bundle(pred: Prediction, g: PopulationGraph, aug: AugmentationMap, c_hat: float | None) -> dict:
-    """Theorem verdicts (or explicit markers) for the trained snapshot, given the sweep's
-    estimate_c_expansion(aug, g).c_hat (None: above the exhaustive cap)."""
-    thm1 = theorem1_check([pred], g)
-    _, delta = population_loss_gap(pred, g)
-    thm4 = theorem4_check(pred, g, Delta=max(delta, 0.0))
-    bundle = {
-        "thm1": {"verdict": thm1.verdicts["thm1"], "mu": thm1.mu, "bound": thm1.bound_thm1},
-        "thm4": {
-            "verdict": thm4.verdicts["thm4"], "mu": thm4.mu, "bound": thm4.bound_thm4,
-            "delta": float(delta), "lp_primal": thm4.lp_primal, "lp_dual": thm4.lp_dual,
-        },
-    }
-    mu5, bound5, verdict5 = theorem5_check([pred], aug, g, c_hat)
-    bundle["thm5"] = {"verdict": verdict5, "mu": mu5, "bound": bound5}
-    return bundle
 
 
 def persist_run(cfg: ExperimentConfig, result: RunResult) -> None:

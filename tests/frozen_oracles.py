@@ -39,15 +39,12 @@ def majority_label(f, g, predicted=None):
         raise DomainError("predicted labels misaligned with the vertex set")
     deg = g.degrees()
     label = np.empty(g.size, dtype=int)
-    ties = []
     for cluster in np.unique(predicted):
         members = predicted == cluster
         masses = np.zeros(g.num_classes)
         np.add.at(masses, g.labels[members], deg[members])
         top = masses.max()
         winners = np.nonzero(masses >= top)[0]
-        if len(winners) > 1:
-            ties.append(int(cluster))
         label[members] = winners[0]
     minority = label != g.labels
     return ca.MajorityLabeling(
@@ -55,7 +52,6 @@ def majority_label(f, g, predicted=None):
         minority_mask=minority,
         minority_mass=float(deg[minority].sum()),
         predicted=predicted,
-        ties=tuple(ties),
     )
 
 
@@ -63,15 +59,11 @@ def skeleton_and_margin(f, g, maj=None):
     if maj is None:
         maj = majority_label(f, g)
     K = f.num_classes
-    empty = ca.SkeletonReport(
-        skeleton=(), beta=math.nan, gammas=(), gamma=math.nan,
-        rank_ok=False, applicable=False, reason="",
-    )
     if not ca.halves_condition(maj, g):
-        return _with_reason(empty, "minority mass exceeds half of some class")
+        return ca.SkeletonReport(None, None, False, "minority mass exceeds half of some class")
     candidates = np.nonzero(~maj.minority_mask)[0]
     if len(candidates) == 0:
-        return _with_reason(empty, "no non-minority vertices")
+        return ca.SkeletonReport(None, None, False, "no non-minority vertices")
     skeleton = []
     for k in range(K):
         col = f.scores[candidates, k]
@@ -79,7 +71,7 @@ def skeleton_and_margin(f, g, maj=None):
     predicted = maj.predicted
     if any(predicted[s] != k for k, s in enumerate(skeleton)):
         bad = [k for k, s in enumerate(skeleton) if predicted[s] != k]
-        return _with_reason(empty, f"skeleton vertex predicts the wrong class for k={bad}")
+        return ca.SkeletonReport(None, None, False, f"skeleton vertex predicts the wrong class for k={bad}")
     fs = f.scores[skeleton, :]
     svals = np.linalg.svd(fs, compute_uv=False)
     rank_ok = bool(svals[-1] > ca.RANK_TOL)
@@ -93,17 +85,10 @@ def skeleton_and_margin(f, g, maj=None):
             gammas.append(math.inf)
     gamma = min(gammas)
     if not rank_ok:
-        return ca.SkeletonReport(tuple(skeleton), beta, tuple(gammas), gamma, False, False,
-                                 "skeleton matrix rank-deficient")
+        return ca.SkeletonReport(beta, gamma, False, "skeleton matrix rank-deficient")
     if not gamma > 0:
-        return ca.SkeletonReport(tuple(skeleton), beta, tuple(gammas), gamma, True, False,
-                                 f"non-positive margin {gamma}")
-    return ca.SkeletonReport(tuple(skeleton), beta, tuple(gammas), gamma, True, True, "")
-
-
-def _with_reason(report, reason):
-    return ca.SkeletonReport(report.skeleton, report.beta, report.gammas, report.gamma,
-                             report.rank_ok, False, reason)
+        return ca.SkeletonReport(beta, gamma, False, f"non-positive margin {gamma}")
+    return ca.SkeletonReport(beta, gamma, True, "")
 
 
 def theorem1_check(f_family, g):
@@ -127,24 +112,22 @@ def theorem1_check(f_family, g):
         mu = max(mu, maj.minority_mass)
         beta = max(beta, skel.beta)
         gamma = min(gamma, skel.gamma)
-    verdicts = {}
-    bound = None
+    bound = lam_next = None
     if K >= g.size:
-        verdicts["thm1"] = "bound-undefined: K+1 exceeds |X|"
+        verdict = "bound-undefined: K+1 exceeds |X|"
     else:
         lam_next = float(dec.eigenvalues[K])
         if lam_next <= 1e-12:
-            verdicts["thm1"] = "bound-undefined: lambda_{K+1} ~ 0"
+            verdict = "bound-undefined: lambda_{K+1} ~ 0"
         elif audited == 0:
-            verdicts["thm1"] = "not-applicable: every member skipped"
+            verdict = "not-applicable: every member skipped"
         else:
             bound = 2.0 * ca.margin_prefactor(beta, gamma) * alpha / lam_next
-            verdicts["thm1"] = "pass" if mu <= bound + ca.VERDICT_SLACK else "fail"
-    return ca.AuditReport(
-        mu=mu, alpha=alpha, lambdas=tuple(float(x) for x in dec.eigenvalues),
-        beta=beta, gamma=gamma, bound_thm1=bound, bound_thm4=None,
-        lp_primal=None, lp_dual=None, verdicts=verdicts, skipped=tuple(skipped),
-    )
+            verdict = "pass" if mu <= bound + ca.VERDICT_SLACK else "fail"
+    if audited == 0:  # nothing measured
+        mu = beta = gamma = None
+    return {"verdict": verdict, "mu": mu, "bound": bound, "alpha": alpha, "beta": beta, "gamma": gamma,
+            "lambda_next": lam_next, "skipped": skipped}
 
 
 def population_rkd_loss(f, g):

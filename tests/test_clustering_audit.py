@@ -10,6 +10,7 @@ import frozen_oracles as oracle
 from rkdlab import clustering_audit
 from rkdlab.clustering_audit import (
     LP_AGREEMENT_TOL,
+    clustering_audits,
     lp_bound_oracle,
     lp_dual_value,
     lp_lagrangian_dual,
@@ -27,6 +28,7 @@ from rkdlab.spectral_rkd import (
     OptimizerConfig,
     Prediction,
     StudentModel,
+    population_loss_gap,
     population_minimizers,
     random_rotations,
     train_student,
@@ -77,12 +79,12 @@ class TestMajorityLabel:
         assert np.array_equal(a.label, b.label)
         assert np.array_equal(a.minority_mask, b.minority_mask)
 
-    def test_tie_goes_to_smallest_class_and_is_recorded(self):
+    def test_tie_goes_to_smallest_class(self):
         g = hand_graph(np.ones((4, 4)), [0, 0, 1, 1], 2)
         f = Prediction(scores=np.tile([1.0, 0.0], (4, 1)))
         maj = majority_label(f, g)
         assert list(maj.label) == [0, 0, 0, 0]
-        assert maj.ties == (0,)
+        assert list(maj.minority_mask) == [False, False, True, True]
 
     def test_family_error_is_max_and_monotone_under_union(self, sbm_pair):
         f_good = onehot_prediction(sbm_pair)
@@ -111,15 +113,16 @@ class TestSkeletonAndMargin:
     def test_empty_minority_gives_infinite_margins(self, sbm_pair):
         rep = skeleton_of(onehot_prediction(sbm_pair), sbm_pair)
         assert rep.applicable
-        assert all(math.isinf(gk) for gk in rep.gammas)
+        assert math.isinf(rep.gamma)
         assert margin_prefactor(rep.beta, rep.gamma) == 1.0
 
-    def test_duplicate_rows_fail_rank(self):
-        g = hand_graph(np.ones((4, 4)), [0, 0, 1, 1], 2)
-        scores = np.array([[1.0, 0.5], [1.0, 0.5], [2.0, 1.0], [2.0, 1.0]])
-        rep = skeleton_of(Prediction(scores=scores), g)
-        assert not rep.rank_ok
+    def test_proportional_skeleton_rows_fail_rank(self):
+        # the skeleton rows (2, -3) and (-2/3, 1) are proportional; beta and gamma are still measured
+        g = hand_graph(np.ones((6, 6)), [0, 0, 0, 1, 1, 1], 2)
+        rep = skeleton_of(Prediction(scores=_skip_reason_family()[2]), g)
+        assert rep.reason == "skeleton matrix rank-deficient"
         assert not rep.applicable
+        assert rep.beta > 0 and rep.gamma is not None
 
     def test_halves_violation_is_marker_not_exception(self):
         g = hand_graph(np.ones((4, 4)), [0, 0, 1, 1], 2)
@@ -127,29 +130,30 @@ class TestSkeletonAndMargin:
         rep = skeleton_of(f, g)
         assert not rep.applicable
         assert "half" in rep.reason
+        assert rep.beta is None and rep.gamma is None
 
 
 class TestTheorem1:
     def test_disconnected_blocks_bound_zero_pass(self, disconnected_blocks):
         fam = [exact_population_minimizer(disconnected_blocks, 2)]
         report = theorem1_check(fam, disconnected_blocks)
-        assert report.verdicts["thm1"] == "pass"
-        assert report.bound_thm1 == 0.0
-        assert report.mu == 0.0
+        assert report["verdict"] == "pass"
+        assert report["bound"] == 0.0
+        assert report["mu"] == 0.0
 
     def test_fifty_random_rotations_pass(self, sbm_pair):
         rng = np.random.default_rng(17)
         fam = [exact_population_minimizer(sbm_pair, 2, random_rotation(2, rng)) for _ in range(50)]
         report = theorem1_check(fam, sbm_pair)
-        assert report.verdicts["thm1"] == "pass"
-        assert len(report.skipped) < len(fam)
+        assert report["verdict"] == "pass"
+        assert len(report["skipped"]) < len(fam)
 
     def test_precondition_violators_are_skipped_not_failed(self, sbm_pair):
         constant = Prediction(scores=np.tile([1.0, 0.0], (sbm_pair.size, 1)))
         fam = [exact_population_minimizer(sbm_pair, 2), constant]
         report = theorem1_check(fam, sbm_pair)
-        assert report.verdicts["thm1"] == "pass"
-        assert len(report.skipped) == 1
+        assert report["verdict"] == "pass"
+        assert report["skipped"] == [(1, "minority mass exceeds half of some class")]
 
     def test_monte_carlo_sbm_audit(self):
         for seed in range(10):
@@ -157,16 +161,22 @@ class TestTheorem1:
             rng = np.random.default_rng(seed)
             fam = [exact_population_minimizer(g, 2, random_rotation(2, rng)) for _ in range(3)]
             report = theorem1_check(fam, g)
-            assert report.verdicts["thm1"] != "fail"
+            assert report["verdict"] != "fail"
 
     def test_empty_family_rejected(self, sbm_pair):
         with pytest.raises(DomainError, match="empty prediction family"):
             theorem1_check([], sbm_pair)
 
-    def test_report_serializable(self, sbm_pair):
+    def test_record_keys(self, sbm_pair):
         report = theorem1_check([exact_population_minimizer(sbm_pair, 2)], sbm_pair)
-        payload = vars(report)  # what rkdlab audit writes
-        assert set(payload) >= {"mu", "alpha", "lambdas", "beta", "gamma", "verdicts"}
+        assert list(report) == ["verdict", "mu", "bound", "alpha", "beta", "gamma", "lambda_next", "skipped"]
+        assert report["lambda_next"] == spectral_decompose(sbm_pair).eigenvalues[2]
+
+    def test_every_member_skipped_measures_nothing(self, sbm_pair):
+        constant = Prediction(scores=np.tile([1.0, 0.0], (sbm_pair.size, 1)))
+        report = theorem1_check([constant], sbm_pair)
+        assert report["verdict"] == "not-applicable: every member skipped"
+        assert report["mu"] is report["bound"] is report["beta"] is report["gamma"] is None
 
 
 class TestTheorem4:
@@ -174,8 +184,10 @@ class TestTheorem4:
         f = exact_population_minimizer(sbm_pair, 2)
         r4 = theorem4_check(f, sbm_pair, Delta=0.0)
         r1 = theorem1_check([f], sbm_pair)
-        assert r4.verdicts["thm4"] == "pass"
-        assert math.isclose(r4.bound_thm4, r1.bound_thm1, rel_tol=1e-12)
+        assert r4["verdict"] == "pass"
+        assert math.isclose(r4["bound"], r1["bound"], rel_tol=1e-12)
+        assert [r4[k] for k in ("mu", "alpha", "beta", "gamma", "lambda_next")] == \
+            [r1[k] for k in ("mu", "alpha", "beta", "gamma", "lambda_next")]
 
     def test_negative_dual_denominator_is_bound_undefined(self):
         # a non-lazy path on four vertices has eigenvalues 0, 0.5, 1.5, 2: with
@@ -184,9 +196,9 @@ class TestTheorem4:
         g = hand_graph(np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1), [0, 0, 1, 1], 2)
         f = Prediction(scores=np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 2.0]]))
         audit = theorem4_check(f, g, Delta=0.0)
-        assert audit.verdicts["thm4"].startswith("bound-undefined: (1 - lambda_K0)^2=0.25")
-        assert "(1 - lambda_K+1)^2=0.99" in audit.verdicts["thm4"]
-        assert audit.bound_thm4 is None and audit.lp_dual is None
+        assert audit["verdict"].startswith("bound-undefined: (1 - lambda_K0)^2=0.25")
+        assert "(1 - lambda_K+1)^2=0.99" in audit["verdict"]
+        assert audit["bound"] is None and audit["lp_dual"] is None
 
     def test_trained_student_passes(self):
         g = lazy_graph(build_sbm(2, [5, 5], 0.9, 0.05, seed=21))
@@ -198,18 +210,27 @@ class TestTheorem4:
         pred = trained.prediction()
         delta = max(report.gap, 0.0)
         audit = theorem4_check(pred, g, Delta=delta)
-        assert audit.verdicts["thm4"] in ("pass", "not-applicable: skeleton matrix rank-deficient",
-                                          "not-applicable: prediction not surjective")
-        if audit.verdicts["thm4"] == "pass":
-            assert audit.mu <= audit.bound_thm4 + 1e-9
+        assert audit["verdict"] in ("pass", "not-applicable: skeleton matrix rank-deficient",
+                                    "not-applicable: prediction not surjective")
+        if audit["verdict"] == "pass":
+            assert audit["mu"] <= audit["bound"] + 1e-9
 
     def test_oversized_delta_is_marker(self, sbm_pair):
         f = exact_population_minimizer(sbm_pair, 2)
         dec = spectral_decompose(sbm_pair)
         too_big = (1.0 - dec.eigenvalues[1]) ** 2 + 1.0
         report = theorem4_check(f, sbm_pair, Delta=too_big)
-        assert report.verdicts["thm4"].startswith("bound-undefined")
-        assert report.bound_thm4 is None
+        assert report["verdict"].startswith("bound-undefined")
+        assert report["bound"] is None
+
+
+def test_clustering_audits_run_thm1_on_the_family_and_thm4_on_member_0(sbm_pair):
+    family = population_minimizers(sbm_pair, 2, random_rotations(2, 3, np.random.default_rng(0)))
+    f0 = Prediction(scores=family[0])
+    delta = population_loss_gap(f0, sbm_pair)[1]
+    audits = clustering_audits(family, sbm_pair)
+    assert audits == {"thm1": theorem1_check(family, sbm_pair),
+                      "thm4": theorem4_check(f0, sbm_pair, Delta=max(delta, 0.0))}
 
 
 def _lazy_triangles():
@@ -251,8 +272,9 @@ class TestTheorem4PinnedValues:
         np.testing.assert_allclose(spectral_decompose(g).eigenvalues, [0.0, 3 / 11] + [15 / 22] * 4, atol=1e-14)
         assert inter_class_fraction(g) == pytest.approx(3 / 22, rel=1e-14)
         report = self.audit()
-        assert (report.beta, report.gamma) == pytest.approx((4.0, 3.0), rel=1e-14)
-        assert report.mu == pytest.approx(1 / 6, rel=1e-14)
+        assert (report["beta"], report["gamma"]) == pytest.approx((4.0, 3.0), rel=1e-14)
+        assert report["mu"] == pytest.approx(1 / 6, rel=1e-14)
+        assert (report["Delta"], report["lambda_next"]) == pytest.approx((0.5, 15 / 22), rel=1e-14)
 
     def test_margin_prefactor_squares_the_ratio(self):
         assert margin_prefactor(4.0, 3.0) == pytest.approx(16 / 9, rel=1e-15)
@@ -261,27 +283,27 @@ class TestTheorem4PinnedValues:
 
     def test_bound_adds_the_dual_not_the_primal(self):
         report = self.audit()
-        assert report.lp_primal == pytest.approx(94 / 87, rel=1e-12)
-        assert report.lp_dual == pytest.approx(242 / 207, rel=1e-12)
+        assert report["lp_primal"] == pytest.approx(94 / 87, rel=1e-12)
+        assert report["lp_dual"] == pytest.approx(242 / 207, rel=1e-12)
         # 2 (beta / gamma)^2 (alpha / lambda_3 + dual), alpha / lambda_3 = 1/5
-        assert report.bound_thm4 == pytest.approx(2 * 16 / 9 * (1 / 5 + 242 / 207), rel=1e-12)
-        assert report.verdicts["thm4"] == "pass"
+        assert report["bound"] == pytest.approx(2 * 16 / 9 * (1 / 5 + 242 / 207), rel=1e-12)
+        assert report["verdict"] == "pass"
 
     def test_delta_is_guarded_by_lambda_k_not_lambda_k_plus_1(self):
-        assert self.audit(0.5).bound_thm4 is not None  # above (1 - lambda_3)^2, below (1 - lambda_2)^2
+        assert self.audit(0.5)["bound"] is not None  # above (1 - lambda_3)^2, below (1 - lambda_2)^2
         report = self.audit(0.53)  # above (1 - lambda_2)^2 = 0.5289...
-        assert report.verdicts["thm4"] == "bound-undefined: Delta=0.53 >= (1 - lambda_K)^2"
-        assert report.bound_thm4 is None
+        assert report["verdict"] == "bound-undefined: Delta=0.53 >= (1 - lambda_K)^2"
+        assert report["bound"] is None
 
     def test_negative_delta_is_bound_undefined(self):
         report = self.audit(-1e-3)
-        assert report.verdicts["thm4"] == "bound-undefined: negative Delta"
-        assert report.bound_thm4 is None and report.lp_dual is None
+        assert report["verdict"] == "bound-undefined: negative Delta"
+        assert report["bound"] is None and report["lp_dual"] is None
 
     def test_k_plus_1_above_the_vertex_count_is_bound_undefined(self, path3):
         report = theorem4_check(Prediction(scores=np.eye(3)), path3, Delta=0.0)
-        assert report.verdicts["thm4"] == "bound-undefined: K+1 exceeds |X|"
-        assert report.bound_thm4 is None
+        assert report["verdict"] == "bound-undefined: K+1 exceeds |X|"
+        assert report["bound"] is None and report["lambda_next"] is None
 
     def test_a_third_zero_eigenvalue_is_bound_undefined(self):
         # three disjoint pairs: lambda = 0, 0, 0, 1, 1, 1 once lazy, so lambda_3 ~ 0 with K = 2
@@ -289,8 +311,8 @@ class TestTheorem4PinnedValues:
         g = lazy_graph(hand_graph(pairs, [0, 0, 1, 1, 1, 1], 2))
         scores = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
         report = theorem4_check(Prediction(scores=scores), g, Delta=0.1)
-        assert report.verdicts["thm4"] == "bound-undefined: lambda_{K+1} ~ 0"
-        assert report.bound_thm4 is None
+        assert report["verdict"] == "bound-undefined: lambda_{K+1} ~ 0"
+        assert report["bound"] is None
 
 
 def exact_solutions(lam, K, delta):
@@ -543,7 +565,6 @@ def _same_majority(got, want):
     assert np.array_equal(got.minority_mask, want.minority_mask)
     assert np.array_equal(got.predicted, want.predicted)
     assert got.minority_mass == want.minority_mass  # bit for bit: deg[mask].sum() on both sides
-    assert got.ties == want.ties
 
 
 def _check_stack_against_oracle(scores, g):
@@ -552,7 +573,7 @@ def _check_stack_against_oracle(scores, g):
     skels = skeletons_and_margins(scores, g, majs)
     for f, maj, skel in zip(family, majs, skels):
         _same_majority(maj, oracle.majority_label(f, g))
-        # repr is exact for floats and treats the nan of a skipped member as equal
+        # repr is exact for floats
         assert repr(skel) == repr(oracle.skeleton_and_margin(f, g))
         _same_majority(majority_label(f, g), oracle.majority_label(f, g))
         assert repr(skeleton_and_margin(f, g, maj)) == repr(oracle.skeleton_and_margin(f, g))
@@ -583,7 +604,7 @@ class TestStackedAuditMatchesOracle:
         reasons = [s.reason.split(" ")[0] for s in skels]
         assert reasons == ["minority", "skeleton", "skeleton", "non-positive", "minority", ""]
         assert "wrong class" in skels[1].reason and "rank-deficient" in skels[2].reason
-        assert majority_labels(_skip_reason_family(), g)[4].ties == (0, 1)
+        assert list(majority_labels(_skip_reason_family(), g)[4].label) == [0] * 6  # both ties go to class 0
 
     def test_no_non_minority_vertex(self, monkeypatch):
         # unreachable through majority labels (every cluster keeps its
@@ -595,7 +616,7 @@ class TestStackedAuditMatchesOracle:
         real = oracle.majority_label(f, g)
         maj = clustering_audit.MajorityLabeling(
             label=1 - g.labels, minority_mask=np.ones(4, dtype=bool), minority_mass=1.0,
-            predicted=real.predicted, ties=(),
+            predicted=real.predicted,
         )
         got = skeletons_and_margins(scores[None], g, [maj])[0]
         assert got.reason == "no non-minority vertices"

@@ -273,18 +273,18 @@ class TestTheorem5:
         g = uniform_graph([0] * 6 + [1] * 6)
         aug = chain_augmentation(g)
         f = Prediction(scores=np.eye(2)[g.labels].astype(float))
-        mu, bound, verdict = theorem5_check([f], aug, g, estimate_c_expansion(aug, g).c_hat)
-        assert verdict == "pass"
-        assert mu == 0.0 and bound == 0.0
+        c_hat = estimate_c_expansion(aug, g).c_hat
+        record = theorem5_check([f], aug, g, c_hat)
+        assert record == {"verdict": "pass", "mu": 0.0, "bound": 0.0, "c_hat": c_hat, "nu": 0.0}
 
     def test_single_inconsistent_vertex_fixture(self):
         g = uniform_graph([0] * 6 + [1] * 6)
         aug = chain_augmentation(g)
         scores = np.eye(2)[g.labels].astype(float)
         scores[2] = [0.0, 1.0]
-        mu, bound, verdict = theorem5_check([Prediction(scores=scores)], aug, g, estimate_c_expansion(aug, g).c_hat)
-        assert verdict == "pass"
-        assert mu <= bound + 1e-9
+        record = theorem5_check([Prediction(scores=scores)], aug, g, estimate_c_expansion(aug, g).c_hat)
+        assert record["verdict"] == "pass"
+        assert record["mu"] <= record["bound"] + 1e-9
 
     def test_bound_scales_family_max_dac_error(self):
         g = uniform_graph([0] * 6 + [1] * 6)
@@ -297,9 +297,10 @@ class TestTheorem5:
         nus = [dac_error(f.hard_labels(), aug, g) for f in fam]
         assert nus[0] < nus[1]
         c_hat = estimate_c_expansion(aug, g).c_hat
-        mu, bound, verdict = theorem5_check(fam, aug, g, c_hat)
-        assert bound == max(2.0 / (c_hat - 1.0), 2.0) * max(nus)
-        assert verdict == "pass"
+        record = theorem5_check(fam, aug, g, c_hat)
+        assert record["nu"] == max(nus)
+        assert record["bound"] == max(2.0 / (c_hat - 1.0), 2.0) * max(nus)
+        assert record["verdict"] == "pass"
 
     def test_twenty_random_thresholded_predictors(self):
         g = uniform_graph([0] * 7 + [1] * 7)
@@ -310,8 +311,8 @@ class TestTheorem5:
             flips = rng.random(g.size) < 0.12
             scores = np.eye(2)[np.where(flips, 1 - g.labels, g.labels)].astype(float)
             fam.append(Prediction(scores=scores))
-        mu, bound, verdict = theorem5_check(fam, aug, g, estimate_c_expansion(aug, g).c_hat)
-        assert verdict in ("pass", "not-applicable: every member skipped")
+        record = theorem5_check(fam, aug, g, estimate_c_expansion(aug, g).c_hat)
+        assert record["verdict"] in ("pass", "not-applicable: every member skipped")
 
     def test_component_above_cap_is_marker(self):
         g = uniform_graph([0] * 21 + [1] * 3)
@@ -320,9 +321,9 @@ class TestTheorem5:
         report = estimate_c_expansion(aug, g)
         assert (report.c_hat, report.checked_subsets, report.exhaustive) == (None, 0, False)
         assert report.reason == f"NB component of 21 vertices exceeds the exhaustive cap {COMPONENT_SUBSET_CAP}"
-        mu, bound, verdict = theorem5_check([f], aug, g, report.c_hat)
-        assert verdict == "not-applicable: component above the exhaustive cap"
-        assert math.isnan(mu) and math.isnan(bound)
+        record = theorem5_check([f], aug, g, report.c_hat)
+        assert record == {"verdict": "not-applicable: component above the exhaustive cap", "mu": None,
+                          "bound": None, "c_hat": None, "nu": None}
 
     def test_bound_reads_the_callers_c_hat(self):
         g = uniform_graph([0] * 6 + [1] * 6)
@@ -332,17 +333,17 @@ class TestTheorem5:
         f = Prediction(scores=scores)
         nu = dac_error(f.hard_labels(), aug, g)
         for c_hat in (estimate_c_expansion(aug, g).c_hat, 1.5, 1.25, 3.0):
-            mu, bound, verdict = theorem5_check([f], aug, g, c_hat)
-            assert bound == max(2.0 / (c_hat - 1.0), 2.0) * nu
-            assert verdict == "pass"
+            record = theorem5_check([f], aug, g, c_hat)
+            assert record["bound"] == max(2.0 / (c_hat - 1.0), 2.0) * nu
+            assert (record["verdict"], record["c_hat"]) == ("pass", c_hat)
 
     def test_callers_c_hat_at_most_one_is_marker(self):
         g = uniform_graph([0] * 6 + [1] * 6)
         aug = chain_augmentation(g)
         f = Prediction(scores=np.eye(2)[g.labels].astype(float))
-        mu, bound, verdict = theorem5_check([f], aug, g, 1.0)
-        assert verdict == "bound-undefined: c_hat=1.0 <= 1"
-        assert math.isnan(mu) and math.isnan(bound)
+        record = theorem5_check([f], aug, g, 1.0)
+        assert record == {"verdict": "bound-undefined: c_hat=1.0 <= 1", "mu": None, "bound": None, "c_hat": 1.0,
+                          "nu": None}
 
     def test_empty_family_rejected_with_or_without_a_c_hat(self):
         g = uniform_graph([0] * 6 + [1] * 6)
@@ -356,8 +357,8 @@ class TestTheorem5:
         sets = [{0, 1}, {1, 0}, {2, 3}, {3, 2}, {4, 5}, {5, 4}]
         aug = make_augmentation(sets, g)
         f = Prediction(scores=np.eye(2)[g.labels].astype(float))
-        mu, bound, verdict = theorem5_check([f], aug, g, estimate_c_expansion(aug, g).c_hat)
-        assert verdict.startswith("bound-undefined")
+        record = theorem5_check([f], aug, g, estimate_c_expansion(aug, g).c_hat)
+        assert record["verdict"].startswith("bound-undefined")
 
 
 class TestConstantExpansion:

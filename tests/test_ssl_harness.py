@@ -25,7 +25,7 @@ from rkdlab.dac_expansion import (
     load_augmentation,
     make_augmentation,
 )
-from rkdlab.errors import InvalidConfigError, NumericError, TrainingDivergedError
+from rkdlab.errors import DomainError, InvalidConfigError, NumericError, TrainingDivergedError
 from rkdlab.graph_core import build_sbm, build_two_blobs, lazy_graph, load_graph, save_graph, scaled_eigenvectors
 from rkdlab.jsonio import dumps_canonical
 from rkdlab.label_acquisition import (
@@ -336,7 +336,8 @@ def _labels_and_warnings(kmeans, *args, **kwargs):
 
 class TestKmeansPort:
     """The port's labels are those of scipy's kmeans2 (the oracle, imported here only), and so are its
-    warnings: each Lloyd round that leaves a cluster empty warns once."""
+    warnings: each Lloyd round that leaves a cluster empty warns once.  Where the rows hold fewer than K
+    distinct points, the port raises a DomainError where kmeans2 seeds a repeated centre after a 0 / 0."""
 
     @staticmethod
     def agrees(data, K, seed):
@@ -361,19 +362,38 @@ class TestKmeansPort:
         for seed in range(50):
             self.agrees(data, 3, seed)
 
+    # (features, inputs with fewer distinct rows than clusters) of the rounded arrays below: 61 of 960
+    FEWER_DISTINCT_ROWS = {1: 18, 2: 10, 3: 6, 4: 2, 5: 10, 6: 7, 7: 1, 8: 7}
+
     @pytest.mark.parametrize("features", range(1, 9))
-    def test_rounded_arrays_with_ties_duplicates_and_empty_clusters(self, features):
+    def test_rounded_arrays_with_ties_and_duplicates(self, features):
         # below 5 features kmeans2 adds squared differences in turn, from 5 on it expands them with a gemm
         maker = np.random.default_rng(features)
-        empty_rounds = 0
+        fewer = 0
         for _ in range(120):
             n = int(maker.integers(2, 60))
             data = np.round(maker.standard_normal((n, features)), int(maker.integers(0, 3)))
             if maker.random() < 0.3:
                 data = data[maker.integers(0, max(1, n // 3), n)]  # many duplicate rows
-            # more clusters than distinct rows seed a repeated centre (after a 0 / 0 warning), whose cluster empties
-            empty_rounds += self.agrees(data, int(maker.integers(1, min(n, 7) + 1)), int(maker.integers(0, 1000)))
-        assert empty_rounds > 0
+            K, seed = int(maker.integers(1, min(n, 7) + 1)), int(maker.integers(0, 1000))
+            if len(set(map(tuple, data.tolist()))) < K:  # distinct by value: -0.0 is 0.0
+                fewer += 1
+                with pytest.raises(DomainError, match=rf"k-means of {n} rows into K={K} clusters: fewer than"):
+                    _kmeans_labels(data, K, seed)
+            else:
+                self.agrees(data, K, seed)
+        assert fewer == self.FEWER_DISTINCT_ROWS[features]
+
+    def test_a_lloyd_round_that_empties_a_cluster_warns(self):
+        data = np.array([[1.0, 4.0], [4.0, 1.0], [2.0, 9.0], [9.0, 1.0], [6.0, 1.0], [3.0, 7.0], [1.0, 8.0],
+                         [2.0, 7.0]])
+        assert self.agrees(data, 3, 2) == 1
+
+    def test_fewer_distinct_rows_than_clusters_raise(self):
+        data = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(DomainError, match="k-means of 4 rows into K=3 clusters: fewer than 3 distinct rows"):
+            _kmeans_labels(data, 3, 0)
+        assert self.agrees(data, 2, 0) == 0
 
 
 class TestCombinedLoss:
