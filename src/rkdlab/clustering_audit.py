@@ -9,8 +9,6 @@ spectral gap) and the empirical bound with its linear-programming dual.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +22,7 @@ from .spectral_rkd import Prediction, family_scores, is_integer, population_loss
 VERDICT_SLACK = 1e-9
 LP_AGREEMENT_TOL = 1e-9
 RANK_TOL = 1e-10
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -42,24 +41,29 @@ class AuditTolerances:
 
 @dataclass(frozen=True)
 class MajorityLabeling:
-    """Majority relabeling of predicted clusters, with the minority set it induces."""
+    """The majority relabeling of each member of an (R, |X|, K) score stack:
+    predicted clusters, their majority labels and the minority set they
+    induce, shape (R, |X|); per member, the minority mass and whether the
+    minority holds at most half of every class (the halves condition),
+    shape (R,)."""
 
     label: np.ndarray
     minority_mask: np.ndarray
-    minority_mass: float
+    minority_mass: np.ndarray
     predicted: np.ndarray
+    halves: np.ndarray
 
 
 @dataclass(frozen=True)
 class SkeletonReport:
-    """A member's spectral bound beta and least margin gamma over its skeleton
-    (None where no skeleton was found), and why it is not applicable ("" when
-    it is)."""
+    """Each member's spectral bound beta and least margin gamma over its
+    skeleton, shape (R,) (nan where no skeleton was found), whether the
+    member is applicable, and (index, reason) of each member that is not."""
 
-    beta: float | None
-    gamma: float | None
-    applicable: bool
-    reason: str
+    beta: np.ndarray
+    gamma: np.ndarray
+    applicable: np.ndarray
+    skipped: list
 
 
 def audit_record(mu, bound, skip: str | None = None, **quantities) -> dict:
@@ -72,21 +76,25 @@ def audit_record(mu, bound, skip: str | None = None, **quantities) -> dict:
     return {"verdict": verdict, "mu": mu, "bound": bound, **quantities}
 
 
-def majority_label(f: Prediction, g: PopulationGraph) -> MajorityLabeling:
-    """Relabel each predicted cluster by its heaviest ground-truth class.
+def mask_masses(masks: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """deg[mask].sum() of each row of an (R, |X|) boolean stack: numpy's
+    pairwise sum of each member's own vertices, so that a member's mass has
+    the same bits however the family around it is built.  An empty row
+    gives 0.0 without a sum."""
+    sums = np.zeros(len(masks))
+    for r in np.flatnonzero(masks.any(axis=1)).tolist():
+        sums[r] = deg[masks[r]].sum()
+    return sums
+
+
+def majority_labels(scores: np.ndarray, g: PopulationGraph) -> MajorityLabeling:
+    """Relabel each predicted cluster of each member of an (R, |X|, K) score
+    stack by its heaviest ground-truth class, at once.
 
     Conditional class weights are degree-proportional; ties go to the smallest
-    class index.
-    """
-    return majority_labels(f.scores[None], g)[0]
-
-
-def majority_labels(scores: np.ndarray, g: PopulationGraph) -> list:
-    """majority_label of each member of an (R, |X|, K) score stack, at once.
-
-    Class masses come from one bincount over (member, cluster, class) codes
-    weighted by degree, which sums each cluster's vertices of a class in
-    ascending order from zero, as a per-cluster scatter does.
+    class index.  Class masses come from one bincount over (member, cluster,
+    class) codes weighted by degree, which sums each cluster's vertices of a
+    class in ascending order from zero, as a per-cluster scatter does.
     """
     R, n, K = scores.shape
     if n != g.size:
@@ -95,34 +103,42 @@ def majority_labels(scores: np.ndarray, g: PopulationGraph) -> list:
     C = g.num_classes
     deg = g.degrees()
     cluster = np.arange(R)[:, None] * K + predicted
-    weights = np.broadcast_to(deg, predicted.shape).ravel()
-    masses = np.bincount((cluster * C + g.labels).ravel(), weights=weights, minlength=R * K * C)
-    label = np.take_along_axis(masses.reshape(R, K, C).argmax(axis=2), predicted, axis=1)
+    masses = np.bincount((cluster * C + g.labels).ravel(), weights=np.tile(deg, R), minlength=R * K * C)
+    label = masses.reshape(R * K, C).argmax(axis=1)[cluster]
     minority = label != g.labels
-    return [
-        MajorityLabeling(
-            label=label[r],
-            minority_mask=minority[r],
-            minority_mass=float(deg[minority[r]].sum()),
-            predicted=predicted[r],
-        )
-        for r in range(R)
-    ]
+    return MajorityLabeling(label=label, minority_mask=minority, minority_mass=mask_masses(minority, deg),
+                            predicted=predicted, halves=_halves_condition(minority, g))
 
 
-def halves_condition(maj: MajorityLabeling, g: PopulationGraph) -> bool:
-    """P(M(f) intersect X_k) <= P(X_k)/2 for every class k."""
+def _halves_condition(minority: np.ndarray, g: PopulationGraph) -> np.ndarray:
+    """P(M(f) intersect X_k) <= P(X_k)/2 + 1e-15 for every class k, per member
+    of an (R, |X|) minority stack, with each side numpy's pairwise sum
+    deg[mask].sum().
+
+    One bincount sums every member's minority mass per class, in vertex
+    order.  That sequential sum and the pairwise one each lie within
+    |X| eps / 2 times the class mass of the exact sum, so they differ by
+    less than |X| eps times the class mass.  Only a member with a class whose
+    sequential sum lies that close to the threshold is summed again,
+    pairwise, to decide it.
+    """
+    R, n = minority.shape
+    C = g.num_classes
     deg = g.degrees()
-    for k in range(g.num_classes):
-        cls = g.labels == k
-        if deg[cls & maj.minority_mask].sum() > deg[cls].sum() / 2 + 1e-15:
-            return False
-    return True
+    totals = g.class_masses()
+    half = totals / 2 + 1e-15
+    codes = (np.arange(R)[:, None] * C + g.labels).ravel()
+    held = np.bincount(codes, weights=(minority * deg).ravel(), minlength=R * C).reshape(R, C)
+    halves = (held <= half).all(axis=1)
+    near = (np.abs(held - half) <= n * EPS * totals).any(axis=1)
+    for r in np.flatnonzero(near).tolist():
+        halves[r] = all(deg[(g.labels == k) & minority[r]].sum() <= half[k] for k in range(C))
+    return halves
 
 
-def skeletons_and_margins(scores: np.ndarray, g: PopulationGraph, majs) -> list:
+def skeletons_and_margins(scores: np.ndarray, maj: MajorityLabeling) -> SkeletonReport:
     """Skeletons and margins of each member f of an (R, |X|, K) score stack,
-    given its majority labelings: the skeleton s_k = argmax of f(.)_k over
+    given its majority labeling: the skeleton s_k = argmax of f(.)_k over
     non-minority vertices, with the spectral bound beta and per-class margins
     against minority competitors.  Skeletons come from a masked argmax, the
     skeleton matrices' singular values from one stacked svd, margins from a
@@ -130,37 +146,38 @@ def skeletons_and_margins(scores: np.ndarray, g: PopulationGraph, majs) -> list:
 
     Not-applicable (never an exception) when the minority halves condition
     fails, a skeleton entry predicts the wrong class, the skeleton matrix is
-    rank-deficient, or the margin is non-positive.
+    rank-deficient, or the margin is non-positive.  Only the members that
+    are not applicable get a reason.
     """
     R, _, K = scores.shape
-    minority = np.stack([maj.minority_mask for maj in majs])
-    predicted = np.stack([maj.predicted for maj in majs])
+    minority, predicted = maj.minority_mask, maj.predicted
+    member, classes = np.arange(R)[:, None], np.arange(K)
     skeleton = np.where(minority[:, :, None], -np.inf, scores).argmax(axis=1)
-    wrong = np.take_along_axis(predicted, skeleton, axis=1) != np.arange(K)
-    svals = np.linalg.svd(scores[np.arange(R)[:, None], skeleton], compute_uv=False)
-    competitors = minority[:, :, None] & (predicted[:, :, None] != np.arange(K))
-    top = np.take_along_axis(scores, skeleton[:, None, :], axis=1)[:, 0, :]
+    wrong = predicted[member, skeleton] != classes
+    svals = np.linalg.svd(scores[member, skeleton], compute_uv=False)
+    competitors = minority[:, :, None] & (predicted[:, :, None] != classes)
+    top = scores[member, skeleton, classes]
     margins = top - np.where(competitors, scores, -np.inf).max(axis=1)  # inf without competitors
-    reports = []
-    for r, maj in enumerate(majs):
-        if not halves_condition(maj, g):
+    empty = minority.all(axis=1)
+    found = maj.halves & ~empty & ~wrong.any(axis=1)
+    beta = np.where(found, svals[:, 0], np.nan)
+    gamma = np.where(found, margins.min(axis=1), np.nan)
+    full_rank = svals[:, -1] > RANK_TOL
+    applicable = found & full_rank & (gamma > 0)
+    skipped = []
+    for r in np.flatnonzero(~applicable).tolist():
+        if not maj.halves[r]:
             reason = "minority mass exceeds half of some class"
-        elif minority[r].all():
+        elif empty[r]:
             reason = "no non-minority vertices"
-        elif wrong[r].any():
-            reason = f"skeleton vertex predicts the wrong class for k={np.nonzero(wrong[r])[0].tolist()}"
+        elif not found[r]:
+            reason = f"skeleton vertex predicts the wrong class for k={np.flatnonzero(wrong[r]).tolist()}"
+        elif not full_rank[r]:
+            reason = "skeleton matrix rank-deficient"
         else:
-            beta, gamma = float(svals[r, 0]), min(margins[r].tolist())
-            if not svals[r, -1] > RANK_TOL:
-                reason = "skeleton matrix rank-deficient"
-            elif not gamma > 0:
-                reason = f"non-positive margin {gamma}"
-            else:
-                reason = ""
-            reports.append(SkeletonReport(beta, gamma, not reason, reason))
-            continue
-        reports.append(SkeletonReport(None, None, False, reason))
-    return reports
+            reason = f"non-positive margin {gamma[r].item()}"
+        skipped.append((r, reason))
+    return SkeletonReport(beta=beta, gamma=gamma, applicable=applicable, skipped=skipped)
 
 
 def margin_prefactor(beta: float, gamma: float) -> float:
@@ -186,24 +203,24 @@ def theorem1_check(f_family, g: PopulationGraph) -> dict:
     scores = family_scores(f_family, g)
     lam_next = _lambda_next(spectral_decompose(g).eigenvalues, scores.shape[2])
     alpha = inter_class_fraction(g)
-    majs = majority_labels(scores, g)
-    skels = skeletons_and_margins(scores, g, majs)
-    audited = [(maj.minority_mass, skel) for maj, skel in zip(majs, skels) if skel.applicable]
+    maj = majority_labels(scores, g)
+    skel = skeletons_and_margins(scores, maj)
+    audited = skel.applicable
     mu = beta = gamma = bound = None
-    if audited:
-        mu = max(mass for mass, _ in audited)
-        beta = max(skel.beta for _, skel in audited)
-        gamma = min(skel.gamma for _, skel in audited)
+    if audited.any():
+        mu = float(maj.minority_mass[audited].max())
+        beta = float(skel.beta[audited].max())
+        gamma = float(skel.gamma[audited].min())
     if lam_next is None:
         skip = "bound-undefined: K+1 exceeds |X|"
     elif lam_next <= 1e-12:
         skip = "bound-undefined: lambda_{K+1} ~ 0"
-    elif not audited:
+    elif mu is None:
         skip = "not-applicable: every member skipped"
     else:
         skip, bound = None, 2.0 * margin_prefactor(beta, gamma) * alpha / lam_next
     return audit_record(mu, bound, skip, alpha=alpha, beta=beta, gamma=gamma, lambda_next=lam_next,
-                        skipped=[(idx, skel.reason) for idx, skel in enumerate(skels) if not skel.applicable])
+                        skipped=skel.skipped)
 
 
 def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float) -> dict:
@@ -215,8 +232,9 @@ def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float) -> dict:
     lam_next = _lambda_next(lam, K)
     alpha = inter_class_fraction(g)
     scores = f_emp.scores[None]
-    majs = majority_labels(scores, g)
-    (maj,), (skel,) = majs, skeletons_and_margins(scores, g, majs)
+    maj = majority_labels(scores, g)
+    skel = skeletons_and_margins(scores, maj)
+    beta, gamma = (None if math.isnan(x) else x for x in (skel.beta[0].item(), skel.gamma[0].item()))
     bound = lp_primal = lp_dual = skip = None
     if lam_next is None:
         skip = "bound-undefined: K+1 exceeds |X|"
@@ -226,17 +244,17 @@ def theorem4_check(f_emp: Prediction, g: PopulationGraph, Delta: float) -> dict:
         skip = f"bound-undefined: Delta={Delta!r} >= (1 - lambda_K)^2"
     elif lam_next <= 1e-12:
         skip = "bound-undefined: lambda_{K+1} ~ 0"
-    elif not skel.applicable:
-        skip = f"not-applicable: {skel.reason}"
+    elif skel.skipped:
+        skip = f"not-applicable: {skel.skipped[0][1]}"
     else:
         try:
             lp_primal, lp_dual = lp_bound_oracle(lam, K, K, Delta)
         except DomainError as exc:  # the closed-form dual's denominator
             skip = f"bound-undefined: {exc}"
         else:
-            bound = 2.0 * margin_prefactor(skel.beta, skel.gamma) * (alpha / lam_next + lp_dual)
-    return audit_record(maj.minority_mass, bound, skip, Delta=Delta, alpha=alpha, beta=skel.beta,
-                        gamma=skel.gamma, lambda_next=lam_next, lp_primal=lp_primal, lp_dual=lp_dual)
+            bound = 2.0 * margin_prefactor(beta, gamma) * (alpha / lam_next + lp_dual)
+    return audit_record(maj.minority_mass[0].item(), bound, skip, Delta=Delta, alpha=alpha, beta=beta,
+                        gamma=gamma, lambda_next=lam_next, lp_primal=lp_primal, lp_dual=lp_dual)
 
 
 def clustering_audits(family, g: PopulationGraph) -> dict:
@@ -253,12 +271,9 @@ def clustering_audits(family, g: PopulationGraph) -> dict:
 # the subspace-leakage linear program of the empirical bound
 
 
-def _lp_data(lambdas, K: int, Delta: float):
-    """Float costs (1 - lambda_i)^2, the exact budget and n.
-
-    Floats are dyadic rationals, so Fraction(c) is each cost exactly and the
-    budget, the tail costs plus Delta, is summed without rounding.
-    """
+def _lp_costs(lambdas, K: int, Delta: float) -> np.ndarray:
+    """The float costs (1 - lambda_i)^2 of the LP on ascending eigenvalues,
+    once 1 <= K < n and 0 <= Delta < (1 - lambda_K)^2 hold."""
     lam = np.asarray(lambdas, dtype=float)
     n = len(lam)
     if not 1 <= K < n:
@@ -268,14 +283,20 @@ def _lp_data(lambdas, K: int, Delta: float):
     costs = (1.0 - lam) ** 2
     if not 0 <= Delta < costs[K - 1]:
         raise DomainError(f"Delta={Delta!r} must be in [0, (1 - lambda_K)^2 = {costs[K-1]!r})")
-    return costs, _exact_sum([*costs[K:].tolist(), Delta]), n
+    return costs
+
+
+def _dyadic(values) -> tuple:
+    """Floats as integers over one power of two, exactly: (numerators, denominator)."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [p * (den // d) for p, d in ratios], den
 
 
 def _exact_sum(values) -> Fraction:
-    """The sum of floats without rounding: each is an integer over a power of two."""
-    ratios = [float(v).as_integer_ratio() for v in values]
-    den = max(d for _, d in ratios)
-    return Fraction(sum(p * (den // d) for p, d in ratios), den)
+    """The sum of floats without rounding."""
+    numerators, den = _dyadic(values)
+    return Fraction(sum(numerators), den)
 
 
 def _dearest(costs: np.ndarray, count: int) -> list:
@@ -292,8 +313,9 @@ def lp_primal_greedy(lambdas, K: int, Delta: float) -> Fraction:
     That least cost g(t) is convex and linear between integers, and
     g(0) = budget - Delta, so the optimum is the largest t with g(t) <= budget.
     """
-    costs, budget, n = _lp_data(lambdas, K, Delta)
-    t_max = min(K, n - K)
+    costs = _lp_costs(lambdas, K, Delta)
+    budget = _exact_sum([*costs[K:].tolist(), Delta])  # the tail costs plus Delta
+    t_max = min(K, len(costs) - K)
     head = _dearest(costs[:K], K)[::-1]
     tail = _dearest(costs[K:], t_max)  # the order the tail gives up mass
     spent = budget - Fraction(Delta)  # g(0), the whole tail at 1
@@ -317,19 +339,26 @@ def lp_lagrangian_dual(lambdas, K: int, Delta: float) -> Fraction:
     the K dearest tail costs, and their order changes only where
     1 - mu c_h = -mu c_t, so the minimum is at mu = 0 or at one of those
     breakpoints mu = 1 / (c_h - c_t).
+
+    The arithmetic is in integers.  Floats are dyadic, so one power of two D
+    makes each of those costs C = D c and the slack S = D (B - sum(c)) =
+    D (Delta - sum(c_head)) an integer.  At a breakpoint mu = D / E,
+    E = C_h - C_t, every term is an integer over E (1 - mu c_h = (E - C_h) / E
+    and -mu c_t = -C_t / E), so L(mu) = (S + K E - sum of the K smallest
+    numerators) / E, and two candidates compare by cross-multiplication.
+    L(0) is the tail length.
     """
-    costs, budget, _ = _lp_data(lambdas, K, Delta)
-    head = _dearest(costs[:K], K)
-    tail = _dearest(costs[K:], K)
-    slack = budget - _exact_sum(costs.tolist())
-
-    def value(mu: Fraction) -> Fraction:
-        # both term lists ascend, so their merge yields the K smallest first
-        terms = heapq.merge([1 - mu * c for c in head], [-mu * c for c in tail])
-        return mu * slack + K - sum(itertools.islice(terms, K))
-
-    breakpoints = {h - t for h in head for t in tail if h > t}
-    return min(value(mu) for mu in [Fraction(0), *(1 / d for d in breakpoints)])
+    costs = _lp_costs(lambdas, K, Delta)
+    dearest = [*np.sort(costs[:K])[::-1].tolist(), *np.sort(costs[K:])[::-1][:K].tolist()]
+    (*scaled, delta), _ = _dyadic([*dearest, Delta])
+    head, tail = scaled[:K], scaled[K:]
+    slack = delta - sum(head)
+    best_num, best_den = len(tail), 1  # L(0)
+    for e in {h - t for h in head for t in tail if h > t}:
+        num = slack + K * e - sum(sorted([e - h for h in head] + [-t for t in tail])[:K])
+        if num * best_den < best_num * e:
+            best_num, best_den = num, e
+    return Fraction(best_num, best_den)
 
 
 def lp_dual_value(lambdas, K: int, K0: int, Delta: float) -> float:

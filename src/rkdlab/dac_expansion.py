@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import jsonio
-from .clustering_audit import audit_record, halves_condition, majority_labels
+from .clustering_audit import audit_record, majority_labels, mask_masses
 from .errors import DomainError, InvalidAugmentationError, InvalidConfigError
-from .graph_core import PopulationGraph
+from .graph_core import PopulationGraph, _freeze
 from .spectral_rkd import family_scores, is_integer
 
 EXHAUSTIVE_SUBSET_CAP = 18  # whole-graph enumeration (constant expansion)
@@ -43,6 +44,12 @@ class AugmentationMap:
     @property
     def size(self) -> int:
         return len(self.sets)
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """(x, v) over every v in A(x) other than x, as two read-only index arrays, built once per map."""
+        xv = np.array([(x, v) for x, aset in enumerate(self.sets) for v in aset if v != x], dtype=int)
+        return _freeze(xv.reshape(-1, 2).T)
 
     def validate(self, g: PopulationGraph) -> None:
         if self.size != g.size:
@@ -222,12 +229,16 @@ def estimate_c_expansion(aug: AugmentationMap, g: PopulationGraph) -> ExpansionR
     return ExpansionReport(c_hat=c_hat, checked_subsets=checked, exhaustive=True, reason="")
 
 
-def dac_error(labels: np.ndarray, aug: AugmentationMap, g: PopulationGraph) -> float:
-    """Mass of vertices whose augmentation set crosses a boundary of the
-    predicted hard labels."""
-    deg = g.degrees()
-    bad = np.array([any(labels[v] != labels[x] for v in aug.sets[x]) for x in range(g.size)])
-    return float(deg[bad].sum())
+def dac_error(labels: np.ndarray, aug: AugmentationMap, g: PopulationGraph) -> np.ndarray:
+    """Mass of the vertices whose augmentation set crosses a boundary of the
+    predicted hard labels, for each row of an (R, |X|) label stack: one
+    comparison over every member's (x, v) pairs, one bincount of the
+    crossing ones per (member, x)."""
+    xs, vs = aug.pairs
+    R, n = labels.shape
+    crossing = labels[:, xs] != labels[:, vs]
+    codes = (np.arange(R)[:, None] * n + xs)[crossing]
+    return mask_masses(np.bincount(codes, minlength=R * n).reshape(R, n) > 0, g.degrees())
 
 
 def theorem5_check(f_family, aug: AugmentationMap, g: PopulationGraph, c_hat: float | None) -> dict:
@@ -244,11 +255,12 @@ def theorem5_check(f_family, aug: AugmentationMap, g: PopulationGraph, c_hat: fl
         return audit_record(None, None, "not-applicable: component above the exhaustive cap", c_hat=c_hat, nu=None)
     if c_hat <= 1.0:
         return audit_record(None, None, f"bound-undefined: c_hat={c_hat!r} <= 1", c_hat=c_hat, nu=None)
-    audited = [maj for maj in majority_labels(scores, g) if halves_condition(maj, g)]
-    if not audited:
+    maj = majority_labels(scores, g)
+    audited = maj.halves
+    if not audited.any():
         return audit_record(None, None, "not-applicable: every member skipped", c_hat=c_hat, nu=None)
-    mu = max(maj.minority_mass for maj in audited)
-    nu = max(dac_error(maj.predicted, aug, g) for maj in audited)
+    mu = float(maj.minority_mass[audited].max())
+    nu = float(dac_error(maj.predicted[audited], aug, g).max())
     return audit_record(mu, max(2.0 / (c_hat - 1.0), 2.0) * nu, c_hat=c_hat, nu=nu)
 
 

@@ -245,18 +245,15 @@ def build_sbm(
 
 
 def _is_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    if n <= 1:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adj[i] > 0)[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
+    """Whether every vertex is reached from vertex 0, by a breadth-first
+    search that gathers the whole frontier's adjacency rows per level."""
+    link = adj > 0
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[:1] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = link[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return bool(seen.all())
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps(str) calls
 from pathlib import Path
 
 
@@ -33,7 +34,7 @@ def _encode(obj, level: int) -> str:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
@@ -46,7 +47,7 @@ def _encode(obj, level: int) -> str:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {type(key)!r}")
-            parts.append(pad_in + json.dumps(key) + ": " + _encode(obj[key], level + 1))
+            parts.append(pad_in + _quote(key) + ": " + _encode(obj[key], level + 1))
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     # numpy scalars and arrays come through here
     if hasattr(obj, "tolist"):

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jsonio
-from .clustering_audit import MajorityLabeling, majority_label, majority_labels
+from .clustering_audit import MajorityLabeling, majority_labels, mask_masses
 from .errors import DomainError, InvalidConfigError
 from .graph_core import PopulationGraph, _freeze
 from .spectral_rkd import Prediction, family_scores, is_integer
@@ -98,29 +98,30 @@ class NonDegeneracyReport:
     c0: float
     ok: bool
     reasons: tuple
-    majority: MajorityLabeling  # the prediction's majority labeling, which the checks read
+    majority: MajorityLabeling  # the prediction's majority labeling (a stack of one), which the checks read
 
 
 def check_non_degenerate(f: Prediction, g: PopulationGraph) -> NonDegeneracyReport:
     """Surjective predictions, nonempty majority clusters, and minority mass at
     most half the smallest admissible fraction: c0 = min_k P(cluster_k) over
     P(minority in cluster_k) must be >= 2."""
-    maj = majority_label(f, g)
+    maj = majority_labels(f.scores[None], g)
+    label, minority = maj.label[0], maj.minority_mask[0]
     reasons = []
-    predicted_classes = set(maj.predicted.tolist())
+    predicted_classes = set(maj.predicted[0].tolist())
     if predicted_classes != set(range(g.num_classes)):
         reasons.append("prediction not surjective onto the class set")
     deg = g.degrees()
     sizes = []
     ratios = []
     for k in range(g.num_classes):
-        members = maj.label == k
+        members = label == k
         sizes.append(int(members.sum()))
         if sizes[-1] == 0:
             reasons.append(f"majority cluster {k} is empty")
             continue
         cluster_mass = float(deg[members].sum())
-        minority_mass = float(deg[members & maj.minority_mask].sum())
+        minority_mass = float(deg[members & minority].sum())
         ratios.append(math.inf if minority_mass == 0 else cluster_mass / minority_mass)
     m0 = min(sizes) if sizes else 0
     c0 = min(ratios) if ratios else 0.0
@@ -130,7 +131,7 @@ def check_non_degenerate(f: Prediction, g: PopulationGraph) -> NonDegeneracyRepo
 
 
 def _cluster_wise_plan(f: Prediction, g: PopulationGraph, delta: float):
-    """Validate non-degeneracy and the delta window; return (m, majority labeling)."""
+    """Validate non-degeneracy and the delta window; return (m, the prediction's majority labels)."""
     report = check_non_degenerate(f, g)
     if not report.ok:
         raise DomainError(f"prediction is degenerate: {'; '.join(report.reasons)}")
@@ -142,7 +143,7 @@ def _cluster_wise_plan(f: Prediction, g: PopulationGraph, delta: float):
         m = 1
     else:
         m = max(1, math.ceil(math.log(2.0 * K / delta) / math.log(report.c0)))
-    return m, report.majority
+    return m, report.majority.label[0]
 
 
 def cluster_wise_sample(f: Prediction, g: PopulationGraph, delta: float, seed: int) -> LabeledSet:
@@ -151,11 +152,11 @@ def cluster_wise_sample(f: Prediction, g: PopulationGraph, delta: float, seed: i
     delta must exceed delta_min = 2K / c0^m0; coverage of all classes is the
     random event the Monte Carlo audit measures.
     """
-    m, maj = _cluster_wise_plan(f, g, delta)
+    m, label = _cluster_wise_plan(f, g, delta)
     rng = np.random.default_rng(seed)
     chosen = []
     for k in range(g.num_classes):
-        members = np.nonzero(maj.label == k)[0]
+        members = np.nonzero(label == k)[0]
         chosen.extend(rng.choice(members, size=m, replace=True).tolist())
     return make_labeled(g, chosen, "cluster_wise", seed)
 
@@ -264,12 +265,11 @@ def theorem3_check(
     scores = family_scores(family, g)
     if not (is_integer(trials) and trials >= 1):
         raise DomainError(f"trials={trials!r} must be an integer >= 1")
-    majs = majority_labels(scores, g)
-    mu = max(maj.minority_mass for maj in majs)
+    maj = majority_labels(scores, g)
+    mu = float(maj.minority_mass.max())
     bound = theorem3_bound(g.num_classes, n, mu, delta)
-    wrong = np.stack([maj.predicted != g.labels for maj in majs])
-    deg = g.degrees()
-    pop_errors = np.array([float(deg[w].sum()) for w in wrong])
+    wrong = maj.predicted != g.labels
+    pop_errors = mask_masses(wrong, g.degrees())
     best_possible = float(pop_errors.min())
     err_table = wrong.astype(float)
     rng = np.random.default_rng(seed)

@@ -620,14 +620,18 @@ def family_scores(family, g: PopulationGraph) -> np.ndarray:
     of Predictions, a sequence of score arrays, or a stack: the one reader of
     the theorem audits' families.  An empty family, members of different
     shapes, a stack that is not 3-D, a row count other than |X| and a
-    non-finite score are DomainErrors."""
-    members = [f.scores if isinstance(f, Prediction) else np.asarray(f, dtype=float) for f in family]
-    if not members:
+    non-finite score are DomainErrors.  A stack is checked as it is, not
+    split into members."""
+    if isinstance(family, np.ndarray):
+        scores = np.asarray(family, dtype=float)
+    else:
+        members = [f.scores if isinstance(f, Prediction) else np.asarray(f, dtype=float) for f in family]
+        shapes = sorted({m.shape for m in members})
+        if len(shapes) > 1:
+            raise DomainError(f"prediction family members of different shapes {shapes}")
+        scores = np.stack(members) if members else np.empty((0,))
+    if len(scores) == 0:
         raise DomainError("empty prediction family")
-    shapes = sorted({m.shape for m in members})
-    if len(shapes) > 1:
-        raise DomainError(f"prediction family members of different shapes {shapes}")
-    scores = np.stack(members)
     if scores.ndim != 3:
         raise DomainError(f"prediction family of shape {scores.shape}, not (R, |X|, K)")
     if scores.shape[1] != g.size:

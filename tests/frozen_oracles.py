@@ -1,9 +1,10 @@
 """Frozen per-member and per-step reference implementations.
 
 These are the loops that the stacked audit and the batched training loop in
-`rkdlab` replaced, kept verbatim in their arithmetic: one QR per rotation, one
-majority labeling and one skeleton per family member, and per training step
-two `np.add.at` scatters and one population-loss evaluation; the SSL
+`rkdlab` replaced, kept verbatim in their arithmetic: one QR per rotation;
+one majority labeling, halves condition, skeleton, DAC error and theorem 4
+audit per family member, with the one-member records they returned; per
+training step two `np.add.at` scatters and one population-loss evaluation; the SSL
 objective of one student as first fused into one pass; and the SSL run's own
 momentum loop, from before it shared its loop with `train_student`.
 The oracle tests require the library to give the same floats, labels,
@@ -31,6 +32,26 @@ def random_rotation(K, rng):
     return q * np.sign(np.diag(r))
 
 
+@dataclasses.dataclass(frozen=True)
+class MajorityLabeling:
+    """One member's majority relabeling, with the minority set it induces."""
+
+    label: np.ndarray
+    minority_mask: np.ndarray
+    minority_mass: float
+    predicted: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class SkeletonReport:
+    """One member's beta and gamma (None where no skeleton was found), and why it is not applicable."""
+
+    beta: float | None
+    gamma: float | None
+    applicable: bool
+    reason: str
+
+
 def majority_label(f, g, predicted=None):
     if predicted is None:
         predicted = f.hard_labels()
@@ -47,7 +68,7 @@ def majority_label(f, g, predicted=None):
         winners = np.nonzero(masses >= top)[0]
         label[members] = winners[0]
     minority = label != g.labels
-    return ca.MajorityLabeling(
+    return MajorityLabeling(
         label=label,
         minority_mask=minority,
         minority_mass=float(deg[minority].sum()),
@@ -55,15 +76,25 @@ def majority_label(f, g, predicted=None):
     )
 
 
+def halves_condition(maj, g):
+    """P(M(f) intersect X_k) <= P(X_k)/2 for every class k."""
+    deg = g.degrees()
+    for k in range(g.num_classes):
+        cls = g.labels == k
+        if deg[cls & maj.minority_mask].sum() > deg[cls].sum() / 2 + 1e-15:
+            return False
+    return True
+
+
 def skeleton_and_margin(f, g, maj=None):
     if maj is None:
         maj = majority_label(f, g)
     K = f.num_classes
-    if not ca.halves_condition(maj, g):
-        return ca.SkeletonReport(None, None, False, "minority mass exceeds half of some class")
+    if not halves_condition(maj, g):
+        return SkeletonReport(None, None, False, "minority mass exceeds half of some class")
     candidates = np.nonzero(~maj.minority_mask)[0]
     if len(candidates) == 0:
-        return ca.SkeletonReport(None, None, False, "no non-minority vertices")
+        return SkeletonReport(None, None, False, "no non-minority vertices")
     skeleton = []
     for k in range(K):
         col = f.scores[candidates, k]
@@ -71,7 +102,7 @@ def skeleton_and_margin(f, g, maj=None):
     predicted = maj.predicted
     if any(predicted[s] != k for k, s in enumerate(skeleton)):
         bad = [k for k, s in enumerate(skeleton) if predicted[s] != k]
-        return ca.SkeletonReport(None, None, False, f"skeleton vertex predicts the wrong class for k={bad}")
+        return SkeletonReport(None, None, False, f"skeleton vertex predicts the wrong class for k={bad}")
     fs = f.scores[skeleton, :]
     svals = np.linalg.svd(fs, compute_uv=False)
     rank_ok = bool(svals[-1] > ca.RANK_TOL)
@@ -85,10 +116,10 @@ def skeleton_and_margin(f, g, maj=None):
             gammas.append(math.inf)
     gamma = min(gammas)
     if not rank_ok:
-        return ca.SkeletonReport(beta, gamma, False, "skeleton matrix rank-deficient")
+        return SkeletonReport(beta, gamma, False, "skeleton matrix rank-deficient")
     if not gamma > 0:
-        return ca.SkeletonReport(beta, gamma, False, f"non-positive margin {gamma}")
-    return ca.SkeletonReport(beta, gamma, True, "")
+        return SkeletonReport(beta, gamma, False, f"non-positive margin {gamma}")
+    return SkeletonReport(beta, gamma, True, "")
 
 
 def theorem1_check(f_family, g):
@@ -128,6 +159,61 @@ def theorem1_check(f_family, g):
         mu = beta = gamma = None
     return {"verdict": verdict, "mu": mu, "bound": bound, "alpha": alpha, "beta": beta, "gamma": gamma,
             "lambda_next": lam_next, "skipped": skipped}
+
+
+def theorem4_check(f, g, Delta):
+    lam = spectral_decompose(g).eigenvalues
+    K = f.num_classes
+    lam_next = float(lam[K]) if K < len(lam) else None
+    alpha = inter_class_fraction(g)
+    maj = majority_label(f, g)
+    skel = skeleton_and_margin(f, g, maj)
+    bound = lp_primal = lp_dual = None
+    if lam_next is None:
+        verdict = "bound-undefined: K+1 exceeds |X|"
+    elif Delta < 0:
+        verdict = "bound-undefined: negative Delta"
+    elif not Delta < (1.0 - lam[K - 1]) ** 2:
+        verdict = f"bound-undefined: Delta={Delta!r} >= (1 - lambda_K)^2"
+    elif lam_next <= 1e-12:
+        verdict = "bound-undefined: lambda_{K+1} ~ 0"
+    elif not skel.applicable:
+        verdict = f"not-applicable: {skel.reason}"
+    else:
+        try:
+            lp_primal, lp_dual = ca.lp_bound_oracle(lam, K, K, Delta)
+        except DomainError as exc:
+            verdict = f"bound-undefined: {exc}"
+        else:
+            bound = 2.0 * ca.margin_prefactor(skel.beta, skel.gamma) * (alpha / lam_next + lp_dual)
+            verdict = "pass" if maj.minority_mass <= bound + ca.VERDICT_SLACK else "fail"
+    return {"verdict": verdict, "mu": maj.minority_mass, "bound": bound, "Delta": Delta, "alpha": alpha,
+            "beta": skel.beta, "gamma": skel.gamma, "lambda_next": lam_next, "lp_primal": lp_primal,
+            "lp_dual": lp_dual}
+
+
+def dac_error(labels, aug, g):
+    deg = g.degrees()
+    bad = np.array([any(labels[v] != labels[x] for v in aug.sets[x]) for x in range(g.size)])
+    return float(deg[bad].sum())
+
+
+def theorem5_check(f_family, aug, g, c_hat):
+    verdict = mu = bound = nu = None
+    if c_hat is None:
+        verdict = "not-applicable: component above the exhaustive cap"
+    elif c_hat <= 1.0:
+        verdict = f"bound-undefined: c_hat={c_hat!r} <= 1"
+    else:
+        audited = [maj for maj in (majority_label(f, g) for f in f_family) if halves_condition(maj, g)]
+        if not audited:
+            verdict = "not-applicable: every member skipped"
+        else:
+            mu = max(maj.minority_mass for maj in audited)
+            nu = max(dac_error(maj.predicted, aug, g) for maj in audited)
+            bound = max(2.0 / (c_hat - 1.0), 2.0) * nu
+            verdict = "pass" if mu <= bound + ca.VERDICT_SLACK else "fail"
+    return {"verdict": verdict, "mu": mu, "bound": bound, "c_hat": c_hat, "nu": nu}
 
 
 def population_rkd_loss(f, g):

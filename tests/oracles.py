@@ -1,18 +1,21 @@
 """Reference implementations that only the tests call.
 
 Brute-force and closed-form oracles of the library's quantities: the exact
-LP vertex enumeration, the C.1 interpolation-bound and margin-formula checks,
-argmax labels with random tie-breaking, the Laplacian form of the inter-class
-fraction, the neighborhood relation of an augmentation map, the
-facility-location optimum and full greedy, the coupon-collector coverage
-checks, the graph-revealing identity and the exact Rademacher enumeration.
-Beside them sit the one-member forms of stacked library functions (one
-skeleton, one minimizer, one rotation, one pair draw, one pair expectation)
-and the file readers of what the commands write.  No command reaches any of them.
+LP vertex enumeration, the LP's Lagrangian dual in Fractions, the C.1
+interpolation-bound and margin-formula checks, argmax labels with random
+tie-breaking, the Laplacian form of the inter-class fraction, the
+neighborhood relation of an augmentation map, the facility-location optimum
+and full greedy, the coupon-collector coverage checks, the graph-revealing
+identity, the exact Rademacher enumeration and a depth-first connectivity
+search.  Beside them sit the one-member forms of stacked library functions
+(one labeling, one skeleton, one minimizer, one rotation, one pair draw, one
+pair expectation) and the file readers of what the commands write.  No
+command reaches any of them.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,13 +23,13 @@ from fractions import Fraction
 
 import numpy as np
 
+import frozen_oracles as frozen
 from rkdlab import jsonio
 from rkdlab.clustering_audit import (
     VERDICT_SLACK,
-    _lp_data,
-    MajorityLabeling,
-    SkeletonReport,
-    majority_label,
+    _exact_sum,
+    _lp_costs,
+    majority_labels,
     margin_prefactor,
     skeletons_and_margins,
 )
@@ -60,7 +63,8 @@ def lp_primal_enumerate(lambdas, K: int, Delta: float) -> Fraction:
     budget), or exactly two are, sharing one unit of mass on the binding
     budget row.
     """
-    costs, budget, n = _lp_data(lambdas, K, Delta)
+    costs = _lp_costs(lambdas, K, Delta)
+    budget, n = _exact_sum([*costs[K:].tolist(), Delta]), len(costs)
     if n > LP_ENUMERATION_CAP:
         raise DomainError(f"{n} variables exceed the enumeration cap {LP_ENUMERATION_CAP}")
     exact = [Fraction(x) for x in costs.tolist()]
@@ -92,6 +96,25 @@ def lp_primal_enumerate(lambdas, K: int, Delta: float) -> Fraction:
     return Fraction(best)
 
 
+def lp_lagrangian_dual_fractions(lambdas, K: int, Delta: float) -> Fraction:
+    """The Lagrangian dual of the budget row evaluated in Fractions: L(mu) at
+    mu = 0 and at each breakpoint 1 / (c_h - c_t), the form that
+    `lp_lagrangian_dual` evaluates in integers."""
+    costs = _lp_costs(lambdas, K, Delta)
+    head = [Fraction(c) for c in np.sort(costs[:K])[::-1].tolist()]
+    tail = [Fraction(c) for c in np.sort(costs[K:])[::-1][:K].tolist()]
+    budget = _exact_sum([*costs[K:].tolist(), Delta])
+    slack = budget - _exact_sum(costs.tolist())
+
+    def value(mu: Fraction) -> Fraction:
+        # both term lists ascend, so their merge yields the K smallest first
+        terms = heapq.merge([1 - mu * c for c in head], [-mu * c for c in tail])
+        return mu * slack + K - sum(itertools.islice(terms, K))
+
+    breakpoints = {h - t for h in head for t in tail if h > t}
+    return min(value(mu) for mu in [Fraction(0), *(1 / d for d in breakpoints)])
+
+
 def label_boundary_mass(g: PopulationGraph) -> float:
     """sum_k y_k^T L y_k for the degree-scaled one-hot truth; equals the
     inter-class weight fraction exactly."""
@@ -104,9 +127,27 @@ def label_boundary_mass(g: PopulationGraph) -> float:
     return total
 
 
-def skeleton_and_margin(f: Prediction, g: PopulationGraph, maj: MajorityLabeling) -> SkeletonReport:
-    """skeletons_and_margins of f alone, given its majority labeling maj."""
-    return skeletons_and_margins(f.scores[None], g, [maj])[0]
+def member_labeling(maj, r: int) -> frozen.MajorityLabeling:
+    """Member r of a stacked majority labeling, as the one-member record."""
+    return frozen.MajorityLabeling(label=maj.label[r], minority_mask=maj.minority_mask[r],
+                                   minority_mass=float(maj.minority_mass[r]), predicted=maj.predicted[r])
+
+
+def member_skeleton(skel, r: int) -> frozen.SkeletonReport:
+    """Member r of a stacked skeleton report, as the one-member record."""
+    beta, gamma = (None if math.isnan(x) else float(x) for x in (skel.beta[r], skel.gamma[r]))
+    return frozen.SkeletonReport(beta, gamma, bool(skel.applicable[r]), dict(skel.skipped).get(r, ""))
+
+
+def majority_label(f: Prediction, g: PopulationGraph) -> frozen.MajorityLabeling:
+    """majority_labels of f alone."""
+    return member_labeling(majority_labels(f.scores[None], g), 0)
+
+
+def skeleton_and_margin(f: Prediction, g: PopulationGraph) -> frozen.SkeletonReport:
+    """skeletons_and_margins of f alone, under its majority labeling."""
+    scores = f.scores[None]
+    return member_skeleton(skeletons_and_margins(scores, majority_labels(scores, g)), 0)
 
 
 def lemma_c1_check(f: Prediction, g: PopulationGraph):
@@ -116,7 +157,7 @@ def lemma_c1_check(f: Prediction, g: PopulationGraph):
     the pseudo-inverse and is recorded by the caller via the skeleton report.
     """
     maj = majority_label(f, g)
-    skel = skeleton_and_margin(f, g, maj)
+    skel = skeleton_and_margin(f, g)
     if not skel.applicable:
         raise DomainError(f"margin preconditions not met: {skel.reason}")
     sd = np.sqrt(g.degrees())
@@ -192,13 +233,13 @@ def neighborhoods(aug: AugmentationMap) -> NeighborhoodMap:
 
 def coverage_rate(f: Prediction, g: PopulationGraph, delta: float, trials: int, seed: int) -> float:
     """Monte Carlo frequency of cluster-wise draws covering every class."""
-    m, maj = _cluster_wise_plan(f, g, delta)
+    m, label = _cluster_wise_plan(f, g, delta)
     rng = np.random.default_rng(seed)
     K = g.num_classes
     seen = np.zeros((trials, K), dtype=bool)
     rows = np.repeat(np.arange(trials), m)
     for k in range(K):
-        members = np.nonzero(maj.label == k)[0]
+        members = np.nonzero(label == k)[0]
         draws = rng.choice(members, size=(trials, m), replace=True)
         seen[rows, g.labels[draws].ravel()] = True
     return float(seen.all(axis=1).mean())
@@ -343,3 +384,25 @@ def load_checkpoint(path) -> StudentModel:
         widths=tuple(data["widths"]),
         parameters=np.asarray(data["parameters"], dtype=float),
     )
+
+
+# ---------------------------------------------------------------------------
+# graph connectivity, one neighbour at a time
+
+
+def is_connected_depth_first(adj: np.ndarray) -> bool:
+    """Connectivity by a depth-first search that visits one neighbour at a time."""
+    n = adj.shape[0]
+    if n <= 1:
+        return True
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        i = stack.pop()
+        for j in np.nonzero(adj[i] > 0)[0]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(int(j))
+    return bool(seen.all())
+

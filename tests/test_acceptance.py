@@ -232,7 +232,7 @@ def test_criterion_06_rotation_pitfall_and_margin_formula():
     f = exact_population_minimizer(g, 2, q45)
     # one-hot scores of the tie-broken labels, whose argmax is those labels
     labels = np.stack([hard_labels_stochastic(f, np.random.default_rng((6, t))) for t in range(10000)])
-    masses = np.array([maj.minority_mass for maj in majority_labels(np.eye(2)[labels], g)])
+    masses = majority_labels(np.eye(2)[labels], g).minority_mass
     mean_mu = float(masses.mean())
 
     margin_errs = [

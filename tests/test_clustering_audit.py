@@ -15,13 +15,13 @@ from rkdlab.clustering_audit import (
     lp_dual_value,
     lp_lagrangian_dual,
     lp_primal_greedy,
-    majority_label,
     majority_labels,
     margin_prefactor,
     skeletons_and_margins,
     theorem1_check,
     theorem4_check,
 )
+from rkdlab.dac_expansion import chain_augmentation, dac_error, theorem5_check
 from rkdlab.errors import DomainError, NumericError
 from rkdlab.graph_core import build_sbm, inter_class_fraction, lazy_graph, spectral_decompose
 from rkdlab.spectral_rkd import (
@@ -43,7 +43,11 @@ from oracles import (
     hard_labels_stochastic,
     label_boundary_mass,
     lemma_c1_check,
+    lp_lagrangian_dual_fractions,
     lp_primal_enumerate,
+    majority_label,
+    member_labeling,
+    member_skeleton,
     random_rotation,
     skeleton_and_margin,
 )
@@ -95,23 +99,18 @@ class TestMajorityLabel:
         assert max(mus) >= mus[0]
 
 
-def skeleton_of(f, g):
-    """skeleton_and_margin of f under its majority labeling."""
-    return skeleton_and_margin(f, g, majority_label(f, g))
-
-
 class TestSkeletonAndMargin:
     def test_surjective_onehot_has_unit_beta_gamma(self, sbm_pair):
         # flip one low-mass vertex so the minority competitor set is nonempty
         scores = onehot_prediction(sbm_pair).scores.copy()
         scores[0] = 1.0 - scores[0]
-        rep = skeleton_of(Prediction(scores=scores), sbm_pair)
+        rep = skeleton_and_margin(Prediction(scores=scores), sbm_pair)
         assert rep.applicable
         assert math.isclose(rep.beta, 1.0, abs_tol=1e-12)
         assert math.isclose(rep.gamma, 1.0, abs_tol=1e-12)
 
     def test_empty_minority_gives_infinite_margins(self, sbm_pair):
-        rep = skeleton_of(onehot_prediction(sbm_pair), sbm_pair)
+        rep = skeleton_and_margin(onehot_prediction(sbm_pair), sbm_pair)
         assert rep.applicable
         assert math.isinf(rep.gamma)
         assert margin_prefactor(rep.beta, rep.gamma) == 1.0
@@ -119,7 +118,7 @@ class TestSkeletonAndMargin:
     def test_proportional_skeleton_rows_fail_rank(self):
         # the skeleton rows (2, -3) and (-2/3, 1) are proportional; beta and gamma are still measured
         g = hand_graph(np.ones((6, 6)), [0, 0, 0, 1, 1, 1], 2)
-        rep = skeleton_of(Prediction(scores=_skip_reason_family()[2]), g)
+        rep = skeleton_and_margin(Prediction(scores=_skip_reason_family()[2]), g)
         assert rep.reason == "skeleton matrix rank-deficient"
         assert not rep.applicable
         assert rep.beta > 0 and rep.gamma is not None
@@ -127,7 +126,7 @@ class TestSkeletonAndMargin:
     def test_halves_violation_is_marker_not_exception(self):
         g = hand_graph(np.ones((4, 4)), [0, 0, 1, 1], 2)
         f = Prediction(scores=np.tile([1.0, 0.0], (4, 1)))  # everything one cluster
-        rep = skeleton_of(f, g)
+        rep = skeleton_and_margin(f, g)
         assert not rep.applicable
         assert "half" in rep.reason
         assert rep.beta is None and rep.gamma is None
@@ -423,6 +422,34 @@ class TestLpOracle:
                 assert float(greedy) <= lp_dual_value(lam, K, K0, delta) + LP_AGREEMENT_TOL
                 assert lp_bound_oracle(lam, K, K0, delta)[0] == float(greedy)
 
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_integer_dual_equals_the_fraction_dual_on_sbm_spectra(self, K):
+        # |X| = 10-48, eight graph seeds and four Deltas below (1 - lambda_K)^2: 160 cases per K
+        cases = 0
+        for size in (10, 20, 32, 40, 48):
+            for seed in range(8):
+                sizes = [size // K + (k < size % K) for k in range(K)]
+                lam = spectral_decompose(lazy_graph(build_sbm(K, sizes, 0.9, 0.05, seed=seed))).eigenvalues
+                for share in (0.0, 1e-6, 0.5, 0.99):
+                    delta = share * (1.0 - lam[K - 1]) ** 2
+                    assert lp_lagrangian_dual(lam, K, delta) == lp_lagrangian_dual_fractions(lam, K, delta)
+                    cases += 1
+        assert cases == 160
+
+    @pytest.mark.parametrize("lam,K", [
+        ([0.0, 0.5, 0.5, 0.5, 0.9, 0.9, 1.0], 2),
+        ([0.0, 0.5, 0.5, 0.5, 0.9, 0.9, 1.0], 3),
+        ([0.0, 0.0, 0.25, 0.25, 0.25, 0.25], 2),
+        ([0.0, 0.3, 0.3, 0.7, 0.7, 0.7, 0.7, 1.0, 1.0], 4),
+        ([0.0, 0.1, 0.1, 0.1, 0.1], 1),
+        ([0.0, 0.2, 0.2, 0.2, 0.2, 0.2], 3),
+    ])
+    def test_integer_dual_on_repeated_eigenvalues_and_delta_just_below_the_cap(self, lam, K):
+        cap = (1.0 - lam[K - 1]) ** 2
+        for delta in (0.0, cap / 3, cap * (1 - 1e-12), math.nextafter(cap, 0.0)):
+            dual = lp_lagrangian_dual(lam, K, delta)
+            assert dual == lp_lagrangian_dual_fractions(lam, K, delta) == lp_primal_greedy(lam, K, delta)
+
     def test_vanishing_delta_forces_zero_leakage(self):
         lam = [0.0, 0.1, 0.5, 0.8, 0.9]
         primal, dual = lp_bound_oracle(lam, 2, K0=1, Delta=1e-12)
@@ -567,20 +594,40 @@ def _same_majority(got, want):
     assert got.minority_mass == want.minority_mass  # bit for bit: deg[mask].sum() on both sides
 
 
-def _check_stack_against_oracle(scores, g):
+def _outcome(audit, *args):
+    """repr of an audit's record, or the type and message of what it raised."""
+    try:
+        return repr(audit(*args))
+    except NumericError as exc:
+        return (type(exc), str(exc))
+
+
+def _check_stack_against_oracle(scores, g, c_hat=3.0):
+    """The stacked labeling, halves condition, skeletons, margins, reasons and
+    DAC errors of every member, and the theorem 1, 4 and 5 records, against
+    the frozen per-member loops (repr is exact for floats)."""
     family = [Prediction(scores=s) for s in scores]
-    majs = majority_labels(scores, g)
-    skels = skeletons_and_margins(scores, g, majs)
-    for f, maj, skel in zip(family, majs, skels):
-        _same_majority(maj, oracle.majority_label(f, g))
-        # repr is exact for floats
-        assert repr(skel) == repr(oracle.skeleton_and_margin(f, g))
-        _same_majority(majority_label(f, g), oracle.majority_label(f, g))
-        assert repr(skeleton_and_margin(f, g, maj)) == repr(oracle.skeleton_and_margin(f, g))
+    maj = majority_labels(scores, g)
+    skel = skeletons_and_margins(scores, maj)
+    assert [r for r, _ in skel.skipped] == np.flatnonzero(~skel.applicable).tolist()
+    for r, f in enumerate(family):
+        want = oracle.majority_label(f, g)
+        _same_majority(member_labeling(maj, r), want)
+        assert maj.halves[r] == oracle.halves_condition(want, g)
+        assert repr(member_skeleton(skel, r)) == repr(oracle.skeleton_and_margin(f, g))
+        # and a member audited alone, as a stack of one, gets the same bits
+        _same_majority(majority_label(f, g), want)
+        assert repr(skeleton_and_margin(f, g)) == repr(oracle.skeleton_and_margin(f, g))
     want = oracle.theorem1_check(family, g)
     assert repr(theorem1_check(scores, g)) == repr(want)
     assert repr(theorem1_check(family, g)) == repr(want)
-    return skels
+    for f in (family[0], family[-1]):
+        # where the closed-form dual fails weak duality, both raise alike
+        assert _outcome(theorem4_check, f, g, 0.0) == _outcome(oracle.theorem4_check, f, g, 0.0)
+    aug = chain_augmentation(g)
+    assert dac_error(maj.predicted, aug, g).tolist() == [oracle.dac_error(p, aug, g) for p in maj.predicted]
+    assert repr(theorem5_check(scores, aug, g, c_hat)) == repr(oracle.theorem5_check(family, aug, g, c_hat))
+    return skel
 
 
 def _skip_reason_family():
@@ -597,28 +644,57 @@ def _skip_reason_family():
     return np.stack([halves, wrong, rank, margin, tie, clean])
 
 
+def _half_class_family():
+    """A 24-vertex graph whose class 0 is ten pairs of vertices with equal
+    degrees, and three members on it: one whose minority is one vertex of
+    each pair (exactly half of class 0, ten minority vertices), one whose
+    skeleton rows are proportional, and one with a zero margin."""
+    a = np.r_[np.arange(1, 11) / 7, np.arange(1, 11) / 7, np.full(4, 30 / 7)]
+    labels = np.repeat([0, 1], [20, 4])
+    g = hand_graph(np.outer(a, a), labels, 2)  # equal rows of equal a: equal degrees, bit for bit
+    truth = np.eye(2)[labels]
+    half = np.eye(2)[np.where(np.arange(24) < 10, 1, labels)] * (1 + np.arange(24) / 100)[:, None]
+    rank = np.where(labels[:, None] == 0, [1.0, -4.0], [-1.0, 0.5])
+    rank[0], rank[20] = [2.0, -3.0], [-2.0 / 3.0, 1.0]
+    zero = truth.copy()
+    zero[20] = [1.0, 1.0]  # a class-1 minority vertex as high on class 1 as the skeleton
+    return g, np.stack([half, rank, zero])
+
+
 class TestStackedAuditMatchesOracle:
     def test_every_skip_reason_and_tie(self):
         g = hand_graph(np.ones((6, 6)), [0, 0, 0, 1, 1, 1], 2)
-        skels = _check_stack_against_oracle(_skip_reason_family(), g)
-        reasons = [s.reason.split(" ")[0] for s in skels]
+        skel = _check_stack_against_oracle(_skip_reason_family(), g)
+        reasons = [member_skeleton(skel, r).reason.split(" ")[0] for r in range(6)]
         assert reasons == ["minority", "skeleton", "skeleton", "non-positive", "minority", ""]
-        assert "wrong class" in skels[1].reason and "rank-deficient" in skels[2].reason
-        assert list(majority_labels(_skip_reason_family(), g)[4].label) == [0] * 6  # both ties go to class 0
+        assert "wrong class" in dict(skel.skipped)[1] and "rank-deficient" in dict(skel.skipped)[2]
+        assert list(majority_labels(_skip_reason_family(), g).label[4]) == [0] * 6  # both ties go to class 0
+
+    def test_exact_half_class_dependent_skeleton_and_zero_margin(self):
+        g, scores = _half_class_family()
+        maj = majority_labels(scores, g)
+        assert maj.minority_mask[0].sum() == 10 and maj.minority_mask[0, :10].all()
+        class_mass = g.degrees()[:20].sum()
+        assert abs(maj.minority_mass[0] - class_mass / 2) < 1e-15  # half of class 0, up to rounding
+        skel = _check_stack_against_oracle(scores, g)
+        assert skel.applicable.tolist() == [True, False, False]
+        assert skel.skipped == [(1, "skeleton matrix rank-deficient"), (2, "non-positive margin 0.0")]
 
     def test_no_non_minority_vertex(self, monkeypatch):
-        # unreachable through majority labels (every cluster keeps its
-        # winning class), so the halves check is bypassed on a hand-made labeling
-        monkeypatch.setattr(clustering_audit, "halves_condition", lambda maj, g: True)
+        # unreachable through majority labels (a minority of every vertex
+        # breaks the halves condition), so the labeling is made by hand
+        monkeypatch.setattr(oracle, "halves_condition", lambda maj, g: True)
         g = hand_graph(np.ones((4, 4)), [0, 0, 1, 1], 2)
         scores = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         f = Prediction(scores=scores)
         real = oracle.majority_label(f, g)
-        maj = clustering_audit.MajorityLabeling(
-            label=1 - g.labels, minority_mask=np.ones(4, dtype=bool), minority_mass=1.0,
-            predicted=real.predicted,
+        maj = oracle.MajorityLabeling(label=1 - g.labels, minority_mask=np.ones(4, dtype=bool), minority_mass=1.0,
+                                      predicted=real.predicted)
+        stacked = clustering_audit.MajorityLabeling(
+            label=maj.label[None], minority_mask=maj.minority_mask[None], minority_mass=np.ones(1),
+            predicted=maj.predicted[None], halves=np.ones(1, dtype=bool),
         )
-        got = skeletons_and_margins(scores[None], g, [maj])[0]
+        got = member_skeleton(skeletons_and_margins(scores[None], stacked), 0)
         assert got.reason == "no non-minority vertices"
         assert repr(got) == repr(oracle.skeleton_and_margin(f, g, maj))
 
@@ -635,13 +711,14 @@ class TestStackedAuditMatchesOracle:
         w = np.triu(np.reshape(upper, (n, n)).astype(float))
         w = w + w.T + np.eye(n)  # self-loops keep every degree positive
         g = hand_graph(w, labels, C)
-        R = data.draw(st.integers(1, 5), label="R")
+        R = data.draw(st.integers(1, 64), label="R")
         K = data.draw(st.integers(1, 3), label="K")
         # few distinct values, so argmax, mass and margin ties and
         # rank-deficient skeletons are common
         value = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0])
         flat = data.draw(st.lists(value, min_size=R * n * K, max_size=R * n * K), label="scores")
-        _check_stack_against_oracle(np.reshape(flat, (R, n, K)), g)
+        c_hat = data.draw(st.sampled_from([None, 0.5, 1.5, 3.0]), label="c_hat")
+        _check_stack_against_oracle(np.reshape(flat, (R, n, K)), g, c_hat)
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
     def test_stacked_rotations_match_sequential_draws(self, K):

@@ -255,7 +255,7 @@ class TestDacError:
         g = uniform_graph([0, 0, 0, 1, 1, 1])
         aug = chain_augmentation(g)
         f = Prediction(scores=np.eye(2)[g.labels].astype(float))
-        assert dac_error(f.hard_labels(), aug, g) == 0.0
+        assert dac_error(f.hard_labels()[None], aug, g).tolist() == [0.0]
 
     def test_single_crossing_vertex_mass(self):
         # only vertex 0 (mass 0.2) sees a disagreeing member in its own set
@@ -265,7 +265,7 @@ class TestDacError:
         aug = make_augmentation([{0, 1}, {1, 2}, {2, 1}, {3, 4}, {4, 3}], g)
         scores = np.eye(2)[[0, 1, 1, 1, 1]].astype(float)
         f = Prediction(scores=scores)
-        assert math.isclose(dac_error(f.hard_labels(), aug, g), 0.2, abs_tol=1e-12)
+        assert math.isclose(dac_error(f.hard_labels()[None], aug, g)[0], 0.2, abs_tol=1e-12)
 
 
 class TestTheorem5:
@@ -294,7 +294,7 @@ class TestTheorem5:
             scores = np.eye(2)[g.labels].astype(float)
             scores[flipped] = scores[flipped][:, ::-1]
             fam.append(Prediction(scores=scores))
-        nus = [dac_error(f.hard_labels(), aug, g) for f in fam]
+        nus = dac_error(np.stack([f.hard_labels() for f in fam]), aug, g).tolist()
         assert nus[0] < nus[1]
         c_hat = estimate_c_expansion(aug, g).c_hat
         record = theorem5_check(fam, aug, g, c_hat)
@@ -331,7 +331,7 @@ class TestTheorem5:
         scores = np.eye(2)[g.labels].astype(float)
         scores[2] = [0.0, 1.0]
         f = Prediction(scores=scores)
-        nu = dac_error(f.hard_labels(), aug, g)
+        (nu,) = dac_error(f.hard_labels()[None], aug, g).tolist()
         for c_hat in (estimate_c_expansion(aug, g).c_hat, 1.5, 1.25, 3.0):
             record = theorem5_check([f], aug, g, c_hat)
             assert record["bound"] == max(2.0 / (c_hat - 1.0), 2.0) * nu

@@ -7,6 +7,7 @@ import pytest
 from rkdlab.errors import DegenerateGraphError, InvalidConfigError, NumericError
 from rkdlab.graph_core import (
     PopulationGraph,
+    _is_connected,
     build_sbm,
     build_two_blobs,
     inter_class_fraction,
@@ -19,6 +20,7 @@ from rkdlab.graph_core import (
 )
 
 from conftest import hand_graph
+from oracles import is_connected_depth_first
 
 
 class TestPopulationGraphInvariants:
@@ -126,6 +128,25 @@ class TestBuildSbm:
         # a class of one vertex has no edge inside it, and gets its degree from the other class
         g = build_sbm(2, [1, 3], p_in=1.0, p_out=0.5, seed=0)
         assert g.class_members(0).tolist() == [0] and g.degrees()[0] > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+    def test_connectivity_matches_a_depth_first_search(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.0, 0.1, 0.3, 0.7):
+            for _ in range(25):
+                upper = np.triu(rng.random((n, n)) < density, k=1)
+                adj = (upper | upper.T).astype(float)
+                if n > 2 and rng.random() < 0.3:
+                    adj[n - 1, :] = adj[:, n - 1] = 0.0  # an isolated vertex
+                assert _is_connected(adj) == is_connected_depth_first(adj)
+        assert _is_connected(np.zeros((1, 1))) and not (n > 1 and _is_connected(np.zeros((n, n))))
+        assert _is_connected(np.ones((n, n)))
+
+    def test_two_blocks_are_not_connected(self):
+        adj = np.kron(np.eye(2), np.ones((3, 3)))
+        assert not _is_connected(adj) and not is_connected_depth_first(adj)
+        adj[2, 3] = adj[3, 2] = 0.5
+        assert _is_connected(adj) and is_connected_depth_first(adj)
 
     def test_within_class_connectivity(self):
         for seed in range(8):
@@ -334,8 +355,7 @@ def sparsest_2_partition(g):
 def test_corollary_ratio_is_finite_and_recorded():
     # sparsest-partition consistency: mu * phi_k^2 / (alpha log k) stays finite
     # across small fixtures; recorded, not asserted to any constant
-    from rkdlab.clustering_audit import majority_label
-    from oracles import exact_population_minimizer
+    from oracles import exact_population_minimizer, majority_label
 
     ratios = []
     for seed in range(4):

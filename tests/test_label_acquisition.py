@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rkdlab import label_acquisition
 from rkdlab.errors import DomainError, InvalidConfigError
 from rkdlab.graph_core import PopulationGraph, build_sbm, build_two_blobs, lazy_graph
 from rkdlab.label_acquisition import (
@@ -270,6 +271,17 @@ class TestTheorem3:
         report = theorem3_check(fam, g, n=40, trials=400, delta=delta, seed=1)
         se = math.sqrt((delta / 2) * (1 - delta / 2) / 400)
         assert report.failure_rate <= delta / 2 + 3 * se
+
+    def test_a_trial_above_the_bound_counts_as_a_failure(self, sbm_pair, monkeypatch):
+        # the bound never fails at these sizes, so it is set to 0: the ERM winner is the
+        # flipped member whenever the draws miss vertex 0 (ties go to the earliest member)
+        monkeypatch.setattr(label_acquisition, "theorem3_bound", lambda K, n, mu, delta: 0.0)
+        flipped = np.array(sbm_pair.labels)
+        flipped[0] = 1 - flipped[0]
+        report = theorem3_check([onehot(sbm_pair, flipped), onehot(sbm_pair)], sbm_pair, n=2, trials=50,
+                                delta=0.2, seed=0)
+        assert 0 < report.failures < 50 and report.failure_rate == report.failures / 50
+        assert report.max_excess == sbm_pair.degrees()[0]
 
     def test_population_error_is_degree_weighted(self, sbm_pair):
         flipped = onehot(sbm_pair, (sbm_pair.labels + 1) % 2)

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import re
 import shutil
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import frozen_oracles as oracle
 
-from rkdlab.clustering_audit import majority_label
+from rkdlab.clustering_audit import majority_labels
 from rkdlab.dac_expansion import (
     AugmentationMap,
     chain_augmentation,
@@ -860,8 +861,10 @@ class TestTrainedPredictions:
         scores = data.draw(st.sampled_from(students), label="student")
         order = data.draw(st.permutations(range(g.num_classes)), label="column order")
         f, permuted = Prediction(scores=scores), Prediction(scores=scores[:, order])
-        assert majority_label(permuted, g).minority_mass == majority_label(f, g).minority_mass
-        assert dac_error(permuted.hard_labels(), aug, g) == dac_error(f.hard_labels(), aug, g)
+        mass = majority_labels(np.stack([scores, scores[:, order]]), g).minority_mass
+        assert mass[0] == mass[1]
+        error = dac_error(np.stack([f.hard_labels(), permuted.hard_labels()]), aug, g)
+        assert error[0] == error[1]
 
 
 class TestStackedObjective:
@@ -1080,6 +1083,15 @@ class TestPersistedLosses:
 
 
 class TestCanonicalJson:
+    @pytest.mark.parametrize("text", [
+        "", "plain", 'a "quoted" word', "back\\slash", "tab\tnew\nline\rcr", "\x00\x01\x1f\x7f",
+        "caf\u00e9", "\u03bb_{K+1}", "\u2028\u2029", "\U0001f600 astral", "\ud800 lone surrogate", "/ slash",
+    ])
+    def test_strings_and_keys_are_quoted_as_json_dumps_quotes_them(self, text):
+        # the encoder quotes with json.encoder's ASCII quoting, the function json.dumps calls for a str
+        assert dumps_canonical(text) == json.dumps(text) + "\n"
+        assert dumps_canonical({text: [text]}) == "{\n  " + json.dumps(text) + ": [\n    " + json.dumps(text) + "\n  ]\n}\n"
+
     def test_float_formatting_is_stable(self):
         payload = {"a": 1.0 / 3.0, "b": [math.pi, 2], "c": {"nested": True}}
         assert dumps_canonical(payload) == dumps_canonical(payload)
